@@ -33,7 +33,7 @@ from .funcspace import BasisFamily, Integrand, StepFunction
 from .process import DEFAULT_GRID_POINTS, DEFAULT_TRUNCATION
 from .stieltjes import DEFAULT_RESOLUTION, Interval, MeanFunction, VarianceFunction
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.2.0"
 
 
 def canonical_json(obj) -> str:
@@ -43,6 +43,13 @@ def canonical_json(obj) -> str:
 def _require(cond: bool, field: str, message: str):
     if not cond:
         raise ConfigError(f"{field}: {message}")
+
+
+def _int_field(value, field: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{field}: must be an integer, got {value!r}") from exc
 
 
 def mean_function_from_spec(spec: dict, interval) -> MeanFunction:
@@ -175,25 +182,29 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     rho = variance_function_from_spec(raw.get("rho", {}), interval)
 
     mc = raw.get("mc", {})
-    paths = int(overrides.get("paths", mc.get("paths", 2000)))
+    paths = _int_field(overrides.get("paths", mc.get("paths", 2000)), "mc.paths")
     _require(paths >= 2, "mc.paths", "must be at least 2")
-    seed = int(overrides.get("seed", mc.get("seed", 12345)))
+    seed = _int_field(overrides.get("seed", mc.get("seed", 12345)), "mc.seed")
     _require(0 <= seed < 2**64, "mc.seed", "must fit in 64 bits")
 
     grid = raw.get("grid", {})
-    grid_points = int(overrides.get("grid", grid.get("points", DEFAULT_GRID_POINTS)))
+    grid_points = _int_field(
+        overrides.get("grid", grid.get("points", DEFAULT_GRID_POINTS)), "grid.points")
     _require(grid_points >= 2, "grid.points", "must be at least 2")
     grid_scale = grid.get("scale", "t")
     _require(grid_scale in ("t", "rho"), "grid.scale", "must be 't' or 'rho'")
 
     series = raw.get("series", {})
-    truncation = int(overrides.get("truncation", series.get("N", DEFAULT_TRUNCATION)))
+    truncation = _int_field(
+        overrides.get("truncation", series.get("N", DEFAULT_TRUNCATION)), "series.N")
     _require(truncation >= 1, "series.N", "truncation must be >= 1")
     family = series.get("family", "cosine")
     _require(family in ("cosine", "haar"), "series.family",
              "must be 'cosine' or 'haar'")
 
-    resolution = int(raw.get("quadrature", {}).get("resolution", DEFAULT_RESOLUTION))
+    resolution = _int_field(
+        raw.get("quadrature", {}).get("resolution", DEFAULT_RESOLUTION),
+        "quadrature.resolution")
     _require(resolution >= 1, "quadrature.resolution", "must be >= 1")
 
     reuse = bool(raw.get("debug", {}).get("reuse_streams", False))

@@ -237,8 +237,8 @@ class BasisFamily:
         """Basis member phi_n as an integrand.
 
         With certificate=True (default) the integrand carries its monotone
-        pieces, found by inverting rho; pass False in bulk loops that never
-        integrate pathwise, where the inversions dominate the cost.
+        pieces, found by inverting rho; pass False where no pathwise integral
+        needs them.
         """
         if n < 0:
             raise ValueError("basis index must be >= 0")
@@ -250,13 +250,13 @@ class BasisFamily:
         elif n == 0:
             breaks = (a, b)
         elif self.family == "cosine":
-            breaks = tuple(rho_inverse(rho, k * T / n) for k in range(n + 1))
+            breaks = tuple(rho_inverse(rho, np.arange(n + 1) * T / n))
         else:
             level = (n).bit_length() - 1
             shift = n - (1 << level)
             width = T / (1 << level)
             xs = (0.0, shift * width, (shift + 0.5) * width, (shift + 1) * width, T)
-            breaks = tuple(sorted({rho_inverse(rho, x) for x in xs}))
+            breaks = tuple(np.unique(rho_inverse(rho, xs)))
 
         def fn(t, _n=n):
             x = np.atleast_1d(np.asarray(rho(t), dtype=float))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingBVCertificateError, PartitionNotOnGridError
-from .funcspace import Integrand, as_integrand, inner_rho, project_to_steps
-from .process import SamplePath
+from .funcspace import StepFunction, as_integrand, inner_rho, project_to_steps
+from .process import SamplePath, grid_indices
 from .stieltjes import (
     DEFAULT_RESOLUTION,
     Interval,
@@ -43,40 +43,33 @@ class WienerIntegralResult:
     refinement: float = 0.0
 
 
-def _locate(grid: np.ndarray, points) -> np.ndarray:
-    """Indices of `points` on the grid; exact up to 1e-12 absolute slack."""
-    points = np.atleast_1d(np.asarray(points, dtype=float))
-    idx = np.searchsorted(grid, points)
-    out = np.empty(len(points), dtype=int)
-    for k, (i, p) in enumerate(zip(idx, points)):
-        best = None
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(grid) and abs(grid[j] - p) <= 1e-12:
-                best = j
-                break
-        if best is None:
-            raise PartitionNotOnGridError(
-                f"point {p} is not on the path grid; refusing to interpolate"
-            )
-        out[k] = best
-    return out
+def integrate_step_batch(f, value_matrix: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Exact step integrals for a batch of paths (rows of value_matrix).
+
+    This is the one Wiener-integral kernel: the partition points are located
+    on the grid, the path values there are gathered and differenced once, and
+    the increments are multiplied by the piece values.  f is one step
+    integrand, giving one value per path, or a list or tuple of step
+    integrands sharing one partition (a family), giving an array of shape
+    (paths, members) from one product.
+    """
+    family = isinstance(f, (list, tuple))
+    steps = [as_integrand(g).step for g in (f if family else [f])]
+    if any(step is None for step in steps):
+        raise TypeError("the Wiener-integral kernel requires step integrands")
+    partition = steps[0].partition
+    if any(step.partition != partition for step in steps[1:]):
+        raise ValueError("a family of step integrands must share one partition")
+    increments = np.diff(value_matrix[:, grid_indices(grid, partition)], axis=1)
+    if not family:
+        return increments @ np.asarray(steps[0].values)
+    return increments @ np.array([step.values for step in steps]).T
 
 
 def integrate_step(f, path: SamplePath) -> WienerIntegralResult:
     """Exact Wiener integral of a step function: sum of ci * (X(ti) - X(t_{i-1}))."""
-    f = as_integrand(f)
-    if not f.is_step:
-        raise TypeError("integrate_step requires a step integrand")
-    idx = _locate(path.grid, f.step.partition)
-    increments = np.diff(path.values[idx])
-    value = float(np.dot(f.step.values, increments))
-    return WienerIntegralResult(value, "step_exact")
-
-
-def _l2_value(f: Integrand, path: SamplePath, cells: int) -> float:
-    interval = Interval(float(path.grid[0]), float(path.grid[-1]))
-    projected = project_to_steps(f, cells, interval)
-    return integrate_step(projected, path).value
+    value = integrate_step_batch(f, path.values[None, :], path.grid)[0]
+    return WienerIntegralResult(float(value), "step_exact")
 
 
 def integrate_l2(f, path: SamplePath, cells: int) -> WienerIntegralResult:
@@ -89,11 +82,13 @@ def integrate_l2(f, path: SamplePath, cells: int) -> WienerIntegralResult:
     if cells < 1:
         raise ValueError("cell count must be >= 1")
     f = as_integrand(f)
-    value = _l2_value(f, path, cells)
+    interval = Interval(float(path.grid[0]), float(path.grid[-1]))
+    value = integrate_step(project_to_steps(f, cells, interval), path).value
     refinement = math.inf
     if cells >= 2:
         try:
-            refinement = abs(value - _l2_value(f, path, cells // 2))
+            coarse = integrate_step(project_to_steps(f, cells // 2, interval), path)
+            refinement = abs(value - coarse.value)
         except PartitionNotOnGridError:
             pass
     return WienerIntegralResult(value, "l2_approx", cells=cells, refinement=refinement)
@@ -113,16 +108,14 @@ def integrate_pathwise_rs(f, path: SamplePath, cells: int) -> WienerIntegralResu
         raise MissingBVCertificateError(
             "pathwise RS integration requires a bounded-variation certificate"
         )
-    a, b = float(path.grid[0]), float(path.grid[-1])
-    boundaries = np.linspace(a, b, cells + 1)
-    idx = _locate(path.grid, boundaries)
-    x = path.values[idx]
-    dx = np.diff(x)
+    boundaries = tuple(np.linspace(float(path.grid[0]), float(path.grid[-1]),
+                                   cells + 1))
     left = f(boundaries[:-1])
     right = f(boundaries[1:])
-    value = float(np.dot(left, dx))
-    spread = abs(float(np.dot(right - left, dx)))
-    return WienerIntegralResult(value, "pathwise_rs", cells=cells, refinement=spread)
+    tags = [StepFunction(boundaries, left), StepFunction(boundaries, right - left)]
+    value, spread = integrate_step_batch(tags, path.values[None, :], path.grid)[0]
+    return WienerIntegralResult(float(value), "pathwise_rs", cells=cells,
+                                refinement=abs(float(spread)))
 
 
 def integral_mean(f, lam: MeanFunction, resolution: int = DEFAULT_RESOLUTION) -> float:
@@ -147,16 +140,3 @@ def integral_distribution(f, lam: MeanFunction, rho: VarianceFunction,
     mean = integral_mean(f, lam, resolution)
     variance = inner_rho(f, f, rho, resolution)
     return mean, variance
-
-
-def integrate_step_batch(f, value_matrix: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Exact step integrals for a batch of paths (rows of value_matrix).
-
-    Matches integrate_step row by row; used by the Monte Carlo batteries.
-    """
-    f = as_integrand(f)
-    if not f.is_step:
-        raise TypeError("integrate_step_batch requires a step integrand")
-    idx = _locate(np.asarray(grid, dtype=float), f.step.partition)
-    increments = np.diff(value_matrix[:, idx], axis=1)
-    return increments @ np.asarray(f.step.values)

@@ -9,11 +9,15 @@ index regardless of batch layout or worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator
 
 import numpy as np
 
-from .errors import BadGridError, GridMismatchError, NegativeVarianceError
+from .errors import (
+    BadGridError,
+    GridMismatchError,
+    NegativeVarianceError,
+    PartitionNotOnGridError,
+)
 from .funcspace import BasisFamily
 from .stieltjes import Interval, MeanFunction, VarianceFunction, rho_inverse
 from .streams import GaussianStream, normal_matrix
@@ -71,14 +75,29 @@ class SamplePath:
         object.__setattr__(self, "values", values)
 
     def index_of(self, t: float) -> int:
-        i = int(np.searchsorted(self.grid, t))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(self.grid) and abs(self.grid[j] - t) <= 1e-12:
-                return j
-        raise GridMismatchError(f"time {t} is not a grid point")
+        try:
+            return int(grid_indices(self.grid, t)[0])
+        except PartitionNotOnGridError:
+            raise GridMismatchError(f"time {t} is not a grid point") from None
 
     def value_at(self, t: float) -> float:
         return float(self.values[self.index_of(t)])
+
+
+def grid_indices(grid, points) -> np.ndarray:
+    """Indices of `points` on a strictly increasing grid, exact up to 1e-12
+    absolute slack; the lower neighbour wins when both are that close."""
+    grid = np.asarray(grid, dtype=float)
+    points = np.atleast_1d(np.asarray(points, dtype=float))
+    i = np.searchsorted(grid, points)
+    lower, upper = np.maximum(i - 1, 0), np.minimum(i, len(grid) - 1)
+    idx = np.where(np.abs(grid[lower] - points) <= 1e-12, lower, upper)
+    off = ~(np.abs(grid[idx] - points) <= 1e-12)
+    if off.any():
+        raise PartitionNotOnGridError(
+            f"point {points[off][0]} is not on the path grid; refusing to interpolate"
+        )
+    return idx
 
 
 def path_to_csv(path: SamplePath) -> str:
@@ -104,9 +123,7 @@ def make_grid(interval, points: int = DEFAULT_GRID_POINTS, scale: str = "t",
         if rho is None:
             raise BadGridError("rho-scale grid requires the variance function")
         masses = np.linspace(0.0, rho.total_mass, points)
-        grid = np.array([rho_inverse(rho, v) for v in masses])
-        grid[0], grid[-1] = iv.a, iv.b
-        return grid
+        return rho_inverse(rho, masses)
     raise BadGridError(f"unknown grid scale {scale!r}")
 
 
@@ -227,17 +244,6 @@ def increment_value_matrix(spec: YehSpec, grid, seed: int, count: int,
     np.cumsum(dlam + sigma * z, axis=1, out=values[:, 1:])
     values[:, 1:] += start
     return values
-
-
-def iter_increment_paths(spec: YehSpec, grid, seed: int, count: int,
-                         first_index: int = 0,
-                         chunk: int = 8192) -> Iterator[tuple[int, np.ndarray]]:
-    """Stream (start_index, value_matrix) chunks to bound memory."""
-    done = 0
-    while done < count:
-        n = min(chunk, count - done)
-        yield done, increment_value_matrix(spec, grid, seed, n, first_index + done)
-        done += n
 
 
 def series_value_matrix(spec: YehSpec, basis: BasisFamily, truncation: int, grid,

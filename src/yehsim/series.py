@@ -13,10 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCenteredError
-from .funcspace import BasisFamily, as_integrand, fourier_coeffs, inner_rho
-from .integral import integral_mean, integrate_l2
+from .funcspace import (
+    BasisFamily,
+    as_integrand,
+    fourier_coeffs,
+    inner_rho,
+    project_to_steps,
+)
+from .integral import integral_mean, integrate_step_batch
 from .process import SamplePath
-from .stieltjes import DEFAULT_RESOLUTION, MeanFunction
+from .stieltjes import DEFAULT_RESOLUTION, Interval, MeanFunction
 
 
 @dataclass(frozen=True)
@@ -44,8 +50,9 @@ def expand_integral(f, basis: BasisFamily, truncation: int, path: SamplePath,
                     cells: int, resolution: int = DEFAULT_RESOLUTION) -> ExpansionReport:
     """Expand the Wiener integral of f over a centered path.
 
-    Per-member integrals use the same projection grid as the target so the
-    comparison isolates truncation error from grid error.
+    The target and the members are projected onto the same `cells` steps and
+    integrated as one family, so the comparison isolates truncation error from
+    grid error.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
@@ -53,12 +60,12 @@ def expand_integral(f, basis: BasisFamily, truncation: int, path: SamplePath,
         raise NotCenteredError("expansion requires a centered path")
     f = as_integrand(f)
     coeffs = fourier_coeffs(f, basis, truncation, resolution)
-    member_integrals = np.array([
-        integrate_l2(basis.member(n, certificate=False), path, cells).value
-        for n in range(truncation)
-    ])
+    interval = Interval(float(path.grid[0]), float(path.grid[-1]))
+    family = [project_to_steps(g, cells, interval) for g in
+              (f, *(basis.member(n, certificate=False) for n in range(truncation)))]
+    integrals = integrate_step_batch(family, path.values[None, :], path.grid)[0]
+    target, member_integrals = float(integrals[0]), integrals[1:]
     partial_sums = np.cumsum(coeffs * member_integrals)
-    target = integrate_l2(f, path, cells).value
     norm_sq = inner_rho(f, f, basis.rho, resolution)
     defects = norm_sq - np.cumsum(coeffs**2)
     return ExpansionReport(truncation, coeffs, partial_sums, target, defects, norm_sq)

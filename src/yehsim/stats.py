@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import kolmogorov, ndtr
 
 from .errors import DegenerateReferenceError, NonFiniteDrawError
 from .streams import GaussianStream
@@ -93,31 +93,12 @@ class KSReport:
     variance: float
 
 
-#: Terms kept in the asymptotic Kolmogorov survival series.
-_KS_SERIES_TERMS = 100
-
-
-def _kolmogorov_sf(x: float) -> float:
-    """Asymptotic survival function 2 * sum_{k>=1} (-1)^(k-1) exp(-2 k^2 x^2),
-    truncated at _KS_SERIES_TERMS terms and clipped to [0, 1]."""
-    if x <= 0.05:  # series converges too slowly; the limit is 1
-        return 1.0
-    total = 0.0
-    sign = 1.0
-    for k in range(1, _KS_SERIES_TERMS + 1):
-        term = math.exp(-2.0 * (k * x) ** 2)
-        total += sign * term
-        if term < 1e-18:
-            break
-        sign = -sign
-    return min(1.0, max(0.0, 2.0 * total))
-
-
 def ks_test(samples, mean: float, variance: float) -> KSReport:
     """Exact D statistic and asymptotic p-value against Normal(mean, variance).
 
     D is the supremum over the sample of |empirical CDF - reference CDF|; the
-    p-value is the Kolmogorov survival function at sqrt(n) * D.
+    p-value is the Kolmogorov survival function (scipy.special.kolmogorov) at
+    sqrt(n) * D.
     """
     if variance <= 0:
         raise DegenerateReferenceError("reference variance must be positive")
@@ -129,5 +110,5 @@ def ks_test(samples, mean: float, variance: float) -> KSReport:
     upper = np.arange(1, n + 1) / n - cdf
     lower = cdf - np.arange(0, n) / n
     d = float(max(upper.max(), lower.max()))
-    return KSReport(statistic=d, p_value=_kolmogorov_sf(math.sqrt(n) * d),
+    return KSReport(statistic=d, p_value=float(kolmogorov(math.sqrt(n) * d)),
                     count=n, mean=mean, variance=variance)

@@ -102,29 +102,32 @@ def cantor_eval(t, depth: int = DEFAULT_CANTOR_DEPTH) -> float:
 
 
 def _cantor_array(t: np.ndarray, depth: int = DEFAULT_CANTOR_DEPTH) -> np.ndarray:
-    """Vectorized Cantor function on [0, 1].
+    """Vectorized Cantor function on [0, 1], equal to cantor_eval bit for bit.
 
-    Exact integer ternary scan: each float in [0, 1] equals m / 2**53 with
-    integer m, and 3*m stays below 2**63, so int64 arithmetic is exact.
+    Each float t < 1 is exactly m / 2**k with integers m (the 53-bit frexp
+    mantissa) and k (53 minus the exponent), so the ternary scan runs exactly
+    on Python integers, subnormals included.  The binary digits collect in an
+    integer over 2**depth, rounded to float once, as cantor_eval rounds its
+    Fraction.
     """
     t = np.asarray(t, dtype=float)
-    num = np.round(t * 2.0**53).astype(np.int64)  # exact: t is a dyadic rational
-    den = np.int64(2**53)
-    value = np.zeros(t.shape, dtype=float)
-    active = num < den  # t == 1 handled by the final +1 below
-    done_one = num >= den
-    bit = 0.5
-    for _ in range(depth):
-        if not active.any():
+    mantissa, exponent = np.frexp(t.ravel())
+    pos = np.flatnonzero(t.ravel() < 1.0)  # t == 1 is set after the scan
+    num = (mantissa[pos] * 2.0**53).astype(np.int64).astype(object)
+    den = 2 ** (53 - exponent[pos]).astype(object)
+    bits = np.zeros(t.size, dtype=object)
+    for k in range(depth):
+        if pos.size == 0:
             break
         num = num * 3
         digit = num // den
         num = num - digit * den
-        value += np.where(active & (digit >= 1), bit, 0.0)
-        active = active & (digit != 1)
-        bit *= 0.5
-    value[done_one] = 1.0
-    return value
+        bits[pos[digit >= 1]] += 1 << (depth - 1 - k)
+        scanning = digit != 1
+        pos, num, den = pos[scanning], num[scanning], den[scanning]
+    value = (bits / (1 << depth)).astype(float)
+    value[t.ravel() >= 1.0] = 1.0
+    return value.reshape(t.shape)
 
 
 def _interp(t: np.ndarray, knots: tuple, values: tuple) -> np.ndarray:
@@ -428,30 +431,27 @@ def stieltjes_quad(f, mu, s: float, t: float, resolution: int) -> QuadResult:
     return QuadResult(value, abs(value - coarse))
 
 
-def rho_inverse(rho: VarianceFunction, v: float) -> float:
-    """Inverse of a variance function by monotone bisection.
+def rho_inverse(rho: VarianceFunction, v) -> float | np.ndarray:
+    """Exact inverse of a variance function, elementwise over v.
 
-    Returns t with |rho(t) - v| <= 1e-12 * max(1, rho(b)).
+    identity: a + v; power: a + v**(1/p); piecewise/table: linear
+    interpolation of the knots against the values.  Targets within
+    1e-12 * max(1, rho(b)) of [0, rho(b)] are accepted; results are clamped to
+    [a, b], and the ends 0 and rho(b) map to a and b exactly.
     """
     a, b = rho.interval.a, rho.interval.b
     top = rho.total_mass
     tol = 1e-12 * max(1.0, top)
-    if v < -tol or v > top + tol:
-        raise OutOfRangeError(f"target {v} outside [0, {top}]")
-    if v <= 0.0:
-        return a
-    if v >= top:
-        return b
-    lo, hi = a, b
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = rho(mid)
-        if abs(fmid - v) <= tol:
-            return mid
-        if fmid < v:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= math.ulp(max(abs(lo), abs(hi))):
-            break
-    return 0.5 * (lo + hi)
+    v = np.asarray(v, dtype=float)
+    outside = ~((v >= -tol) & (v <= top + tol))
+    if outside.any():
+        raise OutOfRangeError(f"target {np.ravel(v[outside])[0]} outside [0, {top}]")
+    x = np.clip(v, 0.0, top)
+    if rho.kind == "identity":
+        t = a + x
+    elif rho.kind == "power":
+        t = a + x ** (1.0 / rho.exponent)
+    else:
+        t = np.interp(x, rho.values, rho.knots)
+    t = np.where(x <= 0.0, a, np.where(x >= top, b, np.clip(t, a, b)))
+    return float(t) if t.ndim == 0 else t

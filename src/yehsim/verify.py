@@ -164,18 +164,15 @@ def series_suite(cfg: RunConfig) -> list[CheckRow]:
     half = StepFunction.indicator(iv.a, iv.a + iv.length / 2, iv)
     cells = cfg.grid_points - 1
     vals = _path_matrix(cfg, spec, grid, m, cfg.seed + 7)
-    targets = integrate_step_batch(project_to_steps(half, cells, iv), vals, grid)
     max_terms = 16
+    family = [project_to_steps(g, cells, iv) for g in
+              (half, *(basis.member(n, certificate=False) for n in range(max_terms)))]
+    integrals = integrate_step_batch(family, vals, grid)
+    targets, members = integrals[:, 0], integrals[:, 1:]
     coeffs = fourier_coeffs(half, basis, max_terms, cfg.resolution)
-    members = np.stack([
-        integrate_step_batch(
-            project_to_steps(basis.member(n, certificate=False), cells, iv),
-            vals, grid)
-        for n in range(max_terms)
-    ])
     norm_sq = norm_sq_rho(half, rho, cfg.resolution)
     for n_terms in (1, 4, 16):
-        partial = coeffs[:n_terms] @ members[:n_terms]
+        partial = members[:, :n_terms] @ coeffs[:n_terms]
         gaps_sq = (targets - partial) ** 2
         defect = norm_sq - float(np.sum(coeffs[:n_terms] ** 2))
         se = gaps_sq.std(ddof=1) / math.sqrt(m)

@@ -248,15 +248,13 @@ def test_criterion_6_expansion_convergence():
     for block, f in enumerate(integrands):
         vals = increment_value_matrix(spec, grid, 6006, m,
                                       first_index=block * m)
-        member_integrals = np.stack([
-            integrate_step_batch(proj, vals, grid) for proj in members
-        ])
-        targets = integrate_step_batch(project_to_steps(f, cells, UNIT),
-                                       vals, grid)
+        integrals = integrate_step_batch(
+            [project_to_steps(f, cells, UNIT), *members], vals, grid)
+        targets, member_integrals = integrals[:, 0], integrals[:, 1:]
         coeffs = fourier_coeffs(f, basis, max_terms)  # exact for steps
         norm_sq = norm_sq_rho(f, rho)
         for n_terms in (1, 4, 16, 64):
-            partial = coeffs[:n_terms] @ member_integrals[:n_terms]
+            partial = member_integrals[:, :n_terms] @ coeffs[:n_terms]
             gaps_sq = (targets - partial) ** 2
             defect = norm_sq - float(np.sum(coeffs[:n_terms] ** 2))
             se = gaps_sq.std(ddof=1) / math.sqrt(m)

@@ -95,6 +95,19 @@ class TestSimulate:
         assert code == 2
         assert "variance function must be strictly increasing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["abc", None])
+    @pytest.mark.parametrize("section,key", [
+        ("mc", "paths"), ("mc", "seed"), ("grid", "points"), ("series", "N"),
+        ("quadrature", "resolution"),
+    ])
+    def test_non_integer_field_named(self, tmp_path, capsys, section, key, bad):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({section: {key: bad}}))
+        code = run_cli("simulate", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert f"{section}.{key}: must be an integer" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = run_cli("simulate", "--config", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "out"))

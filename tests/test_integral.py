@@ -93,6 +93,29 @@ class TestIntegrateStep:
             assert batch[k] == pytest.approx(single.value, abs=0)
 
 
+class TestFamilyKernel:
+    def test_family_matches_single_members(self):
+        grid = make_grid(UNIT, 1025)
+        vals = increment_value_matrix(BROWNIAN, grid, 88, 1000)
+        rng = np.random.default_rng(89)
+        partition = tuple(grid[::4])
+        family = [StepFunction(partition, tuple(rng.normal(size=256)))
+                  for _ in range(64)]
+        batch = integrate_step_batch(family, vals, grid)
+        assert batch.shape == (1000, 64)
+        for j, f in enumerate(family):
+            single = integrate_step_batch(f, vals, grid)
+            assert np.max(np.abs(batch[:, j] - single)) <= 1e-13
+
+    def test_family_must_share_partition(self):
+        grid = make_grid(UNIT, 33)
+        vals = increment_value_matrix(BROWNIAN, grid, 90, 4)
+        f = StepFunction((0.0, 0.5, 1.0), (1.0, 2.0))
+        g = StepFunction((0.0, 0.25, 1.0), (1.0, 2.0))
+        with pytest.raises(ValueError, match="share one partition"):
+            integrate_step_batch([f, g], vals, grid)
+
+
 class TestIntegrateL2:
     def test_aligned_step_equals_exact(self):
         path = brownian_path(6, points=257)

@@ -16,9 +16,11 @@ from yehsim import (
     center,
     expand_integral,
     expand_integral_uncentered,
+    fourier_coeffs,
     integral_mean,
     integrate_l2,
     make_grid,
+    norm_sq_rho,
     parseval_defect,
     sample_increments,
     series_variance_defect,
@@ -97,24 +99,16 @@ class TestExpandIntegral:
             lambda t: np.asarray(t),
             BASIS.member(3),
         ]
-        for f in integrands:
-            proj_f = project_to_steps(f, cells, UNIT)
-            targets = integrate_step_batch(proj_f, vals, grid)
-            coeffs = None
-            from yehsim import fourier_coeffs
-
+        members = [BASIS.member(n, certificate=False) for n in range(16)]
+        family = [project_to_steps(g, cells, UNIT) for g in (*integrands, *members)]
+        integrals = integrate_step_batch(family, vals, grid)
+        member_integrals = integrals[:, len(integrands):]
+        for k, f in enumerate(integrands):
+            targets = integrals[:, k]
             coeffs = fourier_coeffs(f, BASIS, 16)
-            members = np.stack([
-                integrate_step_batch(
-                    project_to_steps(BASIS.member(n, certificate=False), cells, UNIT),
-                    vals, grid)
-                for n in range(16)
-            ])
-            from yehsim import norm_sq_rho
-
             norm_sq = norm_sq_rho(f, BROWNIAN.rho)
             for n_terms in (1, 4, 16):
-                partial = coeffs[:n_terms] @ members[:n_terms]
+                partial = member_integrals[:, :n_terms] @ coeffs[:n_terms]
                 gaps_sq = (targets - partial) ** 2
                 defect = norm_sq - float(np.sum(coeffs[:n_terms] ** 2))
                 se = gaps_sq.std(ddof=1) / math.sqrt(m)

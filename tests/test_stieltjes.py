@@ -116,6 +116,15 @@ class TestCantorEval:
         with pytest.raises(OutOfDomainError):
             cantor_eval(-0.1)
 
+    def test_array_form_equals_scalar_scan_bit_for_bit(self):
+        # tiny and subnormal inputs have more mantissa bits below 2**-53
+        from yehsim.stieltjes import _cantor_array
+
+        rng = np.random.default_rng(2028)
+        ts = np.concatenate([rng.uniform(0, 1, 1000), rng.uniform(0, 1e-9, 100),
+                             [0.0, 1e-20, 2.0**-60, 5e-324, 0.25, 1.0]])
+        assert np.array_equal(_cantor_array(ts), [cantor_eval(t) for t in ts])
+
 
 class TestTotalVariation:
     def test_monotone_increasing(self):
