@@ -8,6 +8,7 @@ integrals against the paths, and verifies the moment, distribution,
 martingale, and series-expansion identities they satisfy.
 """
 
+from .config import TOOL_VERSION
 from .errors import (
     BadGridError,
     ConfigError,
@@ -88,4 +89,4 @@ from .stieltjes import (
 )
 from .streams import GaussianStream, normal_matrix
 
-__version__ = "0.1.0"
+__version__ = TOOL_VERSION

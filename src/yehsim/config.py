@@ -14,10 +14,15 @@ Schema (all sections optional, defaults shown):
       "debug":    {"reuse_streams": false}
     }
 
-Function specs: lambda kinds zero | linear(slope, intercept) |
-piecewise/table(knots, values) | cantor(depth); rho kinds identity |
-power(exponent) | piecewise/table(knots, values); integrand kinds
-step(partition, values) | indicator(lo, hi) | poly(coeffs) | basis(index).
+Eight function kinds map onto two representations per family: lambda zero,
+linear(slope, intercept), piecewise/table(knots, values) -> piecewise drift,
+cantor(depth) -> Cantor drift; rho identity, power(exponent) -> power
+variance, piecewise/table(knots, values) -> piecewise variance.  Integrand
+kinds: step(partition, values) | indicator(lo, hi) | poly(coeffs) |
+basis(index).  Ranges (README "Config schema"): finite numbers, knots strictly
+increasing over the interval, exponent >= 1, depth in [1, 1074], basis index
+in [0, 2**20].  A value out of range, or a section other than interval that
+is not an object, raises ConfigError naming the field; the CLI exits 2.
 """
 
 from __future__ import annotations
@@ -31,9 +36,10 @@ import numpy as np
 from .errors import ConfigError
 from .funcspace import BasisFamily, Integrand, StepFunction
 from .process import DEFAULT_GRID_POINTS, DEFAULT_TRUNCATION
-from .stieltjes import DEFAULT_RESOLUTION, Interval, MeanFunction, VarianceFunction
+from .stieltjes import (DEFAULT_CANTOR_DEPTH, DEFAULT_RESOLUTION, Interval,
+                        MeanFunction, VarianceFunction)
 
-TOOL_VERSION = "0.2.0"
+TOOL_VERSION = "0.3.0"
 
 
 def canonical_json(obj) -> str:
@@ -52,45 +58,41 @@ def _int_field(value, field: str) -> int:
         raise ConfigError(f"{field}: must be an integer, got {value!r}") from exc
 
 
-def mean_function_from_spec(spec: dict, interval) -> MeanFunction:
-    kind = spec.get("kind", "zero")
+def _build(section: str, constructor, *args):
+    """constructor(*args), naming a parameter error under `section`."""
     try:
-        if kind == "zero":
-            return MeanFunction.zero(interval)
-        if kind == "linear":
-            return MeanFunction.linear(interval, spec.get("slope", 1.0),
-                                       spec.get("intercept", 0.0))
-        if kind in ("piecewise", "table"):
-            _require("knots" in spec and "values" in spec, "lambda",
-                     "piecewise mean function needs knots and values")
-            ctor = MeanFunction.piecewise if kind == "piecewise" else MeanFunction.table
-            return ctor(spec["knots"], spec["values"])
-        if kind == "cantor":
-            return MeanFunction.cantor(interval, int(spec.get("depth", 64)))
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"lambda: {exc}") from exc
+        return constructor(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from exc
+
+
+def mean_function_from_spec(spec: dict, interval) -> MeanFunction:
+    """zero and linear map onto two-knot piecewise drifts, table onto piecewise."""
+    kind = spec.get("kind", "zero")
+    if kind == "zero":
+        return MeanFunction.zero(interval)
+    if kind == "linear":
+        return _build("lambda", MeanFunction.linear, interval,
+                      spec.get("slope", 1.0), spec.get("intercept", 0.0))
+    if kind in ("piecewise", "table"):
+        return _build("lambda", MeanFunction.piecewise,
+                      spec.get("knots", ()), spec.get("values", ()))
+    if kind == "cantor":
+        depth = _int_field(spec.get("depth", DEFAULT_CANTOR_DEPTH), "lambda.depth")
+        return _build("lambda", MeanFunction.cantor, interval, depth)
     raise ConfigError(f"lambda: unknown kind {kind!r}")
 
 
 def variance_function_from_spec(spec: dict, interval) -> VarianceFunction:
+    """identity maps onto power with exponent 1, table onto piecewise."""
     kind = spec.get("kind", "identity")
-    try:
-        if kind == "identity":
-            return VarianceFunction.identity(interval)
-        if kind == "power":
-            return VarianceFunction.power(interval, spec.get("exponent", 2.0))
-        if kind in ("piecewise", "table"):
-            _require("knots" in spec and "values" in spec, "rho",
-                     "piecewise variance function needs knots and values")
-            ctor = (VarianceFunction.piecewise if kind == "piecewise"
-                    else VarianceFunction.table)
-            return ctor(spec["knots"], spec["values"])
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"rho: {exc}") from exc
+    if kind == "identity":
+        return VarianceFunction.identity(interval)
+    if kind == "power":
+        return _build("rho", VarianceFunction.power, interval, spec.get("exponent", 2.0))
+    if kind in ("piecewise", "table"):
+        return _build("rho", VarianceFunction.piecewise,
+                      spec.get("knots", ()), spec.get("values", ()))
     raise ConfigError(f"rho: unknown kind {kind!r}")
 
 
@@ -115,10 +117,13 @@ def integrand_from_spec(spec: dict, interval, basis: BasisFamily) -> Integrand:
             fn = lambda t: poly(np.asarray(t, dtype=float))
             return Integrand.from_function(fn, bv_breaks=tuple(sorted(set(crit))))
         if kind == "basis":
-            return basis.member(int(spec.get("index", 0)))
+            index = _int_field(spec.get("index", 0), "integrand.index")
+            # member n carries n + 1 certificate breaks: cap n to bound parsing
+            _require(0 <= index <= 2**20, "integrand.index", "must be in [0, 2**20]")
+            return basis.member(index)
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"integrand: {exc}") from exc
     raise ConfigError(f"integrand: unknown kind {kind!r}")
 
@@ -166,8 +171,9 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
         raise ConfigError("config: top level must be a JSON object")
     known = {"interval", "lambda", "rho", "integrand", "mc", "grid", "series",
              "quadrature", "debug"}
-    for key in raw:
+    for key, value in raw.items():
         _require(key in known, key, "unknown configuration section")
+        _require(key == "interval" or isinstance(value, dict), key, "must be a JSON object")
     overrides = overrides or {}
 
     interval_spec = raw.get("interval", [0.0, 1.0])
@@ -175,11 +181,14 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
              "interval", "must be a pair [a, b]")
     try:
         interval = Interval(float(interval_spec[0]), float(interval_spec[1]))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"interval: {exc}") from exc
 
     lam = mean_function_from_spec(raw.get("lambda", {}), interval)
     rho = variance_function_from_spec(raw.get("rho", {}), interval)
+    for name, fn in (("lambda", lam), ("rho", rho)):
+        _require(fn.interval == interval, f"{name}.knots",
+                 f"must span the interval [{interval.a}, {interval.b}]")
 
     mc = raw.get("mc", {})
     paths = _int_field(overrides.get("paths", mc.get("paths", 2000)), "mc.paths")

@@ -29,6 +29,9 @@ DEFAULT_RESOLUTION = 2**14
 #: Default ternary scan depth for the Cantor function (beyond double precision).
 DEFAULT_CANTOR_DEPTH = 64
 
+#: Deepest Cantor scan: further digits add only bits below 2**-1074.
+MAX_CANTOR_DEPTH = 1074
+
 # Domain checks tolerate this much relative float dust at the endpoints.
 _EDGE_TOL = 1e-12
 
@@ -41,8 +44,8 @@ class Interval:
     b: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError("interval endpoints must be finite")
+        if not math.isfinite(self.b - self.a):
+            raise ValueError("interval endpoints and length must be finite")
         if not self.a < self.b:
             raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
 
@@ -130,21 +133,32 @@ def _cantor_array(t: np.ndarray, depth: int = DEFAULT_CANTOR_DEPTH) -> np.ndarra
     return value.reshape(t.shape)
 
 
-def _interp(t: np.ndarray, knots: tuple, values: tuple) -> np.ndarray:
-    return np.interp(t, knots, values)
+def _finite(name: str, x) -> float:
+    """x as a finite float, or a ValueError whose message starts with `name`."""
+    try:
+        value = float(x)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{name}: must be a finite number, got {x!r}")
+    return value
 
 
-def _validate_knots(knots, values, interval: Interval, name: str):
-    knots = tuple(float(k) for k in knots)
-    values = tuple(float(v) for v in values)
-    if len(knots) != len(values):
-        raise ValueError(f"{name}: knots and values must have equal length")
-    if len(knots) < 2:
-        raise ValueError(f"{name}: need at least two knots")
-    if any(k2 <= k1 for k1, k2 in zip(knots, knots[1:])):
-        raise ValueError(f"{name}: knots must be strictly increasing")
-    if knots[0] != interval.a or knots[-1] != interval.b:
-        raise ValueError(f"{name}: knots must span [{interval.a}, {interval.b}]")
+def _knots_values(knots, values) -> tuple[tuple, tuple]:
+    """Float knots and values, checked so that interpolating them stays finite."""
+    try:
+        knots = tuple(_finite("knots", k) for k in knots)
+        values = tuple(_finite("values", v) for v in values)
+    except TypeError:
+        raise ValueError("knots: knots and values must be lists of numbers") from None
+    if len(knots) < 2 or len(values) != len(knots):
+        raise ValueError("values: need one value per knot, and at least two knots")
+    if (any(k2 <= k1 for k1, k2 in zip(knots, knots[1:]))
+            or not math.isfinite(knots[-1] - knots[0])):
+        raise ValueError("knots: must be strictly increasing with a finite span")
+    if not all(math.isfinite((v2 - v1) / (k2 - k1)) for k1, k2, v1, v2
+               in zip(knots, knots[1:], values, values[1:])):
+        raise ValueError("values: slopes between knots must be finite")
     return knots, values
 
 
@@ -152,55 +166,49 @@ def _validate_knots(knots, values, interval: Interval, name: str):
 class MeanFunction:
     """Continuous bounded-variation drift on a fixed interval.
 
-    Piecewise-linear kinds carry their monotone pieces explicitly; the Cantor
-    kind is monotone on the whole interval.  Jordan decomposition and the
-    total variation function are exact over the monotone pieces.
+    `knots` and `values` hold the drift at the ends of its monotone pieces:
+    `piecewise` interpolates them linearly (zero and linear drifts have two
+    knots), `cantor` is the Cantor function on [a, b], one piece from 0 to 1.
+    Total variation and Jordan decomposition are exact over the pieces.  The
+    constructors validate; each error message starts with the parameter name.
     """
 
     kind: str
     interval: Interval
-    slope: float = 0.0
-    intercept: float = 0.0
     knots: tuple = ()
     values: tuple = ()
     depth: int = DEFAULT_CANTOR_DEPTH
 
-    _KINDS = ("zero", "linear", "piecewise", "cantor", "table")
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in ("piecewise", "cantor"):
             raise ValueError(f"unknown mean function kind {self.kind!r}")
-        if self.kind in ("piecewise", "table"):
-            knots, values = _validate_knots(
-                self.knots, self.values, self.interval, "mean function"
-            )
-            object.__setattr__(self, "knots", knots)
-            object.__setattr__(self, "values", values)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, interval) -> "MeanFunction":
-        return cls("zero", Interval.coerce(interval))
+        return cls.linear(interval, 0.0)
 
     @classmethod
     def linear(cls, interval, slope: float, intercept: float = 0.0) -> "MeanFunction":
-        return cls("linear", Interval.coerce(interval), slope=float(slope),
-                   intercept=float(intercept))
+        """slope * t + intercept, as the piecewise drift through its values at a and b."""
+        iv = Interval.coerce(interval)
+        slope, intercept = _finite("slope", slope), _finite("intercept", intercept)
+        return cls.piecewise((iv.a, iv.b),
+                             (slope * iv.a + intercept, slope * iv.b + intercept))
 
     @classmethod
     def piecewise(cls, knots, values) -> "MeanFunction":
-        interval = Interval(float(knots[0]), float(knots[-1]))
-        return cls("piecewise", interval, knots=tuple(knots), values=tuple(values))
-
-    @classmethod
-    def table(cls, knots, values) -> "MeanFunction":
-        interval = Interval(float(knots[0]), float(knots[-1]))
-        return cls("table", interval, knots=tuple(knots), values=tuple(values))
+        knots, values = _knots_values(knots, values)
+        return cls("piecewise", Interval(knots[0], knots[-1]), knots=knots, values=values)
 
     @classmethod
     def cantor(cls, interval=(0.0, 1.0), depth: int = DEFAULT_CANTOR_DEPTH) -> "MeanFunction":
-        return cls("cantor", Interval.coerce(interval), depth=depth)
+        if not (isinstance(depth, int) and 1 <= depth <= MAX_CANTOR_DEPTH):
+            raise ValueError(
+                f"depth: must be an integer in [1, {MAX_CANTOR_DEPTH}], got {depth!r}")
+        iv = Interval.coerce(interval)
+        return cls("cantor", iv, knots=(iv.a, iv.b), values=(0.0, 1.0), depth=depth)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -208,12 +216,8 @@ class MeanFunction:
         arr = self.interval.clip(t)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        if self.kind == "zero":
-            out = np.zeros_like(arr)
-        elif self.kind == "linear":
-            out = self.slope * arr + self.intercept
-        elif self.kind in ("piecewise", "table"):
-            out = _interp(arr, self.knots, self.values)
+        if self.kind == "piecewise":
+            out = np.interp(arr, self.knots, self.values)
         else:  # cantor, rescaled from [a, b] to [0, 1]
             u = (arr - self.interval.a) / self.interval.length
             out = _cantor_array(np.clip(u, 0.0, 1.0), self.depth)
@@ -222,21 +226,8 @@ class MeanFunction:
     # -- variation structure -------------------------------------------------
 
     @cached_property
-    def monotone_breaks(self) -> tuple:
-        """Times a = k0 < ... < km = b with the drift monotone on each piece."""
-        if self.kind in ("piecewise", "table"):
-            return self.knots
-        return (self.interval.a, self.interval.b)
-
-    @cached_property
     def monotone_direction(self):
         """+1 nondecreasing, -1 nonincreasing, 0 constant, None mixed."""
-        if self.kind == "zero":
-            return 0
-        if self.kind == "linear":
-            return 0 if self.slope == 0 else (1 if self.slope > 0 else -1)
-        if self.kind == "cantor":
-            return 1
         deltas = np.diff(self.values)
         if np.all(deltas >= 0):
             return 0 if np.all(deltas == 0) else 1
@@ -246,28 +237,16 @@ class MeanFunction:
 
     def variation_function(self) -> "MeanFunction":
         """The nondecreasing function t -> |lambda|(t) anchored at 0 at t=a."""
-        if self.kind == "zero":
-            return MeanFunction.zero(self.interval)
         if self.kind == "cantor":
             return self  # increasing from 0: its own variation
-        if self.kind == "linear":
-            return MeanFunction.linear(self.interval, abs(self.slope),
-                                       -abs(self.slope) * self.interval.a)
         vals = np.asarray(self.values)
         cum = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(vals)))])
         return MeanFunction.piecewise(self.knots, tuple(cum))
 
     def jordan(self) -> tuple["MeanFunction", "MeanFunction"]:
         """Exact Jordan decomposition (pos, neg): both nondecreasing, pos - neg = self."""
-        if self.kind == "zero":
-            return self, self
         if self.kind == "cantor":
             return self, MeanFunction.zero(self.interval)
-        if self.kind == "linear":
-            if self.slope >= 0:
-                return self, MeanFunction.zero(self.interval)
-            return (MeanFunction.zero(self.interval),
-                    MeanFunction.linear(self.interval, -self.slope, -self.intercept))
         vals = np.asarray(self.values)
         deltas = np.diff(vals)
         pos = vals[0] + np.concatenate([[0.0], np.cumsum(np.maximum(deltas, 0.0))])
@@ -280,9 +259,11 @@ class MeanFunction:
 class VarianceFunction:
     """Continuous strictly increasing variance function, normalized to rho(a) = 0.
 
-    Inputs with rho(a) != 0 are shifted at construction; only increments enter
-    the process law, and the normalization makes X(a) = lambda(a) consistent
-    with the second-moment identity.
+    `power` is (t - a)**exponent (the identity is exponent 1); `piecewise`
+    interpolates strictly increasing values, shifted at construction so that
+    rho(a) = 0: only increments enter the process law, and the shift makes
+    X(a) = lambda(a) consistent with the second-moment identity.  The
+    constructors validate; each error message starts with the parameter name.
     """
 
     kind: str
@@ -291,51 +272,40 @@ class VarianceFunction:
     knots: tuple = ()
     values: tuple = ()
 
-    _KINDS = ("identity", "power", "piecewise", "table")
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in ("power", "piecewise"):
             raise ValueError(f"unknown variance function kind {self.kind!r}")
-        if self.kind == "power" and not self.exponent >= 1.0:
-            raise ValueError("power variance function requires exponent >= 1")
-        if self.kind in ("piecewise", "table"):
-            knots, values = _validate_knots(
-                self.knots, self.values, self.interval, "variance function"
-            )
-            if any(v2 <= v1 for v1, v2 in zip(values, values[1:])):
-                raise ValueError("variance function must be strictly increasing")
-            base = values[0]
-            object.__setattr__(self, "knots", knots)
-            object.__setattr__(self, "values", tuple(v - base for v in values))
 
     @classmethod
     def identity(cls, interval) -> "VarianceFunction":
-        return cls("identity", Interval.coerce(interval))
+        return cls.power(interval, 1.0)
 
     @classmethod
     def power(cls, interval, exponent: float) -> "VarianceFunction":
-        return cls("power", Interval.coerce(interval), exponent=float(exponent))
+        """(t - a)**exponent, with rho(b) = (b - a)**exponent a positive finite double."""
+        iv = Interval.coerce(interval)
+        exponent = _finite("exponent", exponent)
+        if not (exponent >= 1.0 and -1073 < exponent * math.log2(iv.length) < 1023):
+            raise ValueError(f"exponent: must be >= 1 with (b - a)**exponent a positive "
+                             f"finite double, got {exponent}")
+        return cls("power", iv, exponent=exponent)
 
     @classmethod
     def piecewise(cls, knots, values) -> "VarianceFunction":
-        interval = Interval(float(knots[0]), float(knots[-1]))
-        return cls("piecewise", interval, knots=tuple(knots), values=tuple(values))
-
-    @classmethod
-    def table(cls, knots, values) -> "VarianceFunction":
-        interval = Interval(float(knots[0]), float(knots[-1]))
-        return cls("table", interval, knots=tuple(knots), values=tuple(values))
+        knots, values = _knots_values(knots, values)
+        values = tuple(v - values[0] for v in values)
+        if not (all(v1 < v2 for v1, v2 in zip(values, values[1:])) and values[-1] < math.inf):
+            raise ValueError("values: variance function must be strictly increasing and finite")
+        return cls("piecewise", Interval(knots[0], knots[-1]), knots=knots, values=values)
 
     def __call__(self, t):
         arr = self.interval.clip(t)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        if self.kind == "identity":
-            out = arr - self.interval.a
-        elif self.kind == "power":
+        if self.kind == "power":
             out = (arr - self.interval.a) ** self.exponent
         else:
-            out = _interp(arr, self.knots, self.values)
+            out = np.interp(arr, self.knots, self.values)
         return float(out[0]) if scalar else out
 
     @property
@@ -350,7 +320,7 @@ def total_variation(lam: MeanFunction, s: float, t: float) -> float:
         raise OutOfDomainError(f"need {a} <= s <= t <= {b}, got s={s}, t={t}")
     if s == t:
         return 0.0
-    cuts = [s] + [k for k in lam.monotone_breaks if s < k < t] + [t]
+    cuts = [s] + [k for k in lam.knots if s < k < t] + [t]
     vals = lam(np.asarray(cuts))
     return float(np.sum(np.abs(np.diff(vals))))
 
@@ -434,8 +404,8 @@ def stieltjes_quad(f, mu, s: float, t: float, resolution: int) -> QuadResult:
 def rho_inverse(rho: VarianceFunction, v) -> float | np.ndarray:
     """Exact inverse of a variance function, elementwise over v.
 
-    identity: a + v; power: a + v**(1/p); piecewise/table: linear
-    interpolation of the knots against the values.  Targets within
+    power: a + v**(1/p), which is a + v for the identity (p = 1); piecewise:
+    linear interpolation of the knots against the values.  Targets within
     1e-12 * max(1, rho(b)) of [0, rho(b)] are accepted; results are clamped to
     [a, b], and the ends 0 and rho(b) map to a and b exactly.
     """
@@ -447,9 +417,7 @@ def rho_inverse(rho: VarianceFunction, v) -> float | np.ndarray:
     if outside.any():
         raise OutOfRangeError(f"target {np.ravel(v[outside])[0]} outside [0, {top}]")
     x = np.clip(v, 0.0, top)
-    if rho.kind == "identity":
-        t = a + x
-    elif rho.kind == "power":
+    if rho.kind == "power":
         t = a + x ** (1.0 / rho.exponent)
     else:
         t = np.interp(x, rho.values, rho.knots)

@@ -108,6 +108,34 @@ class TestSimulate:
         assert code == 2
         assert f"{section}.{key}: must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [5, [], "x", None])
+    @pytest.mark.parametrize("section", [
+        "lambda", "rho", "integrand", "mc", "grid", "series", "quadrature", "debug",
+    ])
+    def test_non_object_section_named(self, tmp_path, capsys, section, bad):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({section: bad}))
+        code = run_cli("simulate", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert f"{section}: must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec,field", [
+        ({"lambda": {"kind": "linear", "slope": float("nan")}}, "lambda.slope"),
+        ({"lambda": {"kind": "piecewise", "knots": [0.0, 0.5, 1.0],
+                     "values": [0.0, float("nan"), 1.0]}}, "lambda.values"),
+        ({"rho": {"kind": "power", "exponent": float("inf")}}, "rho.exponent"),
+        ({"lambda": {"kind": "cantor", "depth": 0}}, "lambda.depth"),
+        ({"lambda": {"kind": "cantor", "depth": 10_000_000}}, "lambda.depth"),
+    ])
+    def test_bad_function_parameter_named(self, tmp_path, capsys, spec, field):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({**spec, "mc": {"paths": 2}, "grid": {"points": 5}}))
+        code = run_cli("simulate", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert f"error: {field}: " in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = run_cli("simulate", "--config", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "out"))

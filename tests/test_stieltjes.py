@@ -65,7 +65,39 @@ class TestEval:
 
     def test_non_increasing_table_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            VarianceFunction.table((0.0, 0.5, 1.0), (0.0, 0.7, 0.6))
+            VarianceFunction.piecewise((0.0, 0.5, 1.0), (0.0, 0.7, 0.6))
+
+    def test_two_kinds_per_family(self):
+        assert MeanFunction.zero(UNIT).kind == "piecewise"
+        assert MeanFunction.linear(UNIT, 2.0, 0.5).values == (0.5, 2.5)
+        assert VarianceFunction.identity(UNIT) == VarianceFunction.power(UNIT, 1.0)
+        for kind in ("zero", "linear", "table"):
+            with pytest.raises(ValueError, match="unknown mean function kind"):
+                MeanFunction(kind, UNIT)
+        for kind in ("identity", "table"):
+            with pytest.raises(ValueError, match="unknown variance function kind"):
+                VarianceFunction(kind, UNIT)
+
+    @pytest.mark.parametrize("build,field", [
+        (lambda: MeanFunction.linear(UNIT, math.nan), "slope"),
+        (lambda: MeanFunction.linear(UNIT, 1.0, math.inf), "intercept"),
+        (lambda: MeanFunction.piecewise((0.0, 1.0), (0.0, math.nan)), "values"),
+        (lambda: MeanFunction.piecewise((0.0, 1e-300, 1.0), (0.0, 1e10, 0.0)), "values"),
+        (lambda: MeanFunction.piecewise((0.0, math.inf), (0.0, 1.0)), "knots"),
+        (lambda: MeanFunction.piecewise((-1e308, 1e308), (0.0, 1.0)), "knots"),
+        (lambda: MeanFunction.cantor(UNIT, 0), "depth"),
+        (lambda: MeanFunction.cantor(UNIT, 1075), "depth"),
+        (lambda: MeanFunction.cantor(UNIT, 2.0), "depth"),
+        (lambda: VarianceFunction.power(UNIT, math.inf), "exponent"),
+        (lambda: VarianceFunction.power(UNIT, 0.5), "exponent"),
+        (lambda: VarianceFunction.power((0.0, 1e10), 1e3), "exponent"),
+        (lambda: VarianceFunction.power((0.0, 1e-200), 2.0), "exponent"),
+        (lambda: VarianceFunction.piecewise((0.0, 0.5, 1.0), (-1e308, 0.0, 1e308)),
+         "values"),
+    ])
+    def test_bad_parameter_named(self, build, field):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            build()
 
     def test_vectorized_matches_scalar(self):
         lam = MeanFunction.piecewise((0.0, 0.5, 1.0), (0.0, 1.0, 0.0))
@@ -293,3 +325,8 @@ class TestInterval:
     def test_requires_finite(self):
         with pytest.raises(ValueError):
             Interval(0.0, math.inf)
+
+    def test_requires_finite_length(self):
+        # linspace over an interval of infinite length yields NaN grid times
+        with pytest.raises(ValueError, match="length must be finite"):
+            Interval(-1e308, 1e308)
