@@ -42,6 +42,10 @@ class StepFunction:
             raise ValueError("need one more partition point than values")
         if len(values) < 1:
             raise ValueError("step function needs at least one piece")
+        if not all(math.isfinite(p) for p in partition):
+            raise ValueError("partition must be finite")
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("values must be finite")
         if any(p2 <= p1 for p1, p2 in zip(partition, partition[1:])):
             raise ValueError("partition must be strictly increasing")
         object.__setattr__(self, "partition", partition)

@@ -3,8 +3,9 @@
 Each suite turns one identity family into (check, expected, observed,
 tolerance, pass) rows at the configured Monte Carlo scale.  Stochastic checks
 use the 4-standard-error convention; exact identities carry absolute
-tolerances.  All draws derive from the manifest seed through fixed stream
-indices, so reruns produce identical rows.
+tolerances.  All draws derive from the manifest seed through fixed seed
+offsets (taken modulo 2**64) and stream indices, so reruns produce identical
+rows.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ def _within(check: str, expected: float, observed: float, tol: float) -> CheckRo
 
 def _threshold(check: str, p_value: float, floor: float = 0.01) -> CheckRow:
     return CheckRow(check, floor, p_value, 0.0, p_value > floor)
+
+
+def _suite_seed(cfg: RunConfig, offset: int) -> int:
+    """The manifest seed shifted by a suite's fixed offset, wrapped to 64 bits."""
+    return (cfg.seed + offset) % 2**64
 
 
 def _path_matrix(cfg: RunConfig, spec: YehSpec, grid, count: int, seed: int,
@@ -100,7 +106,7 @@ def gaussian_suite(cfg: RunConfig) -> list[CheckRow]:
         mean = integral_mean(f, cfg.lam, cfg.resolution)
         var = norm_sq_rho(f, cfg.rho, cfg.resolution)
         for k in range(3):
-            seed = cfg.seed + k
+            seed = _suite_seed(cfg, k)
             vals = _path_matrix(cfg, spec, grid, m, seed)
             samples = integrate_step_batch(f, vals, grid)
             report = ks_test(samples, mean, var)
@@ -163,7 +169,7 @@ def series_suite(cfg: RunConfig) -> list[CheckRow]:
     # expansion mean-square gap vs analytic Parseval defect
     half = StepFunction.indicator(iv.a, iv.a + iv.length / 2, iv)
     cells = cfg.grid_points - 1
-    vals = _path_matrix(cfg, spec, grid, m, cfg.seed + 7)
+    vals = _path_matrix(cfg, spec, grid, m, _suite_seed(cfg, 7))
     max_terms = 16
     family = [project_to_steps(g, cells, iv) for g in
               (half, *(basis.member(n, certificate=False) for n in range(max_terms)))]
@@ -212,7 +218,7 @@ def martingale_suite(cfg: RunConfig) -> list[CheckRow]:
     spec = YehSpec(MeanFunction.zero(iv), cfg.rho)
     grid = make_grid(iv, 9, "t")
     m = max(cfg.paths, 100)
-    vals = _path_matrix(cfg, spec, grid, m, cfg.seed + 3)
+    vals = _path_matrix(cfg, spec, grid, m, _suite_seed(cfg, 3))
     f = StepFunction.indicator(iv.a, iv.b, iv)
     samples = integrate_step_batch(f, vals, grid)
     se = samples.std(ddof=1) / math.sqrt(m)
@@ -241,7 +247,7 @@ def counterexample_suite(cfg: RunConfig) -> list[CheckRow]:
     spec = YehSpec(lam, VarianceFunction.identity(unit))
     m = max(cfg.paths, 100)
     grid = np.array(sorted({0.0, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1.0}))
-    vals = _path_matrix(cfg, spec, grid, m, cfg.seed + 11)
+    vals = _path_matrix(cfg, spec, grid, m, _suite_seed(cfg, 11))
     for name, (s, t), want in (
         ("counterexample_mc_drift_quarter_half", (0.25, 0.5), -1 / 24),
         ("counterexample_mc_drift_quarter_threequarter", (0.25, 0.75), 1 / 24),

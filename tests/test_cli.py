@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from yehsim.cli import main
+from yehsim.verify import SUITE_NAMES
 
 
 def run_cli(*argv):
@@ -136,6 +137,22 @@ class TestSimulate:
         assert code == 2
         assert f"error: {field}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("partition,values,field", [
+        ([0.0, float("nan"), 1.0], [1.0, 2.0], "partition"),
+        ([0.0, 0.5, float("inf")], [1.0, 2.0], "partition"),
+        ([0.0, 0.5, 1.0], [float("nan"), 1.0], "values"),
+        ([0.0, 0.5, 1.0], [1.0, float("-inf")], "values"),
+    ])
+    def test_non_finite_step_integrand_named(self, tmp_path, capsys, partition,
+                                             values, field):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"integrand": {
+            "kind": "step", "partition": partition, "values": values}}))
+        code = run_cli("expand", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert f"error: integrand: {field} must be finite" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = run_cli("simulate", "--config", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "out"))
@@ -217,6 +234,18 @@ class TestVerify:
         assert m1["manifest"]["seed"] == 12345
         assert m2["manifest"]["seed"] == 999
         assert m3["manifest"]["seed"] == 12345
+
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_top_seed_runs_every_suite(self, tmp_path, capsys, suite):
+        cfg_path = tmp_path / "top.json"
+        cfg_path.write_text(json.dumps({"mc": {"paths": 100, "seed": 2**64 - 1},
+                                        "grid": {"points": 9}}))
+        out = tmp_path / "out"
+        code = run_cli("verify", "--suite", suite, "--config", str(cfg_path),
+                       "--out", str(out))
+        assert code in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
+        assert read_rows(out / f"verify_{suite}.csv")
 
     def test_bad_env_seed(self, tmp_path, brownian_config, monkeypatch, capsys):
         monkeypatch.setenv("YEH_SEED", "not-a-number")

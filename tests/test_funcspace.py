@@ -103,6 +103,18 @@ class TestInnerProducts:
             assert 0.5 * l2 - 1e-12 <= weighted <= 2.0 * l2 + 1e-12
 
 
+class TestStepFunction:
+    @pytest.mark.parametrize("partition,values,field", [
+        ((0.0, math.nan, 1.0), (1.0, 2.0), "partition"),
+        ((-math.inf, 0.5, 1.0), (1.0, 2.0), "partition"),
+        ((0.0, 0.5, 1.0), (1.0, math.nan), "values"),
+        ((0.0, 0.5, 1.0), (math.inf, 2.0), "values"),
+    ])
+    def test_non_finite_rejected(self, partition, values, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            StepFunction(partition, values)
+
+
 class TestProjection:
     def test_idempotent_on_aligned_steps(self):
         f = StepFunction((0.0, 0.25, 0.75, 1.0), (1.0, -2.0, 0.5))

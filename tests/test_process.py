@@ -1,7 +1,10 @@
 """Process sampling: increments, series truncation, centering, moments."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from yehsim import (
     BadGridError,
@@ -24,7 +27,7 @@ from yehsim.process import (
     increment_value_matrix,
     series_value_matrix,
 )
-from yehsim.streams import normal_matrix
+from yehsim.streams import _CHUNK_BLOCKS, CROSSOVER_DRAWS, normal_matrix
 
 UNIT = Interval(0.0, 1.0)
 BROWNIAN = YehSpec.brownian(UNIT)
@@ -53,6 +56,67 @@ class TestStreams:
     def test_normals_are_standard(self):
         z = GaussianStream(2024).normals(100_000)
         assert ks_test(z, 0.0, 1.0).p_value > 0.01
+
+
+def philox_reference(seed, index, n_draws):
+    """Draws of stream (seed, index) straight from numpy's C Philox."""
+    key = np.array([seed, index], dtype=np.uint64)
+    k = np.random.Generator(np.random.Philox(key=key)).integers(
+        0, 2**52, size=n_draws, dtype=np.uint64)
+    return ndtri((k.astype(np.float64) + 0.5) * 2.0**-52)
+
+
+def matrix_sha256(mat):
+    return hashlib.sha256(np.ascontiguousarray(mat, dtype="<f8").tobytes()).hexdigest()
+
+
+class TestStreamBitIdentity:
+    """Both row-length paths of normal_matrix reproduce numpy's Philox."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize("n_draws", [1, 2, 3, 4, 5, 8, CROSSOVER_DRAWS - 1,
+                                         CROSSOVER_DRAWS, CROSSOVER_DRAWS + 1, 1024])
+    def test_rows_match_numpy_philox_at_top_indices(self, seed, n_draws):
+        n_streams = 3
+        first = 2**64 - n_streams
+        mat = normal_matrix(seed, n_streams, n_draws, first_index=first)
+        for i in range(n_streams):
+            assert np.array_equal(mat[i], philox_reference(seed, first + i, n_draws))
+
+    def test_matrix_spanning_several_chunks(self):
+        n_draws = 5  # two counter blocks per row
+        rows_per_chunk = _CHUNK_BLOCKS // 2
+        n_streams = 2 * rows_per_chunk + 7
+        mat = normal_matrix(2**63 + 5, n_streams, n_draws, first_index=11)
+        for i in (0, rows_per_chunk - 1, rows_per_chunk, 2 * rows_per_chunk,
+                  n_streams - 1):
+            assert np.array_equal(mat[i], philox_reference(2**63 + 5, 11 + i, n_draws))
+
+    def test_stream_methods_are_matrix_rows(self):
+        for n in (3, CROSSOVER_DRAWS + 1):
+            stream = GaussianStream(2**64 - 1, 2**64 - 1)
+            assert np.array_equal(stream.normals(n), philox_reference(2**64 - 1, 2**64 - 1, n))
+            assert np.array_equal(ndtri(stream.uniforms(n)), stream.normals(n))
+
+    @pytest.mark.parametrize("args,digest", [
+        ((20261018, 64, 3),
+         "60310e472b63a51bfdc7b39c42e866b153948fd8d2b94b2fa84b537f05f61518"),
+        ((20261018, 4, 1024),
+         "80ff0fcedfc0143c3d37c53dc6a257fae92641c312c7e507b836242dfcfa8653"),
+    ])
+    def test_golden_digest(self, args, digest):
+        assert matrix_sha256(normal_matrix(*args)) == digest
+
+    @pytest.mark.parametrize("seed,n_streams,first,match", [
+        (-1, 2, 0, "seed"),
+        (2**64, 2, 0, "seed"),
+        (1, 2, -1, "stream indices"),
+        (1, 2, 2**64 - 1, "stream indices"),
+        (1, 1, 2**64, "stream indices"),
+    ])
+    def test_out_of_range_rejected(self, seed, n_streams, first, match):
+        with pytest.raises(ValueError, match=match):
+            normal_matrix(seed, n_streams, 3, first_index=first)
 
 
 class TestGrid:
