@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .config import RunConfig, canonical_json, parse_config
@@ -32,6 +33,10 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+
+#: Values sampled, formatted and written per `simulate` chunk; a chunk holds
+#: max(1, CHUNK_VALUES // grid points) paths.
+CHUNK_VALUES = 2**18
 
 
 def _fmt(x: float) -> str:
@@ -62,12 +67,30 @@ def _load_config(args) -> RunConfig:
     return parse_config(raw, overrides)
 
 
-def _write_text(path: Path, text: str):
+@contextmanager
+def _writer(path: Path):
+    """Yield write(text) for a new text file at path.  An OSError in opening,
+    writing or closing it becomes an _IOFailure that names path."""
+    def failure(exc: OSError) -> _IOFailure:
+        return _IOFailure(f"cannot write {path}: {exc}")
+
+    def write(text: str):
+        try:
+            fh.write(text)
+        except OSError as exc:
+            raise failure(exc) from exc
+
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with path.open("w") as fh:
+            yield write
     except OSError as exc:
-        raise _IOFailure(f"cannot write {path}: {exc}") from exc
+        raise failure(exc) from exc
+
+
+def _write_text(path: Path, text: str):
+    with _writer(path) as write:
+        write(text)
 
 
 class _IOFailure(Exception):
@@ -81,26 +104,38 @@ def _manifest_json(cfg: RunConfig) -> str:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
-    """Sample paths per the config; write bundle.json, paths.csv, manifest.json."""
+    """Sample paths per the config; write bundle.json, paths.csv, manifest.json.
+
+    Paths are sampled, formatted and written CHUNK_VALUES values at a time, so
+    memory does not grow with the path count.  Row k is stream k whichever
+    chunk holds it, so the bytes do not depend on the chunk height."""
     spec = YehSpec(cfg.lam, cfg.rho)
     grid = make_grid(cfg.interval, cfg.grid_points, cfg.grid_scale, rho=cfg.rho)
-    values = increment_value_matrix(spec, grid, cfg.seed, cfg.paths)
     manifest = cfg.manifest()
     mhash = manifest.hash()
-
-    lines = [f"# manifest={mhash}", "path,t,value"]
-    for k in range(cfg.paths):
-        for t, v in zip(grid, values[k]):
-            lines.append(f"{k},{_fmt(t)},{_fmt(v)}")
-    _write_text(out_dir / "paths.csv", "\n".join(lines) + "\n")
-
-    bundle = {
+    # Path k's CSV lines are str(k).join(pieces) % row: the grid is formatted once.
+    pieces = [""] + [f",{_fmt(t)},%.17g\n" for t in grid]
+    # "paths" sorts last, so its empty list is the last "[]" of the document.
+    head, tail = canonical_json({
         "manifest": manifest.to_dict(),
         "manifest_hash": mhash,
-        "grid": [float(t) for t in grid],
-        "paths": [[float(v) for v in row] for row in values],
-    }
-    _write_text(out_dir / "bundle.json", canonical_json(bundle) + "\n")
+        "grid": grid.tolist(),
+        "paths": [],
+    }).rsplit("[]", 1)
+    rows_per_chunk = max(1, CHUNK_VALUES // len(grid))
+    with _writer(out_dir / "paths.csv") as csv, \
+            _writer(out_dir / "bundle.json") as bundle:
+        csv(f"# manifest={mhash}\npath,t,value\n")
+        bundle(head + "[")
+        for k0 in range(0, cfg.paths, rows_per_chunk):
+            n = min(rows_per_chunk, cfg.paths - k0)
+            rows = increment_value_matrix(spec, grid, cfg.seed, n, first_index=k0).tolist()
+            for k, row in enumerate(rows, k0):
+                csv(str(k).join(pieces) % tuple(row))
+            if k0:
+                bundle(",")
+            bundle(json.dumps(rows, separators=(",", ":"))[1:-1])
+        bundle("]" + tail + "\n")
     _write_text(out_dir / "manifest.json", _manifest_json(cfg))
     return EXIT_OK
 

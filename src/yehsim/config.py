@@ -70,7 +70,7 @@ def mean_function_from_spec(spec: dict, interval) -> MeanFunction:
     """zero and linear map onto two-knot piecewise drifts, table onto piecewise."""
     kind = spec.get("kind", "zero")
     if kind == "zero":
-        return MeanFunction.zero(interval)
+        return _build("lambda", MeanFunction.zero, interval)
     if kind == "linear":
         return _build("lambda", MeanFunction.linear, interval,
                       spec.get("slope", 1.0), spec.get("intercept", 0.0))
@@ -87,7 +87,7 @@ def variance_function_from_spec(spec: dict, interval) -> VarianceFunction:
     """identity maps onto power with exponent 1, table onto piecewise."""
     kind = spec.get("kind", "identity")
     if kind == "identity":
-        return VarianceFunction.identity(interval)
+        return _build("rho", VarianceFunction.identity, interval)
     if kind == "power":
         return _build("rho", VarianceFunction.power, interval, spec.get("exponent", 2.0))
     if kind in ("piecewise", "table"):

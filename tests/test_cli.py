@@ -1,13 +1,17 @@
 """Command-line front end: exit codes, outputs, reproducibility."""
 
+import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from yehsim import cli
 from yehsim.cli import main
+from yehsim.config import parse_config
 from yehsim.verify import SUITE_NAMES
 
 
@@ -128,6 +132,7 @@ class TestSimulate:
         ({"rho": {"kind": "power", "exponent": float("inf")}}, "rho.exponent"),
         ({"lambda": {"kind": "cantor", "depth": 0}}, "lambda.depth"),
         ({"lambda": {"kind": "cantor", "depth": 10_000_000}}, "lambda.depth"),
+        ({"interval": [0.0, 1e308]}, "rho.exponent"),
     ])
     def test_bad_function_parameter_named(self, tmp_path, capsys, spec, field):
         cfg_path = tmp_path / "bad.json"
@@ -166,6 +171,73 @@ class TestSimulate:
         code = run_cli("simulate", "--config", str(brownian_config),
                        "--out", str(blocker / "sub"))
         assert code == 3
+
+    def test_unopenable_output_file_gives_io_exit(self, tmp_path, brownian_config,
+                                                 capsys):
+        out = tmp_path / "out"
+        (out / "bundle.json").mkdir(parents=True)
+        code = run_cli("simulate", "--config", str(brownian_config), "--out", str(out))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / 'bundle.json'}: ")
+        assert "Traceback" not in err
+
+
+#: SHA-256 of paths.csv and bundle.json, written by the one-shot writer that
+#: preceded chunked output.  Each config spans three chunks, the last partial.
+STREAMED_GOLDEN = {
+    "cantor_rho": (
+        {"interval": [0.0, 1.0], "lambda": {"kind": "cantor", "depth": 64},
+         "rho": {"kind": "power", "exponent": 2.0},
+         "mc": {"paths": 1100, "seed": 20261018},
+         "grid": {"points": 513, "scale": "rho"}},
+        "d89eb5450ed21d0e977e3665782a99f934a999856b63e003d924b4dd6fae5ec7",
+        "8db9cca01eefd5084f56f808893a6af4cf9c227137347e910262461d4070d802",
+    ),
+    "brownian_t": (
+        {"interval": [0.0, 1.0], "lambda": {"kind": "zero"}, "rho": {"kind": "identity"},
+         "mc": {"paths": 600, "seed": 20261018},
+         "grid": {"points": 1025, "scale": "t"}},
+        "404b76069e58da9165bae53c80f3c2b28e4891a69dd5925acc5b384d1e117798",
+        "14b7776141723c720d4f8435d2d7c37713c48e8d277d265a871149299b6dc934",
+    ),
+}
+
+
+class TestStreamedSimulate:
+    @pytest.mark.parametrize("name,chunk_values", [
+        ("cantor_rho", None),
+        ("brownian_t", None),
+        ("brownian_t", 1),          # one path per chunk
+        ("brownian_t", 2**40),      # every path in one chunk
+    ])
+    def test_bytes_match_golden(self, tmp_path, monkeypatch, name, chunk_values):
+        config, csv_digest, bundle_digest = STREAMED_GOLDEN[name]
+        points, paths = config["grid"]["points"], config["mc"]["paths"]
+        if chunk_values is None:
+            rows = cli.CHUNK_VALUES // points
+            assert 2 * rows < paths < 3 * rows
+        else:
+            monkeypatch.setattr(cli, "CHUNK_VALUES", chunk_values)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 0
+        assert hashlib.sha256((out / "paths.csv").read_bytes()).hexdigest() == csv_digest
+        assert hashlib.sha256((out / "bundle.json").read_bytes()).hexdigest() == bundle_digest
+
+    def test_peak_memory_flat_in_path_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CHUNK_VALUES", 65 * 10)
+        peaks = []
+        for paths in (50, 500):
+            cfg = parse_config({"mc": {"paths": paths}, "grid": {"points": 65}}, {})
+            tracemalloc.start()
+            try:
+                cli.cmd_simulate(cfg, tmp_path / str(paths))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 class TestVerify:
