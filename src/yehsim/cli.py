@@ -18,13 +18,7 @@ from pathlib import Path
 
 from .config import RunConfig, canonical_json, parse_config
 from .errors import ConfigError, YehError
-from .process import (
-    YehSpec,
-    center,
-    increment_value_matrix,
-    make_grid,
-    sample_increments,
-)
+from .process import YehSpec, _value_chunks, center, make_grid, sample_increments
 from .series import expand_integral
 from .streams import GaussianStream
 from .verify import SUITE_NAMES, run_suite
@@ -122,14 +116,15 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         "grid": grid.tolist(),
         "paths": [],
     }).rsplit("[]", 1)
-    rows_per_chunk = max(1, CHUNK_VALUES // len(grid))
+    chunks = _value_chunks(spec, grid, cfg.seed, cfg.paths,
+                           rows=max(1, CHUNK_VALUES // len(grid)))
     with _writer(out_dir / "paths.csv") as csv, \
             _writer(out_dir / "bundle.json") as bundle:
         csv(f"# manifest={mhash}\npath,t,value\n")
         bundle(head + "[")
-        for k0 in range(0, cfg.paths, rows_per_chunk):
-            n = min(rows_per_chunk, cfg.paths - k0)
-            rows = increment_value_matrix(spec, grid, cfg.seed, n, first_index=k0).tolist()
+        for k0, values in chunks:
+            rows = values.tolist()
+            del values  # not held while the next chunk is drawn
             for k, row in enumerate(rows, k0):
                 csv(str(k).join(pieces) % tuple(row))
             if k0:

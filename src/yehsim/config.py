@@ -39,7 +39,7 @@ from .process import DEFAULT_GRID_POINTS, DEFAULT_TRUNCATION
 from .stieltjes import (DEFAULT_CANTOR_DEPTH, DEFAULT_RESOLUTION, Interval,
                         MeanFunction, VarianceFunction)
 
-TOOL_VERSION = "0.3.0"
+TOOL_VERSION = "0.4.0"
 
 
 def canonical_json(obj) -> str:

@@ -188,13 +188,26 @@ def project_to_steps(f, n: int, interval) -> StepFunction:
     Uses cell-midpoint values (not measure-weighted cell averages): simpler,
     and sufficient for L2 convergence of continuous integrands.
     """
+    edges, values = project_family([f], n, interval)
+    return StepFunction(tuple(edges), tuple(values[0]))
+
+
+def project_family(fs, n: int, interval) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint projection of several integrands onto one uniform n-cell
+    partition: (edges, values), values[m, i] being fs[m] at the midpoint of
+    cell i.  A step family as one partition and one matrix, with no
+    StepFunction per member."""
     if n < 1:
         raise ValueError("cell count must be >= 1")
     iv = Interval.coerce(interval)
-    f = as_integrand(f)
     edges = np.linspace(iv.a, iv.b, n + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    return StepFunction(tuple(edges), tuple(np.atleast_1d(f(mids))))
+    values = np.array([np.atleast_1d(as_integrand(f)(mids)) for f in fs], dtype=float)
+    if np.any(np.diff(edges) <= 0):
+        raise ValueError("partition must be strictly increasing")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    return edges, values
 
 
 @dataclass(frozen=True)

@@ -46,8 +46,8 @@ class WienerIntegralResult:
 def integrate_step_batch(f, value_matrix: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Exact step integrals for a batch of paths (rows of value_matrix).
 
-    This is the one Wiener-integral kernel: the partition points are located
-    on the grid, the path values there are gathered and differenced once, and
+    This is the Wiener-integral kernel for paths given as values: the
+    partition points are located on the grid, the path values there are gathered and differenced once, and
     the increments are multiplied by the piece values.  f is one step
     integrand, giving one value per path, or a list or tuple of step
     integrands sharing one partition (a family), giving an array of shape
@@ -64,6 +64,37 @@ def integrate_step_batch(f, value_matrix: np.ndarray, grid: np.ndarray) -> np.nd
     if not family:
         return increments @ np.asarray(steps[0].values)
     return increments @ np.array([step.values for step in steps]).T
+
+
+def cell_weights(partition, values, grid) -> np.ndarray:
+    """Per-cell weights on a path grid of a step family given as one partition
+    and a (members, pieces) value matrix.
+
+    weights[m, c] is member m's value on grid cell c, 0 outside the
+    partition's span, so weights @ diff(path values) are the members' step
+    integrals.  The partition points must lie on the grid.
+    """
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    idx = grid_indices(grid, partition)
+    if values.shape[1] != len(idx) - 1:
+        raise ValueError("need one more partition point than values per member")
+    piece = np.searchsorted(idx, np.arange(len(grid) - 1), side="right") - 1
+    inside = (piece >= 0) & (piece < len(idx) - 1)
+    weights = np.zeros((len(values), len(grid) - 1))
+    weights[:, inside] = values[:, piece[inside]]
+    return weights
+
+
+def step_weights(family, grid) -> np.ndarray:
+    """Per-cell weights of step integrands on a path grid, one row each.
+
+    The members may have different partitions; each must lie on the grid.
+    The rows are the weights that process.increment_functionals takes.
+    """
+    steps = [as_integrand(g).step for g in family]
+    if any(step is None for step in steps):
+        raise TypeError("step weights require step integrands")
+    return np.vstack([cell_weights(s.partition, s.values, grid) for s in steps])
 
 
 def integrate_step(f, path: SamplePath) -> WienerIntegralResult:

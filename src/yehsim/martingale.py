@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import OutOfDomainError
 from .funcspace import StepFunction, as_integrand
-from .integral import integrate_step_batch
-from .process import YehSpec, increment_value_matrix
+from .integral import step_weights
+from .process import YehSpec, increment_functionals
 from .stats import MCEstimate, mc_from_samples
 from .stieltjes import DEFAULT_RESOLUTION, MeanFunction, stieltjes_quad, stieltjes_step
 
@@ -111,9 +111,8 @@ def mc_martingale_test(spec: YehSpec, f: StepFunction, s: float, t: float,
         raise OutOfDomainError(f"need {a} <= s < t <= {b}, got s={s}, t={t}")
     cuts = sorted({a, b, float(s), float(t)} | set(f.partition))
     grid = np.array(cuts)
-    restricted = _restrict_step(f, s, t)
-    values = increment_value_matrix(spec, grid, seed, count, first_index)
-    samples = integrate_step_batch(restricted, values, grid)
+    weights = step_weights([_restrict_step(f, s, t)], grid)
+    samples = increment_functionals(spec, grid, weights, seed, count, first_index)[:, 0]
     return mc_from_samples(samples, seed=seed, first_index=first_index)
 
 

@@ -1,9 +1,16 @@
 """Construction and sampling of Gaussian additive processes.
 
-Two samplers: exact increment sampling on a grid (no truncation error at the
-grid points) and truncated random-series sampling built on an orthonormal
-basis of the rho-weighted space.  Path generation is reproducible per stream
-index regardless of batch layout or worker count.
+Two representations: exact increment sampling on a grid (no truncation error
+at the grid points) and truncated random-series sampling built on an
+orthonormal basis of the rho-weighted space.  Each gives whole paths (value
+matrices, for `simulate` and the per-path API) and, for Monte Carlo checks
+that reduce every path to a few linear functionals, a functional sampler:
+`increment_functionals` returns step integrals W @ (dlambda + sigma * z)
+straight from the normals, and `series_point_values` returns the series
+values at a few times.  Both draw in row chunks of about CHUNK_DRAWS normals,
+so their memory does not grow with the path count.  Row k depends only on
+stream first_index + k, never on the batch layout, chunk height or BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -27,6 +34,10 @@ DEFAULT_GRID_POINTS = 1025
 
 #: Default series truncation.
 DEFAULT_TRUNCATION = 256
+
+#: Normal draws per row chunk of the functional samplers: a chunk holds
+#: max(1, CHUNK_DRAWS // draws per row) rows.
+CHUNK_DRAWS = 2**18
 
 
 @dataclass(frozen=True)
@@ -231,19 +242,94 @@ def empirical_moments(paths: list[SamplePath], s: float, t: float) -> EmpiricalM
     )
 
 
+def _normal_chunks(seed: int, count: int, draws: int, first_index: int = 0,
+                   rows: int | None = None):
+    """Yield (k0, z) for row chunks of `rows` streams (by default about
+    CHUNK_DRAWS draws): row k of z is the first `draws` normals of stream
+    first_index + k0 + k."""
+    rows = rows or max(1, CHUNK_DRAWS // draws)
+    for k0 in range(0, count, rows):
+        yield k0, normal_matrix(seed, min(rows, count - k0), draws, first_index + k0)
+
+
+# The chunk pipelines below are maps rather than generators: a generator's
+# frame would keep its last chunk alive while the caller works on it, and
+# each chunk held that way adds its size to the peak memory.
+
+def _increment_chunks(spec: YehSpec, grid, seed: int, count: int,
+                      first_index: int = 0, rows: int | None = None):
+    """(k0, increments) over _normal_chunks: row k of a chunk is
+    dlambda + sigma * z.  The grid is validated and the drift and variance are
+    evaluated once per call, however many chunks there are."""
+    grid = _validate_grid(grid, spec.interval)
+    dlam, sigma = _increment_scales(spec, grid)
+
+    def increments(chunk):
+        k0, z = chunk
+        z *= sigma  # in place: the bits of dlam + sigma * z, without temporaries
+        z += dlam
+        return k0, z
+
+    return map(increments, _normal_chunks(seed, count, len(dlam), first_index, rows))
+
+
+def _row_products(chunks, count: int, load: np.ndarray) -> np.ndarray:
+    """Stack the products row @ load over (k0, rows) chunks.  The stacked
+    matmul multiplies each row on its own, so its bits do not depend on the
+    chunk it falls in or on the BLAS thread count, as a blocked GEMM's do."""
+    out = np.empty((count, load.shape[1]))
+    for k0, block in chunks:
+        out[k0:k0 + len(block)] = (block[:, None, :] @ load)[:, 0]
+    return out
+
+
+def _value_chunks(spec: YehSpec, grid, seed: int, count: int,
+                  first_index: int = 0, rows: int | None = None):
+    """(k0, values): the path values of _increment_chunks' row chunks,
+    starting at lambda(a)."""
+    start = spec.lam(spec.interval.a)
+
+    def values(chunk):
+        k0, increments = chunk
+        out = np.empty((len(increments), increments.shape[1] + 1))
+        out[:, 0] = start
+        np.cumsum(increments, axis=1, out=out[:, 1:])
+        out[:, 1:] += start
+        return k0, out
+
+    return map(values, _increment_chunks(spec, grid, seed, count, first_index, rows))
+
+
 def increment_value_matrix(spec: YehSpec, grid, seed: int, count: int,
                            first_index: int = 0) -> np.ndarray:
     """Batched increment sampling: row k is the value array of stream index
     first_index + k (identical to sample_increments with that stream)."""
     grid = _validate_grid(grid, spec.interval)
-    dlam, sigma = _increment_scales(spec, grid)
-    z = normal_matrix(seed, count, len(grid) - 1, first_index)
-    start = spec.lam(spec.interval.a)
     values = np.empty((count, len(grid)))
-    values[:, 0] = start
-    np.cumsum(dlam + sigma * z, axis=1, out=values[:, 1:])
-    values[:, 1:] += start
+    for k0, chunk in _value_chunks(spec, grid, seed, count, first_index):
+        values[k0:k0 + len(chunk)] = chunk
     return values
+
+
+def increment_functionals(spec: YehSpec, grid, weights, seed: int, count: int,
+                          first_index: int = 0) -> np.ndarray:
+    """Linear functionals of increment-sampled paths, straight from the normals.
+
+    weights has one row per functional and one column per grid cell; the
+    result has shape (count, functionals), row k being
+    weights @ (dlambda + sigma * z) for stream first_index + k.  Step
+    integrals are such functionals (see integral.step_weights).  No path
+    values are formed: the normals are drawn CHUNK_DRAWS at a time.
+    """
+    grid = _validate_grid(grid, spec.interval)
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 2 or weights.shape[1] != len(grid) - 1:
+        raise ValueError(f"weights must have shape (functionals, {len(grid) - 1}), "
+                         f"got {weights.shape}")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite")
+    chunks = _increment_chunks(spec, grid, seed, count, first_index)
+    return _row_products(chunks, count, weights.T)
 
 
 def series_value_matrix(spec: YehSpec, basis: BasisFamily, truncation: int, grid,
@@ -258,3 +344,21 @@ def series_value_matrix(spec: YehSpec, basis: BasisFamily, truncation: int, grid
     for k in range(count):  # row-wise products: same rounding as sample_series
         out[k] = drift + xi[k] @ amatrix
     return out
+
+
+def series_point_values(spec: YehSpec, basis: BasisFamily, truncation: int, times,
+                        seed: int, count: int, first_index: int = 0) -> np.ndarray:
+    """Series-sampled values at a few times, shape (count, len(times)).
+
+    Row k is lambda(times) + xi_k @ A, where xi_k are the first `truncation`
+    draws of stream first_index + k and A holds the running integrals of the
+    basis members at the times: the columns series_value_matrix would give
+    there, without the rest of the grid.  The normals are drawn CHUNK_DRAWS
+    at a time.
+    """
+    if truncation < 1:
+        raise ValueError("truncation must be >= 1")
+    times = np.asarray(times, dtype=float)
+    amatrix = basis.antiderivative_matrix(truncation, times)
+    chunks = _normal_chunks(seed, count, truncation, first_index)
+    return spec.lam(times) + _row_products(chunks, count, amatrix)

@@ -18,9 +18,9 @@ from .funcspace import (
     as_integrand,
     fourier_coeffs,
     inner_rho,
-    project_to_steps,
+    project_family,
 )
-from .integral import integral_mean, integrate_step_batch
+from .integral import cell_weights, integral_mean
 from .process import SamplePath
 from .stieltjes import DEFAULT_RESOLUTION, Interval, MeanFunction
 
@@ -61,9 +61,10 @@ def expand_integral(f, basis: BasisFamily, truncation: int, path: SamplePath,
     f = as_integrand(f)
     coeffs = fourier_coeffs(f, basis, truncation, resolution)
     interval = Interval(float(path.grid[0]), float(path.grid[-1]))
-    family = [project_to_steps(g, cells, interval) for g in
-              (f, *(basis.member(n, certificate=False) for n in range(truncation)))]
-    integrals = integrate_step_batch(family, path.values[None, :], path.grid)[0]
+    edges, values = project_family(
+        [f, *(basis.member(n, certificate=False) for n in range(truncation))],
+        cells, interval)
+    integrals = np.diff(path.values) @ cell_weights(edges, values, path.grid).T
     target, member_integrals = float(integrals[0]), integrals[1:]
     partial_sums = np.cumsum(coeffs * member_integrals)
     norm_sq = inner_rho(f, f, basis.rho, resolution)

@@ -285,7 +285,11 @@ class VarianceFunction:
         """(t - a)**exponent, with rho(b) = (b - a)**exponent a positive finite double."""
         iv = Interval.coerce(interval)
         exponent = _finite("exponent", exponent)
-        if not (exponent >= 1.0 and -1073 < exponent * math.log2(iv.length) < 1023):
+        try:
+            mass = iv.length ** exponent if exponent >= 1.0 else math.nan
+        except OverflowError:
+            mass = math.inf
+        if not 0.0 < mass < math.inf:
             raise ValueError(f"exponent: must be >= 1 with (b - a)**exponent a positive "
                              f"finite double, got {exponent}")
         return cls("power", iv, exponent=exponent)
@@ -345,11 +349,10 @@ def stieltjes_step(f, mu, s: float | None = None, t: float | None = None) -> flo
         raise OutOfDomainError(f"need {a} <= s <= t <= {b}, got s={lo}, t={hi}")
     left = np.maximum(partition[:-1], lo)
     right = np.minimum(partition[1:], hi)
-    total = 0.0
-    for ci, l, r in zip(values, left, right):
-        if r > l:
-            total += ci * (mu(r) - mu(l))
-    return total
+    terms = (values * (mu(right) - mu(left)))[right > left]
+    # cumsum adds the pieces in order from 0.0, so the bits do not depend on
+    # numpy's pairwise summation
+    return float(np.cumsum(np.append(0.0, terms))[-1])
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .funcspace import StepFunction, fourier_coeffs, norm_sq_rho, project_to_steps
-from .integral import integral_covariance, integral_mean, integrate_step_batch
-from .martingale import classify, conditional_increment_mean
-from .process import YehSpec, increment_value_matrix, make_grid, series_value_matrix
+from .funcspace import StepFunction, fourier_coeffs, norm_sq_rho, project_family
+from .integral import cell_weights, integral_covariance, integral_mean, step_weights
+from .martingale import _restrict_step, classify, conditional_increment_mean
+from .process import YehSpec, increment_functionals, make_grid, series_point_values
+from .series import series_variance_defect
 from .stats import ks_test
 from .stieltjes import Interval, MeanFunction, VarianceFunction
 
@@ -52,12 +53,12 @@ def _suite_seed(cfg: RunConfig, offset: int) -> int:
     return (cfg.seed + offset) % 2**64
 
 
-def _path_matrix(cfg: RunConfig, spec: YehSpec, grid, count: int, seed: int,
-                 first_index: int = 0) -> np.ndarray:
-    if cfg.reuse_streams:  # fault-injection fixture: every path reuses stream 0
-        row = increment_value_matrix(spec, grid, seed, 1, 0)
-        return np.tile(row, (count, 1))
-    return increment_value_matrix(spec, grid, seed, count, first_index)
+def _sample(cfg: RunConfig, sampler, *args, count: int) -> np.ndarray:
+    """sampler(*args, count) rows; the reuse_streams fault-injection fixture
+    makes every row a copy of stream 0's."""
+    if cfg.reuse_streams:
+        return np.tile(sampler(*args, 1), (count, 1))
+    return sampler(*args, count)
 
 
 def moments_suite(cfg: RunConfig) -> list[CheckRow]:
@@ -70,9 +71,8 @@ def moments_suite(cfg: RunConfig) -> list[CheckRow]:
     f = StepFunction.indicator(iv.a, iv.b, iv)
     g = StepFunction.indicator(iv.a, float(grid[len(grid) // 2]), iv)
     m = cfg.paths
-    vals = _path_matrix(cfg, spec, grid, m, cfg.seed)
-    sf = integrate_step_batch(f, vals, grid)
-    sg = integrate_step_batch(g, vals, grid)
+    sf, sg = _sample(cfg, increment_functionals, spec, grid, step_weights([f, g], grid),
+                     cfg.seed, count=m).T
     rows = []
     for name, samples, expected in (
         ("moments_mean_f", sf, integral_mean(f, cfg.lam, cfg.resolution)),
@@ -107,8 +107,8 @@ def gaussian_suite(cfg: RunConfig) -> list[CheckRow]:
         var = norm_sq_rho(f, cfg.rho, cfg.resolution)
         for k in range(3):
             seed = _suite_seed(cfg, k)
-            vals = _path_matrix(cfg, spec, grid, m, seed)
-            samples = integrate_step_batch(f, vals, grid)
+            samples = _sample(cfg, increment_functionals, spec, grid,
+                              step_weights([f], grid), seed, count=m)[:, 0]
             report = ks_test(samples, mean, var)
             rows.append(_threshold(f"gaussian_ks_{fname}_seed{k}", report.p_value))
     return rows
@@ -127,11 +127,9 @@ def series_suite(cfg: RunConfig) -> list[CheckRow]:
     # closed-form variance defects
     t_mid = float(grid[len(grid) // 2])
     T = rho.total_mass
-    from .series import series_variance_defect
-
     rows.append(_within(
         "series_defect_single_term_midpoint",
-        rho(t_mid) - rho(t_mid) ** 2 / T,
+        rho(t_mid) * (1.0 - rho(t_mid) / T),
         series_variance_defect(basis, 1, t_mid),
         1e-12,
     ))
@@ -145,17 +143,15 @@ def series_suite(cfg: RunConfig) -> list[CheckRow]:
     # covariance of series-sampled centered paths at grid pairs
     m = cfg.paths
     n_terms = cfg.truncation
-    if cfg.reuse_streams:
-        row = series_value_matrix(spec, basis, n_terms, grid, cfg.seed, 1, 0)
-        sv = np.tile(row, (m, 1))
-    else:
-        sv = series_value_matrix(spec, basis, n_terms, grid, cfg.seed, m)
     npts = len(grid)
     pairs = [(npts // 4, npts // 2), (npts // 2, npts // 2),
              (npts // 4, 3 * npts // 4)]
+    cols = sorted({i for pair in pairs for i in pair})
+    sv = _sample(cfg, series_point_values, spec, basis, n_terms, grid[cols],
+                 cfg.seed, count=m)
     for i, j in pairs:
         s_t = (float(grid[i]), float(grid[j]))
-        prod = sv[:, i] * sv[:, j]
+        prod = sv[:, cols.index(i)] * sv[:, cols.index(j)]
         se = prod.std(ddof=1) / math.sqrt(m)
         d_i = series_variance_defect(basis, n_terms, s_t[0])
         d_j = series_variance_defect(basis, n_terms, s_t[1])
@@ -169,11 +165,11 @@ def series_suite(cfg: RunConfig) -> list[CheckRow]:
     # expansion mean-square gap vs analytic Parseval defect
     half = StepFunction.indicator(iv.a, iv.a + iv.length / 2, iv)
     cells = cfg.grid_points - 1
-    vals = _path_matrix(cfg, spec, grid, m, _suite_seed(cfg, 7))
     max_terms = 16
-    family = [project_to_steps(g, cells, iv) for g in
-              (half, *(basis.member(n, certificate=False) for n in range(max_terms)))]
-    integrals = integrate_step_batch(family, vals, grid)
+    edges, values = project_family(
+        [half, *(basis.member(n, certificate=False) for n in range(max_terms))], cells, iv)
+    integrals = _sample(cfg, increment_functionals, spec, grid,
+                        cell_weights(edges, values, grid), _suite_seed(cfg, 7), count=m)
     targets, members = integrals[:, 0], integrals[:, 1:]
     coeffs = fourier_coeffs(half, basis, max_terms, cfg.resolution)
     norm_sq = norm_sq_rho(half, rho, cfg.resolution)
@@ -218,9 +214,9 @@ def martingale_suite(cfg: RunConfig) -> list[CheckRow]:
     spec = YehSpec(MeanFunction.zero(iv), cfg.rho)
     grid = make_grid(iv, 9, "t")
     m = max(cfg.paths, 100)
-    vals = _path_matrix(cfg, spec, grid, m, _suite_seed(cfg, 3))
     f = StepFunction.indicator(iv.a, iv.b, iv)
-    samples = integrate_step_batch(f, vals, grid)
+    samples = _sample(cfg, increment_functionals, spec, grid, step_weights([f], grid),
+                      _suite_seed(cfg, 3), count=m)[:, 0]
     se = samples.std(ddof=1) / math.sqrt(m)
     rows.append(_within("martingale_mc_centered_drift", 0.0,
                         float(samples.mean()), 4.0 * se + 1e-15))
@@ -247,15 +243,15 @@ def counterexample_suite(cfg: RunConfig) -> list[CheckRow]:
     spec = YehSpec(lam, VarianceFunction.identity(unit))
     m = max(cfg.paths, 100)
     grid = np.array(sorted({0.0, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1.0}))
-    vals = _path_matrix(cfg, spec, grid, m, _suite_seed(cfg, 11))
-    for name, (s, t), want in (
+    checks = (
         ("counterexample_mc_drift_quarter_half", (0.25, 0.5), -1 / 24),
         ("counterexample_mc_drift_quarter_threequarter", (0.25, 0.75), 1 / 24),
-    ):
-        from .martingale import _restrict_step
-
-        samples = integrate_step_batch(_restrict_step(MIXED_SIGN_STEP, s, t),
-                                       vals, grid)
+    )
+    weights = step_weights([_restrict_step(MIXED_SIGN_STEP, s, t)
+                            for _, (s, t), _ in checks], grid)
+    drifts = _sample(cfg, increment_functionals, spec, grid, weights,
+                     _suite_seed(cfg, 11), count=m)
+    for (name, _, want), samples in zip(checks, drifts.T):
         se = samples.std(ddof=1) / math.sqrt(m)
         rows.append(_within(name, want, float(samples.mean()), 4.0 * se))
     return rows

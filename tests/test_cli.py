@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -132,7 +133,8 @@ class TestSimulate:
         ({"rho": {"kind": "power", "exponent": float("inf")}}, "rho.exponent"),
         ({"lambda": {"kind": "cantor", "depth": 0}}, "lambda.depth"),
         ({"lambda": {"kind": "cantor", "depth": 10_000_000}}, "lambda.depth"),
-        ({"interval": [0.0, 1e308]}, "rho.exponent"),
+        ({"interval": [0.0, 1e308], "rho": {"kind": "power", "exponent": 1.5}},
+         "rho.exponent"),
     ])
     def test_bad_function_parameter_named(self, tmp_path, capsys, spec, field):
         cfg_path = tmp_path / "bad.json"
@@ -185,6 +187,8 @@ class TestSimulate:
 
 #: SHA-256 of paths.csv and bundle.json, written by the one-shot writer that
 #: preceded chunked output.  Each config spans three chunks, the last partial.
+#: The digests were taken at version 0.3.0, which the manifest records; the
+#: test pins that version, so they keep proving that the bytes are unchanged.
 STREAMED_GOLDEN = {
     "cantor_rho": (
         {"interval": [0.0, 1.0], "lambda": {"kind": "cantor", "depth": 64},
@@ -213,6 +217,7 @@ class TestStreamedSimulate:
     ])
     def test_bytes_match_golden(self, tmp_path, monkeypatch, name, chunk_values):
         config, csv_digest, bundle_digest = STREAMED_GOLDEN[name]
+        monkeypatch.setattr("yehsim.config.TOOL_VERSION", "0.3.0")
         points, paths = config["grid"]["points"], config["mc"]["paths"]
         if chunk_values is None:
             rows = cli.CHUNK_VALUES // points
@@ -225,6 +230,27 @@ class TestStreamedSimulate:
         assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 0
         assert hashlib.sha256((out / "paths.csv").read_bytes()).hexdigest() == csv_digest
         assert hashlib.sha256((out / "bundle.json").read_bytes()).hexdigest() == bundle_digest
+
+    def test_drift_evaluated_once_per_run(self, tmp_path, monkeypatch):
+        from yehsim.stieltjes import MeanFunction
+
+        calls = []
+        original = MeanFunction.__call__
+
+        def counting(self, t):
+            calls.append(t)
+            return original(self, t)
+
+        monkeypatch.setattr(cli, "CHUNK_VALUES", 1)  # one path per chunk
+        monkeypatch.setattr(MeanFunction, "__call__", counting)
+        counts = []
+        for paths in (3, 30):
+            cfg = parse_config({"lambda": {"kind": "cantor"}, "mc": {"paths": paths},
+                                "grid": {"points": 17}}, {})
+            calls.clear()
+            cli.cmd_simulate(cfg, tmp_path / str(paths))
+            counts.append(len(calls))
+        assert counts[0] == counts[1], counts
 
     def test_peak_memory_flat_in_path_count(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "CHUNK_VALUES", 65 * 10)
@@ -240,7 +266,32 @@ class TestStreamedSimulate:
         assert peaks[1] < 1.5 * peaks[0], peaks
 
 
+#: SHA-256 of verify_all.csv for acceptance criterion 9's config, taken at
+#: version 0.4.0, when the suites moved onto the functional sampler.
+VERIFY_GOLDEN = (
+    {"mc": {"paths": 2000, "seed": 12345}, "grid": {"points": 257}, "series": {"N": 64}},
+    "cc4de71b454759fcda2d983b2fba8832aa1cafd4ed3ea4e5138085722b9bd311",
+)
+
+
 class TestVerify:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bytes_match_golden_at_blas_threads(self, tmp_path, threads):
+        config, digest = VERIFY_GOLDEN
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(sys.path)}
+        env.pop("YEH_SEED", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "yehsim.cli", "verify", "--suite", "all",
+             "--config", str(cfg_path), "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256((out / "verify_all.csv").read_bytes()).hexdigest() == digest
+
     def test_counterexample_suite_rows(self, tmp_path, brownian_config):
         out = tmp_path / "out"
         assert run_cli("verify", "--suite", "counterexample",
@@ -378,6 +429,18 @@ class TestExpand:
         assert run_cli("expand", "--config", str(cfg_path), "--out", str(out)) == 0
         rows = read_rows(out / "expansion.csv")
         assert len(rows) == 4
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", [["simulate"], ["verify", "--suite", "all"], ["expand"]])
+@pytest.mark.parametrize("length", [1e200, 1e308])
+def test_huge_interval_ends_without_traceback(tmp_path, capsys, command, length):
+    cfg_path = tmp_path / "huge.json"
+    cfg_path.write_text(json.dumps({"interval": [0.0, length], "mc": {"paths": 100},
+                                    "grid": {"points": 17}, "series": {"N": 8}}))
+    code = run_cli(*command, "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 class TestEntryPoint:

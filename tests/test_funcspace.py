@@ -19,6 +19,7 @@ from yehsim import (
     project_to_steps,
     step_combine,
 )
+from yehsim.funcspace import project_family
 
 UNIT = Interval(0.0, 1.0)
 RHO_ID = VarianceFunction.identity(UNIT)
@@ -134,6 +135,17 @@ class TestProjection:
         diff = lambda t: t - proj(t)
         got = inner_rho(diff, diff, RHO_ID, resolution=2**14)
         assert got == pytest.approx(1.0 / (12 * n * n), rel=1e-6)
+
+    def test_family_rows_equal_per_member_projections(self):
+        basis = BasisFamily(RHO_SQ)
+        fs = [StepFunction((0.0, 0.25, 0.75, 1.0), (1.0, -2.0, 0.5)), lambda t: t**2,
+              *(basis.member(n, certificate=False) for n in range(5))]
+        edges, values = project_family(fs, 16, UNIT)
+        assert values.shape == (len(fs), 16)
+        for f, row in zip(fs, values):
+            proj = project_to_steps(f, 16, UNIT)
+            assert proj.partition == tuple(edges)
+            assert proj.values == tuple(row)
 
     def test_l2_error_decreases_for_continuous_f(self):
         f = lambda t: np.sin(3 * t) + t**2

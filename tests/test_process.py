@@ -23,8 +23,12 @@ from yehsim import (
     sample_increments,
     sample_series,
 )
+from yehsim import PartitionNotOnGridError, StepFunction, process
+from yehsim.integral import integrate_step_batch, step_weights
 from yehsim.process import (
+    increment_functionals,
     increment_value_matrix,
+    series_point_values,
     series_value_matrix,
 )
 from yehsim.streams import _CHUNK_BLOCKS, CROSSOVER_DRAWS, normal_matrix
@@ -357,3 +361,102 @@ class TestCsvExport:
         for line, t, v in zip(lines[1:], path.grid, path.values):
             t_str, v_str = line.split(",")
             assert float(t_str) == t and float(v_str) == v
+
+
+CANTOR_POWER2 = YehSpec(MeanFunction.cantor(UNIT), VarianceFunction.power(UNIT, 2.0))
+
+
+def _random_family(rng, grid, members):
+    """`members` step functions sharing a random partition drawn from the grid."""
+    inner = np.sort(rng.choice(np.arange(1, len(grid) - 1), 12, replace=False))
+    partition = tuple(grid[np.concatenate([[0], inner, [len(grid) - 1]])])
+    return [StepFunction(partition, tuple(rng.normal(size=len(partition) - 1)))
+            for _ in range(members)]
+
+
+class TestFunctionalSampler:
+    @pytest.mark.parametrize("members", [1, 2, 17, 65])
+    def test_matches_kernel_on_value_matrix(self, members):
+        rng = np.random.default_rng(members)
+        grid = make_grid(UNIT, 257)
+        family = _random_family(rng, grid, members)
+        got = increment_functionals(CANTOR_POWER2, grid, step_weights(family, grid),
+                                    606, 300, first_index=5)
+        vals = increment_value_matrix(CANTOR_POWER2, grid, 606, 300, first_index=5)
+        want = integrate_step_batch(family, vals, grid)
+        assert got.shape == (300, members)
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("chunk_draws", [1, 1000, 2**40])
+    def test_rows_independent_of_layout(self, monkeypatch, chunk_draws):
+        rng = np.random.default_rng(3)
+        grid = make_grid(UNIT, 129)
+        weights = rng.normal(size=(9, 128))
+        full = increment_functionals(CANTOR_POWER2, grid, weights, 77, 40)
+        monkeypatch.setattr(process, "CHUNK_DRAWS", chunk_draws)
+        assert np.array_equal(
+            increment_functionals(CANTOR_POWER2, grid, weights, 77, 40), full)
+        for k in (0, 17, 39):
+            one = increment_functionals(CANTOR_POWER2, grid, weights, 77, 1, first_index=k)
+            assert np.array_equal(one[0], full[k])
+        tail = increment_functionals(CANTOR_POWER2, grid, weights, 77, 15, first_index=25)
+        assert np.array_equal(tail, full[25:])
+
+    @pytest.mark.parametrize("chunk_draws", [1, 1000, 2**40])
+    def test_value_matrix_independent_of_chunking(self, monkeypatch, chunk_draws):
+        grid = make_grid(UNIT, 65)
+        full = increment_value_matrix(CANTOR_POWER2, grid, 5, 30, first_index=2)
+        monkeypatch.setattr(process, "CHUNK_DRAWS", chunk_draws)
+        assert np.array_equal(
+            increment_value_matrix(CANTOR_POWER2, grid, 5, 30, first_index=2), full)
+
+    def test_drift_evaluated_once_per_call(self, monkeypatch):
+        grid = make_grid(UNIT, 65)
+        calls = []
+        original = MeanFunction.__call__
+
+        def counting(self, t):
+            calls.append(t)
+            return original(self, t)
+
+        monkeypatch.setattr(process, "CHUNK_DRAWS", 1)
+        monkeypatch.setattr(MeanFunction, "__call__", counting)
+        increment_functionals(CANTOR_POWER2, grid, np.ones((1, 64)), 5, 40)
+        assert len(calls) == 1
+
+    def test_weights_checked(self):
+        grid = make_grid(UNIT, 9)
+        with pytest.raises(ValueError, match="shape"):
+            increment_functionals(BROWNIAN, grid, np.ones((2, 9)), 1, 4)
+        with pytest.raises(ValueError, match="shape"):
+            increment_functionals(BROWNIAN, grid, np.ones(8), 1, 4)
+        with pytest.raises(ValueError, match="finite"):
+            increment_functionals(BROWNIAN, grid, np.full((1, 8), np.nan), 1, 4)
+        with pytest.raises(BadGridError):
+            increment_functionals(BROWNIAN, grid[:-1], np.ones((1, 7)), 1, 4)
+
+    def test_step_weights_need_partition_on_grid(self):
+        grid = make_grid(UNIT, 9)
+        with pytest.raises(PartitionNotOnGridError):
+            step_weights([StepFunction.indicator(0.0, 0.3, UNIT)], grid)
+
+    def test_step_weights_zero_outside_partition(self):
+        grid = make_grid(UNIT, 9)
+        f = StepFunction((0.25, 0.5, 0.625), (2.0, -1.0))
+        assert np.array_equal(step_weights([f], grid),
+                              [[0, 0, 2.0, 2.0, -1.0, 0, 0, 0]])
+
+    def test_series_point_values_match_value_matrix(self, monkeypatch):
+        basis = BasisFamily(CANTOR_POWER2.rho)
+        grid = make_grid(UNIT, 65)
+        cols = [16, 32, 48]
+        got = series_point_values(CANTOR_POWER2, basis, 32, grid[cols], 9, 50,
+                                  first_index=4)
+        want = series_value_matrix(CANTOR_POWER2, basis, 32, grid, 9, 50,
+                                   first_index=4)[:, cols]
+        assert np.max(np.abs(got - want)) <= 1e-13
+        monkeypatch.setattr(process, "CHUNK_DRAWS", 1)
+        assert np.array_equal(
+            series_point_values(CANTOR_POWER2, basis, 32, grid[cols], 9, 50,
+                                first_index=4), got)
+

@@ -99,6 +99,12 @@ class TestEval:
         with pytest.raises(ValueError, match=f"^{field}: "):
             build()
 
+    def test_power_accepts_any_finite_mass(self):
+        assert VarianceFunction.power((0.0, 1e308), 1.0).total_mass == 1e308
+        assert VarianceFunction.power((0.0, 1e200), 1.5).total_mass == 1e200**1.5
+        with pytest.raises(ValueError, match="^exponent: "):
+            VarianceFunction.power((0.0, 1e308), 1.5)
+
     def test_vectorized_matches_scalar(self):
         lam = MeanFunction.piecewise((0.0, 0.5, 1.0), (0.0, 1.0, 0.0))
         ts = np.linspace(0, 1, 17)
@@ -245,6 +251,26 @@ class TestStieltjesStep:
             direct = stieltjes_step(f, lam)
             decomposed = stieltjes_step(f, pos) - stieltjes_step(f, neg)
             assert direct == pytest.approx(decomposed, abs=1e-13)
+
+    def test_equals_piecewise_loop_bit_for_bit(self):
+        def loop(f, mu, s, t):
+            total = 0.0
+            for ci, l, r in zip(f.values, np.maximum(f.partition[:-1], s),
+                                np.minimum(f.partition[1:], t)):
+                if r > l:
+                    total += ci * (mu(r) - mu(l))
+            return total
+
+        rng = np.random.default_rng(19)
+        mus = (MeanFunction.piecewise((0.0, 0.3, 0.8, 1.0), (0.0, -1.0, 0.5, 0.2)),
+               MeanFunction.cantor(UNIT), VarianceFunction.power(UNIT, 2.5))
+        for mu in mus:
+            for pieces in (1, 3, 9, 40):
+                cuts = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, pieces - 1)), [1.0]])
+                f = StepFunction(tuple(cuts), tuple(rng.normal(size=pieces)))
+                s, t = np.sort(rng.uniform(0, 1, 2))
+                for lo, hi in ((0.0, 1.0), (s, t), (s, s)):
+                    assert stieltjes_step(f, mu, lo, hi) == loop(f, mu, lo, hi)
 
     def test_partition_out_of_domain(self):
         lam = MeanFunction.linear(Interval(0.0, 0.5), 1.0)
