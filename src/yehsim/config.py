@@ -107,7 +107,7 @@ def integrand_from_spec(spec: dict, interval, basis: BasisFamily) -> Integrand:
                                                     tuple(spec["values"])))
         if kind == "indicator":
             lo = float(spec.get("lo", iv.a))
-            hi = float(spec.get("hi", 0.5 * (iv.a + iv.b)))
+            hi = float(spec.get("hi", 0.5 * iv.a + 0.5 * iv.b))
             return Integrand.from_step(StepFunction.indicator(lo, hi, iv))
         if kind == "poly":
             coeffs = [float(c) for c in spec.get("coeffs", [0.0, 1.0])]

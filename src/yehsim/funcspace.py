@@ -74,7 +74,7 @@ class StepFunction:
         if not (iv.a <= lo < hi <= iv.b):
             raise ValueError(f"need {iv.a} <= lo < hi <= {iv.b}")
         partition = sorted({iv.a, lo, hi, iv.b})
-        values = [1.0 if lo <= 0.5 * (p + q) < hi else 0.0
+        values = [1.0 if lo <= 0.5 * p + 0.5 * q < hi else 0.0
                   for p, q in zip(partition, partition[1:])]
         return cls(tuple(partition), tuple(values))
 
@@ -86,7 +86,7 @@ def merge_partitions(f: StepFunction, g: StepFunction) -> tuple:
 def step_combine(alpha: float, f: StepFunction, beta: float, g: StepFunction) -> StepFunction:
     """The step function alpha*f + beta*g on the merged partition."""
     partition = merge_partitions(f, g)
-    mids = [0.5 * (p + q) for p, q in zip(partition, partition[1:])]
+    mids = [0.5 * p + 0.5 * q for p, q in zip(partition, partition[1:])]
     values = tuple(alpha * f(m) + beta * g(m) for m in mids)
     return StepFunction(partition, values)
 
@@ -153,7 +153,7 @@ def as_integrand(obj) -> Integrand:
 
 def _product_step(f: StepFunction, g: StepFunction) -> StepFunction:
     partition = merge_partitions(f, g)
-    mids = [0.5 * (p + q) for p, q in zip(partition, partition[1:])]
+    mids = [0.5 * p + 0.5 * q for p, q in zip(partition, partition[1:])]
     return StepFunction(partition, tuple(f(m) * g(m) for m in mids))
 
 
@@ -201,7 +201,7 @@ def project_family(fs, n: int, interval) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("cell count must be >= 1")
     iv = Interval.coerce(interval)
     edges = np.linspace(iv.a, iv.b, n + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
+    mids = 0.5 * edges[:-1] + 0.5 * edges[1:]
     values = np.array([np.atleast_1d(as_integrand(f)(mids)) for f in fs], dtype=float)
     if np.any(np.diff(edges) <= 0):
         raise ValueError("partition must be strictly increasing")
@@ -337,7 +337,7 @@ def fourier_coeffs(f, basis: BasisFamily, count: int,
             coeffs[n] = float(np.dot(vals, np.diff(anti)))
         return coeffs
     edges = np.linspace(a, b, resolution + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
+    mids = 0.5 * edges[:-1] + 0.5 * edges[1:]
     fvals = f(mids)
     dmu = np.diff(rho(edges))
     x = rho(mids)
@@ -352,7 +352,7 @@ def gram_matrix(basis: BasisFamily, count: int,
     """Gram matrix of the first `count` members under the rho inner product."""
     rho = basis.rho
     edges = np.linspace(rho.interval.a, rho.interval.b, resolution + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
+    mids = 0.5 * edges[:-1] + 0.5 * edges[1:]
     dmu = np.diff(rho(edges))
     x = rho(mids)
     members = np.stack([basis._psi(n, x) for n in range(count)])

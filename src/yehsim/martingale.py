@@ -120,5 +120,5 @@ def _restrict_step(f: StepFunction, s: float, t: float) -> StepFunction:
     """The step function f restricted to [s, t]."""
     partition = sorted({float(s), float(t)} |
                        {p for p in f.partition if s < p < t})
-    values = tuple(f(0.5 * (p + q)) for p, q in zip(partition, partition[1:]))
+    values = tuple(f(0.5 * p + 0.5 * q) for p, q in zip(partition, partition[1:]))
     return StepFunction(tuple(partition), values)

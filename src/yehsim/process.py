@@ -2,15 +2,16 @@
 
 Two representations: exact increment sampling on a grid (no truncation error
 at the grid points) and truncated random-series sampling built on an
-orthonormal basis of the rho-weighted space.  Each gives whole paths (value
-matrices, for `simulate` and the per-path API) and, for Monte Carlo checks
-that reduce every path to a few linear functionals, a functional sampler:
-`increment_functionals` returns step integrals W @ (dlambda + sigma * z)
-straight from the normals, and `series_point_values` returns the series
-values at a few times.  Both draw in row chunks of about CHUNK_DRAWS normals,
-so their memory does not grow with the path count.  Row k depends only on
-stream first_index + k, never on the batch layout, chunk height or BLAS
-thread count.
+orthonormal basis of the rho-weighted space.  `increment_value_matrix` gives
+whole increment paths (for `simulate`).  For Monte Carlo checks that reduce
+every path to a few linear functionals, `increment_functionals` returns step
+integrals W @ (dlambda + sigma * z) straight from the normals, and
+`series_point_values` returns the series values at given times.  The
+per-path samplers are one-row calls: `sample_increments` of
+`increment_value_matrix`, `sample_series` of `series_point_values`.  All draw
+in row chunks of about CHUNK_DRAWS normals, so the functional samplers'
+memory does not grow with the path count.  Row k depends only on stream
+first_index + k, never on the batch layout, chunk height or BLAS thread count.
 """
 
 from __future__ import annotations
@@ -91,9 +92,6 @@ class SamplePath:
         except PartitionNotOnGridError:
             raise GridMismatchError(f"time {t} is not a grid point") from None
 
-    def value_at(self, t: float) -> float:
-        return float(self.values[self.index_of(t)])
-
 
 def grid_indices(grid, points) -> np.ndarray:
     """Indices of `points` on a strictly increasing grid, exact up to 1e-12
@@ -163,37 +161,34 @@ def _increment_scales(spec: YehSpec, grid: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def sample_increments(spec: YehSpec, grid, stream: GaussianStream) -> SamplePath:
-    """Exact-in-distribution sampling at the grid points.
+    """Exact-in-distribution sampling at the grid points: row 0 of
+    increment_value_matrix for the stream.
 
     X(a) = lambda(a); each increment is an independent draw from
     Normal(dlambda, drho) over its cell.
     """
     grid = _validate_grid(grid, spec.interval)
-    dlam, sigma = _increment_scales(spec, grid)
-    z = stream.normals(len(grid) - 1)
-    start = spec.lam(spec.interval.a)
-    values = np.concatenate([[start], start + np.cumsum(dlam + sigma * z)])
+    values = increment_value_matrix(spec, grid, stream.seed, 1, stream.index)[0]
     return SamplePath(grid, values, "increments",
                       seed=stream.seed, stream_index=stream.index)
 
 
 def sample_series(spec: YehSpec, basis: BasisFamily, truncation: int, grid,
                   stream: GaussianStream) -> SamplePath:
-    """Truncated random-series sampling.
+    """Truncated random-series sampling: series_point_values for the stream
+    over the whole grid.
 
     Values are lambda(t) + sum over n < truncation of (running rho-integral of
     phi_n up to t) * xi_n, with xi_n consumed from the stream in index order.
     The reported truncation defect is the largest variance shortfall
     rho(t) - sum of squared running integrals over the grid.
     """
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
     if basis.rho != spec.rho:
         raise ValueError("basis must be built on the spec's variance function")
     grid = _validate_grid(grid, spec.interval)
-    xi = stream.normals(truncation)
+    values = series_point_values(spec, basis, truncation, grid, stream.seed, 1,
+                                 stream.index)[0]
     amatrix = basis.antiderivative_matrix(truncation, grid)
-    values = spec.lam(grid) + xi @ amatrix
     defect = float(np.max(spec.rho(grid) - np.sum(amatrix**2, axis=0)))
     return SamplePath(grid, values, "series",
                       seed=stream.seed, stream_index=stream.index,
@@ -303,7 +298,7 @@ def _value_chunks(spec: YehSpec, grid, seed: int, count: int,
 def increment_value_matrix(spec: YehSpec, grid, seed: int, count: int,
                            first_index: int = 0) -> np.ndarray:
     """Batched increment sampling: row k is the value array of stream index
-    first_index + k (identical to sample_increments with that stream)."""
+    first_index + k."""
     grid = _validate_grid(grid, spec.interval)
     values = np.empty((count, len(grid)))
     for k0, chunk in _value_chunks(spec, grid, seed, count, first_index):
@@ -332,29 +327,14 @@ def increment_functionals(spec: YehSpec, grid, weights, seed: int, count: int,
     return _row_products(chunks, count, weights.T)
 
 
-def series_value_matrix(spec: YehSpec, basis: BasisFamily, truncation: int, grid,
-                        seed: int, count: int, first_index: int = 0) -> np.ndarray:
-    """Batched series sampling: row k matches sample_series at stream index
-    first_index + k, bit for bit."""
-    grid = _validate_grid(grid, spec.interval)
-    xi = normal_matrix(seed, count, truncation, first_index)
-    amatrix = basis.antiderivative_matrix(truncation, grid)
-    drift = spec.lam(grid)
-    out = np.empty((count, len(grid)))
-    for k in range(count):  # row-wise products: same rounding as sample_series
-        out[k] = drift + xi[k] @ amatrix
-    return out
-
-
 def series_point_values(spec: YehSpec, basis: BasisFamily, truncation: int, times,
                         seed: int, count: int, first_index: int = 0) -> np.ndarray:
     """Series-sampled values at a few times, shape (count, len(times)).
 
     Row k is lambda(times) + xi_k @ A, where xi_k are the first `truncation`
     draws of stream first_index + k and A holds the running integrals of the
-    basis members at the times: the columns series_value_matrix would give
-    there, without the rest of the grid.  The normals are drawn CHUNK_DRAWS
-    at a time.
+    basis members at the times.  The normals are drawn CHUNK_DRAWS at a
+    time.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")

@@ -378,7 +378,7 @@ def _eval_function(f, x: np.ndarray) -> np.ndarray:
 
 def _midpoint_sum(f, mu, s: float, t: float, resolution: int) -> float:
     edges = np.linspace(s, t, resolution + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
+    mids = 0.5 * edges[:-1] + 0.5 * edges[1:]
     return float(np.dot(_eval_function(f, mids), np.diff(mu(edges))))
 
 

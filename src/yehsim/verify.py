@@ -1,11 +1,13 @@
 """Verification batteries behind the command line's `verify` subcommand.
 
-Each suite turns one identity family into (check, expected, observed,
-tolerance, pass) rows at the configured Monte Carlo scale.  Stochastic checks
-use the 4-standard-error convention; exact identities carry absolute
-tolerances.  All draws derive from the manifest seed through fixed seed
-offsets (taken modulo 2**64) and stream indices, so reruns produce identical
-rows.
+Each identity family has a battery: its scale is explicit (spec or basis,
+grid, named integrands or pairs, seeds, path count, truncation, quadrature
+resolution) and it returns (check, expected, observed, tolerance, pass) rows.
+A suite is a thin adapter from a RunConfig to battery arguments; the
+acceptance tests call the same batteries at their own scale.  Stochastic
+checks use the 4-standard-error convention; exact identities carry absolute
+tolerances.  Suite draws derive from the manifest seed through fixed seed
+offsets (taken modulo 2**64) and stream indices, so reruns give identical rows.
 """
 
 from __future__ import annotations
@@ -16,15 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .funcspace import StepFunction, fourier_coeffs, norm_sq_rho, project_family
+from .errors import ConfigError
+from .funcspace import BasisFamily, StepFunction, fourier_coeffs, norm_sq_rho, project_family
 from .integral import cell_weights, integral_covariance, integral_mean, step_weights
 from .martingale import _restrict_step, classify, conditional_increment_mean
 from .process import YehSpec, increment_functionals, make_grid, series_point_values
 from .series import series_variance_defect
 from .stats import ks_test
-from .stieltjes import Interval, MeanFunction, VarianceFunction
-
-SUITE_NAMES = ("moments", "gaussian", "series", "martingale", "counterexample")
+from .stieltjes import DEFAULT_RESOLUTION, Interval, MeanFunction, VarianceFunction
 
 #: The mixed-sign step integrand defeating sub/supermartingale classification:
 #: 1/2 on [0, 1/3), -1/2 on [1/3, 2/3), 2 on [2/3, 1], with drift lambda(t) = t.
@@ -41,11 +42,16 @@ class CheckRow:
 
 
 def _within(check: str, expected: float, observed: float, tol: float) -> CheckRow:
-    return CheckRow(check, expected, observed, tol, abs(observed - expected) <= tol)
+    """|observed - expected| <= tol; a tolerance that overflowed to inf or nan
+    bounds nothing, so the check fails."""
+    return CheckRow(check, expected, observed, tol,
+                    math.isfinite(tol) and abs(observed - expected) <= tol)
 
 
-def _threshold(check: str, p_value: float, floor: float = 0.01) -> CheckRow:
-    return CheckRow(check, floor, p_value, 0.0, p_value > floor)
+def _mean_within(check: str, expected: float, samples: np.ndarray) -> CheckRow:
+    """The sample mean against `expected` within 4 standard errors."""
+    se = samples.std(ddof=1) / math.sqrt(len(samples))
+    return _within(check, expected, float(samples.mean()), 4.0 * se)
 
 
 def _suite_seed(cfg: RunConfig, offset: int) -> int:
@@ -53,225 +59,255 @@ def _suite_seed(cfg: RunConfig, offset: int) -> int:
     return (cfg.seed + offset) % 2**64
 
 
-def _sample(cfg: RunConfig, sampler, *args, count: int) -> np.ndarray:
-    """sampler(*args, count) rows; the reuse_streams fault-injection fixture
-    makes every row a copy of stream 0's."""
-    if cfg.reuse_streams:
-        return np.tile(sampler(*args, 1), (count, 1))
-    return sampler(*args, count)
+def _sample(sampler, *args, count: int, first_index: int = 0,
+            reuse_streams: bool = False) -> np.ndarray:
+    """sampler(*args, count, first_index) rows; the reuse_streams
+    fault-injection fixture makes every row a copy of the first stream's."""
+    if reuse_streams:
+        return np.tile(sampler(*args, 1, first_index), (count, 1))
+    return sampler(*args, count, first_index)
 
 
-def moments_suite(cfg: RunConfig) -> list[CheckRow]:
-    """Sample means and second moments of Wiener integrals vs the analytic
-    formulas (mean = integral against d(lambda); covariance adds the rho
-    inner product)."""
-    spec = YehSpec(cfg.lam, cfg.rho)
-    grid = make_grid(cfg.interval, cfg.grid_points, "t")
-    iv = cfg.interval
-    f = StepFunction.indicator(iv.a, iv.b, iv)
-    g = StepFunction.indicator(iv.a, float(grid[len(grid) // 2]), iv)
-    m = cfg.paths
-    sf, sg = _sample(cfg, increment_functionals, spec, grid, step_weights([f, g], grid),
-                     cfg.seed, count=m).T
+def moments_battery(spec: YehSpec, grid, checks: dict, seed: int, paths: int,
+                    resolution: int = DEFAULT_RESOLUTION,
+                    reuse_streams: bool = False) -> list[CheckRow]:
+    """Sample moments of Wiener integrals against the analytic formulas.
+
+    checks maps a check name to a step integrand f, for the mean E[I(f)] (the
+    integral of f against d(lambda)), or to a pair (f, g), for E[I(f) I(g)]
+    (the rho inner product plus the product of the means).  All integrals of
+    a path come from one stream; the paths are streams 0 .. paths - 1.
+    """
+    pairs = {name: c if isinstance(c, tuple) else (c,) for name, c in checks.items()}
+    integrands = list(dict.fromkeys(f for pair in pairs.values() for f in pair))
+    samples = dict(zip(integrands, _sample(
+        increment_functionals, spec, grid, step_weights(integrands, grid), seed,
+        count=paths, reuse_streams=reuse_streams).T))
+    return [_mean_within(name, integral_covariance(f, g[0], spec.lam, spec.rho, resolution),
+                         samples[f] * samples[g[0]]) if g else
+            _mean_within(name, integral_mean(f, spec.lam, resolution), samples[f])
+            for name, (f, *g) in pairs.items()]
+
+
+def gaussian_battery(spec: YehSpec, integrands: dict, seeds, paths: int,
+                     resolution: int = DEFAULT_RESOLUTION,
+                     reuse_streams: bool = False) -> list[CheckRow]:
+    """KS tests of the Wiener integral law against its analytic Gaussian:
+    check f"{name}_seed{k}" draws `paths` integrals of the named step
+    integrand, on its own partition, from the k-th of `seeds`, and passes
+    when the p-value exceeds 0.01."""
     rows = []
-    for name, samples, expected in (
-        ("moments_mean_f", sf, integral_mean(f, cfg.lam, cfg.resolution)),
-        ("moments_mean_g", sg, integral_mean(g, cfg.lam, cfg.resolution)),
-        ("moments_second_fg", sf * sg,
-         integral_covariance(f, g, cfg.lam, cfg.rho, cfg.resolution)),
-        ("moments_second_ff", sf * sf,
-         integral_covariance(f, f, cfg.lam, cfg.rho, cfg.resolution)),
-    ):
-        se = samples.std(ddof=1) / math.sqrt(m)
-        rows.append(_within(name, expected, float(samples.mean()), 4.0 * se))
-    return rows
-
-
-def gaussian_suite(cfg: RunConfig) -> list[CheckRow]:
-    """KS tests of the Wiener integral law against its analytic Gaussian."""
-    spec = YehSpec(cfg.lam, cfg.rho)
-    iv = cfg.interval
-    quarter = iv.length / 4.0
-    integrands = {
-        "full": StepFunction.indicator(iv.a, iv.b, iv),
-        "half": StepFunction.indicator(iv.a, iv.a + 2 * quarter, iv),
-        "mixed": StepFunction(
-            (iv.a, iv.a + quarter, iv.a + 3 * quarter, iv.b), (0.5, -0.5, 2.0)
-        ),
-    }
-    m = max(cfg.paths, 1000)
-    rows = []
-    for fname, f in integrands.items():
+    for name, f in integrands.items():
         grid = np.asarray(f.partition)
-        mean = integral_mean(f, cfg.lam, cfg.resolution)
-        var = norm_sq_rho(f, cfg.rho, cfg.resolution)
-        for k in range(3):
-            seed = _suite_seed(cfg, k)
-            samples = _sample(cfg, increment_functionals, spec, grid,
-                              step_weights([f], grid), seed, count=m)[:, 0]
-            report = ks_test(samples, mean, var)
-            rows.append(_threshold(f"gaussian_ks_{fname}_seed{k}", report.p_value))
+        mean = integral_mean(f, spec.lam, resolution)
+        var = norm_sq_rho(f, spec.rho, resolution)
+        for k, seed in enumerate(seeds):
+            samples = _sample(increment_functionals, spec, grid, step_weights([f], grid),
+                              seed, count=paths, reuse_streams=reuse_streams)[:, 0]
+            p_value = ks_test(samples, mean, var).p_value
+            rows.append(CheckRow(f"{name}_seed{k}", 0.01, p_value, 0.0, p_value > 0.01))
     return rows
 
 
-def series_suite(cfg: RunConfig) -> list[CheckRow]:
-    """Series-sampled covariance, closed-form truncation defects, and the
-    mean-square expansion gap against the Parseval defect."""
-    basis = cfg.basis
-    rho = cfg.rho
-    iv = cfg.interval
-    spec = YehSpec(MeanFunction.zero(iv), rho)
-    grid = make_grid(iv, cfg.grid_points, "t")
-    rows = []
+def series_battery(basis: BasisFamily, grid, pairs, truncation: int,
+                   endpoint_terms: int, seed: int, paths: int,
+                   reuse_streams: bool = False) -> list[CheckRow]:
+    """Closed-form truncation defects and the series-sampled covariance.
 
-    # closed-form variance defects
+    The defects are the single-term one at the grid midpoint and the one
+    after endpoint_terms terms at the right end, which vanishes.  For each
+    index pair (i, j), `paths` centered series paths of `truncation` terms
+    give E[X(s) X(t)] at s, t = grid[i], grid[j]: rho(min(s, t)) within the
+    truncation defects at s and t plus 4 SE.
+    """
+    rho = basis.rho
     t_mid = float(grid[len(grid) // 2])
-    T = rho.total_mass
-    rows.append(_within(
-        "series_defect_single_term_midpoint",
-        rho(t_mid) * (1.0 - rho(t_mid) / T),
-        series_variance_defect(basis, 1, t_mid),
-        1e-12,
-    ))
-    rows.append(_within(
-        "series_defect_endpoint",
-        0.0,
-        series_variance_defect(basis, max(1, cfg.truncation), iv.b),
-        1e-12,
-    ))
-
-    # covariance of series-sampled centered paths at grid pairs
-    m = cfg.paths
-    n_terms = cfg.truncation
-    npts = len(grid)
-    pairs = [(npts // 4, npts // 2), (npts // 2, npts // 2),
-             (npts // 4, 3 * npts // 4)]
+    rows = [
+        _within("series_defect_single_term_midpoint",
+                rho(t_mid) * (1.0 - rho(t_mid) / rho.total_mass),
+                series_variance_defect(basis, 1, t_mid), 1e-12),
+        _within("series_defect_endpoint", 0.0,
+                series_variance_defect(basis, endpoint_terms, rho.interval.b), 1e-12),
+    ]
+    spec = YehSpec(MeanFunction.zero(rho.interval), rho)
     cols = sorted({i for pair in pairs for i in pair})
-    sv = _sample(cfg, series_point_values, spec, basis, n_terms, grid[cols],
-                 cfg.seed, count=m)
+    sv = _sample(series_point_values, spec, basis, truncation, grid[cols], seed,
+                 count=paths, reuse_streams=reuse_streams)
     for i, j in pairs:
-        s_t = (float(grid[i]), float(grid[j]))
+        s, t = float(grid[i]), float(grid[j])
         prod = sv[:, cols.index(i)] * sv[:, cols.index(j)]
-        se = prod.std(ddof=1) / math.sqrt(m)
-        d_i = series_variance_defect(basis, n_terms, s_t[0])
-        d_j = series_variance_defect(basis, n_terms, s_t[1])
-        rows.append(_within(
-            f"series_cov_{i}_{j}",
-            rho(min(s_t)),
-            float(prod.mean()),
-            math.sqrt(d_i * d_j) + 4.0 * se,
-        ))
-
-    # expansion mean-square gap vs analytic Parseval defect
-    half = StepFunction.indicator(iv.a, iv.a + iv.length / 2, iv)
-    cells = cfg.grid_points - 1
-    max_terms = 16
-    edges, values = project_family(
-        [half, *(basis.member(n, certificate=False) for n in range(max_terms))], cells, iv)
-    integrals = _sample(cfg, increment_functionals, spec, grid,
-                        cell_weights(edges, values, grid), _suite_seed(cfg, 7), count=m)
-    targets, members = integrals[:, 0], integrals[:, 1:]
-    coeffs = fourier_coeffs(half, basis, max_terms, cfg.resolution)
-    norm_sq = norm_sq_rho(half, rho, cfg.resolution)
-    for n_terms in (1, 4, 16):
-        partial = members[:, :n_terms] @ coeffs[:n_terms]
-        gaps_sq = (targets - partial) ** 2
-        defect = norm_sq - float(np.sum(coeffs[:n_terms] ** 2))
-        se = gaps_sq.std(ddof=1) / math.sqrt(m)
-        rows.append(_within(f"series_expansion_gap_N{n_terms}", defect,
-                            float(gaps_sq.mean()), 4.0 * se))
+        se = prod.std(ddof=1) / math.sqrt(paths)
+        defects = series_variance_defect(basis, truncation, s) * series_variance_defect(
+            basis, truncation, t)
+        rows.append(_within(f"series_cov_{i}_{j}", rho(min(s, t)), float(prod.mean()),
+                            math.sqrt(defects) + 4.0 * se))
     return rows
 
 
-def martingale_suite(cfg: RunConfig) -> list[CheckRow]:
-    """Drift classification table plus the exact mixed-sign counterexample."""
-    rng = np.random.default_rng(cfg.seed)
-    iv = cfg.interval
+def expansion_battery(basis: BasisFamily, grid, integrands: dict, max_terms: int,
+                      term_counts, seed: int, paths: int,
+                      resolution: int = DEFAULT_RESOLUTION,
+                      reuse_streams: bool = False) -> list[CheckRow]:
+    """Mean-square gap of the truncated expansion against the Parseval defect.
+
+    Each named step integrand f and the first max_terms basis members are
+    projected onto the grid's cells; the i-th integrand's `paths` centered
+    paths are streams [i * paths, (i + 1) * paths).  Check f"{name}_N{n}"
+    compares the mean of (I(f) - sum over k < n of c_k I(phi_k))**2 with
+    ||f||^2 - sum over k < n of c_k**2 within 4 SE, for n in term_counts.
+    """
+    rho = basis.rho
+    iv = rho.interval
+    spec = YehSpec(MeanFunction.zero(iv), rho)
+    cells = len(grid) - 1
+    edges, members = project_family(
+        [basis.member(n, certificate=False) for n in range(max_terms)], cells, iv)
     rows = []
-    table = {(1, 1): "submartingale", (1, -1): "supermartingale",
-             (-1, 1): "supermartingale", (-1, -1): "submartingale"}
-    for i in range(8):
-        lam_dir = 1 if i % 2 == 0 else -1
-        f_sign = 1 if (i // 2) % 2 == 0 else -1
-        knots = np.concatenate([
-            [iv.a], np.sort(rng.uniform(iv.a, iv.b, 3)), [iv.b]
-        ])
+    for i, (name, f) in enumerate(integrands.items()):
+        weights = cell_weights(edges, np.vstack([project_family([f], cells, iv)[1], members]),
+                               grid)
+        integrals = _sample(increment_functionals, spec, grid, weights, seed, count=paths,
+                            first_index=i * paths, reuse_streams=reuse_streams)
+        coeffs = fourier_coeffs(f, basis, max_terms, resolution)
+        norm_sq = norm_sq_rho(f, rho, resolution)
+        for n in term_counts:
+            gaps_sq = (integrals[:, 0] - integrals[:, 1:n + 1] @ coeffs[:n]) ** 2
+            rows.append(_mean_within(f"{name}_N{n}", norm_sq - float(np.sum(coeffs[:n] ** 2)),
+                                     gaps_sq))
+    return rows
+
+
+def truth_table_battery(interval, instances: int, seed: int) -> list[CheckRow]:
+    """The drift-sign truth table on random instances drawn from RNG `seed`:
+    instance i has an increasing (even i) or decreasing piecewise-linear drift
+    and a positive or negative (by the parity of i // 2) step integrand, and
+    classify, probing three random pairs, must say submartingale when the
+    signs agree and supermartingale when they differ."""
+    rng = np.random.default_rng(seed)
+    iv = Interval.coerce(interval)
+    rows = []
+    for i in range(instances):
+        lam_dir, f_sign = (-1) ** i, (-1) ** (i // 2)
+        want = "submartingale" if lam_dir == f_sign else "supermartingale"
+        knots = np.concatenate([[iv.a], np.sort(rng.uniform(iv.a, iv.b, 3)), [iv.b]])
         increments = rng.uniform(0.1, 1.0, 4)
         lam = MeanFunction.piecewise(
-            tuple(knots),
-            tuple(lam_dir * np.concatenate([[0.0], np.cumsum(increments)])),
-        )
+            tuple(knots), tuple(lam_dir * np.concatenate([[0.0], np.cumsum(increments)])))
         cuts = np.concatenate([[iv.a], np.sort(rng.uniform(iv.a, iv.b, 2)), [iv.b]])
         f = StepFunction(tuple(cuts), tuple(f_sign * rng.uniform(0.1, 2.0, 3)))
         probes = [tuple(np.sort(rng.uniform(iv.a, iv.b, 2))) for _ in range(3)]
-        verdict = classify(f, lam, probes)
-        want = table[(lam_dir, f_sign)]
-        rows.append(CheckRow(f"martingale_table_{i}_{want}", 1.0,
-                             1.0 if verdict.verdict == want else 0.0, 0.0,
-                             verdict.verdict == want))
+        passed = classify(f, lam, probes).verdict == want
+        rows.append(CheckRow(f"martingale_table_{i}_{want}", 1.0, float(passed), 0.0, passed))
+    return rows
 
-    # the centered process itself is a martingale: zero drift within 4 SE
-    spec = YehSpec(MeanFunction.zero(iv), cfg.rho)
+
+#: (name, t, drift): the drift of the mixed-sign step over (1/4, t).
+_COUNTEREXAMPLE_DRIFTS = (("quarter_half", 0.5, -1 / 24),
+                          ("quarter_threequarter", 0.75, 1 / 24))
+
+
+def counterexample_drifts() -> list[CheckRow]:
+    """The exact -1/24 and +1/24 drifts of the mixed-sign step under
+    lambda(t) = t over (1/4, 1/2) and (1/4, 3/4)."""
+    lam = MeanFunction.linear(Interval(0.0, 1.0), 1.0)
+    return [_within(f"counterexample_drift_{name}", want,
+                    conditional_increment_mean(MIXED_SIGN_STEP, lam, 0.25, t), 1e-15)
+            for name, t, want in _COUNTEREXAMPLE_DRIFTS]
+
+
+def counterexample_battery(seed: int = 0, paths: int = 0,
+                           reuse_streams: bool = False) -> list[CheckRow]:
+    """The exact drifts and mean of the mixed-sign step, its 'neither'
+    verdict and, when paths > 0, a Monte Carlo cross-check of the drifts."""
+    unit = Interval(0.0, 1.0)
+    lam = MeanFunction.linear(unit, 1.0)
+    neither = classify(MIXED_SIGN_STEP, lam, [(0.25, 0.5), (0.25, 0.75)]).verdict == "neither"
+    rows = [*counterexample_drifts(),
+            _within("counterexample_mean", 2 / 3, integral_mean(MIXED_SIGN_STEP, lam), 1e-15),
+            CheckRow("counterexample_verdict_neither", 1.0, float(neither), 0.0, neither)]
+    if paths:
+        spec = YehSpec(lam, VarianceFunction.identity(unit))
+        grid = np.array(sorted({0.0, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1.0}))
+        weights = step_weights([_restrict_step(MIXED_SIGN_STEP, 0.25, t)
+                                for _, t, _ in _COUNTEREXAMPLE_DRIFTS], grid)
+        drifts = _sample(increment_functionals, spec, grid, weights, seed, count=paths,
+                         reuse_streams=reuse_streams)
+        rows += [_mean_within(f"counterexample_mc_drift_{name}", want, samples)
+                 for (name, _, want), samples in zip(_COUNTEREXAMPLE_DRIFTS, drifts.T)]
+    return rows
+
+
+def moments_suite(cfg: RunConfig) -> list[CheckRow]:
+    """The full indicator f and the indicator g up to the grid midpoint."""
+    iv = cfg.interval
+    grid = make_grid(iv, cfg.grid_points, "t")
+    f = StepFunction.indicator(iv.a, iv.b, iv)
+    g = StepFunction.indicator(iv.a, float(grid[len(grid) // 2]), iv)
+    checks = {"moments_mean_f": f, "moments_mean_g": g,
+              "moments_second_fg": (f, g), "moments_second_ff": (f, f)}
+    return moments_battery(YehSpec(cfg.lam, cfg.rho), grid, checks, cfg.seed, cfg.paths,
+                           cfg.resolution, cfg.reuse_streams)
+
+
+def gaussian_suite(cfg: RunConfig) -> list[CheckRow]:
+    """Full, half and mixed-sign step integrands, 3 seeds, at least 1000 paths."""
+    iv = cfg.interval
+    q = iv.length / 4.0
+    integrands = {
+        "gaussian_ks_full": StepFunction.indicator(iv.a, iv.b, iv),
+        "gaussian_ks_half": StepFunction.indicator(iv.a, iv.a + 2 * q, iv),
+        "gaussian_ks_mixed": StepFunction((iv.a, iv.a + q, iv.a + 3 * q, iv.b),
+                                          (0.5, -0.5, 2.0)),
+    }
+    return gaussian_battery(YehSpec(cfg.lam, cfg.rho), integrands,
+                            [_suite_seed(cfg, k) for k in range(3)], max(cfg.paths, 1000),
+                            cfg.resolution, cfg.reuse_streams)
+
+
+def series_suite(cfg: RunConfig) -> list[CheckRow]:
+    """Defects, covariance at three grid pairs, and the expansion gap of the
+    half indicator for N in {1, 4, 16}."""
+    iv = cfg.interval
+    grid = make_grid(iv, cfg.grid_points, "t")
+    n = len(grid)
+    half = StepFunction.indicator(iv.a, iv.a + iv.length / 2, iv)
+    return [*series_battery(cfg.basis, grid, [(n // 4, n // 2), (n // 2, n // 2),
+                                              (n // 4, 3 * n // 4)],
+                            cfg.truncation, max(1, cfg.truncation), cfg.seed, cfg.paths,
+                            cfg.reuse_streams),
+            *expansion_battery(cfg.basis, grid, {"series_expansion_gap": half}, 16,
+                               (1, 4, 16), _suite_seed(cfg, 7), cfg.paths, cfg.resolution,
+                               cfg.reuse_streams)]
+
+
+def martingale_suite(cfg: RunConfig) -> list[CheckRow]:
+    """Eight truth-table instances, and the centered process as a
+    martingale: zero drift within 4 SE."""
+    iv = cfg.interval
     grid = make_grid(iv, 9, "t")
     m = max(cfg.paths, 100)
-    f = StepFunction.indicator(iv.a, iv.b, iv)
-    samples = _sample(cfg, increment_functionals, spec, grid, step_weights([f], grid),
-                      _suite_seed(cfg, 3), count=m)[:, 0]
+    samples = _sample(increment_functionals, YehSpec(MeanFunction.zero(iv), cfg.rho), grid,
+                      step_weights([StepFunction.indicator(iv.a, iv.b, iv)], grid),
+                      _suite_seed(cfg, 3), count=m, reuse_streams=cfg.reuse_streams)[:, 0]
     se = samples.std(ddof=1) / math.sqrt(m)
-    rows.append(_within("martingale_mc_centered_drift", 0.0,
-                        float(samples.mean()), 4.0 * se + 1e-15))
-    return rows
+    return [*truth_table_battery(iv, 8, cfg.seed),
+            _within("martingale_mc_centered_drift", 0.0, float(samples.mean()),
+                    4.0 * se + 1e-15)]
 
 
 def counterexample_suite(cfg: RunConfig) -> list[CheckRow]:
-    """The exact +-1/24 drifts of the mixed-sign step under lambda(t) = t,
-    the 'neither' verdict, and a Monte Carlo cross-check."""
-    unit = Interval(0.0, 1.0)
-    lam = MeanFunction.linear(unit, 1.0)
-    rows = [
-        _within("counterexample_drift_quarter_half", -1 / 24,
-                conditional_increment_mean(MIXED_SIGN_STEP, lam, 0.25, 0.5), 1e-15),
-        _within("counterexample_drift_quarter_threequarter", 1 / 24,
-                conditional_increment_mean(MIXED_SIGN_STEP, lam, 0.25, 0.75), 1e-15),
-        _within("counterexample_mean", 2 / 3,
-                integral_mean(MIXED_SIGN_STEP, lam), 1e-15),
-    ]
-    verdict = classify(MIXED_SIGN_STEP, lam, [(0.25, 0.5), (0.25, 0.75)])
-    rows.append(CheckRow("counterexample_verdict_neither", 1.0,
-                         1.0 if verdict.verdict == "neither" else 0.0, 0.0,
-                         verdict.verdict == "neither"))
-    spec = YehSpec(lam, VarianceFunction.identity(unit))
-    m = max(cfg.paths, 100)
-    grid = np.array(sorted({0.0, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1.0}))
-    checks = (
-        ("counterexample_mc_drift_quarter_half", (0.25, 0.5), -1 / 24),
-        ("counterexample_mc_drift_quarter_threequarter", (0.25, 0.75), 1 / 24),
-    )
-    weights = step_weights([_restrict_step(MIXED_SIGN_STEP, s, t)
-                            for _, (s, t), _ in checks], grid)
-    drifts = _sample(cfg, increment_functionals, spec, grid, weights,
-                     _suite_seed(cfg, 11), count=m)
-    for (name, _, want), samples in zip(checks, drifts.T):
-        se = samples.std(ddof=1) / math.sqrt(m)
-        rows.append(_within(name, want, float(samples.mean()), 4.0 * se))
-    return rows
+    return counterexample_battery(_suite_seed(cfg, 11), max(cfg.paths, 100),
+                                  cfg.reuse_streams)
+
+
+SUITES = {"moments": moments_suite, "gaussian": gaussian_suite, "series": series_suite,
+          "martingale": martingale_suite, "counterexample": counterexample_suite}
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, cfg: RunConfig) -> list[CheckRow]:
     if name == "all":
-        rows = []
-        for suite in SUITE_NAMES:
-            rows.extend(run_suite(suite, cfg))
-        return rows
-    fn = {
-        "moments": moments_suite,
-        "gaussian": gaussian_suite,
-        "series": series_suite,
-        "martingale": martingale_suite,
-        "counterexample": counterexample_suite,
-    }.get(name)
-    if fn is None:
-        from .errors import ConfigError
-
+        return [row for suite in SUITE_NAMES for row in run_suite(suite, cfg)]
+    if name not in SUITES:
         raise ConfigError(f"suite: unknown suite {name!r}")
-    return fn(cfg)
+    return SUITES[name](cfg)

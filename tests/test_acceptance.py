@@ -1,47 +1,28 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
-Stochastic criteria use fixed seeds (failures are deterministic) and the
-4-standard-error convention; exact criteria carry the stated absolute
-tolerances.  Run with `pytest tests/test_acceptance.py -v -s`.
+Criteria 1, 2, 3, 5, 6 and 8 are the `verify` batteries run at gate scale:
+each calls them with its own sizes, seeds and integrands and turns failed
+rows into its failure list.  Stochastic criteria use fixed seeds (failures
+are deterministic) and the batteries' 4-standard-error convention.  Run with
+`pytest tests/test_acceptance.py -v -s`.
 """
 
-import math
 import time
+import timeit
+from functools import partial
 
 import numpy as np
 
-from yehsim import (
-    BasisFamily,
-    GaussianStream,
-    Integrand,
-    Interval,
-    MeanFunction,
-    StepFunction,
-    VarianceFunction,
-    YehSpec,
-    classify,
-    conditional_increment_mean,
-    fourier_coeffs,
-    gram_matrix,
-    inner_rho,
-    integral_covariance,
-    integral_distribution,
-    integral_mean,
-    integrate_l2,
-    integrate_pathwise_rs,
-    ks_test,
-    make_grid,
-    norm_sq_rho,
-    project_to_steps,
-    sample_increments,
-    series_variance_defect,
-)
+from yehsim import (BasisFamily, GaussianStream, Integrand, Interval, MeanFunction,
+                    StepFunction, VarianceFunction, YehSpec, gram_matrix, inner_rho,
+                    integrate_l2, integrate_pathwise_rs, make_grid, project_to_steps,
+                    sample_increments)
 from yehsim.cli import main as cli_main
-from yehsim.integral import integrate_step_batch
-from yehsim.process import increment_value_matrix, series_value_matrix
+from yehsim.verify import (counterexample_battery, counterexample_drifts, expansion_battery,
+                           gaussian_battery, moments_battery, series_battery,
+                           truth_table_battery)
 
 UNIT = Interval(0.0, 1.0)
-MIXED_SIGN_STEP = StepFunction((0.0, 1 / 3, 2 / 3, 1.0), (0.5, -0.5, 2.0))
 
 
 def _report(number: int, description: str, failures: list):
@@ -50,21 +31,14 @@ def _report(number: int, description: str, failures: list):
     assert not failures, f"criterion {number}: {failures}"
 
 
+def _failures(rows, prefix: str = "") -> list:
+    return [f"{prefix}{r.check}: got {r.observed}, want {r.expected}, tol {r.tolerance}"
+            for r in rows if not r.passed]
+
+
 def test_criterion_1_counterexample_exactness():
-    lam = MeanFunction.linear(UNIT, 1.0)
-    failures = []
-    d1 = conditional_increment_mean(MIXED_SIGN_STEP, lam, 0.25, 0.5)
-    d2 = conditional_increment_mean(MIXED_SIGN_STEP, lam, 0.25, 0.75)
-    if abs(d1 - (-1 / 24)) > 1e-15:
-        failures.append(f"drift over (1/4, 1/2) = {d1}, want -1/24")
-    if abs(d2 - 1 / 24) > 1e-15:
-        failures.append(f"drift over (1/4, 3/4) = {d2}, want +1/24")
-    best = math.inf
-    for _ in range(7):
-        t0 = time.perf_counter()
-        conditional_increment_mean(MIXED_SIGN_STEP, lam, 0.25, 0.5)
-        conditional_increment_mean(MIXED_SIGN_STEP, lam, 0.25, 0.75)
-        best = min(best, time.perf_counter() - t0)
+    failures = _failures(counterexample_drifts())
+    best = min(timeit.repeat(counterexample_drifts, number=1, repeat=7))
     if best >= 1e-3:
         failures.append(f"runtime {best * 1e3:.3f} ms >= 1 ms")
     _report(1, "conditional drifts are exactly -1/24 and +1/24 "
@@ -72,71 +46,31 @@ def test_criterion_1_counterexample_exactness():
 
 
 def test_criterion_2_moment_identities():
-    m = 100_000
-    grid = make_grid(UNIT, 1025)
+    ind = partial(StepFunction.indicator, interval=UNIT)
     ensembles = [
         ("brownian", YehSpec.brownian(UNIT), 1001,
-         [(StepFunction.indicator(0.0, 1.0, UNIT),
-           StepFunction.indicator(0.0, 0.5, UNIT)),
-          (StepFunction.indicator(0.25, 0.75, UNIT),
-           StepFunction.indicator(0.5, 1.0, UNIT))]),
+         [(ind(0.0, 1.0), ind(0.0, 0.5)), (ind(0.25, 0.75), ind(0.5, 1.0))]),
         ("linear_drift_square_rho",
-         YehSpec(MeanFunction.linear(UNIT, 1.0), VarianceFunction.power(UNIT, 2.0)),
-         2002,
-         [(StepFunction.indicator(0.0, 1.0, UNIT),
-           StepFunction.indicator(0.0, 0.5, UNIT)),
-          (StepFunction.indicator(0.125, 0.625, UNIT),
-           StepFunction.indicator(0.5, 1.0, UNIT))]),
-        ("cantor_drift", YehSpec(MeanFunction.cantor(UNIT),
-                                 VarianceFunction.identity(UNIT)), 3003,
-         [(StepFunction.indicator(0.0, 1.0, UNIT),
-           StepFunction.indicator(0.0, 0.5, UNIT)),
-          (StepFunction.indicator(0.25, 0.5, UNIT),
-           StepFunction.indicator(0.5, 0.75, UNIT))]),
+         YehSpec(MeanFunction.linear(UNIT, 1.0), VarianceFunction.power(UNIT, 2.0)), 2002,
+         [(ind(0.0, 1.0), ind(0.0, 0.5)), (ind(0.125, 0.625), ind(0.5, 1.0))]),
+        ("cantor_drift", YehSpec(MeanFunction.cantor(UNIT), VarianceFunction.identity(UNIT)),
+         3003, [(ind(0.0, 1.0), ind(0.0, 0.5)), (ind(0.25, 0.5), ind(0.5, 0.75))]),
     ]
+    grid = make_grid(UNIT, 1025)
+    # X(s) - lambda(0) is the Wiener integral of 1_[0, s): process moments at
+    # s = 1/4, t = 3/4 are the pair (1_[0, 1/4), 1_[0, 3/4)); lambda(0) = 0 here.
+    process = (ind(0.0, 0.25), ind(0.0, 0.75))
     t_start = time.perf_counter()
     failures = []
     cases = 0
-    chunk = 8192
     for name, spec, seed, pairs in ensembles:
-        integrands = sorted({f for pair in pairs for f in pair},
-                            key=lambda sf: sf.partition)
-        samples = {f: np.empty(m) for f in integrands}
-        idx_s, idx_t = 256, 768  # s = 0.25, t = 0.75
-        xs, xt = np.empty(m), np.empty(m)
-        done = 0
-        while done < m:
-            n = min(chunk, m - done)
-            vals = increment_value_matrix(spec, grid, seed, n, first_index=done)
-            for f in integrands:
-                samples[f][done:done + n] = integrate_step_batch(f, vals, grid)
-            xs[done:done + n] = vals[:, idx_s]
-            xt[done:done + n] = vals[:, idx_t]
-            done += n
-        for f, g in pairs:
-            cases += 1
-            checks = [
-                (f"{name} mean I(f)", samples[f], integral_mean(f, spec.lam)),
-                (f"{name} mean I(g)", samples[g], integral_mean(g, spec.lam)),
-                (f"{name} E[I(f)I(g)]", samples[f] * samples[g],
-                 integral_covariance(f, g, spec.lam, spec.rho)),
-            ]
-            for label, data, want in checks:
-                se = data.std(ddof=1) / math.sqrt(m)
-                if abs(data.mean() - want) > 4 * se:
-                    failures.append(f"{label}: got {data.mean()}, want {want}, "
-                                    f"4SE={4 * se}")
-        # process-level first and second moments at s=0.25, t=0.75
-        s_t = (grid[idx_s], grid[idx_t])
-        for label, data, want in (
-            (f"{name} E[X(s)]", xs, spec.lam(s_t[0])),
-            (f"{name} E[X(s)X(t)]", xs * xt,
-             spec.rho(s_t[0]) + spec.lam(s_t[0]) * spec.lam(s_t[1])),
-        ):
-            se = data.std(ddof=1) / math.sqrt(m)
-            if abs(data.mean() - want) > 4 * se:
-                failures.append(f"{label}: got {data.mean()}, want {want}, "
-                                f"4SE={4 * se}")
+        checks = {}
+        for k, (f, g) in enumerate(pairs):
+            checks.update({f"mean_I(f{k})": f, f"mean_I(g{k})": g,
+                           f"E[I(f{k})I(g{k})]": (f, g)})
+        checks.update({"E[X(s)]": process[0], "E[X(s)X(t)]": process})
+        cases += len(pairs)
+        failures += _failures(moments_battery(spec, grid, checks, seed, 100_000), f"{name} ")
     elapsed = time.perf_counter() - t_start
     if cases < 6:
         failures.append(f"battery too small: {cases} cases")
@@ -147,27 +81,15 @@ def test_criterion_2_moment_identities():
 
 
 def test_criterion_3_gaussianity():
-    lam = MeanFunction.linear(UNIT, 1.0)
-    spec = YehSpec(lam, VarianceFunction.identity(UNIT))
-    staircase = project_to_steps(lambda t: t, 256, UNIT)
+    spec = YehSpec(MeanFunction.linear(UNIT, 1.0), VarianceFunction.identity(UNIT))
     integrands = {
         "full_indicator": StepFunction.indicator(0.0, 1.0, UNIT),
         "mixed_step": StepFunction((0.0, 0.25, 0.75, 1.0), (0.5, -0.5, 2.0)),
-        "staircase_of_t": staircase,
+        "staircase_of_t": project_to_steps(lambda t: t, 256, UNIT),
     }
-    m = 100_000
-    failures = []
-    for fname, f in integrands.items():
-        grid = np.asarray(f.partition)
-        mean, var = integral_distribution(f, spec.lam, spec.rho)
-        for k, seed in enumerate((911, 922, 933)):
-            vals = increment_value_matrix(spec, grid, seed, m)
-            draws = integrate_step_batch(f, vals, grid)
-            report = ks_test(draws, mean, var)
-            if report.p_value <= 0.01:
-                failures.append(f"{fname} seed {seed}: p={report.p_value}")
+    rows = gaussian_battery(spec, integrands, (911, 922, 933), 100_000)
     _report(3, "KS of 1e5 Wiener-integral draws vs the analytic Gaussian, "
-               "p > 0.01 for 3 integrands x 3 seeds", failures)
+               "p > 0.01 for 3 integrands x 3 seeds", _failures(rows))
 
 
 def test_criterion_4_orthonormality():
@@ -198,74 +120,27 @@ def test_criterion_4_orthonormality():
 
 
 def test_criterion_5_series_representation():
-    rho = VarianceFunction.identity(UNIT)
-    spec = YehSpec(MeanFunction.zero(UNIT), rho)
-    basis = BasisFamily(rho)
-    truncation = 256
-    m = 10_000
-    grid = make_grid(UNIT, 1025)
-    failures = []
-
-    closed_form = series_variance_defect(basis, 1, 0.5)
-    if abs(closed_form - 0.25) > 1e-12:
-        failures.append(f"defect(N=1, t=1/2) = {closed_form}, want 0.25")
-    if series_variance_defect(basis, 7, 1.0) > 1e-12:
-        failures.append("defect at the endpoint did not vanish")
-
-    sv = series_value_matrix(spec, basis, truncation, grid, 5005, m)
+    basis = BasisFamily(VarianceFunction.identity(UNIT))
     pairs = [(256, 512), (512, 512), (256, 768), (768, 1024), (128, 896)]
-    for i, j in pairs:
-        s, t = float(grid[i]), float(grid[j])
-        prod = sv[:, i] * sv[:, j]
-        se = prod.std(ddof=1) / math.sqrt(m)
-        bound = math.sqrt(series_variance_defect(basis, truncation, s)
-                          * series_variance_defect(basis, truncation, t))
-        want = rho(min(s, t))
-        if abs(prod.mean() - want) > bound + 4 * se:
-            failures.append(f"cov at ({s},{t}): got {prod.mean()}, want {want}, "
-                            f"tol {bound + 4 * se}")
+    rows = series_battery(basis, make_grid(UNIT, 1025), pairs, truncation=256,
+                          endpoint_terms=7, seed=5005, paths=10_000)
     _report(5, "series-sampled covariance matches rho(min(s,t)) at 5 grid "
                "pairs within truncation defect + 4 SE; defect closed forms "
-               "exact to 1e-12", failures)
+               "exact to 1e-12", _failures(rows))
 
 
 def test_criterion_6_expansion_convergence():
-    rho = VarianceFunction.identity(UNIT)
-    spec = YehSpec(MeanFunction.zero(UNIT), rho)
-    basis = BasisFamily(rho)
-    m = 10_000
-    cells = 1024
-    grid = make_grid(UNIT, cells + 1)
-    integrands = [
-        StepFunction.indicator(0.0, 0.5, UNIT),
-        StepFunction.indicator(0.25, 0.625, UNIT),
-        StepFunction((0.0, 0.25, 0.625, 1.0), (0.5, -0.5, 2.0)),
-    ]
-    max_terms = 64
-    members = [project_to_steps(basis.member(n, certificate=False), cells, UNIT)
-               for n in range(max_terms)]
-    failures = []
-    for block, f in enumerate(integrands):
-        vals = increment_value_matrix(spec, grid, 6006, m,
-                                      first_index=block * m)
-        integrals = integrate_step_batch(
-            [project_to_steps(f, cells, UNIT), *members], vals, grid)
-        targets, member_integrals = integrals[:, 0], integrals[:, 1:]
-        coeffs = fourier_coeffs(f, basis, max_terms)  # exact for steps
-        norm_sq = norm_sq_rho(f, rho)
-        for n_terms in (1, 4, 16, 64):
-            partial = member_integrals[:, :n_terms] @ coeffs[:n_terms]
-            gaps_sq = (targets - partial) ** 2
-            defect = norm_sq - float(np.sum(coeffs[:n_terms] ** 2))
-            se = gaps_sq.std(ddof=1) / math.sqrt(m)
-            if abs(gaps_sq.mean() - defect) > 4 * se:
-                failures.append(
-                    f"integrand {block}, N={n_terms}: mean-square gap "
-                    f"{gaps_sq.mean()} vs defect {defect}, 4SE={4 * se}"
-                )
+    basis = BasisFamily(VarianceFunction.identity(UNIT))
+    integrands = {
+        "half_indicator": StepFunction.indicator(0.0, 0.5, UNIT),
+        "inner_indicator": StepFunction.indicator(0.25, 0.625, UNIT),
+        "mixed_step": StepFunction((0.0, 0.25, 0.625, 1.0), (0.5, -0.5, 2.0)),
+    }
+    rows = expansion_battery(basis, make_grid(UNIT, 1025), integrands, 64, (1, 4, 16, 64),
+                             seed=6006, paths=10_000)
     _report(6, "Monte Carlo mean-square expansion gap matches the Parseval "
                "defect within 4 SE for N in {1,4,16,64}, 1e4 paths, "
-               "3 integrands", failures)
+               "3 integrands", _failures(rows))
 
 
 def test_criterion_7_pathwise_rs():
@@ -295,32 +170,11 @@ def test_criterion_7_pathwise_rs():
 
 
 def test_criterion_8_martingale_classification():
-    rng = np.random.default_rng(8008)
-    table = {(1, 1): "submartingale", (1, -1): "supermartingale",
-             (-1, 1): "supermartingale", (-1, -1): "submartingale"}
-    failures = []
-    for i in range(20):
-        lam_dir = 1 if i % 2 == 0 else -1
-        f_sign = 1 if (i // 2) % 2 == 0 else -1
-        knots = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 3)), [1.0]])
-        increments = rng.uniform(0.1, 1.0, 4)
-        lam = MeanFunction.piecewise(
-            tuple(knots),
-            tuple(lam_dir * np.concatenate([[0.0], np.cumsum(increments)])),
-        )
-        cuts = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 2)), [1.0]])
-        f = StepFunction(tuple(cuts), tuple(f_sign * rng.uniform(0.1, 2.0, 3)))
-        probes = [tuple(np.sort(rng.uniform(0, 1, 2))) for _ in range(3)]
-        verdict = classify(f, lam, probes)
-        want = table[(lam_dir, f_sign)]
-        if verdict.verdict != want:
-            failures.append(f"instance {i}: got {verdict.verdict}, want {want}")
-    neither = classify(MIXED_SIGN_STEP, MeanFunction.linear(UNIT, 1.0),
-                       [(0.25, 0.5), (0.25, 0.75)])
-    if neither.verdict != "neither":
-        failures.append(f"mixed-sign example classified {neither.verdict}")
+    rows = truth_table_battery(UNIT, 20, seed=8008)
+    rows += [r for r in counterexample_battery()
+             if r.check == "counterexample_verdict_neither"]
     _report(8, "drift-sign truth table reproduced on 20 randomized instances "
-               "with exact drifts; mixed-sign example is neither", failures)
+               "with exact drifts; mixed-sign example is neither", _failures(rows))
 
 
 def test_criterion_9_reproducibility(tmp_path):

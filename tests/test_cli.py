@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from yehsim import cli
 from yehsim.cli import main
 from yehsim.config import parse_config
 from yehsim.verify import SUITE_NAMES
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def run_cli(*argv):
@@ -273,6 +276,28 @@ VERIFY_GOLDEN = (
     "cc4de71b454759fcda2d983b2fba8832aa1cafd4ed3ea4e5138085722b9bd311",
 )
 
+#: SHA-256 of verify_all.csv for configs/cantor.json cut down to 500 paths,
+#: 129 points and N = 32, and of expansion.csv for each shipped config, taken
+#: at version 0.4.0 before the suites were split into batteries and adapters.
+CANTOR_VERIFY_GOLDEN = "81f6d925250e6d8849f30bc0512332b953ec8a25d1c5bab0d58fdac0f4fb8a48"
+EXPAND_GOLDEN = {
+    "brownian": "0cd982a97e0d97c14cbf253a69d53212fda390cd074bcb3a760aa7123f74b9ca",
+    "cantor": "318576e0700fc9c78202b8e5df65ad9bfa21e154d9aaec8c270011c3da36d188",
+}
+
+
+def cli_digest(tmp_path, threads: str, output: str, *argv) -> str:
+    """SHA-256 of `output` from `python -m yehsim.cli ARGV --out DIR` run at
+    the given BLAS thread count."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+           "MKL_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("YEH_SEED", None)
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "yehsim.cli", *argv, "--out", str(out)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return hashlib.sha256((out / output).read_bytes()).hexdigest()
+
 
 class TestVerify:
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -280,17 +305,28 @@ class TestVerify:
         config, digest = VERIFY_GOLDEN
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(config))
+        assert cli_digest(tmp_path, threads, "verify_all.csv", "verify", "--suite", "all",
+                          "--config", str(cfg_path)) == digest
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_cantor_bytes_match_golden_at_blas_threads(self, tmp_path, threads):
+        assert cli_digest(tmp_path, threads, "verify_all.csv", "verify", "--suite", "all",
+                          "--config", str(CONFIGS / "cantor.json"), "--paths", "500",
+                          "--grid", "129", "--truncation", "32") == CANTOR_VERIFY_GOLDEN
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_tolerance_fails(self, tmp_path):
+        # on [0, 1e200] the second moments are about 1e200: their 4-SE
+        # tolerances overflow to inf, which bounds nothing
+        cfg_path = tmp_path / "huge.json"
+        cfg_path.write_text(json.dumps({"interval": [0.0, 1e200], "mc": {"paths": 200},
+                                        "grid": {"points": 33}, "series": {"N": 16}}))
         out = tmp_path / "out"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "MKL_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(sys.path)}
-        env.pop("YEH_SEED", None)
-        proc = subprocess.run(
-            [sys.executable, "-m", "yehsim.cli", "verify", "--suite", "all",
-             "--config", str(cfg_path), "--out", str(out)],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert hashlib.sha256((out / "verify_all.csv").read_bytes()).hexdigest() == digest
+        assert run_cli("verify", "--config", str(cfg_path), "--out", str(out)) == 1
+        named = [r for r in read_rows(out / "verify_all.csv") if r["check"].startswith(
+            ("moments_second_", "series_cov_", "series_expansion_gap_"))]
+        assert len(named) == 8
+        assert all(r["tolerance"] == "inf" and r["pass"] == "false" for r in named)
 
     def test_counterexample_suite_rows(self, tmp_path, brownian_config):
         out = tmp_path / "out"
@@ -378,6 +414,12 @@ class TestVerify:
 
 
 class TestExpand:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("name", sorted(EXPAND_GOLDEN))
+    def test_bytes_match_golden_at_blas_threads(self, tmp_path, name, threads):
+        assert cli_digest(tmp_path, threads, "expansion.csv", "expand",
+                          "--config", str(CONFIGS / f"{name}.json")) == EXPAND_GOLDEN[name]
+
     def test_zero_truncation_rejected(self, tmp_path, brownian_config, capsys):
         code = run_cli("expand", "--config", str(brownian_config),
                        "--out", str(tmp_path / "out"), "--truncation", "0")

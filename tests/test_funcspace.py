@@ -115,6 +115,11 @@ class TestStepFunction:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             StepFunction(partition, values)
 
+    def test_indicator_near_the_largest_float(self):
+        # the cell midpoints 0.5 * (p + q) would overflow to inf here
+        f = StepFunction.indicator(1e308, 1.5e308, (0.0, 1.7e308))
+        assert f.values == (0.0, 1.0, 0.0)
+
 
 class TestProjection:
     def test_idempotent_on_aligned_steps(self):
@@ -146,6 +151,12 @@ class TestProjection:
             proj = project_to_steps(f, 16, UNIT)
             assert proj.partition == tuple(edges)
             assert proj.values == tuple(row)
+
+    def test_midpoints_finite_on_huge_interval(self):
+        edges, values = project_family([lambda t: t], 16, (0.0, 1e308))
+        mids = values[0]
+        assert np.all(np.isfinite(mids))
+        assert np.all((edges[:-1] < mids) & (mids < edges[1:]))
 
     def test_l2_error_decreases_for_continuous_f(self):
         f = lambda t: np.sin(3 * t) + t**2

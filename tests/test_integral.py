@@ -20,13 +20,13 @@ from yehsim import (
     integrate_pathwise_rs,
     integrate_step,
     inner_lambda_rho,
-    ks_test,
     make_grid,
     sample_increments,
     step_combine,
 )
 from yehsim.integral import integrate_step_batch
 from yehsim.process import increment_value_matrix
+from yehsim.verify import gaussian_battery, moments_battery
 
 UNIT = Interval(0.0, 1.0)
 BROWNIAN = YehSpec.brownian(UNIT)
@@ -250,15 +250,10 @@ class TestAnalyticMoments:
         assert integral_distribution(zero, lam, rho) == (0.0, 0.0)
 
     def test_integral_law_by_ks_three_seeds(self):
-        lam = MeanFunction.linear(UNIT, 1.0)
-        spec = YehSpec(lam, VarianceFunction.power(UNIT, 2.0))
+        spec = YehSpec(MeanFunction.linear(UNIT, 1.0), VarianceFunction.power(UNIT, 2.0))
         f = StepFunction((0.0, 0.25, 0.75, 1.0), (1.0, -0.5, 2.0))
-        mean, var = integral_distribution(f, spec.lam, spec.rho)
-        grid = np.array(f.partition)
-        for seed in (7001, 7002, 7003):
-            vals = increment_value_matrix(spec, grid, seed, 50_000)
-            samples = integrate_step_batch(f, vals, grid)
-            assert ks_test(samples, mean, var).p_value > 0.01
+        rows = gaussian_battery(spec, {"ks": f}, (7001, 7002, 7003), 50_000)
+        assert len(rows) == 3 and all(row.passed for row in rows), rows
 
     def test_centered_relation_exact_per_path(self):
         # integrating against the centered path removes exactly the drift term
@@ -286,17 +281,7 @@ class TestAnalyticMoments:
         ]
         f = StepFunction.indicator(0.0, 0.5, UNIT)
         g = StepFunction((0.0, 0.5, 1.0), (1.0, -1.0))
-        grid = make_grid(UNIT, 9)
-        m = 50_000
         for seed, (lam, rho) in enumerate(cases, start=40):
-            spec = YehSpec(lam, rho)
-            vals = increment_value_matrix(spec, grid, seed, m)
-            sf = integrate_step_batch(f, vals, grid)
-            sg = integrate_step_batch(g, vals, grid)
-            prod = sf * sg
-            assert abs(sf.mean() - integral_mean(f, lam)) \
-                <= 4 * sf.std(ddof=1) / np.sqrt(m)
-            assert abs(sg.mean() - integral_mean(g, lam)) \
-                <= 4 * sg.std(ddof=1) / np.sqrt(m)
-            assert abs(prod.mean() - integral_covariance(f, g, lam, rho)) \
-                <= 4 * prod.std(ddof=1) / np.sqrt(m)
+            rows = moments_battery(YehSpec(lam, rho), make_grid(UNIT, 9),
+                                   {"f": f, "g": g, "fg": (f, g)}, seed, 50_000)
+            assert len(rows) == 3 and all(row.passed for row in rows), rows

@@ -16,6 +16,7 @@ from yehsim import (
     conditional_increment_mean,
     mc_martingale_test,
 )
+from yehsim.verify import truth_table_battery
 
 UNIT = Interval(0.0, 1.0)
 LAM_UP = MeanFunction.linear(UNIT, 1.0)
@@ -101,23 +102,9 @@ class TestClassify:
         assert classify(ONE, lam, [(0.0, 0.4)]).verdict == "undetermined"
 
     def test_truth_table_twenty_randomized_instances(self):
-        rng = np.random.default_rng(83)
-        table = {(1, 1): "submartingale", (1, -1): "supermartingale",
-                 (-1, 1): "supermartingale", (-1, -1): "submartingale"}
-        for i in range(20):
-            lam_dir = 1 if i % 2 == 0 else -1
-            f_sign = 1 if (i // 2) % 2 == 0 else -1
-            knots = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 3)), [1.0]])
-            steps = rng.uniform(0.1, 1.0, 4)
-            lam = MeanFunction.piecewise(
-                tuple(knots), tuple(lam_dir * np.concatenate([[0.0], np.cumsum(steps)]))
-            )
-            cuts = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 2)), [1.0]])
-            f = StepFunction(tuple(cuts),
-                             tuple(f_sign * rng.uniform(0.1, 2.0, 3)))
-            probes = [tuple(np.sort(rng.uniform(0, 1, 2))) for _ in range(3)]
-            verdict = classify(f, lam, probes)
-            assert verdict.verdict == table[(lam_dir, f_sign)], (i, lam_dir, f_sign)
+        rows = truth_table_battery(UNIT, 20, seed=83)
+        assert len(rows) == 20
+        assert all(row.passed for row in rows), [row.check for row in rows if not row.passed]
 
     def test_verdict_serializes_to_json(self):
         verdict = classify(COUNTEREXAMPLE, LAM_UP, PROBES)

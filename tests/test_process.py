@@ -29,7 +29,6 @@ from yehsim.process import (
     increment_functionals,
     increment_value_matrix,
     series_point_values,
-    series_value_matrix,
 )
 from yehsim.streams import _CHUNK_BLOCKS, CROSSOVER_DRAWS, normal_matrix
 
@@ -215,7 +214,7 @@ class TestSeriesSampling:
     def test_batch_matches_per_path(self):
         basis = BasisFamily(BROWNIAN.rho)
         grid = make_grid(UNIT, 9)
-        batch = series_value_matrix(BROWNIAN, basis, 8, grid, 91, 4)
+        batch = series_point_values(BROWNIAN, basis, 8, grid, 91, 4)
         for k in range(4):
             single = sample_series(BROWNIAN, basis, 8, grid, GaussianStream(91, k))
             assert np.array_equal(batch[k], single.values)
@@ -225,7 +224,7 @@ class TestSeriesSampling:
         basis = BasisFamily(BROWNIAN.rho)
         grid = make_grid(UNIT, 5)
         m = 60_000
-        vals = series_value_matrix(BROWNIAN, basis, 1, grid, 29, m)
+        vals = series_point_values(BROWNIAN, basis, 1, grid, 29, m)
         t = grid[2]
         want = BROWNIAN.rho(t) ** 2 / BROWNIAN.rho.total_mass
         got = vals[:, 2].var(ddof=1)
@@ -259,7 +258,7 @@ class TestSeriesSampling:
         basis = BasisFamily(rho)
         grid = make_grid(UNIT, 17)
         m = 40_000
-        sv = series_value_matrix(spec, basis, 128, grid, 71, m)
+        sv = series_point_values(spec, basis, 128, grid, 71, m)
         iv = increment_value_matrix(spec, grid, 72, m)
         for i, j in [(4, 8), (8, 8), (4, 12)]:
             cs = np.mean(sv[:, i] * sv[:, j])
@@ -452,9 +451,12 @@ class TestFunctionalSampler:
         cols = [16, 32, 48]
         got = series_point_values(CANTOR_POWER2, basis, 32, grid[cols], 9, 50,
                                   first_index=4)
-        want = series_value_matrix(CANTOR_POWER2, basis, 32, grid, 9, 50,
+        want = series_point_values(CANTOR_POWER2, basis, 32, grid, 9, 50,
                                    first_index=4)[:, cols]
         assert np.max(np.abs(got - want)) <= 1e-13
+        tail = series_point_values(CANTOR_POWER2, basis, 32, grid[cols], 9, 20,
+                                   first_index=4 + 30)
+        assert np.array_equal(tail, got[30:])
         monkeypatch.setattr(process, "CHUNK_DRAWS", 1)
         assert np.array_equal(
             series_point_values(CANTOR_POWER2, basis, 32, grid[cols], 9, 50,
