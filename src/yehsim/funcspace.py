@@ -5,23 +5,29 @@ step functions and midpoint quadrature otherwise.  Orthonormal bases of the
 rho-weighted space are built by pulling a Lebesgue-orthonormal family on
 [0, rho(b)] back through rho, which gives closed-form antiderivatives and
 orthonormality up to quadrature error without numerical orthogonalization.
+A basis has two evaluators, for members and for running integrals (sines, or
+Schauder tents for Haar), that take an array of member indices and return one
+matrix, so coefficients, Gram matrices, projections and defects are one call.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
+from .errors import NonFiniteValueError
 from .stieltjes import (
     DEFAULT_RESOLUTION,
     Interval,
     MeanFunction,
     VarianceFunction,
     _eval_function,
+    midpoint_rule,
     rho_inverse,
     stieltjes_quad,
     stieltjes_step,
@@ -79,16 +85,16 @@ class StepFunction:
         return cls(tuple(partition), tuple(values))
 
 
-def merge_partitions(f: StepFunction, g: StepFunction) -> tuple:
-    return tuple(sorted(set(f.partition) | set(g.partition)))
+def _on_merged(f: StepFunction, g: StepFunction, op) -> StepFunction:
+    """The step function op(f, g) on the merged partition."""
+    partition = tuple(sorted(set(f.partition) | set(g.partition)))
+    mids = [0.5 * p + 0.5 * q for p, q in zip(partition, partition[1:])]
+    return StepFunction(partition, tuple(op(f(m), g(m)) for m in mids))
 
 
 def step_combine(alpha: float, f: StepFunction, beta: float, g: StepFunction) -> StepFunction:
     """The step function alpha*f + beta*g on the merged partition."""
-    partition = merge_partitions(f, g)
-    mids = [0.5 * p + 0.5 * q for p, q in zip(partition, partition[1:])]
-    values = tuple(alpha * f(m) + beta * g(m) for m in mids)
-    return StepFunction(partition, values)
+    return _on_merged(f, g, lambda x, y: alpha * x + beta * y)
 
 
 @dataclass(frozen=True)
@@ -151,12 +157,6 @@ def as_integrand(obj) -> Integrand:
     raise TypeError(f"cannot interpret {type(obj).__name__} as an integrand")
 
 
-def _product_step(f: StepFunction, g: StepFunction) -> StepFunction:
-    partition = merge_partitions(f, g)
-    mids = [0.5 * p + 0.5 * q for p, q in zip(partition, partition[1:])]
-    return StepFunction(partition, tuple(f(m) * g(m) for m in mids))
-
-
 def inner_rho(f, g, rho: VarianceFunction, resolution: int = DEFAULT_RESOLUTION) -> float:
     """Inner product integral of f*g against d(rho).
 
@@ -165,7 +165,7 @@ def inner_rho(f, g, rho: VarianceFunction, resolution: int = DEFAULT_RESOLUTION)
     """
     f, g = as_integrand(f), as_integrand(g)
     if f.is_step and g.is_step:
-        return stieltjes_step(_product_step(f.step, g.step), rho)
+        return stieltjes_step(_on_merged(f.step, g.step, operator.mul), rho)
     a, b = rho.interval.a, rho.interval.b
     return stieltjes_quad(lambda x: f(x) * g(x), rho, a, b, resolution).value
 
@@ -192,17 +192,20 @@ def project_to_steps(f, n: int, interval) -> StepFunction:
     return StepFunction(tuple(edges), tuple(values[0]))
 
 
-def project_family(fs, n: int, interval) -> tuple[np.ndarray, np.ndarray]:
+def project_family(fs, n: int, interval, basis: BasisFamily | None = None,
+                   terms: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint projection of several integrands onto one uniform n-cell
-    partition: (edges, values), values[m, i] being fs[m] at the midpoint of
-    cell i.  A step family as one partition and one matrix, with no
-    StepFunction per member."""
+    partition: (edges, values), values[m, i] being row m at the midpoint of
+    cell i.  The rows are fs, then the first `terms` members of `basis` from
+    one evaluator call: a step family with no StepFunction per member."""
     if n < 1:
         raise ValueError("cell count must be >= 1")
     iv = Interval.coerce(interval)
-    edges = np.linspace(iv.a, iv.b, n + 1)
-    mids = 0.5 * edges[:-1] + 0.5 * edges[1:]
-    values = np.array([np.atleast_1d(as_integrand(f)(mids)) for f in fs], dtype=float)
+    edges, mids, _ = midpoint_rule(iv.a, iv.b, n)
+    rows = [np.atleast_1d(as_integrand(f)(mids)) for f in fs]
+    if terms:
+        rows.append(basis.values(np.arange(terms), mids))
+    values = np.vstack(rows)
     if np.any(np.diff(edges) <= 0):
         raise ValueError("partition must be strictly increasing")
     if not np.all(np.isfinite(values)):
@@ -210,12 +213,19 @@ def project_family(fs, n: int, interval) -> tuple[np.ndarray, np.ndarray]:
     return edges, values
 
 
+#: Member values held at once by the quadrature branch of fourier_coeffs,
+#: which evaluates the members in blocks of max(1, BLOCK_VALUES // resolution).
+BLOCK_VALUES = 2**16
+
+
 @dataclass(frozen=True)
 class BasisFamily:
     """Orthonormal basis of the rho-weighted L2 space by pullback through rho.
 
     Member n is psi_n(rho(t)) where {psi_n} is orthonormal on [0, T] under
-    Lebesgue measure, T = rho(b).  Index 0 is the constant 1/sqrt(T).
+    Lebesgue measure, T = rho(b).  Index 0 is the constant 1/sqrt(T).  The
+    two evaluators, `values` for the members and `antiderivative` for their
+    running integrals, take an array of indices and broadcast over it.
     """
 
     rho: VarianceFunction
@@ -231,89 +241,81 @@ class BasisFamily:
     def mass(self) -> float:
         return self.rho.total_mass
 
-    def _psi(self, n: int, x: np.ndarray) -> np.ndarray:
-        T = self.mass
-        if n == 0:
-            return np.full_like(x, 1.0 / math.sqrt(T))
+    def _haar(self, n):
+        """The Haar index split n = 2**level + shift as (shift, width, scale):
+        in rho-space member n >= 1 is scale on [shift, shift + 1/2) * width
+        and -scale on [shift + 1/2, shift + 1) * width, where width =
+        T / 2**level and scale = sqrt(2**level / T).  Index 0, the constant,
+        gets the split of index 1 (callers overwrite its rows)."""
+        n = np.maximum(n, 1)
+        pow2 = np.ldexp(1.0, np.frexp(n)[1] - 1)
+        return n - pow2, self.mass / pow2, np.sqrt(pow2 / self.mass)
+
+    def _evaluate(self, n, t, running: bool):
+        """Members n, or their running integrals against d(rho) from a, at
+        times t: shape np.shape(n) + np.shape(t), a float for scalar n and t,
+        built as one (indices, times) matrix transformed in place."""
+        ns, x = np.asarray(n), np.asarray(self.rho(t), dtype=float)
+        flat, xs, T = np.ravel(ns), np.ravel(x), self.mass
+        if np.any(flat < 0):
+            raise ValueError("basis index must be >= 0")
         if self.family == "cosine":
-            return math.sqrt(2.0 / T) * np.cos(n * math.pi * x / T)
-        level = (n).bit_length() - 1  # n = 2**level + shift
-        shift = n - (1 << level)
-        width = T / (1 << level)
-        lo = shift * width
-        scale = math.sqrt((1 << level) / T)
-        rel = x - lo
-        out = np.zeros_like(x)
-        out[(rel >= 0) & (rel < 0.5 * width)] = scale
-        out[(rel >= 0.5 * width) & (rel < width)] = -scale
-        if shift == (1 << level) - 1:  # extend the last piece to the closed end
-            out[x == T] = -scale
-        return out
+            freq = flat * math.pi
+            if not (math.isfinite(2.0 * T) and math.isfinite(float(freq.max(initial=0)) * T)):
+                raise NonFiniteValueError(f"series.family: the cosine basis overflows for rho "
+                                          f"mass {T!r} (2 T or n pi T is not finite)")
+            out = np.multiply.outer(freq, xs)
+            out /= T
+            if running:
+                np.sin(out, out=out)
+                out *= math.sqrt(2.0 * T)
+                np.divide(out, freq[:, None], out=out, where=freq[:, None] > 0)
+            else:
+                np.cos(out, out=out)
+                out *= math.sqrt(2.0 / T)
+        else:
+            shift, width, scale = (v[:, None] for v in self._haar(flat))
+            out, half = xs - shift * width, 0.5 * width
+            if running:
+                down = np.clip(out - half, 0.0, half)
+                np.clip(out, 0.0, half, out=out)
+                out -= down
+                out *= scale
+            else:  # the last member of a level (n + 1 a power of 2) is closed at x = T
+                end = ((flat & (flat + 1)) == 0)[:, None] & (xs == T)
+                out = np.select([(out >= 0) & (out < half), (out >= half) & (out < width) | end],
+                                [scale, -scale])
+        out[flat == 0] = xs / math.sqrt(T) if running else 1.0 / math.sqrt(T)
+        out = out.reshape(ns.shape + x.shape)
+        return float(out) if out.ndim == 0 else out
 
-    def member(self, n: int, certificate: bool = True) -> Integrand:
-        """Basis member phi_n as an integrand.
+    def values(self, n, t):
+        """Members phi_n(t), broadcast over the indices n and the times t."""
+        return self._evaluate(n, t, running=False)
 
-        With certificate=True (default) the integrand carries its monotone
-        pieces, found by inverting rho; pass False where no pathwise integral
-        needs them.
-        """
+    def antiderivative(self, n, t):
+        """Closed-form running integrals of phi_n against d(rho) from a to t,
+        broadcast over the indices n and the times t: rho(t)/sqrt(T) for index
+        0, sqrt(2T) * sin(n*pi*rho(t)/T) / (n*pi) for cosine members n >= 1,
+        and Schauder tents for Haar members."""
+        return self._evaluate(n, t, running=True)
+
+    def member(self, n: int) -> Integrand:
+        """Basis member phi_n as an integrand carrying its monotone pieces,
+        found by inverting rho."""
         if n < 0:
             raise ValueError("basis index must be >= 0")
-        rho = self.rho
-        a, b = rho.interval.a, rho.interval.b
-        T = self.mass
-        if not certificate:
-            breaks = None
-        elif n == 0:
-            breaks = (a, b)
+        rho, T = self.rho, self.mass
+        if n == 0:
+            breaks = (rho.interval.a, rho.interval.b)
         elif self.family == "cosine":
             breaks = tuple(rho_inverse(rho, np.arange(n + 1) * T / n))
         else:
-            level = (n).bit_length() - 1
-            shift = n - (1 << level)
-            width = T / (1 << level)
+            shift, width, _ = self._haar(n)
             xs = (0.0, shift * width, (shift + 0.5) * width, (shift + 1) * width, T)
             breaks = tuple(np.unique(rho_inverse(rho, xs)))
-
-        def fn(t, _n=n):
-            x = np.atleast_1d(np.asarray(rho(t), dtype=float))
-            out = self._psi(_n, x)
-            return out if np.ndim(t) else float(out[0])
-
-        sign = 1 if n == 0 else None
-        return Integrand.from_function(fn, bv_breaks=breaks, sign=sign)
-
-    def antiderivative(self, n: int, t):
-        """Closed form of the running integral of phi_n against d(rho) from a to t.
-
-        Cosine family: index 0 -> rho(t)/sqrt(T); index n >= 1 ->
-        sqrt(2T) * sin(n*pi*rho(t)/T) / (n*pi).
-        """
-        if n < 0:
-            raise ValueError("basis index must be >= 0")
-        T = self.mass
-        x = np.asarray(self.rho(t), dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        if n == 0:
-            out = x / math.sqrt(T)
-        elif self.family == "cosine":
-            out = math.sqrt(2.0 * T) * np.sin(n * math.pi * x / T) / (n * math.pi)
-        else:
-            level = (n).bit_length() - 1
-            shift = n - (1 << level)
-            width = T / (1 << level)
-            lo = shift * width
-            scale = math.sqrt((1 << level) / T)
-            up = np.clip(x - lo, 0.0, 0.5 * width)
-            down = np.clip(x - lo - 0.5 * width, 0.0, 0.5 * width)
-            out = scale * (up - down)
-        return float(out[0]) if scalar else out
-
-    def antiderivative_matrix(self, count: int, grid) -> np.ndarray:
-        """Stacked antiderivatives, shape (count, len(grid))."""
-        grid = np.asarray(grid, dtype=float)
-        return np.stack([self.antiderivative(n, grid) for n in range(count)])
+        return Integrand.from_function(lambda t: self.values(n, t), bv_breaks=breaks,
+                                       sign=1 if n == 0 else None)
 
 
 def fourier_coeffs(f, basis: BasisFamily, count: int,
@@ -321,29 +323,25 @@ def fourier_coeffs(f, basis: BasisFamily, count: int,
     """Coefficients <f, phi_n>_rho for n = 0..count-1.
 
     Exact for step integrands via the closed-form antiderivatives; midpoint
-    quadrature at `resolution` otherwise.
+    quadrature at `resolution` otherwise, over blocks of members so memory
+    does not grow with the count.  Each coefficient is one dot product (a
+    stacked 1 x k @ k x 1 product), with the bits of np.dot whatever the count.
     """
     if count < 1:
         raise ValueError("coefficient count must be >= 1")
     f = as_integrand(f)
-    rho = basis.rho
-    a, b = rho.interval.a, rho.interval.b
+    ns = np.arange(count)
     if f.is_step:
-        pts = np.asarray(f.step.partition)
-        vals = np.asarray(f.step.values)
-        coeffs = np.empty(count)
-        for n in range(count):
-            anti = basis.antiderivative(n, pts)
-            coeffs[n] = float(np.dot(vals, np.diff(anti)))
-        return coeffs
-    edges = np.linspace(a, b, resolution + 1)
-    mids = 0.5 * edges[:-1] + 0.5 * edges[1:]
+        steps = np.diff(basis.antiderivative(ns, f.step.partition), axis=1)
+        return (steps[:, None, :] @ np.asarray(f.step.values)[:, None])[:, 0, 0]
+    rho = basis.rho
+    _, mids, masses = midpoint_rule(rho.interval.a, rho.interval.b, resolution, rho)
     fvals = f(mids)
-    dmu = np.diff(rho(edges))
-    x = rho(mids)
+    rows = max(1, BLOCK_VALUES // resolution)
     coeffs = np.empty(count)
-    for n in range(count):
-        coeffs[n] = float(np.dot(fvals * basis._psi(n, x), dmu))
+    for lo in range(0, count, rows):
+        block = basis.values(ns[lo:lo + rows], mids) * fvals
+        coeffs[lo:lo + rows] = (block[:, None, :] @ masses[:, None])[:, 0, 0]
     return coeffs
 
 
@@ -351,9 +349,6 @@ def gram_matrix(basis: BasisFamily, count: int,
                 resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
     """Gram matrix of the first `count` members under the rho inner product."""
     rho = basis.rho
-    edges = np.linspace(rho.interval.a, rho.interval.b, resolution + 1)
-    mids = 0.5 * edges[:-1] + 0.5 * edges[1:]
-    dmu = np.diff(rho(edges))
-    x = rho(mids)
-    members = np.stack([basis._psi(n, x) for n in range(count)])
-    return (members * dmu) @ members.T
+    _, mids, masses = midpoint_rule(rho.interval.a, rho.interval.b, resolution, rho)
+    members = basis.values(np.arange(count), mids)
+    return (members * masses) @ members.T

@@ -188,11 +188,11 @@ def sample_series(spec: YehSpec, basis: BasisFamily, truncation: int, grid,
     grid = _validate_grid(grid, spec.interval)
     values = series_point_values(spec, basis, truncation, grid, stream.seed, 1,
                                  stream.index)[0]
-    amatrix = basis.antiderivative_matrix(truncation, grid)
-    defect = float(np.max(spec.rho(grid) - np.sum(amatrix**2, axis=0)))
+    from .series import series_variance_defect  # series imports this module
+    defect = float(np.max(series_variance_defect(basis, truncation, grid)))
     return SamplePath(grid, values, "series",
                       seed=stream.seed, stream_index=stream.index,
-                      truncation=truncation, truncation_defect=max(0.0, defect))
+                      truncation=truncation, truncation_defect=defect)
 
 
 def center(path: SamplePath, lam: MeanFunction) -> SamplePath:
@@ -339,6 +339,6 @@ def series_point_values(spec: YehSpec, basis: BasisFamily, truncation: int, time
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     times = np.asarray(times, dtype=float)
-    amatrix = basis.antiderivative_matrix(truncation, times)
+    amatrix = basis.antiderivative(np.arange(truncation), times)
     chunks = _normal_chunks(seed, count, truncation, first_index)
     return spec.lam(times) + _row_products(chunks, count, amatrix)

@@ -42,8 +42,8 @@ class ExpansionReport:
 
     def rows(self):
         """(n, partial_sum, defect) rows, n = 1..truncation."""
-        for i in range(self.truncation):
-            yield i + 1, float(self.partial_sums[i]), float(self.defects[i])
+        return zip(range(1, self.truncation + 1), self.partial_sums.tolist(),
+                   self.defects.tolist())
 
 
 def expand_integral(f, basis: BasisFamily, truncation: int, path: SamplePath,
@@ -61,9 +61,7 @@ def expand_integral(f, basis: BasisFamily, truncation: int, path: SamplePath,
     f = as_integrand(f)
     coeffs = fourier_coeffs(f, basis, truncation, resolution)
     interval = Interval(float(path.grid[0]), float(path.grid[-1]))
-    edges, values = project_family(
-        [f, *(basis.member(n, certificate=False) for n in range(truncation))],
-        cells, interval)
+    edges, values = project_family([f], cells, interval, basis, truncation)
     integrals = np.diff(path.values) @ cell_weights(edges, values, path.grid).T
     target, member_integrals = float(integrals[0]), integrals[1:]
     partial_sums = np.cumsum(coeffs * member_integrals)
@@ -97,14 +95,16 @@ def parseval_defect(f, basis: BasisFamily, truncation: int,
     return inner_rho(f, f, basis.rho, resolution) - float(np.sum(coeffs**2))
 
 
-def series_variance_defect(basis: BasisFamily, truncation: int, t) -> float:
-    """Variance shortfall rho(t) minus the truncated series variance at t.
+def series_variance_defect(basis: BasisFamily, truncation: int, t):
+    """Variance shortfall rho(t) minus the truncated series variance at t,
+    broadcast over t (a float for scalar t).
 
-    Lies in [0, rho(t)] and vanishes pointwise as the truncation grows; tiny
+    The squared running integrals are summed in index order.  The defect lies
+    in [0, rho(t)] and vanishes pointwise as the truncation grows; tiny
     negative float dust is clamped to 0.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    total = basis.rho(t)
-    acc = sum(basis.antiderivative(n, t) ** 2 for n in range(truncation))
-    return max(0.0, float(total - acc))
+    squares = basis.antiderivative(np.arange(truncation), t) ** 2
+    defect = np.maximum(0.0, basis.rho(t) - np.cumsum(squares, axis=0)[-1])
+    return float(defect) if defect.ndim == 0 else defect

@@ -376,10 +376,18 @@ def _eval_function(f, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _midpoint_sum(f, mu, s: float, t: float, resolution: int) -> float:
-    edges = np.linspace(s, t, resolution + 1)
+def midpoint_rule(s: float, t: float, cells: int, mu=None):
+    """(edges, mids, masses) of the uniform `cells`-cell partition of [s, t]:
+    mids 0.5 * p + 0.5 * q (finite near the largest float), masses the cells'
+    d(mu) measures diff(mu(edges)), or None without mu."""
+    edges = np.linspace(s, t, cells + 1)
     mids = 0.5 * edges[:-1] + 0.5 * edges[1:]
-    return float(np.dot(_eval_function(f, mids), np.diff(mu(edges))))
+    return edges, mids, None if mu is None else np.diff(mu(edges))
+
+
+def _midpoint_sum(f, mu, s: float, t: float, resolution: int) -> float:
+    _, mids, masses = midpoint_rule(s, t, resolution, mu)
+    return float(np.dot(_eval_function(f, mids), masses))
 
 
 def stieltjes_quad(f, mu, s: float, t: float, resolution: int) -> QuadResult:

@@ -133,14 +133,13 @@ def series_battery(basis: BasisFamily, grid, pairs, truncation: int,
     cols = sorted({i for pair in pairs for i in pair})
     sv = _sample(series_point_values, spec, basis, truncation, grid[cols], seed,
                  count=paths, reuse_streams=reuse_streams)
+    defects = dict(zip(cols, series_variance_defect(basis, truncation, grid[cols])))
     for i, j in pairs:
         s, t = float(grid[i]), float(grid[j])
         prod = sv[:, cols.index(i)] * sv[:, cols.index(j)]
         se = prod.std(ddof=1) / math.sqrt(paths)
-        defects = series_variance_defect(basis, truncation, s) * series_variance_defect(
-            basis, truncation, t)
         rows.append(_within(f"series_cov_{i}_{j}", rho(min(s, t)), float(prod.mean()),
-                            math.sqrt(defects) + 4.0 * se))
+                            math.sqrt(defects[i] * defects[j]) + 4.0 * se))
     return rows
 
 
@@ -159,12 +158,9 @@ def expansion_battery(basis: BasisFamily, grid, integrands: dict, max_terms: int
     rho = basis.rho
     iv = rho.interval
     spec = YehSpec(MeanFunction.zero(iv), rho)
-    cells = len(grid) - 1
-    edges, members = project_family(
-        [basis.member(n, certificate=False) for n in range(max_terms)], cells, iv)
     rows = []
     for i, (name, f) in enumerate(integrands.items()):
-        weights = cell_weights(edges, np.vstack([project_family([f], cells, iv)[1], members]),
+        weights = cell_weights(*project_family([f], len(grid) - 1, iv, basis, max_terms),
                                grid)
         integrals = _sample(increment_functionals, spec, grid, weights, seed, count=paths,
                             first_index=i * paths, reuse_streams=reuse_streams)

@@ -110,9 +110,7 @@ def test_criterion_4_orthonormality():
             failures.append(f"{name}: max |G - I| = {dev}")
         # cross-check two entries through the generic inner product route
         for i, j in ((3, 3), (2, 5)):
-            direct = inner_rho(basis.member(i, certificate=False),
-                               basis.member(j, certificate=False),
-                               rho, resolution=2**14)
+            direct = inner_rho(basis.member(i), basis.member(j), rho, resolution=2**14)
             if abs(direct - gram[i, j]) > 1e-12:
                 failures.append(f"{name}: gram[{i},{j}] disagrees with inner_rho")
     _report(4, f"16x16 cosine-pullback Gram within 1e-8 of identity for 3 "

@@ -285,6 +285,26 @@ EXPAND_GOLDEN = {
     "cantor": "318576e0700fc9c78202b8e5df65ad9bfa21e154d9aaec8c270011c3da36d188",
 }
 
+#: A Haar basis on a piecewise rho of mass 1.3 over [0, 2] (every config
+#: above has rho mass 1), and the SHA-256 of verify_series.csv and of
+#: expansion.csv for it, taken at version 0.4.0 before the basis evaluators
+#: were broadcast over the member index.
+HAAR_MASS_CONFIG = {
+    "interval": [0.0, 2.0], "lambda": {"kind": "linear", "slope": -0.5},
+    "rho": {"kind": "piecewise", "knots": [0.0, 0.3, 1.0, 2.0],
+            "values": [0.0, 0.2, 0.9, 1.3]},
+    "integrand": {"kind": "step", "partition": [0.0, 0.5, 1.25, 2.0],
+                  "values": [0.7, -1.3, 2.1]},
+    "mc": {"paths": 400, "seed": 2024}, "grid": {"points": 257},
+    "series": {"N": 48, "family": "haar"},
+}
+HAAR_MASS_GOLDEN = {
+    "verify": ("verify_series.csv",
+               "a65344d32ddfe09043dd8a2c40e654bb1bc876a1bc88c2727b64755ac1f1be7a"),
+    "expand": ("expansion.csv",
+               "9a56f8858ccea266e35f1a1fdd7d71f779f4c4b7360a61a199f0bfa6b683b776"),
+}
+
 
 def cli_digest(tmp_path, threads: str, output: str, *argv) -> str:
     """SHA-256 of `output` from `python -m yehsim.cli ARGV --out DIR` run at
@@ -313,6 +333,16 @@ class TestVerify:
         assert cli_digest(tmp_path, threads, "verify_all.csv", "verify", "--suite", "all",
                           "--config", str(CONFIGS / "cantor.json"), "--paths", "500",
                           "--grid", "129", "--truncation", "32") == CANTOR_VERIFY_GOLDEN
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("command", sorted(HAAR_MASS_GOLDEN))
+    def test_haar_rho_mass_bytes_match_golden(self, tmp_path, command, threads):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(HAAR_MASS_CONFIG))
+        suite = ["--suite", "series"] if command == "verify" else []
+        output, digest = HAAR_MASS_GOLDEN[command]
+        assert cli_digest(tmp_path, threads, output, command, *suite,
+                          "--config", str(cfg_path)) == digest
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowed_tolerance_fails(self, tmp_path):
@@ -483,6 +513,25 @@ def test_huge_interval_ends_without_traceback(tmp_path, capsys, command, length)
     code = run_cli(*command, "--config", str(cfg_path), "--out", str(tmp_path / "out"))
     assert code in (0, 1, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, code", [(["expand"], 2), (["verify", "--suite", "series"], 2),
+                                           (["simulate"], 0)])
+def test_cosine_overflow_names_the_family(tmp_path, command, code):
+    # on [0, 1e308] the cosine closed forms overflow (2 * rho(b) is not
+    # finite): the basis commands end with the field and the rho mass named
+    # and without a numpy warning; simulate uses no basis
+    cfg_path = tmp_path / "huge.json"
+    cfg_path.write_text(json.dumps({"interval": [0.0, 1e308]}))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "yehsim.cli", *command,
+                           "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                           "--paths", "20", "--grid", "17", "--truncation", "8"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == code, proc.stderr
+    assert "Warning" not in proc.stderr
+    if code:
+        assert "series.family" in proc.stderr and "1e+308" in proc.stderr, proc.stderr
 
 
 class TestEntryPoint:

@@ -1,22 +1,30 @@
 """Weighted L2 machinery: inner products, projections, orthonormal bases."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from yehsim import (
     BasisFamily,
+    GaussianStream,
     Interval,
     MeanFunction,
+    NonFiniteValueError,
     StepFunction,
     VarianceFunction,
+    YehSpec,
     fourier_coeffs,
     gram_matrix,
     inner_lambda_rho,
     inner_rho,
     norm_sq_rho,
+    parseval_defect,
     project_to_steps,
+    sample_series,
+    series_variance_defect,
     step_combine,
 )
 from yehsim.funcspace import project_family
@@ -144,7 +152,7 @@ class TestProjection:
     def test_family_rows_equal_per_member_projections(self):
         basis = BasisFamily(RHO_SQ)
         fs = [StepFunction((0.0, 0.25, 0.75, 1.0), (1.0, -2.0, 0.5)), lambda t: t**2,
-              *(basis.member(n, certificate=False) for n in range(5))]
+              *(basis.member(n) for n in range(5))]
         edges, values = project_family(fs, 16, UNIT)
         assert values.shape == (len(fs), 16)
         for f, row in zip(fs, values):
@@ -244,3 +252,104 @@ class TestFourierCoeffs:
             assert defect <= prev + 1e-12
             prev = defect
         assert prev < 0.01
+
+
+class TestIndexBroadcast:
+    @pytest.mark.parametrize("family", ["cosine", "haar"])
+    def test_rows_equal_single_member_calls(self, family):
+        basis = BasisFamily(RHO_SQ, family)
+        ns, ts = np.arange(40), np.linspace(0.0, 1.0, 33)
+        values, running = basis.values(ns, ts), basis.antiderivative(ns, ts)
+        assert values.shape == running.shape == (40, 33)
+        for n in ns:
+            assert np.array_equal(values[n], basis.member(int(n))(ts))
+            assert np.array_equal(running[n], basis.antiderivative(int(n), ts))
+            assert running[n, 7] == basis.antiderivative(int(n), float(ts[7]))
+        assert basis.antiderivative(ns, 0.5).shape == (40,)
+
+    @pytest.mark.parametrize("family", ["cosine", "haar"])
+    def test_single_member_memory_independent_of_index(self, family):
+        # integrand.index may be 2**20: one member must not cost n + 1 rows
+        basis = BasisFamily(RHO_ID, family)
+        member = basis.member(2**20)
+        tracemalloc.start()
+        try:
+            basis.antiderivative(2**20, 0.5)
+            member(np.linspace(0.0, 1.0, 9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16, peak
+
+    @pytest.mark.parametrize("family", ["cosine", "haar"])
+    def test_quadrature_coefficients_memory_flat_in_count(self, family):
+        basis = BasisFamily(RHO_SQ, family)
+        f = lambda t: np.sin(3 * np.asarray(t))
+        peaks = []
+        for count in (64, 512):
+            tracemalloc.start()
+            try:
+                fourier_coeffs(f, basis, count, resolution=2**12)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
+
+    def test_cosine_overflow_names_the_family(self):
+        huge = BasisFamily(VarianceFunction.identity((0.0, 1e308)))
+        for call in (lambda: huge.antiderivative(3, 1.0), lambda: huge.values(0, 1.0),
+                     lambda: fourier_coeffs(StepFunction((0.0, 1e308), (1.0,)), huge, 2)):
+            with pytest.raises(NonFiniteValueError, match=r"series\.family.*1e\+308"):
+                call()
+        assert BasisFamily(huge.rho, "haar").antiderivative(3, 1e308) == 0.0
+
+
+#: (rho, family) -> SHA-256 of the basis layer (coefficients by closed form
+#: and by quadrature, Gram matrix, defects, running integrals, member values
+#: and certificate breaks) for rho masses other than 1, taken at version
+#: 0.4.0 before the evaluators were broadcast over the member index.
+BASIS_LAYER_GOLDEN = {
+    ("power15", "cosine"): "9752be710e936849caf8e0d621d616853c846d7cd6d9046365b9b37d9330effe",
+    ("piecewise13", "cosine"): "5047918d8aed20c2d7c7cbbf3d8785481d6840b2153c58cd8501c1d0a4c2b346",
+    ("power15", "haar"): "e5a8a161764248b126a6d841c4c2bda51025d50b4e78eaeedb092a6cc84616ad",
+    ("piecewise13", "haar"): "09bfa964b06df9bd89ddd4347677b8415ee1dad566179f9ddcf7227c700dd91a",
+}
+GOLDEN_RHOS = {
+    "power15": VarianceFunction.power(Interval(-3.0, 5.0), 1.5),
+    "piecewise13": VarianceFunction.piecewise((0.0, 0.3, 1.0, 2.0), (0.0, 0.2, 0.9, 1.3)),
+}
+
+
+def basis_layer_digest(basis: BasisFamily) -> str:
+    rho = basis.rho
+    a, b = rho.interval.a, rho.interval.b
+    ts = np.linspace(a, b, 65)
+    step = StepFunction((a, a + 0.2 * (b - a), a + 0.55 * (b - a), b), (0.7, -1.3, 2.1))
+    smooth = lambda t: np.sin(np.asarray(t)) + 0.1 * np.asarray(t) ** 2
+    indices = (0, 1, 2, 3, 6, 13, 31)
+    spec = YehSpec(MeanFunction.zero(rho.interval), rho)
+    pieces = [
+        fourier_coeffs(step, basis, 40),
+        fourier_coeffs(smooth, basis, 24, resolution=2**10),
+        fourier_coeffs(basis.member(3), basis, 8, resolution=2**10),
+        gram_matrix(basis, 12, resolution=2**10),
+        [series_variance_defect(basis, k, t) for k in (1, 3, 8, 33) for t in ts[::8]],
+        [parseval_defect(step, basis, 16), parseval_defect(smooth, basis, 8, 2**10)],
+        basis.antiderivative(np.arange(40), ts),
+        [basis.antiderivative(n, t) for n in (0, 1, 5, 37) for t in ts[::16]],
+        *(basis.member(n)(ts) for n in indices),
+        [basis.member(n)(float(t)) for n in indices for t in ts[::16]],
+        *(basis.member(n).bv_breaks for n in indices),
+        [sample_series(spec, basis, k, ts, GaussianStream(5, 2)).truncation_defect
+         for k in (1, 7, 40)],
+    ]
+    digest = hashlib.sha256()
+    for piece in pieces:
+        digest.update(np.ascontiguousarray(piece, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("rho_name, family", sorted(BASIS_LAYER_GOLDEN))
+def test_basis_layer_matches_golden(rho_name, family):
+    basis = BasisFamily(GOLDEN_RHOS[rho_name], family)
+    assert basis_layer_digest(basis) == BASIS_LAYER_GOLDEN[rho_name, family]

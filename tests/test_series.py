@@ -99,7 +99,7 @@ class TestExpandIntegral:
             lambda t: np.asarray(t),
             BASIS.member(3),
         ]
-        members = [BASIS.member(n, certificate=False) for n in range(16)]
+        members = [BASIS.member(n) for n in range(16)]
         family = [project_to_steps(g, cells, UNIT) for g in (*integrands, *members)]
         integrals = integrate_step_batch(family, vals, grid)
         member_integrals = integrals[:, len(integrands):]
