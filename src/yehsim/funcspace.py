@@ -189,15 +189,16 @@ def project_to_steps(f, n: int, interval) -> StepFunction:
     and sufficient for L2 convergence of continuous integrands.
     """
     edges, values = project_family([f], n, interval)
-    return StepFunction(tuple(edges), tuple(values[0]))
+    return StepFunction(edges, tuple(values[0]))
 
 
 def project_family(fs, n: int, interval, basis: BasisFamily | None = None,
-                   terms: int = 0) -> tuple[np.ndarray, np.ndarray]:
+                   terms: int = 0) -> tuple[tuple, np.ndarray]:
     """Midpoint projection of several integrands onto one uniform n-cell
-    partition: (edges, values), values[m, i] being row m at the midpoint of
-    cell i.  The rows are fs, then the first `terms` members of `basis` from
-    one evaluator call: a step family with no StepFunction per member."""
+    partition: (edges, values), edges being the partition as a tuple (as in
+    StepFunction) and values[m, i] row m at the midpoint of cell i.  The rows
+    are fs, then the first `terms` members of `basis` from one evaluator
+    call: a step family with no StepFunction per member."""
     if n < 1:
         raise ValueError("cell count must be >= 1")
     iv = Interval.coerce(interval)
@@ -210,7 +211,7 @@ def project_family(fs, n: int, interval, basis: BasisFamily | None = None,
         raise ValueError("partition must be strictly increasing")
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
-    return edges, values
+    return tuple(edges.tolist()), values
 
 
 #: Member values held at once by the quadrature branch of fourier_coeffs,

@@ -3,8 +3,13 @@
 Step integrands integrate exactly (the defining telescoping sum); continuous
 integrands go through step projection (the L2-limit construction) or through
 pathwise Riemann-Stieltjes sums when a bounded-variation certificate is
-present.  Partition points must lie on the path grid: a path is only known at
-its grid points and interpolating would fabricate correlation structure.
+present.  Every integral of a path held as values goes through one kernel,
+`integrate_step_batch`, which takes a step family as one partition and one
+(members, pieces) matrix.  Paths that exist only as increments, in
+process.increment_functionals, take the family as per-cell weights instead
+(`cell_weights`, `step_weights`).  Partition points must lie on the path
+grid: a path is only known at its grid points and interpolating would
+fabricate correlation structure.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingBVCertificateError, PartitionNotOnGridError
-from .funcspace import StepFunction, as_integrand, inner_rho, project_to_steps
+from .funcspace import as_integrand, inner_rho, project_family
 from .process import SamplePath, grid_indices
 from .stieltjes import (
     DEFAULT_RESOLUTION,
@@ -43,27 +48,18 @@ class WienerIntegralResult:
     refinement: float = 0.0
 
 
-def integrate_step_batch(f, value_matrix: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Exact step integrals for a batch of paths (rows of value_matrix).
+def integrate_step_batch(partition, pieces, values, grid) -> np.ndarray:
+    """Exact integrals of a step family over paths held as values.
 
-    This is the Wiener-integral kernel for paths given as values: the
-    partition points are located on the grid, the path values there are gathered and differenced once, and
-    the increments are multiplied by the piece values.  f is one step
-    integrand, giving one value per path, or a list or tuple of step
-    integrands sharing one partition (a family), giving an array of shape
-    (paths, members) from one product.
+    This is the Wiener-integral kernel for paths given as values.  A family
+    is one partition and a (members, pieces) matrix, or one row of pieces;
+    values is one path (1-d) or a stack of paths (2-d) on the grid.  The
+    paths are gathered at the partition points, differenced once and
+    multiplied by the pieces, giving shape values.shape[:-1] + (members,).
+    The partition points must lie on the grid.
     """
-    family = isinstance(f, (list, tuple))
-    steps = [as_integrand(g).step for g in (f if family else [f])]
-    if any(step is None for step in steps):
-        raise TypeError("the Wiener-integral kernel requires step integrands")
-    partition = steps[0].partition
-    if any(step.partition != partition for step in steps[1:]):
-        raise ValueError("a family of step integrands must share one partition")
-    increments = np.diff(value_matrix[:, grid_indices(grid, partition)], axis=1)
-    if not family:
-        return increments @ np.asarray(steps[0].values)
-    return increments @ np.array([step.values for step in steps]).T
+    increments = np.diff(values[..., grid_indices(grid, partition)], axis=-1)
+    return increments @ np.atleast_2d(pieces).T
 
 
 def cell_weights(partition, values, grid) -> np.ndarray:
@@ -71,8 +67,9 @@ def cell_weights(partition, values, grid) -> np.ndarray:
     and a (members, pieces) value matrix.
 
     weights[m, c] is member m's value on grid cell c, 0 outside the
-    partition's span, so weights @ diff(path values) are the members' step
-    integrals.  The partition points must lie on the grid.
+    partition's span, so weights @ increments are the members' step
+    integrals: the form process.increment_functionals takes, where the paths
+    exist only as increments.  The partition points must lie on the grid.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     idx = grid_indices(grid, partition)
@@ -99,7 +96,10 @@ def step_weights(family, grid) -> np.ndarray:
 
 def integrate_step(f, path: SamplePath) -> WienerIntegralResult:
     """Exact Wiener integral of a step function: sum of ci * (X(ti) - X(t_{i-1}))."""
-    value = integrate_step_batch(f, path.values[None, :], path.grid)[0]
+    step = as_integrand(f).step
+    if step is None:
+        raise TypeError("the Wiener-integral kernel requires step integrands")
+    value = integrate_step_batch(step.partition, step.values, path.values, path.grid)[0]
     return WienerIntegralResult(float(value), "step_exact")
 
 
@@ -112,14 +112,17 @@ def integrate_l2(f, path: SamplePath, cells: int) -> WienerIntegralResult:
     """
     if cells < 1:
         raise ValueError("cell count must be >= 1")
-    f = as_integrand(f)
     interval = Interval(float(path.grid[0]), float(path.grid[-1]))
-    value = integrate_step(project_to_steps(f, cells, interval), path).value
+
+    def projected(n: int) -> float:
+        edges, pieces = project_family([f], n, interval)
+        return float(integrate_step_batch(edges, pieces, path.values, path.grid)[0])
+
+    value = projected(cells)
     refinement = math.inf
     if cells >= 2:
         try:
-            coarse = integrate_step(project_to_steps(f, cells // 2, interval), path)
-            refinement = abs(value - coarse.value)
+            refinement = abs(value - projected(cells // 2))
         except PartitionNotOnGridError:
             pass
     return WienerIntegralResult(value, "l2_approx", cells=cells, refinement=refinement)
@@ -143,8 +146,8 @@ def integrate_pathwise_rs(f, path: SamplePath, cells: int) -> WienerIntegralResu
                                    cells + 1))
     left = f(boundaries[:-1])
     right = f(boundaries[1:])
-    tags = [StepFunction(boundaries, left), StepFunction(boundaries, right - left)]
-    value, spread = integrate_step_batch(tags, path.values[None, :], path.grid)[0]
+    value, spread = integrate_step_batch(boundaries, [left, right - left],
+                                         path.values, path.grid)
     return WienerIntegralResult(float(value), "pathwise_rs", cells=cells,
                                 refinement=abs(float(spread)))
 

@@ -167,7 +167,6 @@ def sample_increments(spec: YehSpec, grid, stream: GaussianStream) -> SamplePath
     X(a) = lambda(a); each increment is an independent draw from
     Normal(dlambda, drho) over its cell.
     """
-    grid = _validate_grid(grid, spec.interval)
     values = increment_value_matrix(spec, grid, stream.seed, 1, stream.index)[0]
     return SamplePath(grid, values, "increments",
                       seed=stream.seed, stream_index=stream.index)
@@ -299,9 +298,9 @@ def increment_value_matrix(spec: YehSpec, grid, seed: int, count: int,
                            first_index: int = 0) -> np.ndarray:
     """Batched increment sampling: row k is the value array of stream index
     first_index + k."""
-    grid = _validate_grid(grid, spec.interval)
+    chunks = _value_chunks(spec, grid, seed, count, first_index)
     values = np.empty((count, len(grid)))
-    for k0, chunk in _value_chunks(spec, grid, seed, count, first_index):
+    for k0, chunk in chunks:
         values[k0:k0 + len(chunk)] = chunk
     return values
 
@@ -316,14 +315,13 @@ def increment_functionals(spec: YehSpec, grid, weights, seed: int, count: int,
     integrals are such functionals (see integral.step_weights).  No path
     values are formed: the normals are drawn CHUNK_DRAWS at a time.
     """
-    grid = _validate_grid(grid, spec.interval)
+    chunks = _increment_chunks(spec, grid, seed, count, first_index)
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2 or weights.shape[1] != len(grid) - 1:
         raise ValueError(f"weights must have shape (functionals, {len(grid) - 1}), "
                          f"got {weights.shape}")
     if not np.all(np.isfinite(weights)):
         raise ValueError("weights must be finite")
-    chunks = _increment_chunks(spec, grid, seed, count, first_index)
     return _row_products(chunks, count, weights.T)
 
 

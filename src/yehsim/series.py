@@ -20,7 +20,7 @@ from .funcspace import (
     inner_rho,
     project_family,
 )
-from .integral import cell_weights, integral_mean
+from .integral import integral_mean, integrate_step_batch
 from .process import SamplePath
 from .stieltjes import DEFAULT_RESOLUTION, Interval, MeanFunction
 
@@ -62,7 +62,7 @@ def expand_integral(f, basis: BasisFamily, truncation: int, path: SamplePath,
     coeffs = fourier_coeffs(f, basis, truncation, resolution)
     interval = Interval(float(path.grid[0]), float(path.grid[-1]))
     edges, values = project_family([f], cells, interval, basis, truncation)
-    integrals = np.diff(path.values) @ cell_weights(edges, values, path.grid).T
+    integrals = integrate_step_batch(edges, values, path.values, path.grid)
     target, member_integrals = float(integrals[0]), integrals[1:]
     partial_sums = np.cumsum(coeffs * member_integrals)
     norm_sq = inner_rho(f, f, basis.rho, resolution)

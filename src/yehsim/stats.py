@@ -20,7 +20,7 @@ from .streams import GaussianStream
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """Single-pass mean/variance estimate with its standard error."""
+    """Mean/variance estimate with its standard error."""
 
     mean: float
     variance: float
@@ -31,36 +31,29 @@ class MCEstimate:
 
     @classmethod
     def _from_moments(cls, mean, m2, count, seed=None, first_index=None):
+        """se is sqrt(variance) / sqrt(count): the bits of
+        std(ddof=1) / sqrt(count) that the verify rows use."""
         variance = m2 / (count - 1) if count > 1 else 0.0
         return cls(mean=float(mean), variance=float(variance),
-                   se=float(math.sqrt(variance / count)), count=count,
+                   se=math.sqrt(variance) / math.sqrt(count), count=count,
                    seed=seed, first_index=first_index)
 
 
 def mc_estimate(sampler, count: int, stream: GaussianStream) -> MCEstimate:
-    """Welford single-pass estimate over `count` draws.
+    """mc_from_samples of `count` draws.
 
     Draw k calls the sampler with the derived stream (seed, index + k), so the
     result is a pure function of the stream layout.
     """
     if count < 2:
         raise ValueError("need at least 2 draws")
-    mean = 0.0
-    m2 = 0.0
-    for k in range(count):
-        x = float(sampler(stream.child(k)))
-        if not math.isfinite(x):
-            raise NonFiniteDrawError(f"draw {k} returned {x}")
-        delta = x - mean
-        mean += delta / (k + 1)
-        m2 += delta * (x - mean)
-    return MCEstimate._from_moments(mean, m2, count,
-                                    seed=stream.seed, first_index=stream.index)
+    draws = [float(sampler(stream.child(k))) for k in range(count)]
+    return mc_from_samples(draws, seed=stream.seed, first_index=stream.index)
 
 
 def mc_from_samples(samples: np.ndarray, seed: int | None = None,
                     first_index: int | None = None) -> MCEstimate:
-    """Estimate from an already-materialized sample array (vectorized batteries)."""
+    """Estimate from a sample array: the mean, the ddof=1 variance and its SE."""
     samples = np.asarray(samples, dtype=float)
     if samples.size < 2:
         raise ValueError("need at least 2 draws")
@@ -72,7 +65,8 @@ def mc_from_samples(samples: np.ndarray, seed: int | None = None,
 
 
 def merge_estimates(a: MCEstimate, b: MCEstimate) -> MCEstimate:
-    """Associative Welford merge; canonical order is ascending first_index."""
+    """Associative merge of two estimates (Chan et al.); canonical order is
+    ascending first_index."""
     n = a.count + b.count
     delta = b.mean - a.mean
     mean = a.mean + delta * b.count / n

@@ -1,8 +1,9 @@
 """Verification batteries behind the command line's `verify` subcommand.
 
 Each identity family has a battery: its scale is explicit (spec or basis,
-grid, named integrands or pairs, seeds, path count, truncation, quadrature
-resolution) and it returns (check, expected, observed, tolerance, pass) rows.
+grid, named integrands or pairs, seeds, path count, truncation) and it
+returns (check, expected, observed, tolerance, pass) rows.  The integrands
+are step functions, so their means, rho-norms and coefficients are exact.
 A suite is a thin adapter from a RunConfig to battery arguments; the
 acceptance tests call the same batteries at their own scale.  Stochastic
 checks use the 4-standard-error convention; exact identities carry absolute
@@ -25,7 +26,7 @@ from .martingale import _restrict_step, classify, conditional_increment_mean
 from .process import YehSpec, increment_functionals, make_grid, series_point_values
 from .series import series_variance_defect
 from .stats import ks_test
-from .stieltjes import DEFAULT_RESOLUTION, Interval, MeanFunction, VarianceFunction
+from .stieltjes import Interval, MeanFunction, VarianceFunction
 
 #: The mixed-sign step integrand defeating sub/supermartingale classification:
 #: 1/2 on [0, 1/3), -1/2 on [1/3, 2/3), 2 on [2/3, 1], with drift lambda(t) = t.
@@ -69,7 +70,6 @@ def _sample(sampler, *args, count: int, first_index: int = 0,
 
 
 def moments_battery(spec: YehSpec, grid, checks: dict, seed: int, paths: int,
-                    resolution: int = DEFAULT_RESOLUTION,
                     reuse_streams: bool = False) -> list[CheckRow]:
     """Sample moments of Wiener integrals against the analytic formulas.
 
@@ -83,14 +83,13 @@ def moments_battery(spec: YehSpec, grid, checks: dict, seed: int, paths: int,
     samples = dict(zip(integrands, _sample(
         increment_functionals, spec, grid, step_weights(integrands, grid), seed,
         count=paths, reuse_streams=reuse_streams).T))
-    return [_mean_within(name, integral_covariance(f, g[0], spec.lam, spec.rho, resolution),
+    return [_mean_within(name, integral_covariance(f, g[0], spec.lam, spec.rho),
                          samples[f] * samples[g[0]]) if g else
-            _mean_within(name, integral_mean(f, spec.lam, resolution), samples[f])
+            _mean_within(name, integral_mean(f, spec.lam), samples[f])
             for name, (f, *g) in pairs.items()]
 
 
 def gaussian_battery(spec: YehSpec, integrands: dict, seeds, paths: int,
-                     resolution: int = DEFAULT_RESOLUTION,
                      reuse_streams: bool = False) -> list[CheckRow]:
     """KS tests of the Wiener integral law against its analytic Gaussian:
     check f"{name}_seed{k}" draws `paths` integrals of the named step
@@ -99,8 +98,8 @@ def gaussian_battery(spec: YehSpec, integrands: dict, seeds, paths: int,
     rows = []
     for name, f in integrands.items():
         grid = np.asarray(f.partition)
-        mean = integral_mean(f, spec.lam, resolution)
-        var = norm_sq_rho(f, spec.rho, resolution)
+        mean = integral_mean(f, spec.lam)
+        var = norm_sq_rho(f, spec.rho)
         for k, seed in enumerate(seeds):
             samples = _sample(increment_functionals, spec, grid, step_weights([f], grid),
                               seed, count=paths, reuse_streams=reuse_streams)[:, 0]
@@ -145,7 +144,6 @@ def series_battery(basis: BasisFamily, grid, pairs, truncation: int,
 
 def expansion_battery(basis: BasisFamily, grid, integrands: dict, max_terms: int,
                       term_counts, seed: int, paths: int,
-                      resolution: int = DEFAULT_RESOLUTION,
                       reuse_streams: bool = False) -> list[CheckRow]:
     """Mean-square gap of the truncated expansion against the Parseval defect.
 
@@ -164,8 +162,8 @@ def expansion_battery(basis: BasisFamily, grid, integrands: dict, max_terms: int
                                grid)
         integrals = _sample(increment_functionals, spec, grid, weights, seed, count=paths,
                             first_index=i * paths, reuse_streams=reuse_streams)
-        coeffs = fourier_coeffs(f, basis, max_terms, resolution)
-        norm_sq = norm_sq_rho(f, rho, resolution)
+        coeffs = fourier_coeffs(f, basis, max_terms)
+        norm_sq = norm_sq_rho(f, rho)
         for n in term_counts:
             gaps_sq = (integrals[:, 0] - integrals[:, 1:n + 1] @ coeffs[:n]) ** 2
             rows.append(_mean_within(f"{name}_N{n}", norm_sq - float(np.sum(coeffs[:n] ** 2)),
@@ -242,7 +240,7 @@ def moments_suite(cfg: RunConfig) -> list[CheckRow]:
     checks = {"moments_mean_f": f, "moments_mean_g": g,
               "moments_second_fg": (f, g), "moments_second_ff": (f, f)}
     return moments_battery(YehSpec(cfg.lam, cfg.rho), grid, checks, cfg.seed, cfg.paths,
-                           cfg.resolution, cfg.reuse_streams)
+                           cfg.reuse_streams)
 
 
 def gaussian_suite(cfg: RunConfig) -> list[CheckRow]:
@@ -257,7 +255,7 @@ def gaussian_suite(cfg: RunConfig) -> list[CheckRow]:
     }
     return gaussian_battery(YehSpec(cfg.lam, cfg.rho), integrands,
                             [_suite_seed(cfg, k) for k in range(3)], max(cfg.paths, 1000),
-                            cfg.resolution, cfg.reuse_streams)
+                            cfg.reuse_streams)
 
 
 def series_suite(cfg: RunConfig) -> list[CheckRow]:
@@ -272,8 +270,7 @@ def series_suite(cfg: RunConfig) -> list[CheckRow]:
                             cfg.truncation, max(1, cfg.truncation), cfg.seed, cfg.paths,
                             cfg.reuse_streams),
             *expansion_battery(cfg.basis, grid, {"series_expansion_gap": half}, 16,
-                               (1, 4, 16), _suite_seed(cfg, 7), cfg.paths, cfg.resolution,
-                               cfg.reuse_streams)]
+                               (1, 4, 16), _suite_seed(cfg, 7), cfg.paths, cfg.reuse_streams)]
 
 
 def martingale_suite(cfg: RunConfig) -> list[CheckRow]:

@@ -81,11 +81,16 @@ class TestIntegrateStep:
         with pytest.raises(PartitionNotOnGridError):
             integrate_step(f, path)
 
+    def test_non_step_integrand_refused(self):
+        path = brownian_path(5, points=33)
+        with pytest.raises(TypeError, match="step integrands"):
+            integrate_step(lambda t: t, path)
+
     def test_batch_matches_single(self):
         grid = make_grid(UNIT, 33)
         vals = increment_value_matrix(BROWNIAN, grid, 77, 6)
         f = StepFunction((0.0, 0.25, 0.75, 1.0), (1.0, -2.0, 0.5))
-        batch = integrate_step_batch(f, vals, grid)
+        batch = integrate_step_batch(f.partition, f.values, vals, grid)[:, 0]
         for k in range(6):
             from yehsim import SamplePath
 
@@ -99,21 +104,12 @@ class TestFamilyKernel:
         vals = increment_value_matrix(BROWNIAN, grid, 88, 1000)
         rng = np.random.default_rng(89)
         partition = tuple(grid[::4])
-        family = [StepFunction(partition, tuple(rng.normal(size=256)))
-                  for _ in range(64)]
-        batch = integrate_step_batch(family, vals, grid)
+        pieces = np.array([rng.normal(size=256) for _ in range(64)])
+        batch = integrate_step_batch(partition, pieces, vals, grid)
         assert batch.shape == (1000, 64)
-        for j, f in enumerate(family):
-            single = integrate_step_batch(f, vals, grid)
+        for j, row in enumerate(pieces):
+            single = integrate_step_batch(partition, row, vals, grid)[:, 0]
             assert np.max(np.abs(batch[:, j] - single)) <= 1e-13
-
-    def test_family_must_share_partition(self):
-        grid = make_grid(UNIT, 33)
-        vals = increment_value_matrix(BROWNIAN, grid, 90, 4)
-        f = StepFunction((0.0, 0.5, 1.0), (1.0, 2.0))
-        g = StepFunction((0.0, 0.25, 1.0), (1.0, 2.0))
-        with pytest.raises(ValueError, match="share one partition"):
-            integrate_step_batch([f, g], vals, grid)
 
 
 class TestIntegrateL2:
@@ -144,7 +140,7 @@ class TestIntegrateL2:
         from yehsim import project_to_steps
 
         proj = project_to_steps(lambda t: t, cells, UNIT)
-        samples = integrate_step_batch(proj, vals, grid)
+        samples = integrate_step_batch(proj.partition, proj.values, vals, grid)[:, 0]
         var = samples.var(ddof=1)
         se = var * np.sqrt(2.0 / m)
         assert abs(var - 1 / 3) <= 4 * se
@@ -161,10 +157,11 @@ class TestIntegrateL2:
         from yehsim import project_to_steps
 
         fine = project_to_steps(lambda t: t, cells_fine, UNIT)
-        samples_fine = integrate_step_batch(fine, vals, grid)
+        samples_fine = integrate_step_batch(fine.partition, fine.values, vals, grid)[:, 0]
         for n in (4, 16):
             coarse = project_to_steps(lambda t: t, n, UNIT)
-            samples_n = integrate_step_batch(coarse, vals, grid)
+            samples_n = integrate_step_batch(coarse.partition, coarse.values, vals,
+                                             grid)[:, 0]
             gap_sq = (samples_fine - samples_n) ** 2
             diff = step_combine(1.0, fine, -1.0, coarse)
             bound = (1.0 + 1.0) * inner_lambda_rho(diff, diff, lam, spec.rho)

@@ -382,7 +382,8 @@ class TestFunctionalSampler:
         got = increment_functionals(CANTOR_POWER2, grid, step_weights(family, grid),
                                     606, 300, first_index=5)
         vals = increment_value_matrix(CANTOR_POWER2, grid, 606, 300, first_index=5)
-        want = integrate_step_batch(family, vals, grid)
+        want = integrate_step_batch(family[0].partition, [f.values for f in family],
+                                    vals, grid)
         assert got.shape == (300, members)
         assert np.max(np.abs(got - want)) <= 1e-13
 
@@ -422,6 +423,23 @@ class TestFunctionalSampler:
         monkeypatch.setattr(MeanFunction, "__call__", counting)
         increment_functionals(CANTOR_POWER2, grid, np.ones((1, 64)), 5, 40)
         assert len(calls) == 1
+
+    def test_grid_validated_once_per_call(self, monkeypatch):
+        grid = make_grid(UNIT, 65)
+        calls = []
+        original = process._validate_grid
+
+        def counting(grid, interval):
+            calls.append(interval)
+            return original(grid, interval)
+
+        monkeypatch.setattr(process, "_validate_grid", counting)
+        sample_increments(BROWNIAN, grid, GaussianStream(5, 0))
+        increment_value_matrix(BROWNIAN, grid, 5, 3)
+        increment_functionals(BROWNIAN, grid, np.ones((1, 64)), 5, 3)
+        assert len(calls) == 3
+        with pytest.raises(BadGridError):  # the grid is checked before the weights
+            increment_functionals(BROWNIAN, grid[:-1], np.ones((2, 9)), 1, 4)
 
     def test_weights_checked(self):
         grid = make_grid(UNIT, 9)

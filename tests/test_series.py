@@ -101,7 +101,8 @@ class TestExpandIntegral:
         ]
         members = [BASIS.member(n) for n in range(16)]
         family = [project_to_steps(g, cells, UNIT) for g in (*integrands, *members)]
-        integrals = integrate_step_batch(family, vals, grid)
+        integrals = integrate_step_batch(family[0].partition, [g.values for g in family],
+                                         vals, grid)
         member_integrals = integrals[:, len(integrands):]
         for k, f in enumerate(integrands):
             targets = integrals[:, k]

@@ -40,6 +40,13 @@ class TestMCEstimate:
         assert est.mean == pytest.approx(draws.mean(), abs=1e-13)
         assert est.variance == pytest.approx(draws.var(ddof=1), abs=1e-13)
 
+    def test_estimate_is_the_sample_estimate_of_its_draws(self):
+        sampler = lambda s: float(s.normals(3).sum())
+        est = mc_estimate(sampler, 500, GaussianStream(77, 10))
+        draws = np.array([sampler(GaussianStream(77, 10 + k)) for k in range(500)])
+        assert est == mc_from_samples(draws, seed=77, first_index=10)
+        assert est.se == draws.std(ddof=1) / np.sqrt(500)
+
     def test_non_finite_draw_rejected(self):
         with pytest.raises(NonFiniteDrawError):
             mc_estimate(lambda s: np.nan, 10, GaussianStream(1))
