@@ -28,10 +28,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-#: Values sampled, formatted and written per `simulate` chunk; a chunk holds
-#: max(1, CHUNK_VALUES // grid points) paths.
-CHUNK_VALUES = 2**18
-
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -100,9 +96,10 @@ def _manifest_json(cfg: RunConfig) -> str:
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     """Sample paths per the config; write bundle.json, paths.csv, manifest.json.
 
-    Paths are sampled, formatted and written CHUNK_VALUES values at a time, so
-    memory does not grow with the path count.  Row k is stream k whichever
-    chunk holds it, so the bytes do not depend on the chunk height."""
+    Paths are sampled, formatted and written in the samplers' row chunks of
+    about process.CHUNK_DRAWS normals, so memory does not grow with the path
+    count.  Row k is stream k whichever chunk holds it, so the bytes do not
+    depend on the chunk height."""
     spec = YehSpec(cfg.lam, cfg.rho)
     grid = make_grid(cfg.interval, cfg.grid_points, cfg.grid_scale, rho=cfg.rho)
     manifest = cfg.manifest()
@@ -116,8 +113,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         "grid": grid.tolist(),
         "paths": [],
     }).rsplit("[]", 1)
-    chunks = _value_chunks(spec, grid, cfg.seed, cfg.paths,
-                           rows=max(1, CHUNK_VALUES // len(grid)))
+    chunks = _value_chunks(spec, grid, cfg.seed, cfg.paths)
     with _writer(out_dir / "paths.csv") as csv, \
             _writer(out_dir / "bundle.json") as bundle:
         csv(f"# manifest={mhash}\npath,t,value\n")

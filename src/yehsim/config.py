@@ -10,8 +10,7 @@ Schema (all sections optional, defaults shown):
       "mc":       {"paths": 2000, "seed": 12345},
       "grid":     {"points": 1025, "scale": "t"},
       "series":   {"N": 256, "family": "cosine"},
-      "quadrature": {"resolution": 16384},
-      "debug":    {"reuse_streams": false}
+      "quadrature": {"resolution": 16384}
     }
 
 Eight function kinds map onto two representations per family: lambda zero,
@@ -39,7 +38,7 @@ from .process import DEFAULT_GRID_POINTS, DEFAULT_TRUNCATION
 from .stieltjes import (DEFAULT_CANTOR_DEPTH, DEFAULT_RESOLUTION, Interval,
                         MeanFunction, VarianceFunction)
 
-TOOL_VERSION = "0.4.0"
+TOOL_VERSION = "0.5.0"
 
 
 def canonical_json(obj) -> str:
@@ -143,7 +142,6 @@ class RunConfig:
     truncation: int
     family: str
     resolution: int
-    reuse_streams: bool
     normalized: dict
 
     @property
@@ -170,7 +168,7 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be a JSON object")
     known = {"interval", "lambda", "rho", "integrand", "mc", "grid", "series",
-             "quadrature", "debug"}
+             "quadrature"}
     for key, value in raw.items():
         _require(key in known, key, "unknown configuration section")
         _require(key == "interval" or isinstance(value, dict), key, "must be a JSON object")
@@ -216,8 +214,6 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
         "quadrature.resolution")
     _require(resolution >= 1, "quadrature.resolution", "must be >= 1")
 
-    reuse = bool(raw.get("debug", {}).get("reuse_streams", False))
-
     basis = BasisFamily(rho, family)
     integrand = integrand_from_spec(raw.get("integrand", {}), interval, basis)
 
@@ -230,13 +226,12 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
         "grid": {"points": grid_points, "scale": grid_scale},
         "series": {"N": truncation, "family": family},
         "quadrature": {"resolution": resolution},
-        "debug": {"reuse_streams": reuse},
     }
     return RunConfig(
         interval=interval, lam=lam, rho=rho, integrand=integrand,
         paths=paths, seed=seed, grid_points=grid_points, grid_scale=grid_scale,
         truncation=truncation, family=family, resolution=resolution,
-        reuse_streams=reuse, normalized=normalized,
+        normalized=normalized,
     )
 
 

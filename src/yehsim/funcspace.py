@@ -326,7 +326,9 @@ def fourier_coeffs(f, basis: BasisFamily, count: int,
     Exact for step integrands via the closed-form antiderivatives; midpoint
     quadrature at `resolution` otherwise, over blocks of members so memory
     does not grow with the count.  Each coefficient is one dot product (a
-    stacked 1 x k @ k x 1 product), with the bits of np.dot whatever the count.
+    stacked 1 x k @ k x 1 product) for steps and one np.sum of products for
+    quadrature, so its bits depend neither on the count nor on the BLAS
+    thread count.
     """
     if count < 1:
         raise ValueError("coefficient count must be >= 1")
@@ -342,7 +344,8 @@ def fourier_coeffs(f, basis: BasisFamily, count: int,
     coeffs = np.empty(count)
     for lo in range(0, count, rows):
         block = basis.values(ns[lo:lo + rows], mids) * fvals
-        coeffs[lo:lo + rows] = (block[:, None, :] @ masses[:, None])[:, 0, 0]
+        block *= masses
+        coeffs[lo:lo + rows] = block.sum(axis=1)
     return coeffs
 
 

@@ -9,9 +9,10 @@ integrals W @ (dlambda + sigma * z) straight from the normals, and
 `series_point_values` returns the series values at given times.  The
 per-path samplers are one-row calls: `sample_increments` of
 `increment_value_matrix`, `sample_series` of `series_point_values`.  All draw
-in row chunks of about CHUNK_DRAWS normals, so the functional samplers'
-memory does not grow with the path count.  Row k depends only on stream
-first_index + k, never on the batch layout, chunk height or BLAS thread count.
+in row chunks of about CHUNK_DRAWS normals, so neither their memory nor that
+of `simulate`, which writes the chunks as they come, grows with the path
+count.  Row k depends only on stream first_index + k, never on the batch
+layout, chunk height or BLAS thread count.
 """
 
 from __future__ import annotations
@@ -236,12 +237,10 @@ def empirical_moments(paths: list[SamplePath], s: float, t: float) -> EmpiricalM
     )
 
 
-def _normal_chunks(seed: int, count: int, draws: int, first_index: int = 0,
-                   rows: int | None = None):
-    """Yield (k0, z) for row chunks of `rows` streams (by default about
-    CHUNK_DRAWS draws): row k of z is the first `draws` normals of stream
-    first_index + k0 + k."""
-    rows = rows or max(1, CHUNK_DRAWS // draws)
+def _normal_chunks(seed: int, count: int, draws: int, first_index: int = 0):
+    """Yield (k0, z) for row chunks of about CHUNK_DRAWS draws: row k of z is
+    the first `draws` normals of stream first_index + k0 + k."""
+    rows = max(1, CHUNK_DRAWS // draws)
     for k0 in range(0, count, rows):
         yield k0, normal_matrix(seed, min(rows, count - k0), draws, first_index + k0)
 
@@ -250,8 +249,7 @@ def _normal_chunks(seed: int, count: int, draws: int, first_index: int = 0,
 # frame would keep its last chunk alive while the caller works on it, and
 # each chunk held that way adds its size to the peak memory.
 
-def _increment_chunks(spec: YehSpec, grid, seed: int, count: int,
-                      first_index: int = 0, rows: int | None = None):
+def _increment_chunks(spec: YehSpec, grid, seed: int, count: int, first_index: int = 0):
     """(k0, increments) over _normal_chunks: row k of a chunk is
     dlambda + sigma * z.  The grid is validated and the drift and variance are
     evaluated once per call, however many chunks there are."""
@@ -264,7 +262,7 @@ def _increment_chunks(spec: YehSpec, grid, seed: int, count: int,
         z += dlam
         return k0, z
 
-    return map(increments, _normal_chunks(seed, count, len(dlam), first_index, rows))
+    return map(increments, _normal_chunks(seed, count, len(dlam), first_index))
 
 
 def _row_products(chunks, count: int, load: np.ndarray) -> np.ndarray:
@@ -277,8 +275,7 @@ def _row_products(chunks, count: int, load: np.ndarray) -> np.ndarray:
     return out
 
 
-def _value_chunks(spec: YehSpec, grid, seed: int, count: int,
-                  first_index: int = 0, rows: int | None = None):
+def _value_chunks(spec: YehSpec, grid, seed: int, count: int, first_index: int = 0):
     """(k0, values): the path values of _increment_chunks' row chunks,
     starting at lambda(a)."""
     start = spec.lam(spec.interval.a)
@@ -291,7 +288,7 @@ def _value_chunks(spec: YehSpec, grid, seed: int, count: int,
         out[:, 1:] += start
         return k0, out
 
-    return map(values, _increment_chunks(spec, grid, seed, count, first_index, rows))
+    return map(values, _increment_chunks(spec, grid, seed, count, first_index))
 
 
 def increment_value_matrix(spec: YehSpec, grid, seed: int, count: int,

@@ -387,7 +387,7 @@ def midpoint_rule(s: float, t: float, cells: int, mu=None):
 
 def _midpoint_sum(f, mu, s: float, t: float, resolution: int) -> float:
     _, mids, masses = midpoint_rule(s, t, resolution, mu)
-    return float(np.dot(_eval_function(f, mids), masses))
+    return float(np.sum(_eval_function(f, mids) * masses))
 
 
 def stieltjes_quad(f, mu, s: float, t: float, resolution: int) -> QuadResult:

@@ -49,10 +49,11 @@ def _within(check: str, expected: float, observed: float, tol: float) -> CheckRo
                     math.isfinite(tol) and abs(observed - expected) <= tol)
 
 
-def _mean_within(check: str, expected: float, samples: np.ndarray) -> CheckRow:
-    """The sample mean against `expected` within 4 standard errors."""
+def _mean_within(check: str, expected: float, samples: np.ndarray,
+                 slack: float = 0.0) -> CheckRow:
+    """The sample mean against `expected` within slack plus 4 standard errors."""
     se = samples.std(ddof=1) / math.sqrt(len(samples))
-    return _within(check, expected, float(samples.mean()), 4.0 * se)
+    return _within(check, expected, float(samples.mean()), slack + 4.0 * se)
 
 
 def _suite_seed(cfg: RunConfig, offset: int) -> int:
@@ -60,17 +61,7 @@ def _suite_seed(cfg: RunConfig, offset: int) -> int:
     return (cfg.seed + offset) % 2**64
 
 
-def _sample(sampler, *args, count: int, first_index: int = 0,
-            reuse_streams: bool = False) -> np.ndarray:
-    """sampler(*args, count, first_index) rows; the reuse_streams
-    fault-injection fixture makes every row a copy of the first stream's."""
-    if reuse_streams:
-        return np.tile(sampler(*args, 1, first_index), (count, 1))
-    return sampler(*args, count, first_index)
-
-
-def moments_battery(spec: YehSpec, grid, checks: dict, seed: int, paths: int,
-                    reuse_streams: bool = False) -> list[CheckRow]:
+def moments_battery(spec: YehSpec, grid, checks: dict, seed: int, paths: int) -> list[CheckRow]:
     """Sample moments of Wiener integrals against the analytic formulas.
 
     checks maps a check name to a step integrand f, for the mean E[I(f)] (the
@@ -80,17 +71,15 @@ def moments_battery(spec: YehSpec, grid, checks: dict, seed: int, paths: int,
     """
     pairs = {name: c if isinstance(c, tuple) else (c,) for name, c in checks.items()}
     integrands = list(dict.fromkeys(f for pair in pairs.values() for f in pair))
-    samples = dict(zip(integrands, _sample(
-        increment_functionals, spec, grid, step_weights(integrands, grid), seed,
-        count=paths, reuse_streams=reuse_streams).T))
+    samples = dict(zip(integrands, increment_functionals(
+        spec, grid, step_weights(integrands, grid), seed, paths).T))
     return [_mean_within(name, integral_covariance(f, g[0], spec.lam, spec.rho),
                          samples[f] * samples[g[0]]) if g else
             _mean_within(name, integral_mean(f, spec.lam), samples[f])
             for name, (f, *g) in pairs.items()]
 
 
-def gaussian_battery(spec: YehSpec, integrands: dict, seeds, paths: int,
-                     reuse_streams: bool = False) -> list[CheckRow]:
+def gaussian_battery(spec: YehSpec, integrands: dict, seeds, paths: int) -> list[CheckRow]:
     """KS tests of the Wiener integral law against its analytic Gaussian:
     check f"{name}_seed{k}" draws `paths` integrals of the named step
     integrand, on its own partition, from the k-th of `seeds`, and passes
@@ -101,16 +90,15 @@ def gaussian_battery(spec: YehSpec, integrands: dict, seeds, paths: int,
         mean = integral_mean(f, spec.lam)
         var = norm_sq_rho(f, spec.rho)
         for k, seed in enumerate(seeds):
-            samples = _sample(increment_functionals, spec, grid, step_weights([f], grid),
-                              seed, count=paths, reuse_streams=reuse_streams)[:, 0]
+            samples = increment_functionals(spec, grid, step_weights([f], grid), seed,
+                                            paths)[:, 0]
             p_value = ks_test(samples, mean, var).p_value
             rows.append(CheckRow(f"{name}_seed{k}", 0.01, p_value, 0.0, p_value > 0.01))
     return rows
 
 
 def series_battery(basis: BasisFamily, grid, pairs, truncation: int,
-                   endpoint_terms: int, seed: int, paths: int,
-                   reuse_streams: bool = False) -> list[CheckRow]:
+                   endpoint_terms: int, seed: int, paths: int) -> list[CheckRow]:
     """Closed-form truncation defects and the series-sampled covariance.
 
     The defects are the single-term one at the grid midpoint and the one
@@ -130,21 +118,17 @@ def series_battery(basis: BasisFamily, grid, pairs, truncation: int,
     ]
     spec = YehSpec(MeanFunction.zero(rho.interval), rho)
     cols = sorted({i for pair in pairs for i in pair})
-    sv = _sample(series_point_values, spec, basis, truncation, grid[cols], seed,
-                 count=paths, reuse_streams=reuse_streams)
+    sv = series_point_values(spec, basis, truncation, grid[cols], seed, paths)
     defects = dict(zip(cols, series_variance_defect(basis, truncation, grid[cols])))
     for i, j in pairs:
-        s, t = float(grid[i]), float(grid[j])
         prod = sv[:, cols.index(i)] * sv[:, cols.index(j)]
-        se = prod.std(ddof=1) / math.sqrt(paths)
-        rows.append(_within(f"series_cov_{i}_{j}", rho(min(s, t)), float(prod.mean()),
-                            math.sqrt(defects[i] * defects[j]) + 4.0 * se))
+        rows.append(_mean_within(f"series_cov_{i}_{j}", rho(float(min(grid[i], grid[j]))),
+                                 prod, slack=math.sqrt(defects[i] * defects[j])))
     return rows
 
 
 def expansion_battery(basis: BasisFamily, grid, integrands: dict, max_terms: int,
-                      term_counts, seed: int, paths: int,
-                      reuse_streams: bool = False) -> list[CheckRow]:
+                      term_counts, seed: int, paths: int) -> list[CheckRow]:
     """Mean-square gap of the truncated expansion against the Parseval defect.
 
     Each named step integrand f and the first max_terms basis members are
@@ -160,8 +144,7 @@ def expansion_battery(basis: BasisFamily, grid, integrands: dict, max_terms: int
     for i, (name, f) in enumerate(integrands.items()):
         weights = cell_weights(*project_family([f], len(grid) - 1, iv, basis, max_terms),
                                grid)
-        integrals = _sample(increment_functionals, spec, grid, weights, seed, count=paths,
-                            first_index=i * paths, reuse_streams=reuse_streams)
+        integrals = increment_functionals(spec, grid, weights, seed, paths, i * paths)
         coeffs = fourier_coeffs(f, basis, max_terms)
         norm_sq = norm_sq_rho(f, rho)
         for n in term_counts:
@@ -209,8 +192,7 @@ def counterexample_drifts() -> list[CheckRow]:
             for name, t, want in _COUNTEREXAMPLE_DRIFTS]
 
 
-def counterexample_battery(seed: int = 0, paths: int = 0,
-                           reuse_streams: bool = False) -> list[CheckRow]:
+def counterexample_battery(seed: int = 0, paths: int = 0) -> list[CheckRow]:
     """The exact drifts and mean of the mixed-sign step, its 'neither'
     verdict and, when paths > 0, a Monte Carlo cross-check of the drifts."""
     unit = Interval(0.0, 1.0)
@@ -224,8 +206,7 @@ def counterexample_battery(seed: int = 0, paths: int = 0,
         grid = np.array(sorted({0.0, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1.0}))
         weights = step_weights([_restrict_step(MIXED_SIGN_STEP, 0.25, t)
                                 for _, t, _ in _COUNTEREXAMPLE_DRIFTS], grid)
-        drifts = _sample(increment_functionals, spec, grid, weights, seed, count=paths,
-                         reuse_streams=reuse_streams)
+        drifts = increment_functionals(spec, grid, weights, seed, paths)
         rows += [_mean_within(f"counterexample_mc_drift_{name}", want, samples)
                  for (name, _, want), samples in zip(_COUNTEREXAMPLE_DRIFTS, drifts.T)]
     return rows
@@ -239,8 +220,7 @@ def moments_suite(cfg: RunConfig) -> list[CheckRow]:
     g = StepFunction.indicator(iv.a, float(grid[len(grid) // 2]), iv)
     checks = {"moments_mean_f": f, "moments_mean_g": g,
               "moments_second_fg": (f, g), "moments_second_ff": (f, f)}
-    return moments_battery(YehSpec(cfg.lam, cfg.rho), grid, checks, cfg.seed, cfg.paths,
-                           cfg.reuse_streams)
+    return moments_battery(YehSpec(cfg.lam, cfg.rho), grid, checks, cfg.seed, cfg.paths)
 
 
 def gaussian_suite(cfg: RunConfig) -> list[CheckRow]:
@@ -254,8 +234,7 @@ def gaussian_suite(cfg: RunConfig) -> list[CheckRow]:
                                           (0.5, -0.5, 2.0)),
     }
     return gaussian_battery(YehSpec(cfg.lam, cfg.rho), integrands,
-                            [_suite_seed(cfg, k) for k in range(3)], max(cfg.paths, 1000),
-                            cfg.reuse_streams)
+                            [_suite_seed(cfg, k) for k in range(3)], max(cfg.paths, 1000))
 
 
 def series_suite(cfg: RunConfig) -> list[CheckRow]:
@@ -267,10 +246,9 @@ def series_suite(cfg: RunConfig) -> list[CheckRow]:
     half = StepFunction.indicator(iv.a, iv.a + iv.length / 2, iv)
     return [*series_battery(cfg.basis, grid, [(n // 4, n // 2), (n // 2, n // 2),
                                               (n // 4, 3 * n // 4)],
-                            cfg.truncation, max(1, cfg.truncation), cfg.seed, cfg.paths,
-                            cfg.reuse_streams),
+                            cfg.truncation, max(1, cfg.truncation), cfg.seed, cfg.paths),
             *expansion_battery(cfg.basis, grid, {"series_expansion_gap": half}, 16,
-                               (1, 4, 16), _suite_seed(cfg, 7), cfg.paths, cfg.reuse_streams)]
+                               (1, 4, 16), _suite_seed(cfg, 7), cfg.paths)]
 
 
 def martingale_suite(cfg: RunConfig) -> list[CheckRow]:
@@ -278,19 +256,15 @@ def martingale_suite(cfg: RunConfig) -> list[CheckRow]:
     martingale: zero drift within 4 SE."""
     iv = cfg.interval
     grid = make_grid(iv, 9, "t")
-    m = max(cfg.paths, 100)
-    samples = _sample(increment_functionals, YehSpec(MeanFunction.zero(iv), cfg.rho), grid,
-                      step_weights([StepFunction.indicator(iv.a, iv.b, iv)], grid),
-                      _suite_seed(cfg, 3), count=m, reuse_streams=cfg.reuse_streams)[:, 0]
-    se = samples.std(ddof=1) / math.sqrt(m)
+    samples = increment_functionals(YehSpec(MeanFunction.zero(iv), cfg.rho), grid,
+                                    step_weights([StepFunction.indicator(iv.a, iv.b, iv)], grid),
+                                    _suite_seed(cfg, 3), max(cfg.paths, 100))[:, 0]
     return [*truth_table_battery(iv, 8, cfg.seed),
-            _within("martingale_mc_centered_drift", 0.0, float(samples.mean()),
-                    4.0 * se + 1e-15)]
+            _mean_within("martingale_mc_centered_drift", 0.0, samples, slack=1e-15)]
 
 
 def counterexample_suite(cfg: RunConfig) -> list[CheckRow]:
-    return counterexample_battery(_suite_seed(cfg, 11), max(cfg.paths, 100),
-                                  cfg.reuse_streams)
+    return counterexample_battery(_suite_seed(cfg, 11), max(cfg.paths, 100))
 
 
 SUITES = {"moments": moments_suite, "gaussian": gaussian_suite, "series": series_suite,

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from yehsim import cli
+from yehsim import cli, process
 from yehsim.cli import main
 from yehsim.config import parse_config
 from yehsim.verify import SUITE_NAMES
@@ -119,7 +119,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("bad", [5, [], "x", None])
     @pytest.mark.parametrize("section", [
-        "lambda", "rho", "integrand", "mc", "grid", "series", "quadrature", "debug",
+        "lambda", "rho", "integrand", "mc", "grid", "series", "quadrature",
     ])
     def test_non_object_section_named(self, tmp_path, capsys, section, bad):
         cfg_path = tmp_path / "bad.json"
@@ -128,6 +128,16 @@ class TestSimulate:
                        "--out", str(tmp_path / "out"))
         assert code == 2
         assert f"{section}: must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [5, [], "x", None, {"reuse_streams": True}])
+    def test_debug_section_rejected(self, tmp_path, capsys, bad):
+        # fault injection lives in the tests (see test_corrupted_seed_reuse_fails)
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"debug": bad}))
+        code = run_cli("simulate", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "debug: unknown configuration section" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec,field", [
         ({"lambda": {"kind": "linear", "slope": float("nan")}}, "lambda.slope"),
@@ -188,45 +198,47 @@ class TestSimulate:
         assert "Traceback" not in err
 
 
-#: SHA-256 of paths.csv and bundle.json, written by the one-shot writer that
-#: preceded chunked output.  Each config spans three chunks, the last partial.
-#: The digests were taken at version 0.3.0, which the manifest records; the
-#: test pins that version, so they keep proving that the bytes are unchanged.
+#: SHA-256 of paths.csv and bundle.json.  Each config spans three chunks, the
+#: last partial.  The test pins version 0.3.0 in the manifest, so a version
+#: bump alone does not move the digests.  They were first written by the
+#: one-shot writer that preceded chunked output, and re-taken at 0.5.0, when the
+#: config lost its debug section; the outputs at 0.4.0 and 0.5.0 match at 1 and 2
+#: BLAS threads once config_hash and manifest_hash are masked.
 STREAMED_GOLDEN = {
     "cantor_rho": (
         {"interval": [0.0, 1.0], "lambda": {"kind": "cantor", "depth": 64},
          "rho": {"kind": "power", "exponent": 2.0},
          "mc": {"paths": 1100, "seed": 20261018},
          "grid": {"points": 513, "scale": "rho"}},
-        "d89eb5450ed21d0e977e3665782a99f934a999856b63e003d924b4dd6fae5ec7",
-        "8db9cca01eefd5084f56f808893a6af4cf9c227137347e910262461d4070d802",
+        "912373f4a68735f9add55d911d3ef2b12875fb7396b0620a3b9eb84a183cb558",
+        "82e9f440453b114cf1f3c0acee1d2eb0e8ae0d680b0e1de82d63860177d42cdd",
     ),
     "brownian_t": (
         {"interval": [0.0, 1.0], "lambda": {"kind": "zero"}, "rho": {"kind": "identity"},
          "mc": {"paths": 600, "seed": 20261018},
          "grid": {"points": 1025, "scale": "t"}},
-        "404b76069e58da9165bae53c80f3c2b28e4891a69dd5925acc5b384d1e117798",
-        "14b7776141723c720d4f8435d2d7c37713c48e8d277d265a871149299b6dc934",
+        "dae034fe54251687f03d056546e300cb8f2bf73e7edb63ceb46b6b8d87a3debf",
+        "0553b7462b0ee29fb4c18678b6fa8508501292f299ad653270cc10ba8e1e97f8",
     ),
 }
 
 
 class TestStreamedSimulate:
-    @pytest.mark.parametrize("name,chunk_values", [
+    @pytest.mark.parametrize("name,chunk_draws", [
         ("cantor_rho", None),
         ("brownian_t", None),
         ("brownian_t", 1),          # one path per chunk
         ("brownian_t", 2**40),      # every path in one chunk
     ])
-    def test_bytes_match_golden(self, tmp_path, monkeypatch, name, chunk_values):
+    def test_bytes_match_golden(self, tmp_path, monkeypatch, name, chunk_draws):
         config, csv_digest, bundle_digest = STREAMED_GOLDEN[name]
         monkeypatch.setattr("yehsim.config.TOOL_VERSION", "0.3.0")
         points, paths = config["grid"]["points"], config["mc"]["paths"]
-        if chunk_values is None:
-            rows = cli.CHUNK_VALUES // points
+        if chunk_draws is None:
+            rows = process.CHUNK_DRAWS // (points - 1)
             assert 2 * rows < paths < 3 * rows
         else:
-            monkeypatch.setattr(cli, "CHUNK_VALUES", chunk_values)
+            monkeypatch.setattr(process, "CHUNK_DRAWS", chunk_draws)
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(config))
         out = tmp_path / "out"
@@ -244,7 +256,7 @@ class TestStreamedSimulate:
             calls.append(t)
             return original(self, t)
 
-        monkeypatch.setattr(cli, "CHUNK_VALUES", 1)  # one path per chunk
+        monkeypatch.setattr(process, "CHUNK_DRAWS", 1)  # one path per chunk
         monkeypatch.setattr(MeanFunction, "__call__", counting)
         counts = []
         for paths in (3, 30):
@@ -256,7 +268,7 @@ class TestStreamedSimulate:
         assert counts[0] == counts[1], counts
 
     def test_peak_memory_flat_in_path_count(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "CHUNK_VALUES", 65 * 10)
+        monkeypatch.setattr(process, "CHUNK_DRAWS", 64 * 10)  # 10 paths per chunk
         peaks = []
         for paths in (50, 500):
             cfg = parse_config({"mc": {"paths": paths}, "grid": {"points": 65}}, {})
@@ -269,26 +281,31 @@ class TestStreamedSimulate:
         assert peaks[1] < 1.5 * peaks[0], peaks
 
 
-#: SHA-256 of verify_all.csv for acceptance criterion 9's config, taken at
-#: version 0.4.0, when the suites moved onto the functional sampler.
+# The digests below were first taken at version 0.4.0, as each comment says,
+# and re-taken at 0.5.0, when the config lost its debug section: every output
+# at 0.4.0 and 0.5.0 matches at 1 and 2 BLAS threads once config_hash,
+# manifest_hash and version are masked.
+
+#: SHA-256 of verify_all.csv for acceptance criterion 9's config, first taken
+#: when the suites moved onto the functional sampler.
 VERIFY_GOLDEN = (
     {"mc": {"paths": 2000, "seed": 12345}, "grid": {"points": 257}, "series": {"N": 64}},
-    "cc4de71b454759fcda2d983b2fba8832aa1cafd4ed3ea4e5138085722b9bd311",
+    "1d3ed4fbd420d769b9f18dd79bcbc19560eec0dab3617d7f96b9affd63f58a53",
 )
 
 #: SHA-256 of verify_all.csv for configs/cantor.json cut down to 500 paths,
-#: 129 points and N = 32, and of expansion.csv for each shipped config, taken
-#: at version 0.4.0 before the suites were split into batteries and adapters.
-CANTOR_VERIFY_GOLDEN = "81f6d925250e6d8849f30bc0512332b953ec8a25d1c5bab0d58fdac0f4fb8a48"
+#: 129 points and N = 32, and of expansion.csv for each shipped config, first
+#: taken before the suites were split into batteries and adapters.
+CANTOR_VERIFY_GOLDEN = "4857357c376a947dd81ecb949699eec8ea0886216c6b5371b5ba3b7e45c2cbee"
 EXPAND_GOLDEN = {
-    "brownian": "0cd982a97e0d97c14cbf253a69d53212fda390cd074bcb3a760aa7123f74b9ca",
-    "cantor": "318576e0700fc9c78202b8e5df65ad9bfa21e154d9aaec8c270011c3da36d188",
+    "brownian": "c16fd422376e8a941a3d19921cf0783f7d402b4147d33ba7053693c6618e8481",
+    "cantor": "9b6ecdb85dca5b4d67032a417c21208f7105f7e81b2cca8075221751ee36007b",
 }
 
 #: A Haar basis on a piecewise rho of mass 1.3 over [0, 2] (every config
 #: above has rho mass 1), and the SHA-256 of verify_series.csv and of
-#: expansion.csv for it, taken at version 0.4.0 before the basis evaluators
-#: were broadcast over the member index.
+#: expansion.csv for it, first taken before the basis evaluators were
+#: broadcast over the member index.
 HAAR_MASS_CONFIG = {
     "interval": [0.0, 2.0], "lambda": {"kind": "linear", "slope": -0.5},
     "rho": {"kind": "piecewise", "knots": [0.0, 0.3, 1.0, 2.0],
@@ -300,9 +317,9 @@ HAAR_MASS_CONFIG = {
 }
 HAAR_MASS_GOLDEN = {
     "verify": ("verify_series.csv",
-               "a65344d32ddfe09043dd8a2c40e654bb1bc876a1bc88c2727b64755ac1f1be7a"),
+               "168e22154e04e6d225bf6923d0b6658d9c8b1cbe96907c60da5c5cd777577084"),
     "expand": ("expansion.csv",
-               "9a56f8858ccea266e35f1a1fdd7d71f779f4c4b7360a61a199f0bfa6b683b776"),
+               "35bcc131ecf5d1bee3b7fb126676ec2dd899743727ff3fa29ce6956f97a87d18"),
 }
 
 
@@ -378,18 +395,28 @@ class TestVerify:
         rows = read_rows(out / "verify_moments.csv")
         assert all(r["pass"] == "true" for r in rows)
 
-    def test_corrupted_seed_reuse_fails(self, tmp_path):
+    def test_corrupted_seed_reuse_fails(self, tmp_path, monkeypatch):
+        # every sampler draws through process.normal_matrix: make each chunk
+        # repeat its first stream, and every stochastic suite must notice
+        original = process.normal_matrix
+
+        def reused(seed, n_streams, n_draws, first_index=0):
+            return np.tile(original(seed, 1, n_draws, first_index), (n_streams, 1))
+
+        monkeypatch.setattr(process, "normal_matrix", reused)
         cfg_path = tmp_path / "corrupt.json"
         cfg_path.write_text(json.dumps({
             "mc": {"paths": 500, "seed": 12345},
             "grid": {"points": 33},
             "series": {"N": 32},
-            "debug": {"reuse_streams": True},
         }))
         out = tmp_path / "out"
         code = run_cli("verify", "--suite", "all", "--config", str(cfg_path),
                        "--out", str(out))
         assert code == 1
+        failed = {r["check"].split("_")[0] for r in read_rows(out / "verify_all.csv")
+                  if r["pass"] == "false"}
+        assert failed == set(SUITE_NAMES)
 
     def test_all_suites_round_trip_byte_identical(self, tmp_path):
         cfg_path = tmp_path / "c.json"
@@ -449,6 +476,20 @@ class TestExpand:
     def test_bytes_match_golden_at_blas_threads(self, tmp_path, name, threads):
         assert cli_digest(tmp_path, threads, "expansion.csv", "expand",
                           "--config", str(CONFIGS / f"{name}.json")) == EXPAND_GOLDEN[name]
+
+    def test_quadrature_bytes_same_at_blas_threads(self, tmp_path):
+        # a poly integrand takes the quadrature branch of the coefficients
+        # and of the rho-norm
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({
+            "rho": {"kind": "piecewise", "knots": [0, 0.5, 1], "values": [0, 0.3, 1]},
+            "integrand": {"kind": "poly", "coeffs": [0.2, -1, 3]},
+            "mc": {"paths": 100, "seed": 5}, "grid": {"points": 257},
+            "series": {"N": 64, "family": "haar"},
+        }))
+        digests = {cli_digest(tmp_path / threads, threads, "expansion.csv", "expand",
+                              "--config", str(cfg_path)) for threads in ("1", "2")}
+        assert len(digests) == 1
 
     def test_zero_truncation_rejected(self, tmp_path, brownian_config, capsys):
         code = run_cli("expand", "--config", str(brownian_config),

@@ -24,7 +24,6 @@ SCHEMA = {
     "grid": (("t", "rho"), ("points", "scale")),
     "series": (("cosine", "haar"), ("N", "family")),
     "quadrature": ((), ("resolution",)),
-    "debug": ((), ("reuse_streams",)),
 }
 WORD_KEYS = ("kind", "scale", "family")
 
