@@ -13,7 +13,6 @@ from .errors import (
     BadGridError,
     ConfigError,
     DegenerateReferenceError,
-    GridMismatchError,
     MissingBVCertificateError,
     NegativeVarianceError,
     NonFiniteDrawError,
@@ -56,24 +55,20 @@ from .martingale import (
 from .process import (
     DEFAULT_GRID_POINTS,
     DEFAULT_TRUNCATION,
-    EmpiricalMoments,
     SamplePath,
     YehSpec,
     center,
-    empirical_moments,
     make_grid,
-    path_to_csv,
     sample_increments,
     sample_series,
 )
 from .series import (
     ExpansionReport,
     expand_integral,
-    expand_integral_uncentered,
     parseval_defect,
     series_variance_defect,
 )
-from .stats import KSReport, MCEstimate, ks_test, mc_estimate, merge_estimates
+from .stats import KSReport, MCEstimate, ks_test
 from .stieltjes import (
     DEFAULT_CANTOR_DEPTH,
     DEFAULT_RESOLUTION,

@@ -41,10 +41,6 @@ class NegativeVarianceError(YehError, RuntimeError):
     """Internal invariant violation: a variance increment was not positive."""
 
 
-class GridMismatchError(YehError, ValueError):
-    """Sample paths do not share a common grid, or a time is not on the grid."""
-
-
 class MissingBVCertificateError(YehError, ValueError):
     """A pathwise Riemann-Stieltjes integral needs a bounded-variation certificate."""
 

@@ -7,9 +7,10 @@ present.  Every integral of a path held as values goes through one kernel,
 `integrate_step_batch`, which takes a step family as one partition and one
 (members, pieces) matrix.  Paths that exist only as increments, in
 process.increment_functionals, take the family as per-cell weights instead
-(`cell_weights`, `step_weights`).  Partition points must lie on the path
-grid: a path is only known at its grid points and interpolating would
-fabricate correlation structure.
+(`cell_weights`, `step_weights`); every Monte Carlo draw of step integrals
+takes its grid and weights from `step_cells`, the members' own partition.
+Partition points must lie on the path grid: a path is only known at its
+grid points and interpolating would fabricate correlation structure.
 """
 
 from __future__ import annotations
@@ -82,16 +83,34 @@ def cell_weights(partition, values, grid) -> np.ndarray:
     return weights
 
 
+def _steps(family) -> list:
+    steps = [as_integrand(g).step for g in family]
+    if any(step is None for step in steps):
+        raise TypeError("step weights require step integrands")
+    return steps
+
+
 def step_weights(family, grid) -> np.ndarray:
     """Per-cell weights of step integrands on a path grid, one row each.
 
     The members may have different partitions; each must lie on the grid.
     The rows are the weights that process.increment_functionals takes.
     """
-    steps = [as_integrand(g).step for g in family]
-    if any(step is None for step in steps):
-        raise TypeError("step weights require step integrands")
-    return np.vstack([cell_weights(s.partition, s.values, grid) for s in steps])
+    return np.vstack([cell_weights(s.partition, s.values, grid) for s in _steps(family)])
+
+
+def step_cells(family, interval) -> tuple[np.ndarray, np.ndarray]:
+    """The draw grid of a step family and its weights on it: (grid, weights).
+
+    The grid is the sorted union of the members' partitions and the
+    interval's two ends; the weights are step_weights on that grid.
+    Increments over disjoint cells are independent Normal(dlambda, drho), so
+    a step integral depends only on lambda and rho at its partition points:
+    drawn on this grid it has the same law as on any finer one.
+    """
+    iv = Interval.coerce(interval)
+    grid = np.unique(np.concatenate([[iv.a, iv.b], *(s.partition for s in _steps(family))]))
+    return grid, step_weights(family, grid)
 
 
 def integrate_step(f, path: SamplePath) -> WienerIntegralResult:

@@ -11,11 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import OutOfDomainError
 from .funcspace import StepFunction, as_integrand
-from .integral import step_weights
+from .integral import step_cells
 from .process import YehSpec, increment_functionals
 from .stats import MCEstimate, mc_from_samples
 from .stieltjes import DEFAULT_RESOLUTION, MeanFunction, stieltjes_quad, stieltjes_step
@@ -109,10 +107,8 @@ def mc_martingale_test(spec: YehSpec, f: StepFunction, s: float, t: float,
     a, b = spec.interval.a, spec.interval.b
     if not (a <= s < t <= b):
         raise OutOfDomainError(f"need {a} <= s < t <= {b}, got s={s}, t={t}")
-    cuts = sorted({a, b, float(s), float(t)} | set(f.partition))
-    grid = np.array(cuts)
-    weights = step_weights([_restrict_step(f, s, t)], grid)
-    samples = increment_functionals(spec, grid, weights, seed, count, first_index)[:, 0]
+    cells = step_cells([_restrict_step(f, s, t)], spec.interval)
+    samples = increment_functionals(spec, *cells, seed, count, first_index)[:, 0]
     return mc_from_samples(samples, seed=seed, first_index=first_index)
 
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     BadGridError,
-    GridMismatchError,
     NegativeVarianceError,
     PartitionNotOnGridError,
 )
@@ -87,12 +86,6 @@ class SamplePath:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
-    def index_of(self, t: float) -> int:
-        try:
-            return int(grid_indices(self.grid, t)[0])
-        except PartitionNotOnGridError:
-            raise GridMismatchError(f"time {t} is not a grid point") from None
-
 
 def grid_indices(grid, points) -> np.ndarray:
     """Indices of `points` on a strictly increasing grid, exact up to 1e-12
@@ -108,14 +101,6 @@ def grid_indices(grid, points) -> np.ndarray:
             f"point {points[off][0]} is not on the path grid; refusing to interpolate"
         )
     return idx
-
-
-def path_to_csv(path: SamplePath) -> str:
-    """One path as CSV text with columns t, value (17 significant digits)."""
-    lines = ["t,value"]
-    for t, v in zip(path.grid, path.values):
-        lines.append(f"{format(t, '.17g')},{format(v, '.17g')}")
-    return "\n".join(lines) + "\n"
 
 
 def make_grid(interval, points: int = DEFAULT_GRID_POINTS, scale: str = "t",
@@ -198,43 +183,6 @@ def sample_series(spec: YehSpec, basis: BasisFamily, truncation: int, grid,
 def center(path: SamplePath, lam: MeanFunction) -> SamplePath:
     """Subtract the drift pointwise; centering with a zero drift is the identity."""
     return replace(path, values=path.values - lam(path.grid), centered=True)
-
-
-@dataclass(frozen=True)
-class EmpiricalMoments:
-    """Sample first and second moments at a pair of grid times."""
-
-    mean_s: float
-    mean_t: float
-    second_moment_st: float
-    se_mean_s: float
-    se_mean_t: float
-    se_second_moment: float
-    count: int
-
-
-def empirical_moments(paths: list[SamplePath], s: float, t: float) -> EmpiricalMoments:
-    """Sample estimates of E[X(s)], E[X(t)], E[X(s)X(t)] with standard errors."""
-    if len(paths) < 2:
-        raise ValueError("need at least 2 paths")
-    grid = paths[0].grid
-    for p in paths[1:]:
-        if p.grid.shape != grid.shape or not np.array_equal(p.grid, grid):
-            raise GridMismatchError("paths do not share a common grid")
-    i, j = paths[0].index_of(s), paths[0].index_of(t)
-    xs = np.array([p.values[i] for p in paths])
-    xt = np.array([p.values[j] for p in paths])
-    prod = xs * xt
-    m = len(paths)
-    return EmpiricalMoments(
-        mean_s=float(xs.mean()),
-        mean_t=float(xt.mean()),
-        second_moment_st=float(prod.mean()),
-        se_mean_s=float(xs.std(ddof=1) / np.sqrt(m)),
-        se_mean_t=float(xt.std(ddof=1) / np.sqrt(m)),
-        se_second_moment=float(prod.std(ddof=1) / np.sqrt(m)),
-        count=m,
-    )
 
 
 def _normal_chunks(seed: int, count: int, draws: int, first_index: int = 0):

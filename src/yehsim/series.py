@@ -20,9 +20,9 @@ from .funcspace import (
     inner_rho,
     project_family,
 )
-from .integral import integral_mean, integrate_step_batch
+from .integral import integrate_step_batch
 from .process import SamplePath
-from .stieltjes import DEFAULT_RESOLUTION, Interval, MeanFunction
+from .stieltjes import DEFAULT_RESOLUTION, Interval
 
 
 @dataclass(frozen=True)
@@ -68,21 +68,6 @@ def expand_integral(f, basis: BasisFamily, truncation: int, path: SamplePath,
     norm_sq = inner_rho(f, f, basis.rho, resolution)
     defects = norm_sq - np.cumsum(coeffs**2)
     return ExpansionReport(truncation, coeffs, partial_sums, target, defects, norm_sq)
-
-
-def expand_integral_uncentered(f, basis: BasisFamily, truncation: int,
-                               path: SamplePath, lam: MeanFunction, cells: int,
-                               resolution: int = DEFAULT_RESOLUTION) -> ExpansionReport:
-    """Expansion against an uncentered path: centers it, then shifts target and
-    partial sums by the integral of f against d(lambda)."""
-    from .process import center
-
-    report = expand_integral(f, basis, truncation, center(path, lam), cells, resolution)
-    shift = integral_mean(f, lam, resolution)
-    return ExpansionReport(
-        report.truncation, report.coefficients, report.partial_sums + shift,
-        report.target + shift, report.defects, report.norm_sq,
-    )
 
 
 def parseval_defect(f, basis: BasisFamily, truncation: int,

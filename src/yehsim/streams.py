@@ -56,9 +56,6 @@ class GaussianStream:
         if not 0 <= self.index < _U64:
             raise ValueError("stream index must fit in 64 bits")
 
-    def child(self, offset: int) -> "GaussianStream":
-        return GaussianStream(self.seed, self.index + offset)
-
     def uniforms(self, n: int) -> np.ndarray:
         """n uniforms strictly inside (0, 1), one counter word each."""
         return _uniform_matrix(self.seed, 1, n, self.index)[0]

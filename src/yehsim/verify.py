@@ -5,10 +5,14 @@ grid, named integrands or pairs, seeds, path count, truncation) and it
 returns (check, expected, observed, tolerance, pass) rows.  The integrands
 are step functions, so their means, rho-norms and coefficients are exact.
 A suite is a thin adapter from a RunConfig to battery arguments; the
-acceptance tests call the same batteries at their own scale.  Stochastic
-checks use the 4-standard-error convention; exact identities carry absolute
-tolerances.  Suite draws derive from the manifest seed through fixed seed
-offsets (taken modulo 2**64) and stream indices, so reruns give identical rows.
+acceptance tests call the same batteries at their own scale.  Monte Carlo
+rows draw step integrals on the integrands' own partition
+(integral.step_cells; the expansion gap on its projection grid, which is
+its members' common partition) and check the exact law of what was drawn,
+within 4 standard errors; truncation and projection errors get exact rows
+of their own.  Exact identities carry absolute tolerances.  Suite draws
+derive from the manifest seed through fixed seed offsets (taken modulo
+2**64) and stream indices, so reruns give identical rows.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import ConfigError
 from .funcspace import BasisFamily, StepFunction, fourier_coeffs, norm_sq_rho, project_family
-from .integral import cell_weights, integral_covariance, integral_mean, step_weights
+from .integral import cell_weights, integral_covariance, integral_mean, step_cells
 from .martingale import _restrict_step, classify, conditional_increment_mean
 from .process import YehSpec, increment_functionals, make_grid, series_point_values
 from .series import series_variance_defect
@@ -49,11 +53,10 @@ def _within(check: str, expected: float, observed: float, tol: float) -> CheckRo
                     math.isfinite(tol) and abs(observed - expected) <= tol)
 
 
-def _mean_within(check: str, expected: float, samples: np.ndarray,
-                 slack: float = 0.0) -> CheckRow:
-    """The sample mean against `expected` within slack plus 4 standard errors."""
+def _mean_within(check: str, expected: float, samples: np.ndarray) -> CheckRow:
+    """The sample mean against `expected` within 4 standard errors."""
     se = samples.std(ddof=1) / math.sqrt(len(samples))
-    return _within(check, expected, float(samples.mean()), slack + 4.0 * se)
+    return _within(check, expected, float(samples.mean()), 4.0 * se)
 
 
 def _suite_seed(cfg: RunConfig, offset: int) -> int:
@@ -61,18 +64,19 @@ def _suite_seed(cfg: RunConfig, offset: int) -> int:
     return (cfg.seed + offset) % 2**64
 
 
-def moments_battery(spec: YehSpec, grid, checks: dict, seed: int, paths: int) -> list[CheckRow]:
+def moments_battery(spec: YehSpec, checks: dict, seed: int, paths: int) -> list[CheckRow]:
     """Sample moments of Wiener integrals against the analytic formulas.
 
     checks maps a check name to a step integrand f, for the mean E[I(f)] (the
     integral of f against d(lambda)), or to a pair (f, g), for E[I(f) I(g)]
     (the rho inner product plus the product of the means).  All integrals of
-    a path come from one stream; the paths are streams 0 .. paths - 1.
+    a path come from one stream, drawn on the integrands' own partition; the
+    paths are streams 0 .. paths - 1.
     """
     pairs = {name: c if isinstance(c, tuple) else (c,) for name, c in checks.items()}
     integrands = list(dict.fromkeys(f for pair in pairs.values() for f in pair))
     samples = dict(zip(integrands, increment_functionals(
-        spec, grid, step_weights(integrands, grid), seed, paths).T))
+        spec, *step_cells(integrands, spec.interval), seed, paths).T))
     return [_mean_within(name, integral_covariance(f, g[0], spec.lam, spec.rho),
                          samples[f] * samples[g[0]]) if g else
             _mean_within(name, integral_mean(f, spec.lam), samples[f])
@@ -82,16 +86,15 @@ def moments_battery(spec: YehSpec, grid, checks: dict, seed: int, paths: int) ->
 def gaussian_battery(spec: YehSpec, integrands: dict, seeds, paths: int) -> list[CheckRow]:
     """KS tests of the Wiener integral law against its analytic Gaussian:
     check f"{name}_seed{k}" draws `paths` integrals of the named step
-    integrand, on its own partition, from the k-th of `seeds`, and passes
-    when the p-value exceeds 0.01."""
+    integrand from the k-th of `seeds`, and passes when the p-value exceeds
+    0.01."""
     rows = []
     for name, f in integrands.items():
-        grid = np.asarray(f.partition)
+        cells = step_cells([f], spec.interval)
         mean = integral_mean(f, spec.lam)
         var = norm_sq_rho(f, spec.rho)
         for k, seed in enumerate(seeds):
-            samples = increment_functionals(spec, grid, step_weights([f], grid), seed,
-                                            paths)[:, 0]
+            samples = increment_functionals(spec, *cells, seed, paths)[:, 0]
             p_value = ks_test(samples, mean, var).p_value
             rows.append(CheckRow(f"{name}_seed{k}", 0.01, p_value, 0.0, p_value > 0.01))
     return rows
@@ -103,9 +106,13 @@ def series_battery(basis: BasisFamily, grid, pairs, truncation: int,
 
     The defects are the single-term one at the grid midpoint and the one
     after endpoint_terms terms at the right end, which vanishes.  For each
-    index pair (i, j), `paths` centered series paths of `truncation` terms
-    give E[X(s) X(t)] at s, t = grid[i], grid[j]: rho(min(s, t)) within the
-    truncation defects at s and t plus 4 SE.
+    index pair (i, j), at s, t = grid[i], grid[j], `paths` centered series
+    paths of `truncation` terms give E[X(s) X(t)], which must be the
+    truncated series' covariance K(s, t) = sum over k < truncation of
+    A_k(s) A_k(t), the A_k being the running integrals of the members, within
+    4 SE.  An exact row bounds the truncation: K(s, t) lies within
+    sqrt(D(s) D(t)) of rho(min(s, t)), D being the truncation defect, by
+    Cauchy-Schwarz on the tail and Parseval's sum of A_k(t)**2 = rho(t).
     """
     rho = basis.rho
     t_mid = float(grid[len(grid) // 2])
@@ -118,39 +125,46 @@ def series_battery(basis: BasisFamily, grid, pairs, truncation: int,
     ]
     spec = YehSpec(MeanFunction.zero(rho.interval), rho)
     cols = sorted({i for pair in pairs for i in pair})
-    sv = series_point_values(spec, basis, truncation, grid[cols], seed, paths)
-    defects = dict(zip(cols, series_variance_defect(basis, truncation, grid[cols])))
+    times = grid[cols]
+    sv = series_point_values(spec, basis, truncation, times, seed, paths)
+    amatrix = basis.antiderivative(np.arange(truncation), times)
+    defects = series_variance_defect(basis, truncation, times)
     for i, j in pairs:
-        prod = sv[:, cols.index(i)] * sv[:, cols.index(j)]
-        rows.append(_mean_within(f"series_cov_{i}_{j}", rho(float(min(grid[i], grid[j]))),
-                                 prod, slack=math.sqrt(defects[i] * defects[j])))
+        ci, cj = cols.index(i), cols.index(j)
+        kernel = float(np.sum(amatrix[:, ci] * amatrix[:, cj]))
+        rows += [_mean_within(f"series_cov_{i}_{j}", kernel, sv[:, ci] * sv[:, cj]),
+                 _within(f"series_truncation_{i}_{j}", rho(float(min(grid[i], grid[j]))),
+                         kernel, math.sqrt(defects[ci] * defects[cj]) + 1e-12)]
     return rows
 
 
 def expansion_battery(basis: BasisFamily, grid, integrands: dict, max_terms: int,
                       term_counts, seed: int, paths: int) -> list[CheckRow]:
-    """Mean-square gap of the truncated expansion against the Parseval defect.
+    """Mean-square gap of the truncated expansion against its exact law.
 
     Each named step integrand f and the first max_terms basis members are
-    projected onto the grid's cells; the i-th integrand's `paths` centered
-    paths are streams [i * paths, (i + 1) * paths).  Check f"{name}_N{n}"
-    compares the mean of (I(f) - sum over k < n of c_k I(phi_k))**2 with
-    ||f||^2 - sum over k < n of c_k**2 within 4 SE, for n in term_counts.
+    projected onto the grid's cells, their common partition, as weight rows
+    w_f and w_k.  The gap after n terms, I(f) - sum over k < n of
+    c_k I(phi_k), has the weight row g = w_f - sum over k < n of c_k w_k, so
+    its exact mean square under the centered spec is the sum of g**2 drho
+    over the cells.  The i-th integrand's `paths` centered paths are streams
+    [i * paths, (i + 1) * paths); check f"{name}_N{n}" compares their mean
+    squared gap with that value within 4 SE, for n in term_counts.
     """
     rho = basis.rho
     iv = rho.interval
     spec = YehSpec(MeanFunction.zero(iv), rho)
+    drho = np.diff(rho(grid))
     rows = []
     for i, (name, f) in enumerate(integrands.items()):
         weights = cell_weights(*project_family([f], len(grid) - 1, iv, basis, max_terms),
                                grid)
-        integrals = increment_functionals(spec, grid, weights, seed, paths, i * paths)
         coeffs = fourier_coeffs(f, basis, max_terms)
-        norm_sq = norm_sq_rho(f, rho)
-        for n in term_counts:
-            gaps_sq = (integrals[:, 0] - integrals[:, 1:n + 1] @ coeffs[:n]) ** 2
-            rows.append(_mean_within(f"{name}_N{n}", norm_sq - float(np.sum(coeffs[:n] ** 2)),
-                                     gaps_sq))
+        gaps = np.array([weights[0] - np.sum(coeffs[:n, None] * weights[1:n + 1], axis=0)
+                         for n in term_counts])
+        samples = increment_functionals(spec, grid, gaps, seed, paths, i * paths)
+        rows += [_mean_within(f"{name}_N{n}", float(np.sum(g * g * drho)), gap ** 2)
+                 for n, g, gap in zip(term_counts, gaps, samples.T)]
     return rows
 
 
@@ -203,10 +217,9 @@ def counterexample_battery(seed: int = 0, paths: int = 0) -> list[CheckRow]:
             CheckRow("counterexample_verdict_neither", 1.0, float(neither), 0.0, neither)]
     if paths:
         spec = YehSpec(lam, VarianceFunction.identity(unit))
-        grid = np.array(sorted({0.0, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1.0}))
-        weights = step_weights([_restrict_step(MIXED_SIGN_STEP, 0.25, t)
-                                for _, t, _ in _COUNTEREXAMPLE_DRIFTS], grid)
-        drifts = increment_functionals(spec, grid, weights, seed, paths)
+        cells = step_cells([_restrict_step(MIXED_SIGN_STEP, 0.25, t)
+                            for _, t, _ in _COUNTEREXAMPLE_DRIFTS], unit)
+        drifts = increment_functionals(spec, *cells, seed, paths)
         rows += [_mean_within(f"counterexample_mc_drift_{name}", want, samples)
                  for (name, _, want), samples in zip(_COUNTEREXAMPLE_DRIFTS, drifts.T)]
     return rows
@@ -220,7 +233,7 @@ def moments_suite(cfg: RunConfig) -> list[CheckRow]:
     g = StepFunction.indicator(iv.a, float(grid[len(grid) // 2]), iv)
     checks = {"moments_mean_f": f, "moments_mean_g": g,
               "moments_second_fg": (f, g), "moments_second_ff": (f, f)}
-    return moments_battery(YehSpec(cfg.lam, cfg.rho), grid, checks, cfg.seed, cfg.paths)
+    return moments_battery(YehSpec(cfg.lam, cfg.rho), checks, cfg.seed, cfg.paths)
 
 
 def gaussian_suite(cfg: RunConfig) -> list[CheckRow]:
@@ -255,12 +268,11 @@ def martingale_suite(cfg: RunConfig) -> list[CheckRow]:
     """Eight truth-table instances, and the centered process as a
     martingale: zero drift within 4 SE."""
     iv = cfg.interval
-    grid = make_grid(iv, 9, "t")
-    samples = increment_functionals(YehSpec(MeanFunction.zero(iv), cfg.rho), grid,
-                                    step_weights([StepFunction.indicator(iv.a, iv.b, iv)], grid),
+    cells = step_cells([StepFunction.indicator(iv.a, iv.b, iv)], iv)
+    samples = increment_functionals(YehSpec(MeanFunction.zero(iv), cfg.rho), *cells,
                                     _suite_seed(cfg, 3), max(cfg.paths, 100))[:, 0]
     return [*truth_table_battery(iv, 8, cfg.seed),
-            _mean_within("martingale_mc_centered_drift", 0.0, samples, slack=1e-15)]
+            _mean_within("martingale_mc_centered_drift", 0.0, samples)]
 
 
 def counterexample_suite(cfg: RunConfig) -> list[CheckRow]:

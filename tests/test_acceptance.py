@@ -2,8 +2,10 @@
 
 Criteria 1, 2, 3, 5, 6 and 8 are the `verify` batteries run at gate scale:
 each calls them with its own sizes, seeds and integrands and turns failed
-rows into its failure list.  Stochastic criteria use fixed seeds (failures
-are deterministic) and the batteries' 4-standard-error convention.  Run with
+rows into its failure list.  One deterministic test beside criterion 2
+checks that drawing on the integrands' own partition keeps their law.
+Stochastic criteria use fixed seeds (failures are deterministic) and the
+batteries' 4-standard-error convention.  Run with
 `pytest tests/test_acceptance.py -v -s`.
 """
 
@@ -18,6 +20,7 @@ from yehsim import (BasisFamily, GaussianStream, Integrand, Interval, MeanFuncti
                     integrate_l2, integrate_pathwise_rs, make_grid, project_to_steps,
                     sample_increments)
 from yehsim.cli import main as cli_main
+from yehsim.integral import step_cells, step_weights
 from yehsim.verify import (counterexample_battery, counterexample_drifts, expansion_battery,
                            gaussian_battery, moments_battery, series_battery,
                            truth_table_battery)
@@ -45,7 +48,8 @@ def test_criterion_1_counterexample_exactness():
                f"(<= 1e-15), runtime {best * 1e6:.0f} us", failures)
 
 
-def test_criterion_2_moment_identities():
+def _criterion_2_ensembles():
+    """(name, spec, seed, pair count, moments_battery checks) per ensemble."""
     ind = partial(StepFunction.indicator, interval=UNIT)
     ensembles = [
         ("brownian", YehSpec.brownian(UNIT), 1001,
@@ -56,21 +60,25 @@ def test_criterion_2_moment_identities():
         ("cantor_drift", YehSpec(MeanFunction.cantor(UNIT), VarianceFunction.identity(UNIT)),
          3003, [(ind(0.0, 1.0), ind(0.0, 0.5)), (ind(0.25, 0.5), ind(0.5, 0.75))]),
     ]
-    grid = make_grid(UNIT, 1025)
     # X(s) - lambda(0) is the Wiener integral of 1_[0, s): process moments at
     # s = 1/4, t = 3/4 are the pair (1_[0, 1/4), 1_[0, 3/4)); lambda(0) = 0 here.
     process = (ind(0.0, 0.25), ind(0.0, 0.75))
-    t_start = time.perf_counter()
-    failures = []
-    cases = 0
     for name, spec, seed, pairs in ensembles:
         checks = {}
         for k, (f, g) in enumerate(pairs):
             checks.update({f"mean_I(f{k})": f, f"mean_I(g{k})": g,
                            f"E[I(f{k})I(g{k})]": (f, g)})
         checks.update({"E[X(s)]": process[0], "E[X(s)X(t)]": process})
-        cases += len(pairs)
-        failures += _failures(moments_battery(spec, grid, checks, seed, 100_000), f"{name} ")
+        yield name, spec, seed, len(pairs), checks
+
+
+def test_criterion_2_moment_identities():
+    t_start = time.perf_counter()
+    failures = []
+    cases = 0
+    for name, spec, seed, pair_count, checks in _criterion_2_ensembles():
+        cases += pair_count
+        failures += _failures(moments_battery(spec, checks, seed, 100_000), f"{name} ")
     elapsed = time.perf_counter() - t_start
     if cases < 6:
         failures.append(f"battery too small: {cases} cases")
@@ -78,6 +86,25 @@ def test_criterion_2_moment_identities():
         failures.append(f"runtime {elapsed:.1f} s >= 60 s")
     _report(2, f"moment identities over {cases} cases, 1e5 paths each, "
                f"4 SE, {elapsed:.1f} s", failures)
+
+
+def test_criterion_2_draw_grid_keeps_the_law():
+    # moments_battery draws on the integrands' own partition (step_cells); the
+    # drawn functionals' exact mean W dlambda and covariance W diag(drho) W^T
+    # equal those on the 1025-point grid the criterion used to draw on
+    fine = make_grid(UNIT, 1025)
+    for name, spec, _, _, checks in _criterion_2_ensembles():
+        family = list(dict.fromkeys(f for c in checks.values()
+                                    for f in (c if isinstance(c, tuple) else (c,))))
+        cells = step_cells(family, UNIT)
+        assert len(cells[0]) <= 8, name
+        laws = []
+        for grid, weights in (cells, (fine, step_weights(family, fine))):
+            dlam, drho = np.diff(spec.lam(grid)), np.diff(spec.rho(grid))
+            laws.append((weights @ dlam, (weights * drho) @ weights.T))
+        (mean, cov), (fine_mean, fine_cov) = laws
+        assert np.abs(mean - fine_mean).max() <= 1e-14, name
+        assert np.abs(cov - fine_cov).max() <= 1e-14, name
 
 
 def test_criterion_3_gaussianity():
@@ -122,9 +149,9 @@ def test_criterion_5_series_representation():
     pairs = [(256, 512), (512, 512), (256, 768), (768, 1024), (128, 896)]
     rows = series_battery(basis, make_grid(UNIT, 1025), pairs, truncation=256,
                           endpoint_terms=7, seed=5005, paths=10_000)
-    _report(5, "series-sampled covariance matches rho(min(s,t)) at 5 grid "
-               "pairs within truncation defect + 4 SE; defect closed forms "
-               "exact to 1e-12", _failures(rows))
+    _report(5, "series-sampled covariance matches the truncated kernel K_N(s,t) "
+               "at 5 grid pairs within 4 SE; K_N within sqrt(D_N(s) D_N(t)) of "
+               "rho(min(s,t)); defect closed forms exact to 1e-12", _failures(rows))
 
 
 def test_criterion_6_expansion_convergence():
@@ -136,9 +163,9 @@ def test_criterion_6_expansion_convergence():
     }
     rows = expansion_battery(basis, make_grid(UNIT, 1025), integrands, 64, (1, 4, 16, 64),
                              seed=6006, paths=10_000)
-    _report(6, "Monte Carlo mean-square expansion gap matches the Parseval "
-               "defect within 4 SE for N in {1,4,16,64}, 1e4 paths, "
-               "3 integrands", _failures(rows))
+    _report(6, "Monte Carlo mean-square expansion gap matches the exact mean "
+               "square of the drawn gap within 4 SE for N in {1,4,16,64}, "
+               "1e4 paths, 3 integrands", _failures(rows))
 
 
 def test_criterion_7_pathwise_rs():

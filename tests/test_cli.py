@@ -284,22 +284,26 @@ class TestStreamedSimulate:
 # The digests below were first taken at version 0.4.0, as each comment says,
 # and re-taken at 0.5.0, when the config lost its debug section: every output
 # at 0.4.0 and 0.5.0 matches at 1 and 2 BLAS threads once config_hash,
-# manifest_hash and version are masked.
+# manifest_hash and version are masked.  They were re-taken at 0.6.0, when the
+# Monte Carlo rows moved to the integrands' own partition and the exact law of
+# what they drew: there only those verify rows moved and the series_truncation
+# rows were added, and expand matches 0.5.0 once the hashes and version are
+# masked.
 
 #: SHA-256 of verify_all.csv for acceptance criterion 9's config, first taken
 #: when the suites moved onto the functional sampler.
 VERIFY_GOLDEN = (
     {"mc": {"paths": 2000, "seed": 12345}, "grid": {"points": 257}, "series": {"N": 64}},
-    "1d3ed4fbd420d769b9f18dd79bcbc19560eec0dab3617d7f96b9affd63f58a53",
+    "de627701d93615765b720d7b28b911fee041a64a30944f99cbfa2796d1f95137",
 )
 
 #: SHA-256 of verify_all.csv for configs/cantor.json cut down to 500 paths,
 #: 129 points and N = 32, and of expansion.csv for each shipped config, first
 #: taken before the suites were split into batteries and adapters.
-CANTOR_VERIFY_GOLDEN = "4857357c376a947dd81ecb949699eec8ea0886216c6b5371b5ba3b7e45c2cbee"
+CANTOR_VERIFY_GOLDEN = "353928da43f6e066f6f9394a2cfe5e0010c44cd92c22bbaa4a391d2fa181f360"
 EXPAND_GOLDEN = {
-    "brownian": "c16fd422376e8a941a3d19921cf0783f7d402b4147d33ba7053693c6618e8481",
-    "cantor": "9b6ecdb85dca5b4d67032a417c21208f7105f7e81b2cca8075221751ee36007b",
+    "brownian": "75e49c71043849e106be1c157c3bc9e845e12e5ddd0a644b8daa6bd6de90bc7d",
+    "cantor": "facba29f10b0dc4a0e09c4d61ef16ee6632fbfedc66591d51216a3bbbf73d9b5",
 }
 
 #: A Haar basis on a piecewise rho of mass 1.3 over [0, 2] (every config
@@ -317,9 +321,9 @@ HAAR_MASS_CONFIG = {
 }
 HAAR_MASS_GOLDEN = {
     "verify": ("verify_series.csv",
-               "168e22154e04e6d225bf6923d0b6658d9c8b1cbe96907c60da5c5cd777577084"),
+               "1d8541a21df6230ea85df63e81859373bc83bfef71d9306950ea3570661e8db0"),
     "expand": ("expansion.csv",
-               "35bcc131ecf5d1bee3b7fb126676ec2dd899743727ff3fa29ce6956f97a87d18"),
+               "ea34cb529fb42022aa097b1b1a4a6956183f73c41888954debb3e6c1976b9283"),
 }
 
 
@@ -360,6 +364,21 @@ class TestVerify:
         output, digest = HAAR_MASS_GOLDEN[command]
         assert cli_digest(tmp_path, threads, output, command, *suite,
                           "--config", str(cfg_path)) == digest
+
+    @pytest.mark.parametrize("points", [17, 2])
+    def test_coarse_grid_haar_config_passes(self, tmp_path, points):
+        # the expansion gap drawn on a coarse grid is not the exact members'
+        # gap: its rows must expect the mean square of what was drawn, not the
+        # Parseval defect, or this config fails with nothing wrong
+        cfg_path = tmp_path / "coarse.json"
+        cfg_path.write_text(json.dumps({
+            "grid": {"points": points}, "series": {"N": 8, "family": "haar"},
+            "rho": {"kind": "piecewise", "knots": [0, 0.5, 1], "values": [0, 0.3, 1]},
+            "lambda": {"kind": "linear", "slope": -2}, "mc": {"paths": 150, "seed": 7}}))
+        out = tmp_path / "out"
+        assert run_cli("verify", "--suite", "all", "--config", str(cfg_path),
+                       "--out", str(out)) == 0
+        assert all(r["pass"] == "true" for r in read_rows(out / "verify_all.csv"))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowed_tolerance_fails(self, tmp_path):

@@ -24,7 +24,7 @@ from yehsim import (
     sample_increments,
     step_combine,
 )
-from yehsim.integral import integrate_step_batch
+from yehsim.integral import integrate_step_batch, step_cells, step_weights
 from yehsim.process import increment_value_matrix
 from yehsim.verify import gaussian_battery, moments_battery
 
@@ -110,6 +110,30 @@ class TestFamilyKernel:
         for j, row in enumerate(pieces):
             single = integrate_step_batch(partition, row, vals, grid)[:, 0]
             assert np.max(np.abs(batch[:, j] - single)) <= 1e-13
+
+
+class TestStepCells:
+    def test_grid_is_partition_union_with_interval_ends(self):
+        inner = StepFunction((0.25, 0.5, 0.75), (1.0, -2.0))
+        grid, weights = step_cells([inner, COUNTEREXAMPLE], UNIT)
+        assert grid.tolist() == [0.0, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1.0]
+        assert np.array_equal(weights, step_weights([inner, COUNTEREXAMPLE], grid))
+        assert weights[0].tolist() == [0.0, 1.0, 1.0, -2.0, -2.0, 0.0]
+
+    def test_integrals_equal_the_kernel_on_a_finer_grid(self):
+        # the kernel on the increments of a 1025-point path, merged per cell
+        fine = make_grid(UNIT, 1025)
+        family = [StepFunction((0.0, 0.375, 1.0), (2.0, -1.0)), ONE]
+        grid, weights = step_cells(family, UNIT)
+        vals = increment_value_matrix(BROWNIAN, fine, 90, 5)
+        coarse = np.diff(vals[:, np.searchsorted(fine, grid)], axis=1) @ weights.T
+        want = np.column_stack([integrate_step_batch(f.partition, f.values, vals, fine)
+                                for f in family])
+        assert np.max(np.abs(coarse - want)) <= 1e-13
+
+    def test_non_step_integrand_refused(self):
+        with pytest.raises(TypeError):
+            step_cells([lambda t: t], UNIT)
 
 
 class TestIntegrateL2:
@@ -279,6 +303,6 @@ class TestAnalyticMoments:
         f = StepFunction.indicator(0.0, 0.5, UNIT)
         g = StepFunction((0.0, 0.5, 1.0), (1.0, -1.0))
         for seed, (lam, rho) in enumerate(cases, start=40):
-            rows = moments_battery(YehSpec(lam, rho), make_grid(UNIT, 9),
-                                   {"f": f, "g": g, "fg": (f, g)}, seed, 50_000)
+            rows = moments_battery(YehSpec(lam, rho), {"f": f, "g": g, "fg": (f, g)},
+                                   seed, 50_000)
             assert len(rows) == 3 and all(row.passed for row in rows), rows

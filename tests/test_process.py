@@ -10,14 +10,12 @@ from yehsim import (
     BadGridError,
     BasisFamily,
     GaussianStream,
-    GridMismatchError,
     Interval,
     MeanFunction,
     SamplePath,
     VarianceFunction,
     YehSpec,
     center,
-    empirical_moments,
     ks_test,
     make_grid,
     sample_increments,
@@ -310,13 +308,9 @@ class TestEmpiricalMoments:
         grid = make_grid(UNIT, 17)
         m = 50_000
         vals = increment_value_matrix(BROWNIAN, grid, 19, m)
-        paths = [SamplePath(grid, v, "increments") for v in vals[:200]]
-        s, t = grid[4], grid[12]
-        est = empirical_moments(paths, s, t)
         # E[X(s) X(t)] = rho(min(s, t)) for the centered case
         full = vals[:, 4] * vals[:, 12]
-        assert abs(full.mean() - s) <= 4 * full.std(ddof=1) / np.sqrt(m)
-        assert abs(est.second_moment_st - s) <= 4 * est.se_second_moment
+        assert abs(full.mean() - grid[4]) <= 4 * full.std(ddof=1) / np.sqrt(m)
 
     def test_second_moment_with_drift(self):
         lam = MeanFunction.linear(UNIT, 1.0)
@@ -327,39 +321,6 @@ class TestEmpiricalMoments:
         prod = vals[:, 2] * vals[:, 4]  # s=0.5, t=1.0
         want = 0.5 + 0.5 * 1.0
         assert abs(prod.mean() - want) <= 4 * prod.std(ddof=1) / np.sqrt(m)
-
-    def test_deterministic_drift_paths(self):
-        lam = MeanFunction.linear(UNIT, 1.0)
-        grid = make_grid(UNIT, 5)
-        paths = [SamplePath(grid, lam(grid), "increments") for _ in range(2)]
-        est = empirical_moments(paths, 0.5, 1.0)
-        assert est.second_moment_st == 0.5 * 1.0
-        assert est.se_second_moment == 0.0
-
-    def test_grid_mismatch(self):
-        p1 = SamplePath(make_grid(UNIT, 5), np.zeros(5), "increments")
-        p2 = SamplePath(make_grid(UNIT, 9), np.zeros(9), "increments")
-        with pytest.raises(GridMismatchError):
-            empirical_moments([p1, p2], 0.25, 0.5)
-
-    def test_time_not_on_grid(self):
-        paths = [SamplePath(make_grid(UNIT, 5), np.zeros(5), "increments")
-                 for _ in range(2)]
-        with pytest.raises(GridMismatchError):
-            empirical_moments(paths, 0.3, 0.5)
-
-
-class TestCsvExport:
-    def test_round_trips_exactly(self):
-        from yehsim import path_to_csv
-
-        path = sample_increments(BROWNIAN, make_grid(UNIT, 9), GaussianStream(1))
-        lines = path_to_csv(path).splitlines()
-        assert lines[0] == "t,value"
-        assert len(lines) == 10
-        for line, t, v in zip(lines[1:], path.grid, path.values):
-            t_str, v_str = line.split(",")
-            assert float(t_str) == t and float(v_str) == v
 
 
 CANTOR_POWER2 = YehSpec(MeanFunction.cantor(UNIT), VarianceFunction.power(UNIT, 2.0))

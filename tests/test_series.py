@@ -15,9 +15,7 @@ from yehsim import (
     YehSpec,
     center,
     expand_integral,
-    expand_integral_uncentered,
     fourier_coeffs,
-    integral_mean,
     integrate_l2,
     make_grid,
     norm_sq_rho,
@@ -25,7 +23,6 @@ from yehsim import (
     sample_increments,
     series_variance_defect,
 )
-from yehsim import MeanFunction
 from yehsim.funcspace import project_to_steps
 from yehsim.integral import integrate_step_batch
 from yehsim.process import increment_value_matrix
@@ -74,18 +71,6 @@ class TestExpandIntegral:
         assert np.all(np.diff(coeffs_defects) <= 1e-15)
         assert coeffs_defects[-1] < 1e-3
         assert coeffs_defects[0] == pytest.approx(0.25, abs=1e-13)
-
-    def test_uncentered_wrapper_shifts_by_mean(self):
-        lam = MeanFunction.linear(UNIT, 2.0)
-        spec = YehSpec(lam, VarianceFunction.identity(UNIT))
-        raw = sample_increments(spec, make_grid(UNIT, 257), GaussianStream(5))
-        report = expand_integral_uncentered(HALF, BASIS, 8, raw, lam, 64)
-        centered_report = expand_integral(HALF, BASIS, 8, center(raw, lam), 64)
-        shift = integral_mean(HALF, lam)
-        assert shift == 1.0
-        assert report.target == pytest.approx(centered_report.target + shift)
-        assert np.allclose(report.partial_sums,
-                           centered_report.partial_sums + shift)
 
     def test_mc_mean_square_gap_matches_defect(self):
         # lighter version of the acceptance battery, including the continuous

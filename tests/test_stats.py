@@ -1,4 +1,4 @@
-"""Monte Carlo estimators, merging, and the one-sample KS test."""
+"""The Monte Carlo estimator and the one-sample KS test."""
 
 import numpy as np
 import pytest
@@ -8,15 +8,13 @@ from yehsim import (
     GaussianStream,
     NonFiniteDrawError,
     ks_test,
-    mc_estimate,
-    merge_estimates,
 )
 from yehsim.stats import mc_from_samples
 
 
 class TestMCEstimate:
     def test_constant_sampler(self):
-        est = mc_estimate(lambda s: 2.5, 100, GaussianStream(1))
+        est = mc_from_samples(np.full(100, 2.5))
         assert est.mean == 2.5
         assert est.variance == 0.0
         assert est.se == 0.0
@@ -28,50 +26,26 @@ class TestMCEstimate:
         assert abs(est.mean) <= 4.0 / np.sqrt(m)
         assert est.variance == pytest.approx(1.0, abs=0.05)
 
-    def test_bit_identical_reruns(self):
-        sampler = lambda s: float(s.normals(3).sum())
-        a = mc_estimate(sampler, 500, GaussianStream(77, 10))
-        b = mc_estimate(sampler, 500, GaussianStream(77, 10))
-        assert a == b
-
     def test_welford_matches_numpy(self):
         draws = GaussianStream(31).normals(1000)
-        est = mc_estimate(lambda s: float(draws[s.index]), 1000, GaussianStream(31))
+        est = mc_from_samples(draws)
         assert est.mean == pytest.approx(draws.mean(), abs=1e-13)
         assert est.variance == pytest.approx(draws.var(ddof=1), abs=1e-13)
 
     def test_estimate_is_the_sample_estimate_of_its_draws(self):
-        sampler = lambda s: float(s.normals(3).sum())
-        est = mc_estimate(sampler, 500, GaussianStream(77, 10))
-        draws = np.array([sampler(GaussianStream(77, 10 + k)) for k in range(500)])
-        assert est == mc_from_samples(draws, seed=77, first_index=10)
+        draws = GaussianStream(77, 10).normals(500)
+        est = mc_from_samples(draws, seed=77, first_index=10)
+        assert (est.seed, est.first_index, est.count) == (77, 10, 500)
+        assert est.mean == draws.mean()
         assert est.se == draws.std(ddof=1) / np.sqrt(500)
 
     def test_non_finite_draw_rejected(self):
         with pytest.raises(NonFiniteDrawError):
-            mc_estimate(lambda s: np.nan, 10, GaussianStream(1))
+            mc_from_samples(np.array([1.0, np.nan, 2.0]))
 
     def test_needs_two_draws(self):
         with pytest.raises(ValueError):
-            mc_estimate(lambda s: 1.0, 1, GaussianStream(1))
-
-    def test_merge_matches_single_pass(self):
-        draws = GaussianStream(41).normals(800)
-        whole = mc_from_samples(draws)
-        left = mc_from_samples(draws[:300])
-        right = mc_from_samples(draws[300:])
-        merged = merge_estimates(left, right)
-        assert merged.count == whole.count
-        assert merged.mean == pytest.approx(whole.mean, abs=1e-12)
-        assert merged.variance == pytest.approx(whole.variance, abs=1e-12)
-
-    def test_merge_associative_in_canonical_order(self):
-        draws = GaussianStream(43).normals(900)
-        parts = [mc_from_samples(draws[i * 300:(i + 1) * 300]) for i in range(3)]
-        ab_c = merge_estimates(merge_estimates(parts[0], parts[1]), parts[2])
-        a_bc = merge_estimates(parts[0], merge_estimates(parts[1], parts[2]))
-        assert ab_c.mean == pytest.approx(a_bc.mean, abs=1e-12)
-        assert ab_c.variance == pytest.approx(a_bc.variance, abs=1e-12)
+            mc_from_samples(np.array([1.0]))
 
 
 class TestKSTest:
