@@ -18,16 +18,19 @@ linear(slope, intercept), piecewise/table(knots, values) -> piecewise drift,
 cantor(depth) -> Cantor drift; rho identity, power(exponent) -> power
 variance, piecewise/table(knots, values) -> piecewise variance.  Integrand
 kinds: step(partition, values) | indicator(lo, hi) | poly(coeffs) |
-basis(index).  Ranges (README "Config schema"): finite numbers, knots strictly
-increasing over the interval, exponent >= 1, depth in [1, 1074], basis index
-in [0, 2**20].  A value out of range, or a section other than interval that
-is not an object, raises ConfigError naming the field; the CLI exits 2.
+basis(index); a step partition lies in the interval and the step function
+is 0 outside it.  Ranges (README "Config schema"): finite numbers, knots
+strictly increasing over the interval, exponent >= 1, depth in [1, 1074],
+basis index in [0, 2**20].  A value out of range, or a section other than
+interval that is not an object, raises ConfigError naming the field; the
+CLI exits 2.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +41,7 @@ from .process import DEFAULT_GRID_POINTS, DEFAULT_TRUNCATION
 from .stieltjes import (DEFAULT_CANTOR_DEPTH, DEFAULT_RESOLUTION, Interval,
                         MeanFunction, VarianceFunction)
 
-TOOL_VERSION = "0.6.0"
+TOOL_VERSION = "0.7.0"
 
 
 def canonical_json(obj) -> str:
@@ -102,14 +105,17 @@ def integrand_from_spec(spec: dict, interval, basis: BasisFamily) -> Integrand:
         if kind == "step":
             _require("partition" in spec and "values" in spec, "integrand",
                      "step integrand needs partition and values")
-            return Integrand.from_step(StepFunction(tuple(spec["partition"]),
-                                                    tuple(spec["values"])))
+            step = StepFunction(tuple(spec["partition"]), tuple(spec["values"]))
+            _require(iv.a <= step.partition[0] and step.partition[-1] <= iv.b, "integrand",
+                     f"partition must lie in [{iv.a}, {iv.b}]")
+            return Integrand.from_step(step)
         if kind == "indicator":
             lo = float(spec.get("lo", iv.a))
             hi = float(spec.get("hi", 0.5 * iv.a + 0.5 * iv.b))
             return Integrand.from_step(StepFunction.indicator(lo, hi, iv))
         if kind == "poly":
             coeffs = [float(c) for c in spec.get("coeffs", [0.0, 1.0])]
+            _require(all(map(math.isfinite, coeffs)), "integrand", "coeffs must be finite")
             poly = np.polynomial.Polynomial(coeffs)
             crit = [iv.a, iv.b] + [float(r.real) for r in poly.deriv().roots()
                                    if abs(r.imag) < 1e-12 and iv.a < r.real < iv.b]

@@ -1,6 +1,10 @@
 """Weighted L2 spaces: step functions, integrands, inner products, bases.
 
-Inner products are exact closed-form Stieltjes sums when both arguments are
+A step function sum of c_i 1_[t_{i-1}, t_i) is 0 outside its partition.  A
+family of them has one format, one partition and one (members, pieces)
+matrix: `step_cells` builds it from step integrands and `project_family`
+from any integrands and basis members; both Wiener-integral kernels take
+it.  Inner products are exact closed-form Stieltjes sums when both arguments are
 step functions and midpoint quadrature otherwise.  Orthonormal bases of the
 rho-weighted space are built by pulling a Lebesgue-orthonormal family on
 [0, rho(b)] back through rho, which gives closed-form antiderivatives and
@@ -36,7 +40,8 @@ from .stieltjes import (
 
 @dataclass(frozen=True)
 class StepFunction:
-    """Piecewise-constant function: value ci on [t_{i-1}, t_i), cn at t = b."""
+    """Piecewise-constant function: value ci on [t_{i-1}, t_i), cn at t = tn,
+    and 0 outside [t0, tn], as the integrals take it."""
 
     partition: tuple
     values: tuple
@@ -62,11 +67,11 @@ class StepFunction:
         return Interval(self.partition[0], self.partition[-1])
 
     def __call__(self, t):
-        arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        idx = np.searchsorted(self.partition, np.atleast_1d(arr), side="right") - 1
-        idx = np.clip(idx, 0, len(self.values) - 1)
-        out = np.asarray(self.values)[idx]
+        scalar = np.ndim(t) == 0
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        idx = np.searchsorted(self.partition, t, side="right") - 1
+        idx[t == self.partition[-1]] -= 1  # cn holds at t = tn
+        out = np.append(self.values, 0.0)[idx]  # indices -1 and n read the 0
         return float(out[0]) if scalar else out
 
     def max_abs(self) -> float:
@@ -212,6 +217,26 @@ def project_family(fs, n: int, interval, basis: BasisFamily | None = None,
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
     return tuple(edges.tolist()), values
+
+
+def step_cells(family, interval) -> tuple[np.ndarray, np.ndarray]:
+    """A family of step integrands as one partition and one piece matrix:
+    (partition, pieces).
+
+    The partition is the sorted union of the members' partitions and the
+    interval's two ends; pieces[m, i] is member m at the midpoint of cell i,
+    0 where the member's partition does not reach.  Increments over disjoint
+    cells are independent Normal(dlambda, drho), so a step integral depends
+    only on lambda and rho at its partition points: drawn on this partition
+    it has the same law as on any finer one.
+    """
+    steps = [as_integrand(f).step for f in family]
+    if any(step is None for step in steps):
+        raise TypeError("step cells require step integrands")
+    iv = Interval.coerce(interval)
+    partition = np.unique(np.concatenate([[iv.a, iv.b], *(s.partition for s in steps)]))
+    mids = 0.5 * partition[:-1] + 0.5 * partition[1:]
+    return partition, np.vstack([step(mids) for step in steps])
 
 
 #: Member values held at once by the quadrature branch of fourier_coeffs,

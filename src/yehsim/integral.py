@@ -3,14 +3,14 @@
 Step integrands integrate exactly (the defining telescoping sum); continuous
 integrands go through step projection (the L2-limit construction) or through
 pathwise Riemann-Stieltjes sums when a bounded-variation certificate is
-present.  Every integral of a path held as values goes through one kernel,
-`integrate_step_batch`, which takes a step family as one partition and one
-(members, pieces) matrix.  Paths that exist only as increments, in
-process.increment_functionals, take the family as per-cell weights instead
-(`cell_weights`, `step_weights`); every Monte Carlo draw of step integrals
-takes its grid and weights from `step_cells`, the members' own partition.
-Partition points must lie on the path grid: a path is only known at its
-grid points and interpolating would fabricate correlation structure.
+present.  A step family has one format, one partition and one (members,
+pieces) matrix (funcspace.step_cells builds it from step integrands, each 0
+outside its own partition), and both Wiener-integral kernels take it:
+`integrate_step_batch` for paths held as values, and
+process.increment_functionals, drawing on the partition itself, for paths
+that exist only as increments.  Partition points must lie on the path grid:
+a path is only known at its grid points and interpolating would fabricate
+correlation structure.
 """
 
 from __future__ import annotations
@@ -61,56 +61,6 @@ def integrate_step_batch(partition, pieces, values, grid) -> np.ndarray:
     """
     increments = np.diff(values[..., grid_indices(grid, partition)], axis=-1)
     return increments @ np.atleast_2d(pieces).T
-
-
-def cell_weights(partition, values, grid) -> np.ndarray:
-    """Per-cell weights on a path grid of a step family given as one partition
-    and a (members, pieces) value matrix.
-
-    weights[m, c] is member m's value on grid cell c, 0 outside the
-    partition's span, so weights @ increments are the members' step
-    integrals: the form process.increment_functionals takes, where the paths
-    exist only as increments.  The partition points must lie on the grid.
-    """
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    idx = grid_indices(grid, partition)
-    if values.shape[1] != len(idx) - 1:
-        raise ValueError("need one more partition point than values per member")
-    piece = np.searchsorted(idx, np.arange(len(grid) - 1), side="right") - 1
-    inside = (piece >= 0) & (piece < len(idx) - 1)
-    weights = np.zeros((len(values), len(grid) - 1))
-    weights[:, inside] = values[:, piece[inside]]
-    return weights
-
-
-def _steps(family) -> list:
-    steps = [as_integrand(g).step for g in family]
-    if any(step is None for step in steps):
-        raise TypeError("step weights require step integrands")
-    return steps
-
-
-def step_weights(family, grid) -> np.ndarray:
-    """Per-cell weights of step integrands on a path grid, one row each.
-
-    The members may have different partitions; each must lie on the grid.
-    The rows are the weights that process.increment_functionals takes.
-    """
-    return np.vstack([cell_weights(s.partition, s.values, grid) for s in _steps(family)])
-
-
-def step_cells(family, interval) -> tuple[np.ndarray, np.ndarray]:
-    """The draw grid of a step family and its weights on it: (grid, weights).
-
-    The grid is the sorted union of the members' partitions and the
-    interval's two ends; the weights are step_weights on that grid.
-    Increments over disjoint cells are independent Normal(dlambda, drho), so
-    a step integral depends only on lambda and rho at its partition points:
-    drawn on this grid it has the same law as on any finer one.
-    """
-    iv = Interval.coerce(interval)
-    grid = np.unique(np.concatenate([[iv.a, iv.b], *(s.partition for s in _steps(family))]))
-    return grid, step_weights(family, grid)
 
 
 def integrate_step(f, path: SamplePath) -> WienerIntegralResult:

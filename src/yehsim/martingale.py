@@ -12,8 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import OutOfDomainError
-from .funcspace import StepFunction, as_integrand
-from .integral import step_cells
+from .funcspace import StepFunction, as_integrand, step_cells
 from .process import YehSpec, increment_functionals
 from .stats import MCEstimate, mc_from_samples
 from .stieltjes import DEFAULT_RESOLUTION, MeanFunction, stieltjes_quad, stieltjes_step

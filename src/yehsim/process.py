@@ -4,8 +4,9 @@ Two representations: exact increment sampling on a grid (no truncation error
 at the grid points) and truncated random-series sampling built on an
 orthonormal basis of the rho-weighted space.  `increment_value_matrix` gives
 whole increment paths (for `simulate`).  For Monte Carlo checks that reduce
-every path to a few linear functionals, `increment_functionals` returns step
-integrals W @ (dlambda + sigma * z) straight from the normals, and
+every path to a few step integrals, `increment_functionals` draws a step
+family (funcspace.step_cells) on its own partition and returns
+pieces @ (dlambda + sigma * z) straight from the normals, and
 `series_point_values` returns the series values at given times.  The
 per-path samplers are one-row calls: `sample_increments` of
 `increment_value_matrix`, `sample_series` of `series_point_values`.  All draw
@@ -252,13 +253,15 @@ def increment_value_matrix(spec: YehSpec, grid, seed: int, count: int,
 
 def increment_functionals(spec: YehSpec, grid, weights, seed: int, count: int,
                           first_index: int = 0) -> np.ndarray:
-    """Linear functionals of increment-sampled paths, straight from the normals.
+    """Step integrals of increment-sampled paths, straight from the normals.
 
-    weights has one row per functional and one column per grid cell; the
-    result has shape (count, functionals), row k being
-    weights @ (dlambda + sigma * z) for stream first_index + k.  Step
-    integrals are such functionals (see integral.step_weights).  No path
-    values are formed: the normals are drawn CHUNK_DRAWS at a time.
+    This is the Wiener-integral kernel for paths that exist only as
+    increments.  It takes a step family as one partition, the grid drawn on,
+    and one piece matrix, weights, with one row per member and one column
+    per cell (as funcspace.step_cells gives it).  The result has shape
+    (count, members), row k being weights @ (dlambda + sigma * z) for
+    stream first_index + k.  No path values are formed: the normals are
+    drawn CHUNK_DRAWS at a time.
     """
     chunks = _increment_chunks(spec, grid, seed, count, first_index)
     weights = np.asarray(weights, dtype=float)

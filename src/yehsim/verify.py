@@ -7,8 +7,8 @@ are step functions, so their means, rho-norms and coefficients are exact.
 A suite is a thin adapter from a RunConfig to battery arguments; the
 acceptance tests call the same batteries at their own scale.  Monte Carlo
 rows draw step integrals on the integrands' own partition
-(integral.step_cells; the expansion gap on its projection grid, which is
-its members' common partition) and check the exact law of what was drawn,
+(funcspace.step_cells; the expansion gap on its projection's partition,
+project_family's edges) and check the exact law of what was drawn,
 within 4 standard errors; truncation and projection errors get exact rows
 of their own.  Exact identities carry absolute tolerances.  Suite draws
 derive from the manifest seed through fixed seed offsets (taken modulo
@@ -24,8 +24,9 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ConfigError
-from .funcspace import BasisFamily, StepFunction, fourier_coeffs, norm_sq_rho, project_family
-from .integral import cell_weights, integral_covariance, integral_mean, step_cells
+from .funcspace import (BasisFamily, StepFunction, fourier_coeffs, norm_sq_rho,
+                        project_family, step_cells)
+from .integral import integral_covariance, integral_mean
 from .martingale import _restrict_step, classify, conditional_increment_mean
 from .process import YehSpec, increment_functionals, make_grid, series_point_values
 from .series import series_variance_defect
@@ -106,8 +107,8 @@ def series_battery(basis: BasisFamily, grid, pairs, truncation: int,
 
     The defects are the single-term one at the grid midpoint and the one
     after endpoint_terms terms at the right end, which vanishes.  For each
-    index pair (i, j), at s, t = grid[i], grid[j], `paths` centered series
-    paths of `truncation` terms give E[X(s) X(t)], which must be the
+    distinct index pair (i, j), at s, t = grid[i], grid[j], `paths` centered
+    series paths of `truncation` terms give E[X(s) X(t)], which must be the
     truncated series' covariance K(s, t) = sum over k < truncation of
     A_k(s) A_k(t), the A_k being the running integrals of the members, within
     4 SE.  An exact row bounds the truncation: K(s, t) lies within
@@ -129,7 +130,7 @@ def series_battery(basis: BasisFamily, grid, pairs, truncation: int,
     sv = series_point_values(spec, basis, truncation, times, seed, paths)
     amatrix = basis.antiderivative(np.arange(truncation), times)
     defects = series_variance_defect(basis, truncation, times)
-    for i, j in pairs:
+    for i, j in dict.fromkeys(pairs):
         ci, cj = cols.index(i), cols.index(j)
         kernel = float(np.sum(amatrix[:, ci] * amatrix[:, cj]))
         rows += [_mean_within(f"series_cov_{i}_{j}", kernel, sv[:, ci] * sv[:, cj]),
@@ -138,31 +139,31 @@ def series_battery(basis: BasisFamily, grid, pairs, truncation: int,
     return rows
 
 
-def expansion_battery(basis: BasisFamily, grid, integrands: dict, max_terms: int,
+def expansion_battery(basis: BasisFamily, cells: int, integrands: dict, max_terms: int,
                       term_counts, seed: int, paths: int) -> list[CheckRow]:
     """Mean-square gap of the truncated expansion against its exact law.
 
     Each named step integrand f and the first max_terms basis members are
-    projected onto the grid's cells, their common partition, as weight rows
-    w_f and w_k.  The gap after n terms, I(f) - sum over k < n of
-    c_k I(phi_k), has the weight row g = w_f - sum over k < n of c_k w_k, so
-    its exact mean square under the centered spec is the sum of g**2 drho
-    over the cells.  The i-th integrand's `paths` centered paths are streams
-    [i * paths, (i + 1) * paths); check f"{name}_N{n}" compares their mean
-    squared gap with that value within 4 SE, for n in term_counts.
+    projected onto `cells` uniform cells (project_family), a step family
+    with piece rows w_f and w_k drawn on its own partition.  The gap after
+    n terms, I(f) - sum over k < n of c_k I(phi_k), has the piece row
+    g = w_f - sum over k < n of c_k w_k, so its exact mean square under the
+    centered spec is the sum of g**2 drho over the cells.  The i-th
+    integrand's `paths` centered paths are streams [i * paths,
+    (i + 1) * paths); check f"{name}_N{n}" compares their mean squared gap
+    with that value within 4 SE, for n in term_counts.
     """
     rho = basis.rho
     iv = rho.interval
     spec = YehSpec(MeanFunction.zero(iv), rho)
-    drho = np.diff(rho(grid))
     rows = []
     for i, (name, f) in enumerate(integrands.items()):
-        weights = cell_weights(*project_family([f], len(grid) - 1, iv, basis, max_terms),
-                               grid)
+        edges, pieces = project_family([f], cells, iv, basis, max_terms)
+        drho = np.diff(rho(np.asarray(edges)))
         coeffs = fourier_coeffs(f, basis, max_terms)
-        gaps = np.array([weights[0] - np.sum(coeffs[:n, None] * weights[1:n + 1], axis=0)
+        gaps = np.array([pieces[0] - np.sum(coeffs[:n, None] * pieces[1:n + 1], axis=0)
                          for n in term_counts])
-        samples = increment_functionals(spec, grid, gaps, seed, paths, i * paths)
+        samples = increment_functionals(spec, edges, gaps, seed, paths, i * paths)
         rows += [_mean_within(f"{name}_N{n}", float(np.sum(g * g * drho)), gap ** 2)
                  for n, g, gap in zip(term_counts, gaps, samples.T)]
     return rows
@@ -260,7 +261,7 @@ def series_suite(cfg: RunConfig) -> list[CheckRow]:
     return [*series_battery(cfg.basis, grid, [(n // 4, n // 2), (n // 2, n // 2),
                                               (n // 4, 3 * n // 4)],
                             cfg.truncation, max(1, cfg.truncation), cfg.seed, cfg.paths),
-            *expansion_battery(cfg.basis, grid, {"series_expansion_gap": half}, 16,
+            *expansion_battery(cfg.basis, n - 1, {"series_expansion_gap": half}, 16,
                                (1, 4, 16), _suite_seed(cfg, 7), cfg.paths)]
 
 

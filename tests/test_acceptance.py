@@ -20,7 +20,7 @@ from yehsim import (BasisFamily, GaussianStream, Integrand, Interval, MeanFuncti
                     integrate_l2, integrate_pathwise_rs, make_grid, project_to_steps,
                     sample_increments)
 from yehsim.cli import main as cli_main
-from yehsim.integral import step_cells, step_weights
+from yehsim.funcspace import step_cells
 from yehsim.verify import (counterexample_battery, counterexample_drifts, expansion_battery,
                            gaussian_battery, moments_battery, series_battery,
                            truth_table_battery)
@@ -98,8 +98,11 @@ def test_criterion_2_draw_grid_keeps_the_law():
                                     for f in (c if isinstance(c, tuple) else (c,))))
         cells = step_cells(family, UNIT)
         assert len(cells[0]) <= 8, name
+        zero = StepFunction(tuple(fine), (0.0,) * (len(fine) - 1))  # the union is fine
+        fine_cells, fine_weights = step_cells(family + [zero], UNIT)
+        assert np.array_equal(fine_cells, fine), name
         laws = []
-        for grid, weights in (cells, (fine, step_weights(family, fine))):
+        for grid, weights in (cells, (fine, fine_weights[:-1])):
             dlam, drho = np.diff(spec.lam(grid)), np.diff(spec.rho(grid))
             laws.append((weights @ dlam, (weights * drho) @ weights.T))
         (mean, cov), (fine_mean, fine_cov) = laws
@@ -161,7 +164,7 @@ def test_criterion_6_expansion_convergence():
         "inner_indicator": StepFunction.indicator(0.25, 0.625, UNIT),
         "mixed_step": StepFunction((0.0, 0.25, 0.625, 1.0), (0.5, -0.5, 2.0)),
     }
-    rows = expansion_battery(basis, make_grid(UNIT, 1025), integrands, 64, (1, 4, 16, 64),
+    rows = expansion_battery(basis, 1024, integrands, 64, (1, 4, 16, 64),
                              seed=6006, paths=10_000)
     _report(6, "Monte Carlo mean-square expansion gap matches the exact mean "
                "square of the drawn gap within 4 SE for N in {1,4,16,64}, "

@@ -162,16 +162,20 @@ class TestSimulate:
         ([0.0, 0.5, float("inf")], [1.0, 2.0], "partition"),
         ([0.0, 0.5, 1.0], [float("nan"), 1.0], "values"),
         ([0.0, 0.5, 1.0], [1.0, float("-inf")], "values"),
+        ([-1.0, 0.5], [1.0], "partition"),
     ])
     def test_non_finite_step_integrand_named(self, tmp_path, capsys, partition,
                                              values, field):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"integrand": {
             "kind": "step", "partition": partition, "values": values}}))
-        code = run_cli("expand", "--config", str(cfg_path),
-                       "--out", str(tmp_path / "out"))
-        assert code == 2
-        assert f"error: integrand: {field} must be finite" in capsys.readouterr().err
+        finite = np.all(np.isfinite(partition + values))
+        problem = "must lie in [0.0, 1.0]" if finite else "must be finite"
+        for command in ("expand", "verify"):
+            code = run_cli(command, "--config", str(cfg_path),
+                           "--out", str(tmp_path / "out"))
+            assert code == 2
+            assert f"error: integrand: {field} {problem}" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = run_cli("simulate", "--config", str(tmp_path / "nope.json"),
@@ -288,22 +292,24 @@ class TestStreamedSimulate:
 # Monte Carlo rows moved to the integrands' own partition and the exact law of
 # what they drew: there only those verify rows moved and the series_truncation
 # rows were added, and expand matches 0.5.0 once the hashes and version are
-# masked.
+# masked.  They were re-taken at 0.7.0, when a step function became 0 outside
+# its partition: every golden output matches 0.6.0 at 1 and 2 BLAS threads
+# once the hashes and version are masked.
 
 #: SHA-256 of verify_all.csv for acceptance criterion 9's config, first taken
 #: when the suites moved onto the functional sampler.
 VERIFY_GOLDEN = (
     {"mc": {"paths": 2000, "seed": 12345}, "grid": {"points": 257}, "series": {"N": 64}},
-    "de627701d93615765b720d7b28b911fee041a64a30944f99cbfa2796d1f95137",
+    "e6e0dd19e2fcd7c61bd6c3b8a0f53ab430492c16a3a3d8d016d67d7cc430ac72",
 )
 
 #: SHA-256 of verify_all.csv for configs/cantor.json cut down to 500 paths,
 #: 129 points and N = 32, and of expansion.csv for each shipped config, first
 #: taken before the suites were split into batteries and adapters.
-CANTOR_VERIFY_GOLDEN = "353928da43f6e066f6f9394a2cfe5e0010c44cd92c22bbaa4a391d2fa181f360"
+CANTOR_VERIFY_GOLDEN = "948b3da17f5a628ba657d101f1dbaf60a5559ab48d6b82d4b1973dd835d283d8"
 EXPAND_GOLDEN = {
-    "brownian": "75e49c71043849e106be1c157c3bc9e845e12e5ddd0a644b8daa6bd6de90bc7d",
-    "cantor": "facba29f10b0dc4a0e09c4d61ef16ee6632fbfedc66591d51216a3bbbf73d9b5",
+    "brownian": "87512b0cabf2a2a0642ca9fab7a8fa1a901ae6532e804cc1cf20c6e215cb36bb",
+    "cantor": "a155c28a0a9ba68cd320c5f445257b68da96b1024757e74bac50ec1588770aba",
 }
 
 #: A Haar basis on a piecewise rho of mass 1.3 over [0, 2] (every config
@@ -321,9 +327,9 @@ HAAR_MASS_CONFIG = {
 }
 HAAR_MASS_GOLDEN = {
     "verify": ("verify_series.csv",
-               "1d8541a21df6230ea85df63e81859373bc83bfef71d9306950ea3570661e8db0"),
+               "46def550df06b62e70336456d2ed6fc0b787f90dd9e60c175d4a91b4fc9ce921"),
     "expand": ("expansion.csv",
-               "ea34cb529fb42022aa097b1b1a4a6956183f73c41888954debb3e6c1976b9283"),
+               "fddeca52efb467d60132530fd16e239bde82274d9712515295aa0806b47dadd4"),
 }
 
 
@@ -378,7 +384,10 @@ class TestVerify:
         out = tmp_path / "out"
         assert run_cli("verify", "--suite", "all", "--config", str(cfg_path),
                        "--out", str(out)) == 0
-        assert all(r["pass"] == "true" for r in read_rows(out / "verify_all.csv"))
+        rows = read_rows(out / "verify_all.csv")
+        assert all(r["pass"] == "true" for r in rows)
+        names = [r["check"] for r in rows]
+        assert len(set(names)) == len(names)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowed_tolerance_fails(self, tmp_path):
@@ -561,6 +570,30 @@ class TestExpand:
         assert run_cli("expand", "--config", str(cfg_path), "--out", str(out)) == 0
         rows = read_rows(out / "expansion.csv")
         assert len(rows) == 4
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_poly_coefficient_named(self, tmp_path, capsys, bad):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"integrand": {"kind": "poly",
+                                                      "coeffs": [0.0, bad]}}))
+        code = run_cli("expand", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "error: integrand: coeffs must be finite" in capsys.readouterr().err
+
+    def test_partial_span_step_is_zero_outside(self, tmp_path):
+        # a step partition need not span the interval: outside it the step is 0
+        written = {}
+        for name, partition, values in (("partial", [0.25, 0.5], [1.0]),
+                                        ("full", [0.0, 0.25, 0.5, 1.0], [0.0, 1.0, 0.0])):
+            cfg_path = tmp_path / f"{name}.json"
+            cfg_path.write_text(json.dumps({
+                "integrand": {"kind": "step", "partition": partition, "values": values},
+                "grid": {"points": 129}, "series": {"N": 8}}))
+            out = tmp_path / name
+            assert run_cli("expand", "--config", str(cfg_path), "--out", str(out)) == 0
+            written[name] = (out / "expansion.csv").read_text().splitlines()[1:]
+        assert written["partial"] == written["full"]
+        assert written["full"][0].startswith("# target=")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -45,6 +45,14 @@ class TestInnerProducts:
         for rho in (RHO_ID, RHO_SQ):
             assert inner_rho(f, g, rho) == 0.0
 
+    def test_partial_span_steps_are_zero_outside(self):
+        # 1_[0, .5) and 1_[.5, 1] written on their own partitions
+        f = StepFunction((0.0, 0.5), (1.0,))
+        g = StepFunction((0.5, 1.0), (1.0,))
+        assert f(0.75) == 0.0 and g(0.25) == 0.0 and g(1.0) == 1.0
+        assert inner_rho(f, g, RHO_ID) == 0.0
+        assert step_combine(1.0, f, 1.0, g).values == (1.0, 1.0)
+
     def test_half_indicator_against_square_rho(self):
         f = StepFunction.indicator(0.0, 0.5, UNIT)
         assert inner_rho(f, f, RHO_SQ) == 0.25

@@ -24,7 +24,8 @@ from yehsim import (
     sample_increments,
     step_combine,
 )
-from yehsim.integral import integrate_step_batch, step_cells, step_weights
+from yehsim.funcspace import step_cells
+from yehsim.integral import integrate_step_batch
 from yehsim.process import increment_value_matrix
 from yehsim.verify import gaussian_battery, moments_battery
 
@@ -117,8 +118,8 @@ class TestStepCells:
         inner = StepFunction((0.25, 0.5, 0.75), (1.0, -2.0))
         grid, weights = step_cells([inner, COUNTEREXAMPLE], UNIT)
         assert grid.tolist() == [0.0, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 1.0]
-        assert np.array_equal(weights, step_weights([inner, COUNTEREXAMPLE], grid))
-        assert weights[0].tolist() == [0.0, 1.0, 1.0, -2.0, -2.0, 0.0]
+        assert weights.tolist() == [[0.0, 1.0, 1.0, -2.0, -2.0, 0.0],
+                                    [0.5, 0.5, -0.5, -0.5, 2.0, 2.0]]
 
     def test_integrals_equal_the_kernel_on_a_finer_grid(self):
         # the kernel on the increments of a 1025-point path, merged per cell
@@ -143,6 +144,13 @@ class TestIntegrateL2:
         exact = integrate_step(f, path).value
         approx = integrate_l2(f, path, 64)
         assert approx.value == pytest.approx(exact, abs=1e-14)
+
+    def test_partial_span_step_equals_exact(self):
+        path = brownian_path(7, points=257)
+        h = StepFunction((0.25, 0.5), (1.0,))  # 0 outside [0.25, 0.5]
+        exact = integrate_step(h, path).value
+        assert exact == path.values[128] - path.values[64]
+        assert integrate_l2(h, path, 64).value == pytest.approx(exact, abs=1e-14)
 
     def test_refinement_estimate_shrinks_with_cells(self):
         # median over 100 seeded paths, three doublings

@@ -135,6 +135,14 @@ class TestMCMartingaleTest:
         want = conditional_increment_mean(f, lam, 0.25, 0.875)
         assert abs(est.mean - want) <= 4 * est.se
 
+    def test_partial_span_step_agrees_with_conditional_mean(self):
+        spec = YehSpec(LAM_UP, VarianceFunction.identity(UNIT))
+        h = StepFunction((0.25, 0.5), (1.0,))  # 0 outside [0.25, 0.5]
+        est = mc_martingale_test(spec, h, 0.0, 1.0, 20_000, seed=906)
+        want = conditional_increment_mean(h, LAM_UP, 0.0, 1.0)
+        assert want == 0.25
+        assert abs(est.mean - want) <= 4 * est.se
+
     def test_requires_enough_paths(self):
         spec = YehSpec.brownian(UNIT)
         with pytest.raises(ValueError):

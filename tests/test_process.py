@@ -21,8 +21,9 @@ from yehsim import (
     sample_increments,
     sample_series,
 )
-from yehsim import PartitionNotOnGridError, StepFunction, process
-from yehsim.integral import integrate_step_batch, step_weights
+from yehsim import StepFunction, process
+from yehsim.funcspace import step_cells
+from yehsim.integral import integrate_step_batch
 from yehsim.process import (
     increment_functionals,
     increment_value_matrix,
@@ -340,7 +341,10 @@ class TestFunctionalSampler:
         rng = np.random.default_rng(members)
         grid = make_grid(UNIT, 257)
         family = _random_family(rng, grid, members)
-        got = increment_functionals(CANTOR_POWER2, grid, step_weights(family, grid),
+        zero = StepFunction(tuple(grid), (0.0,) * (len(grid) - 1))  # the union is the grid
+        cells, weights = step_cells(family + [zero], UNIT)
+        assert np.array_equal(cells, grid)
+        got = increment_functionals(CANTOR_POWER2, grid, weights[:-1],
                                     606, 300, first_index=5)
         vals = increment_value_matrix(CANTOR_POWER2, grid, 606, 300, first_index=5)
         want = integrate_step_batch(family[0].partition, [f.values for f in family],
@@ -413,16 +417,13 @@ class TestFunctionalSampler:
         with pytest.raises(BadGridError):
             increment_functionals(BROWNIAN, grid[:-1], np.ones((1, 7)), 1, 4)
 
-    def test_step_weights_need_partition_on_grid(self):
-        grid = make_grid(UNIT, 9)
-        with pytest.raises(PartitionNotOnGridError):
-            step_weights([StepFunction.indicator(0.0, 0.3, UNIT)], grid)
-
-    def test_step_weights_zero_outside_partition(self):
+    def test_step_cells_zero_outside_partition(self):
         grid = make_grid(UNIT, 9)
         f = StepFunction((0.25, 0.5, 0.625), (2.0, -1.0))
-        assert np.array_equal(step_weights([f], grid),
-                              [[0, 0, 2.0, 2.0, -1.0, 0, 0, 0]])
+        zero = StepFunction(tuple(grid), (0.0,) * 8)  # the union is the grid
+        cells, weights = step_cells([f, zero], UNIT)
+        assert np.array_equal(cells, grid)
+        assert np.array_equal(weights[:1], [[0, 0, 2.0, 2.0, -1.0, 0, 0, 0]])
 
     def test_series_point_values_match_value_matrix(self, monkeypatch):
         basis = BasisFamily(CANTOR_POWER2.rho)
