@@ -36,6 +36,7 @@ from .funcspace import (
     norm_sq_rho,
     project_to_steps,
     step_combine,
+    stieltjes_integral,
 )
 from .integral import (
     WienerIntegralResult,
@@ -60,12 +61,12 @@ from .process import (
     center,
     make_grid,
     sample_increments,
-    sample_series,
 )
 from .series import (
     ExpansionReport,
     expand_integral,
     parseval_defect,
+    sample_series,
     series_variance_defect,
 )
 from .stats import KSReport, MCEstimate, ks_test

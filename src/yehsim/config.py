@@ -18,12 +18,12 @@ linear(slope, intercept), piecewise/table(knots, values) -> piecewise drift,
 cantor(depth) -> Cantor drift; rho identity, power(exponent) -> power
 variance, piecewise/table(knots, values) -> piecewise variance.  Integrand
 kinds: step(partition, values) | indicator(lo, hi) | poly(coeffs) |
-basis(index); a step partition lies in the interval and the step function
-is 0 outside it.  Ranges (README "Config schema"): finite numbers, knots
-strictly increasing over the interval, exponent >= 1, depth in [1, 1074],
-basis index in [0, 2**20].  A value out of range, or a section other than
-interval that is not an object, raises ConfigError naming the field; the
-CLI exits 2.
+basis(index); step and indicator give the StepFunction itself, whose
+partition lies in the interval and which is 0 outside it.  Ranges (README
+"Config schema"): finite numbers, knots strictly increasing over the
+interval, exponent >= 1, depth in [1, 1074], basis index in [0, 2**20].
+A value out of range, or a section other than interval that is not an
+object, raises ConfigError naming the field; the CLI exits 2.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .process import DEFAULT_GRID_POINTS, DEFAULT_TRUNCATION
 from .stieltjes import (DEFAULT_CANTOR_DEPTH, DEFAULT_RESOLUTION, Interval,
                         MeanFunction, VarianceFunction)
 
-TOOL_VERSION = "0.7.0"
+TOOL_VERSION = "0.8.0"
 
 
 def canonical_json(obj) -> str:
@@ -98,7 +98,7 @@ def variance_function_from_spec(spec: dict, interval) -> VarianceFunction:
     raise ConfigError(f"rho: unknown kind {kind!r}")
 
 
-def integrand_from_spec(spec: dict, interval, basis: BasisFamily) -> Integrand:
+def integrand_from_spec(spec: dict, interval, basis: BasisFamily) -> Integrand | StepFunction:
     kind = spec.get("kind", "indicator")
     iv = Interval.coerce(interval)
     try:
@@ -108,11 +108,11 @@ def integrand_from_spec(spec: dict, interval, basis: BasisFamily) -> Integrand:
             step = StepFunction(tuple(spec["partition"]), tuple(spec["values"]))
             _require(iv.a <= step.partition[0] and step.partition[-1] <= iv.b, "integrand",
                      f"partition must lie in [{iv.a}, {iv.b}]")
-            return Integrand.from_step(step)
+            return step
         if kind == "indicator":
             lo = float(spec.get("lo", iv.a))
             hi = float(spec.get("hi", 0.5 * iv.a + 0.5 * iv.b))
-            return Integrand.from_step(StepFunction.indicator(lo, hi, iv))
+            return StepFunction.indicator(lo, hi, iv)
         if kind == "poly":
             coeffs = [float(c) for c in spec.get("coeffs", [0.0, 1.0])]
             _require(all(map(math.isfinite, coeffs)), "integrand", "coeffs must be finite")
@@ -140,7 +140,7 @@ class RunConfig:
     interval: Interval
     lam: MeanFunction
     rho: VarianceFunction
-    integrand: Integrand
+    integrand: Integrand | StepFunction
     paths: int
     seed: int
     grid_points: int

@@ -1,23 +1,22 @@
 """Weighted L2 spaces: step functions, integrands, inner products, bases.
 
-A step function sum of c_i 1_[t_{i-1}, t_i) is 0 outside its partition.  A
-family of them has one format, one partition and one (members, pieces)
-matrix: `step_cells` builds it from step integrands and `project_family`
-from any integrands and basis members; both Wiener-integral kernels take
-it.  Inner products are exact closed-form Stieltjes sums when both arguments are
-step functions and midpoint quadrature otherwise.  Orthonormal bases of the
-rho-weighted space are built by pulling a Lebesgue-orthonormal family on
-[0, rho(b)] back through rho, which gives closed-form antiderivatives and
-orthonormality up to quadrature error without numerical orthogonalization.
-A basis has two evaluators, for members and for running integrals (sines, or
-Schauder tents for Haar), that take an array of member indices and return one
-matrix, so coefficients, Gram matrices, projections and defects are one call.
+A step integrand is a StepFunction, sum of c_i 1_[t_{i-1}, t_i), 0 outside
+its partition; other integrands are function handles (Integrand).  A step
+family is one partition and one (members, pieces) matrix: `step_cells`, the
+one code that merges or cuts partitions, builds it from steps and
+`project_family` from any integrands and basis members; both
+Wiener-integral kernels take it.  `stieltjes_integral` integrates against
+d(mu): exactly for a StepFunction, by midpoint quadrature otherwise.  Bases
+of the rho-weighted space pull a Lebesgue-orthonormal family on [0, rho(b)]
+back through rho: closed-form antiderivatives, and orthonormality without
+numerical orthogonalization.  Its two evaluators, members and running
+integrals (sines, or Schauder tents for Haar), take an array of member
+indices and return one matrix.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -62,10 +61,6 @@ class StepFunction:
         object.__setattr__(self, "partition", partition)
         object.__setattr__(self, "values", values)
 
-    @property
-    def interval(self) -> Interval:
-        return Interval(self.partition[0], self.partition[-1])
-
     def __call__(self, t):
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -77,6 +72,25 @@ class StepFunction:
     def max_abs(self) -> float:
         return max(abs(v) for v in self.values)
 
+    @property
+    def bv_breaks(self) -> tuple:
+        """The partition: a step function is monotone between its points."""
+        return self.partition
+
+    @property
+    def sign(self) -> int | None:
+        """+1 nonnegative, -1 nonpositive, 0 identically zero, None mixed."""
+        signs = set(np.sign(self.values).tolist()) - {0.0}
+        if len(signs) > 1:
+            return None
+        return int(signs.pop()) if signs else 0
+
+    def restrict(self, s: float, t: float) -> "StepFunction":
+        """This step function on [s, t], 0 outside it, with s and t added to
+        the partition."""
+        partition, pieces = step_cells([self], (s, t))
+        return StepFunction(partition, pieces[0])
+
     @classmethod
     def indicator(cls, lo: float, hi: float, interval) -> "StepFunction":
         """1 on [lo, hi), 0 elsewhere on the ambient interval."""
@@ -84,95 +98,98 @@ class StepFunction:
         lo, hi = float(lo), float(hi)
         if not (iv.a <= lo < hi <= iv.b):
             raise ValueError(f"need {iv.a} <= lo < hi <= {iv.b}")
-        partition = sorted({iv.a, lo, hi, iv.b})
-        values = [1.0 if lo <= 0.5 * p + 0.5 * q < hi else 0.0
-                  for p, q in zip(partition, partition[1:])]
-        return cls(tuple(partition), tuple(values))
+        partition, pieces = step_cells([cls((lo, hi), (1.0,))], iv)
+        return cls(partition, pieces[0])
 
 
-def _on_merged(f: StepFunction, g: StepFunction, op) -> StepFunction:
-    """The step function op(f, g) on the merged partition."""
-    partition = tuple(sorted(set(f.partition) | set(g.partition)))
-    mids = [0.5 * p + 0.5 * q for p, q in zip(partition, partition[1:])]
-    return StepFunction(partition, tuple(op(f(m), g(m)) for m in mids))
+def step_cells(family, interval=None) -> tuple[np.ndarray, np.ndarray]:
+    """A family of step integrands as one partition and one piece matrix:
+    (partition, pieces).
+
+    The partition is the sorted union of the members' partitions and the
+    interval's two ends, cut to the interval (by default the hull of the
+    members' partitions); pieces[m, i] is member m at the midpoint of cell
+    i, 0 where the member's partition does not reach.  Increments over
+    disjoint cells are independent Normal(dlambda, drho), so a step integral
+    depends only on lambda and rho at its partition points: drawn on this
+    partition it has the same law as on any finer one.
+    """
+    steps = list(family)
+    if not all(isinstance(f, StepFunction) for f in steps):
+        raise TypeError("step cells require step integrands")
+    points = np.concatenate([s.partition for s in steps])
+    iv = Interval.coerce((points.min(), points.max()) if interval is None else interval)
+    points = np.append(points, [iv.a, iv.b])
+    partition = np.unique(points[(points >= iv.a) & (points <= iv.b)])
+    mids = 0.5 * partition[:-1] + 0.5 * partition[1:]
+    return partition, np.vstack([step(mids) for step in steps])
 
 
 def step_combine(alpha: float, f: StepFunction, beta: float, g: StepFunction) -> StepFunction:
     """The step function alpha*f + beta*g on the merged partition."""
-    return _on_merged(f, g, lambda x, y: alpha * x + beta * y)
+    partition, (x, y) = step_cells([f, g])
+    return StepFunction(partition, alpha * x + beta * y)
 
 
 @dataclass(frozen=True)
 class Integrand:
-    """A step function or a function handle, with optional certificates.
+    """A function handle with optional certificates.
 
     bv_breaks, when present, lists times splitting [a, b] into monotone pieces
     (a bounded-variation certificate).  sign is +1 for nonnegative, -1 for
-    nonpositive, 0 for identically zero, None for unknown/mixed.
+    nonpositive, 0 for identically zero, None for unknown/mixed.  A
+    StepFunction answers both itself.
     """
 
-    step: StepFunction | None = None
-    func: Callable | None = None
+    func: Callable
     bv_breaks: tuple | None = None
     sign: int | None = None
-
-    def __post_init__(self):
-        if (self.step is None) == (self.func is None):
-            raise ValueError("exactly one of step or func must be given")
-
-    @classmethod
-    def from_step(cls, sf: StepFunction) -> "Integrand":
-        vals = np.asarray(sf.values)
-        if np.all(vals == 0):
-            sign = 0
-        elif np.all(vals >= 0):
-            sign = 1
-        elif np.all(vals <= 0):
-            sign = -1
-        else:
-            sign = None
-        return cls(step=sf, bv_breaks=sf.partition, sign=sign)
 
     @classmethod
     def from_function(cls, fn: Callable, bv_breaks=None, sign: int | None = None) -> "Integrand":
         breaks = tuple(float(x) for x in bv_breaks) if bv_breaks is not None else None
         return cls(func=fn, bv_breaks=breaks, sign=sign)
 
-    @property
-    def is_step(self) -> bool:
-        return self.step is not None
-
     def __call__(self, t):
-        fn = self.step if self.step is not None else self.func
-        if self.step is not None:
-            return fn(t)
         arr = np.asarray(t, dtype=float)
         if arr.ndim == 0:
-            return float(fn(float(arr)))
-        return _eval_function(fn, arr)
+            return float(self.func(float(arr)))
+        return _eval_function(self.func, arr)
 
 
-def as_integrand(obj) -> Integrand:
-    if isinstance(obj, Integrand):
+def as_integrand(obj) -> Integrand | StepFunction:
+    """A StepFunction or Integrand unchanged, a bare callable as an Integrand."""
+    if isinstance(obj, (Integrand, StepFunction)):
         return obj
-    if isinstance(obj, StepFunction):
-        return Integrand.from_step(obj)
     if callable(obj):
         return Integrand.from_function(obj)
     raise TypeError(f"cannot interpret {type(obj).__name__} as an integrand")
 
 
+def stieltjes_integral(f, mu, s: float | None = None, t: float | None = None,
+                       resolution: int = DEFAULT_RESOLUTION) -> float:
+    """The integral of f against d(mu) over [s, t], by default mu's interval:
+    the exact closed form for a StepFunction, midpoint quadrature at
+    `resolution` otherwise."""
+    f = as_integrand(f)
+    if isinstance(f, StepFunction):
+        return stieltjes_step(f, mu, s, t)
+    lo = mu.interval.a if s is None else s
+    hi = mu.interval.b if t is None else t
+    return stieltjes_quad(f, mu, lo, hi, resolution).value
+
+
 def inner_rho(f, g, rho: VarianceFunction, resolution: int = DEFAULT_RESOLUTION) -> float:
     """Inner product integral of f*g against d(rho).
 
-    Exact when both arguments are step functions; midpoint quadrature at
-    `resolution` otherwise.
+    Exact when both arguments are step functions, on the union of their
+    partitions; midpoint quadrature at `resolution` otherwise.
     """
     f, g = as_integrand(f), as_integrand(g)
-    if f.is_step and g.is_step:
-        return stieltjes_step(_on_merged(f.step, g.step, operator.mul), rho)
-    a, b = rho.interval.a, rho.interval.b
-    return stieltjes_quad(lambda x: f(x) * g(x), rho, a, b, resolution).value
+    if isinstance(f, StepFunction) and isinstance(g, StepFunction):
+        partition, (x, y) = step_cells([f, g])
+        return stieltjes_integral(StepFunction(partition, x * y), rho)
+    return stieltjes_integral(lambda x: f(x) * g(x), rho, resolution=resolution)
 
 
 def inner_lambda_rho(f, g, lam: MeanFunction, rho: VarianceFunction,
@@ -217,26 +234,6 @@ def project_family(fs, n: int, interval, basis: BasisFamily | None = None,
     if not np.all(np.isfinite(values)):
         raise ValueError("values must be finite")
     return tuple(edges.tolist()), values
-
-
-def step_cells(family, interval) -> tuple[np.ndarray, np.ndarray]:
-    """A family of step integrands as one partition and one piece matrix:
-    (partition, pieces).
-
-    The partition is the sorted union of the members' partitions and the
-    interval's two ends; pieces[m, i] is member m at the midpoint of cell i,
-    0 where the member's partition does not reach.  Increments over disjoint
-    cells are independent Normal(dlambda, drho), so a step integral depends
-    only on lambda and rho at its partition points: drawn on this partition
-    it has the same law as on any finer one.
-    """
-    steps = [as_integrand(f).step for f in family]
-    if any(step is None for step in steps):
-        raise TypeError("step cells require step integrands")
-    iv = Interval.coerce(interval)
-    partition = np.unique(np.concatenate([[iv.a, iv.b], *(s.partition for s in steps)]))
-    mids = 0.5 * partition[:-1] + 0.5 * partition[1:]
-    return partition, np.vstack([step(mids) for step in steps])
 
 
 #: Member values held at once by the quadrature branch of fourier_coeffs,
@@ -359,9 +356,9 @@ def fourier_coeffs(f, basis: BasisFamily, count: int,
         raise ValueError("coefficient count must be >= 1")
     f = as_integrand(f)
     ns = np.arange(count)
-    if f.is_step:
-        steps = np.diff(basis.antiderivative(ns, f.step.partition), axis=1)
-        return (steps[:, None, :] @ np.asarray(f.step.values)[:, None])[:, 0, 0]
+    if isinstance(f, StepFunction):
+        steps = np.diff(basis.antiderivative(ns, f.partition), axis=1)
+        return (steps[:, None, :] @ np.asarray(f.values)[:, None])[:, 0, 0]
     rho = basis.rho
     _, mids, masses = midpoint_rule(rho.interval.a, rho.interval.b, resolution, rho)
     fvals = f(mids)

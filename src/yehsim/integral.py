@@ -1,16 +1,16 @@
 """Wiener integrals against sample paths and their analytic moments.
 
-Step integrands integrate exactly (the defining telescoping sum); continuous
-integrands go through step projection (the L2-limit construction) or through
-pathwise Riemann-Stieltjes sums when a bounded-variation certificate is
-present.  A step family has one format, one partition and one (members,
-pieces) matrix (funcspace.step_cells builds it from step integrands, each 0
-outside its own partition), and both Wiener-integral kernels take it:
-`integrate_step_batch` for paths held as values, and
-process.increment_functionals, drawing on the partition itself, for paths
-that exist only as increments.  Partition points must lie on the path grid:
-a path is only known at its grid points and interpolating would fabricate
-correlation structure.
+A step integrand is a funcspace.StepFunction and integrates exactly (the
+defining telescoping sum); continuous integrands go through step projection
+(the L2-limit construction) or through pathwise Riemann-Stieltjes sums when
+a bounded-variation certificate is present.  Means are
+funcspace.stieltjes_integral, exact for steps.  A step family is one
+partition and one (members, pieces) matrix (funcspace.step_cells), and both
+Wiener-integral kernels take it: `integrate_step_batch` for paths held as
+values, and process.increment_functionals, drawing on the partition itself,
+for paths that exist only as increments.  Partition points must lie on the
+path grid: a path is only known at its grid points and interpolating would
+fabricate correlation structure.
 """
 
 from __future__ import annotations
@@ -21,16 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingBVCertificateError, PartitionNotOnGridError
-from .funcspace import as_integrand, inner_rho, project_family
+from .funcspace import (StepFunction, as_integrand, inner_rho, project_family,
+                        stieltjes_integral)
 from .process import SamplePath, grid_indices
-from .stieltjes import (
-    DEFAULT_RESOLUTION,
-    Interval,
-    MeanFunction,
-    VarianceFunction,
-    stieltjes_quad,
-    stieltjes_step,
-)
+from .stieltjes import DEFAULT_RESOLUTION, Interval, MeanFunction, VarianceFunction
 
 
 @dataclass(frozen=True)
@@ -65,10 +59,9 @@ def integrate_step_batch(partition, pieces, values, grid) -> np.ndarray:
 
 def integrate_step(f, path: SamplePath) -> WienerIntegralResult:
     """Exact Wiener integral of a step function: sum of ci * (X(ti) - X(t_{i-1}))."""
-    step = as_integrand(f).step
-    if step is None:
+    if not isinstance(f, StepFunction):
         raise TypeError("the Wiener-integral kernel requires step integrands")
-    value = integrate_step_batch(step.partition, step.values, path.values, path.grid)[0]
+    value = integrate_step_batch(f.partition, f.values, path.values, path.grid)[0]
     return WienerIntegralResult(float(value), "step_exact")
 
 
@@ -100,19 +93,23 @@ def integrate_l2(f, path: SamplePath, cells: int) -> WienerIntegralResult:
 def integrate_pathwise_rs(f, path: SamplePath, cells: int) -> WienerIntegralResult:
     """Pathwise Riemann-Stieltjes sum with left tags on the path grid.
 
-    Requires a bounded-variation certificate.  The refinement estimate is the
-    left/right tag spread |sum of (f(right) - f(left)) * dX| over the same
-    cells, which bounds the spread of tagged sums on this partition.
+    Requires a bounded-variation certificate; a step integrand is first cut
+    to the path's interval, so its last value holds only at the path's end.
+    The refinement estimate is the left/right tag spread |sum of (f(right) -
+    f(left)) * dX| over the same cells, which bounds the spread of tagged
+    sums on this partition.
     """
     if cells < 1:
         raise ValueError("cell count must be >= 1")
     f = as_integrand(f)
-    if not f.is_step and f.bv_breaks is None:
+    if f.bv_breaks is None:
         raise MissingBVCertificateError(
             "pathwise RS integration requires a bounded-variation certificate"
         )
-    boundaries = tuple(np.linspace(float(path.grid[0]), float(path.grid[-1]),
-                                   cells + 1))
+    a, b = float(path.grid[0]), float(path.grid[-1])
+    if isinstance(f, StepFunction):
+        f = f.restrict(a, b)
+    boundaries = tuple(np.linspace(a, b, cells + 1))
     left = f(boundaries[:-1])
     right = f(boundaries[1:])
     value, spread = integrate_step_batch(boundaries, [left, right - left],
@@ -123,10 +120,7 @@ def integrate_pathwise_rs(f, path: SamplePath, cells: int) -> WienerIntegralResu
 
 def integral_mean(f, lam: MeanFunction, resolution: int = DEFAULT_RESOLUTION) -> float:
     """Expected value of the Wiener integral: the integral of f against d(lambda)."""
-    f = as_integrand(f)
-    if f.is_step:
-        return stieltjes_step(f.step, lam)
-    return stieltjes_quad(f, lam, lam.interval.a, lam.interval.b, resolution).value
+    return stieltjes_integral(f, lam, resolution=resolution)
 
 
 def integral_covariance(f, g, lam: MeanFunction, rho: VarianceFunction,

@@ -3,7 +3,9 @@
 Conditioning on the past reduces to the independence of later increments:
 E[M(t) | F_s] - M(s) equals the integral of f against d(lambda) over [s, t].
 The filtration is never materialized; classification is exact via that drift
-formula, with Monte Carlo only as a cross-check.
+formula (funcspace.stieltjes_integral), with Monte Carlo only as a
+cross-check, which draws M(t) - M(s) as the integral of the step cut to
+[s, t] (StepFunction.restrict).
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ import json
 from dataclasses import dataclass
 
 from .errors import OutOfDomainError
-from .funcspace import StepFunction, as_integrand, step_cells
+from .funcspace import StepFunction, as_integrand, step_cells, stieltjes_integral
 from .process import YehSpec, increment_functionals
 from .stats import MCEstimate, mc_from_samples
-from .stieltjes import DEFAULT_RESOLUTION, MeanFunction, stieltjes_quad, stieltjes_step
+from .stieltjes import DEFAULT_RESOLUTION, MeanFunction
 
 #: Drifts within this are treated as zero by the classifier.
 DRIFT_TOL = 1e-12
@@ -53,10 +55,7 @@ def conditional_increment_mean(f, lam: MeanFunction, s: float, t: float,
     a, b = lam.interval.a, lam.interval.b
     if not (a <= s <= t <= b):
         raise OutOfDomainError(f"need {a} <= s <= t <= {b}, got s={s}, t={t}")
-    f = as_integrand(f)
-    if f.is_step:
-        return stieltjes_step(f.step, lam, s, t)
-    return stieltjes_quad(f, lam, s, t, resolution).value
+    return stieltjes_integral(f, lam, s, t, resolution)
 
 
 def classify(f, lam: MeanFunction, probes,
@@ -98,22 +97,16 @@ def mc_martingale_test(spec: YehSpec, f: StepFunction, s: float, t: float,
                        count: int, seed: int, first_index: int = 0) -> MCEstimate:
     """Monte Carlo estimate of E[M(t) - M(s)] over `count` paths.
 
-    Later increments are independent of the past, so this unconditional mean
-    must agree with conditional_increment_mean within Monte Carlo error.
+    M(t) - M(s) is the integral of f.restrict(s, t).  Later increments are
+    independent of the past, so this unconditional mean must agree with
+    conditional_increment_mean within Monte Carlo error.
     """
     if count < 100:
         raise ValueError("need at least 100 paths")
     a, b = spec.interval.a, spec.interval.b
     if not (a <= s < t <= b):
         raise OutOfDomainError(f"need {a} <= s < t <= {b}, got s={s}, t={t}")
-    cells = step_cells([_restrict_step(f, s, t)], spec.interval)
+    cells = step_cells([f.restrict(s, t)], spec.interval)
     samples = increment_functionals(spec, *cells, seed, count, first_index)[:, 0]
     return mc_from_samples(samples, seed=seed, first_index=first_index)
 
-
-def _restrict_step(f: StepFunction, s: float, t: float) -> StepFunction:
-    """The step function f restricted to [s, t]."""
-    partition = sorted({float(s), float(t)} |
-                       {p for p in f.partition if s < p < t})
-    values = tuple(f(0.5 * p + 0.5 * q) for p, q in zip(partition, partition[1:]))
-    return StepFunction(tuple(partition), values)

@@ -9,11 +9,12 @@ family (funcspace.step_cells) on its own partition and returns
 pieces @ (dlambda + sigma * z) straight from the normals, and
 `series_point_values` returns the series values at given times.  The
 per-path samplers are one-row calls: `sample_increments` of
-`increment_value_matrix`, `sample_series` of `series_point_values`.  All draw
-in row chunks of about CHUNK_DRAWS normals, so neither their memory nor that
-of `simulate`, which writes the chunks as they come, grows with the path
-count.  Row k depends only on stream first_index + k, never on the batch
-layout, chunk height or BLAS thread count.
+`increment_value_matrix`, and series.sample_series of
+`series_point_values`.  All draw in row chunks of about CHUNK_DRAWS
+normals, so neither their memory nor that of `simulate`, which writes the
+chunks as they come, grows with the path count.  Row k depends only on
+stream first_index + k, never on the batch layout, chunk height or BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -123,7 +124,8 @@ def make_grid(interval, points: int = DEFAULT_GRID_POINTS, scale: str = "t",
     raise BadGridError(f"unknown grid scale {scale!r}")
 
 
-def _validate_grid(grid: np.ndarray, interval: Interval) -> np.ndarray:
+def validate_grid(grid: np.ndarray, interval: Interval) -> np.ndarray:
+    """The grid as a float array, checked to be strictly increasing from a to b."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise BadGridError("grid must be a 1-d array with at least 2 points")
@@ -159,28 +161,6 @@ def sample_increments(spec: YehSpec, grid, stream: GaussianStream) -> SamplePath
                       seed=stream.seed, stream_index=stream.index)
 
 
-def sample_series(spec: YehSpec, basis: BasisFamily, truncation: int, grid,
-                  stream: GaussianStream) -> SamplePath:
-    """Truncated random-series sampling: series_point_values for the stream
-    over the whole grid.
-
-    Values are lambda(t) + sum over n < truncation of (running rho-integral of
-    phi_n up to t) * xi_n, with xi_n consumed from the stream in index order.
-    The reported truncation defect is the largest variance shortfall
-    rho(t) - sum of squared running integrals over the grid.
-    """
-    if basis.rho != spec.rho:
-        raise ValueError("basis must be built on the spec's variance function")
-    grid = _validate_grid(grid, spec.interval)
-    values = series_point_values(spec, basis, truncation, grid, stream.seed, 1,
-                                 stream.index)[0]
-    from .series import series_variance_defect  # series imports this module
-    defect = float(np.max(series_variance_defect(basis, truncation, grid)))
-    return SamplePath(grid, values, "series",
-                      seed=stream.seed, stream_index=stream.index,
-                      truncation=truncation, truncation_defect=defect)
-
-
 def center(path: SamplePath, lam: MeanFunction) -> SamplePath:
     """Subtract the drift pointwise; centering with a zero drift is the identity."""
     return replace(path, values=path.values - lam(path.grid), centered=True)
@@ -202,7 +182,7 @@ def _increment_chunks(spec: YehSpec, grid, seed: int, count: int, first_index: i
     """(k0, increments) over _normal_chunks: row k of a chunk is
     dlambda + sigma * z.  The grid is validated and the drift and variance are
     evaluated once per call, however many chunks there are."""
-    grid = _validate_grid(grid, spec.interval)
+    grid = validate_grid(grid, spec.interval)
     dlam, sigma = _increment_scales(spec, grid)
 
     def increments(chunk):
@@ -251,26 +231,26 @@ def increment_value_matrix(spec: YehSpec, grid, seed: int, count: int,
     return values
 
 
-def increment_functionals(spec: YehSpec, grid, weights, seed: int, count: int,
+def increment_functionals(spec: YehSpec, partition, pieces, seed: int, count: int,
                           first_index: int = 0) -> np.ndarray:
     """Step integrals of increment-sampled paths, straight from the normals.
 
     This is the Wiener-integral kernel for paths that exist only as
     increments.  It takes a step family as one partition, the grid drawn on,
-    and one piece matrix, weights, with one row per member and one column
-    per cell (as funcspace.step_cells gives it).  The result has shape
-    (count, members), row k being weights @ (dlambda + sigma * z) for
-    stream first_index + k.  No path values are formed: the normals are
-    drawn CHUNK_DRAWS at a time.
+    and one piece matrix with one row per member and one column per cell
+    (as funcspace.step_cells gives it).  The result has shape (count,
+    members), row k being pieces @ (dlambda + sigma * z) for stream
+    first_index + k.  No path values are formed: the normals are drawn
+    CHUNK_DRAWS at a time.
     """
-    chunks = _increment_chunks(spec, grid, seed, count, first_index)
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 2 or weights.shape[1] != len(grid) - 1:
-        raise ValueError(f"weights must have shape (functionals, {len(grid) - 1}), "
-                         f"got {weights.shape}")
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("weights must be finite")
-    return _row_products(chunks, count, weights.T)
+    chunks = _increment_chunks(spec, partition, seed, count, first_index)
+    pieces = np.asarray(pieces, dtype=float)
+    if pieces.ndim != 2 or pieces.shape[1] != len(partition) - 1:
+        raise ValueError(f"pieces must have shape (members, {len(partition) - 1}), "
+                         f"got {pieces.shape}")
+    if not np.all(np.isfinite(pieces)):
+        raise ValueError("pieces must be finite")
+    return _row_products(chunks, count, pieces.T)
 
 
 def series_point_values(spec: YehSpec, basis: BasisFamily, truncation: int, times,

@@ -3,7 +3,8 @@
 The expansion writes the integral of f against the centered process as the
 sum over n of <f, phi_n>_rho times the integral of phi_n; the analytic
 mean-square truncation error after n terms is the Parseval defect
-||f||^2_rho - sum of the first n squared coefficients.
+||f||^2_rho - sum of the first n squared coefficients.  `sample_series`
+draws one truncated-series path on a grid.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from .funcspace import (
     project_family,
 )
 from .integral import integrate_step_batch
-from .process import SamplePath
+from .process import SamplePath, YehSpec, series_point_values, validate_grid
 from .stieltjes import DEFAULT_RESOLUTION, Interval
+from .streams import GaussianStream
 
 
 @dataclass(frozen=True)
@@ -93,3 +95,24 @@ def series_variance_defect(basis: BasisFamily, truncation: int, t):
     squares = basis.antiderivative(np.arange(truncation), t) ** 2
     defect = np.maximum(0.0, basis.rho(t) - np.cumsum(squares, axis=0)[-1])
     return float(defect) if defect.ndim == 0 else defect
+
+
+def sample_series(spec: YehSpec, basis: BasisFamily, truncation: int, grid,
+                  stream: GaussianStream) -> SamplePath:
+    """Truncated random-series sampling: series_point_values for the stream
+    over the whole grid.
+
+    Values are lambda(t) + sum over n < truncation of (running rho-integral of
+    phi_n up to t) * xi_n, with xi_n consumed from the stream in index order.
+    The reported truncation defect is the largest variance shortfall
+    rho(t) - sum of squared running integrals over the grid.
+    """
+    if basis.rho != spec.rho:
+        raise ValueError("basis must be built on the spec's variance function")
+    grid = validate_grid(grid, spec.interval)
+    values = series_point_values(spec, basis, truncation, grid, stream.seed, 1,
+                                 stream.index)[0]
+    defect = float(np.max(series_variance_defect(basis, truncation, grid)))
+    return SamplePath(grid, values, "series",
+                      seed=stream.seed, stream_index=stream.index,
+                      truncation=truncation, truncation_defect=defect)

@@ -29,22 +29,26 @@ class MCEstimate:
     first_index: int | None = None
 
 
+def mean_se(samples) -> tuple[float, float]:
+    """(mean, std(ddof=1) / sqrt(count)) of a sample array; a non-finite
+    sample gives a non-finite result, never an exception."""
+    samples = np.asarray(samples, dtype=float)
+    with np.errstate(invalid="ignore"):
+        se = float(samples.std(ddof=1)) / math.sqrt(samples.size)
+    return float(samples.mean()), se
+
+
 def mc_from_samples(samples: np.ndarray, seed: int | None = None,
                     first_index: int | None = None) -> MCEstimate:
-    """Estimate from a sample array: the mean, the ddof=1 variance and its SE.
-
-    se is sqrt(variance) / sqrt(count): the bits of std(ddof=1) / sqrt(count)
-    that the verify rows use.
-    """
+    """Estimate from a sample array: the mean, the ddof=1 variance and the
+    SE of mean_se."""
     samples = np.asarray(samples, dtype=float)
     if samples.size < 2:
         raise ValueError("need at least 2 draws")
     if not np.all(np.isfinite(samples)):
         raise NonFiniteDrawError("sample array contains non-finite values")
-    mean = float(samples.mean())
-    variance = float(np.sum((samples - mean) ** 2)) / (samples.size - 1)
-    return MCEstimate(mean=mean, variance=variance,
-                      se=math.sqrt(variance) / math.sqrt(samples.size),
+    mean, se = mean_se(samples)
+    return MCEstimate(mean=mean, variance=float(samples.var(ddof=1)), se=se,
                       count=samples.size, seed=seed, first_index=first_index)
 
 

@@ -27,10 +27,10 @@ from .errors import ConfigError
 from .funcspace import (BasisFamily, StepFunction, fourier_coeffs, norm_sq_rho,
                         project_family, step_cells)
 from .integral import integral_covariance, integral_mean
-from .martingale import _restrict_step, classify, conditional_increment_mean
+from .martingale import classify, conditional_increment_mean
 from .process import YehSpec, increment_functionals, make_grid, series_point_values
 from .series import series_variance_defect
-from .stats import ks_test
+from .stats import ks_test, mean_se
 from .stieltjes import Interval, MeanFunction, VarianceFunction
 
 #: The mixed-sign step integrand defeating sub/supermartingale classification:
@@ -55,9 +55,10 @@ def _within(check: str, expected: float, observed: float, tol: float) -> CheckRo
 
 
 def _mean_within(check: str, expected: float, samples: np.ndarray) -> CheckRow:
-    """The sample mean against `expected` within 4 standard errors."""
-    se = samples.std(ddof=1) / math.sqrt(len(samples))
-    return _within(check, expected, float(samples.mean()), 4.0 * se)
+    """The sample mean against `expected` within 4 standard errors; a
+    non-finite sample makes the row fail, not raise."""
+    mean, se = mean_se(samples)
+    return _within(check, expected, mean, 4.0 * se)
 
 
 def _suite_seed(cfg: RunConfig, offset: int) -> int:
@@ -218,7 +219,7 @@ def counterexample_battery(seed: int = 0, paths: int = 0) -> list[CheckRow]:
             CheckRow("counterexample_verdict_neither", 1.0, float(neither), 0.0, neither)]
     if paths:
         spec = YehSpec(lam, VarianceFunction.identity(unit))
-        cells = step_cells([_restrict_step(MIXED_SIGN_STEP, 0.25, t)
+        cells = step_cells([MIXED_SIGN_STEP.restrict(0.25, t)
                             for _, t, _ in _COUNTEREXAMPLE_DRIFTS], unit)
         drifts = increment_functionals(spec, *cells, seed, paths)
         rows += [_mean_within(f"counterexample_mc_drift_{name}", want, samples)
@@ -253,13 +254,15 @@ def gaussian_suite(cfg: RunConfig) -> list[CheckRow]:
 
 def series_suite(cfg: RunConfig) -> list[CheckRow]:
     """Defects, covariance at three grid pairs, and the expansion gap of the
-    half indicator for N in {1, 4, 16}."""
+    half indicator for N in {1, 4, 16}; no pair index is below 1, since at
+    s = a every series term is 0."""
     iv = cfg.interval
     grid = make_grid(iv, cfg.grid_points, "t")
     n = len(grid)
+    quarter = max(1, n // 4)
     half = StepFunction.indicator(iv.a, iv.a + iv.length / 2, iv)
-    return [*series_battery(cfg.basis, grid, [(n // 4, n // 2), (n // 2, n // 2),
-                                              (n // 4, 3 * n // 4)],
+    return [*series_battery(cfg.basis, grid, [(quarter, n // 2), (n // 2, n // 2),
+                                              (quarter, 3 * n // 4)],
                             cfg.truncation, max(1, cfg.truncation), cfg.seed, cfg.paths),
             *expansion_battery(cfg.basis, n - 1, {"series_expansion_gap": half}, 16,
                                (1, 4, 16), _suite_seed(cfg, 7), cfg.paths)]

@@ -293,23 +293,24 @@ class TestStreamedSimulate:
 # what they drew: there only those verify rows moved and the series_truncation
 # rows were added, and expand matches 0.5.0 once the hashes and version are
 # masked.  They were re-taken at 0.7.0, when a step function became 0 outside
-# its partition: every golden output matches 0.6.0 at 1 and 2 BLAS threads
-# once the hashes and version are masked.
+# its partition, and at 0.8.0, when the series suite stopped taking a pair
+# at grid index 0: each time every golden output matched the previous
+# version at 1 and 2 BLAS threads once the hashes and version were masked.
 
 #: SHA-256 of verify_all.csv for acceptance criterion 9's config, first taken
 #: when the suites moved onto the functional sampler.
 VERIFY_GOLDEN = (
     {"mc": {"paths": 2000, "seed": 12345}, "grid": {"points": 257}, "series": {"N": 64}},
-    "e6e0dd19e2fcd7c61bd6c3b8a0f53ab430492c16a3a3d8d016d67d7cc430ac72",
+    "addc40574e65069920a60f53639801ca72f826231c92c50ef39a818d96f80e5f",
 )
 
 #: SHA-256 of verify_all.csv for configs/cantor.json cut down to 500 paths,
 #: 129 points and N = 32, and of expansion.csv for each shipped config, first
 #: taken before the suites were split into batteries and adapters.
-CANTOR_VERIFY_GOLDEN = "948b3da17f5a628ba657d101f1dbaf60a5559ab48d6b82d4b1973dd835d283d8"
+CANTOR_VERIFY_GOLDEN = "3e455d3c4b283f98e07fbed956b13d72732108c487f9d1811471a9df1d9c93c5"
 EXPAND_GOLDEN = {
-    "brownian": "87512b0cabf2a2a0642ca9fab7a8fa1a901ae6532e804cc1cf20c6e215cb36bb",
-    "cantor": "a155c28a0a9ba68cd320c5f445257b68da96b1024757e74bac50ec1588770aba",
+    "brownian": "42275b238a80087fd92380c47021282ecdbe788a6de7f6fb884e7e80612e11df",
+    "cantor": "6dc820964a92a2a0a0933a60d82d02ddf8ba3ed58df10c5c5df726762dfd031e",
 }
 
 #: A Haar basis on a piecewise rho of mass 1.3 over [0, 2] (every config
@@ -327,9 +328,9 @@ HAAR_MASS_CONFIG = {
 }
 HAAR_MASS_GOLDEN = {
     "verify": ("verify_series.csv",
-               "46def550df06b62e70336456d2ed6fc0b787f90dd9e60c175d4a91b4fc9ce921"),
+               "b64fdac71dd8f1677ae2ea8e364660cbeb961dc26d8fd6dc94bea09892f0a2c3"),
     "expand": ("expansion.csv",
-               "fddeca52efb467d60132530fd16e239bde82274d9712515295aa0806b47dadd4"),
+               "bb14b665dcc43d007bcd115a69332c4080cb4db1fb5a4f660f3abf0d3ecf6727"),
 }
 
 
@@ -371,7 +372,7 @@ class TestVerify:
         assert cli_digest(tmp_path, threads, output, command, *suite,
                           "--config", str(cfg_path)) == digest
 
-    @pytest.mark.parametrize("points", [17, 2])
+    @pytest.mark.parametrize("points", [17, 3, 2])
     def test_coarse_grid_haar_config_passes(self, tmp_path, points):
         # the expansion gap drawn on a coarse grid is not the exact members'
         # gap: its rows must expect the mean square of what was drawn, not the
@@ -388,6 +389,9 @@ class TestVerify:
         assert all(r["pass"] == "true" for r in rows)
         names = [r["check"] for r in rows]
         assert len(set(names)) == len(names)
+        # a covariance pair at s = a has tolerance 0 and checks nothing
+        cov = [r for r in rows if r["check"].startswith("series_cov_")]
+        assert cov and all(float(r["tolerance"]) > 0 for r in cov)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowed_tolerance_fails(self, tmp_path):

@@ -13,6 +13,7 @@ from yehsim import (
     Interval,
     MeanFunction,
     NonFiniteValueError,
+    PartitionOutOfDomainError,
     StepFunction,
     VarianceFunction,
     YehSpec,
@@ -26,8 +27,11 @@ from yehsim import (
     sample_series,
     series_variance_defect,
     step_combine,
+    stieltjes_integral,
+    stieltjes_quad,
+    stieltjes_step,
 )
-from yehsim.funcspace import project_family
+from yehsim.funcspace import Integrand, as_integrand, project_family
 
 UNIT = Interval(0.0, 1.0)
 RHO_ID = VarianceFunction.identity(UNIT)
@@ -52,6 +56,15 @@ class TestInnerProducts:
         assert f(0.75) == 0.0 and g(0.25) == 0.0 and g(1.0) == 1.0
         assert inner_rho(f, g, RHO_ID) == 0.0
         assert step_combine(1.0, f, 1.0, g).values == (1.0, 1.0)
+
+    def test_steps_merge_over_their_hull_not_the_measure(self):
+        # a step that leaves rho's interval is refused, not cut to it
+        f = StepFunction((-0.5, 0.5), (1.0,))
+        combined = step_combine(2.0, f, -1.0, ONE)
+        assert combined.partition == (-0.5, 0.0, 0.5, 1.0)
+        assert combined.values == (2.0, 1.0, -1.0)
+        with pytest.raises(PartitionOutOfDomainError):
+            inner_rho(f, ONE, RHO_ID)
 
     def test_half_indicator_against_square_rho(self):
         f = StepFunction.indicator(0.0, 0.5, UNIT)
@@ -131,10 +144,47 @@ class TestStepFunction:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             StepFunction(partition, values)
 
+    def test_is_its_own_integrand(self):
+        f = StepFunction((0.0, 0.5, 1.0), (2.0, 0.0))
+        assert as_integrand(f) is f
+        assert f.bv_breaks == f.partition
+        assert (f.sign, StepFunction((0.0, 1.0), (-1.0,)).sign) == (1, -1)
+        assert StepFunction((0.0, 1.0), (0.0,)).sign == 0
+        assert StepFunction((0.0, 0.5, 1.0), (1.0, -1.0)).sign is None
+
+    def test_restrict_cuts_at_both_ends(self):
+        f = StepFunction((0.0, 1 / 3, 2 / 3, 1.0), (0.5, -0.5, 2.0))
+        inner = f.restrict(0.25, 0.75)
+        assert inner.partition == (0.25, 1 / 3, 2 / 3, 0.75)
+        assert inner.values == (0.5, -0.5, 2.0)
+        assert inner(0.75) == 2.0 and inner(0.8) == 0.0
+
+    def test_restrict_to_a_wider_interval_ends_the_last_value(self):
+        h = StepFunction((0.25, 0.5), (1.0,))
+        wide = h.restrict(0.0, 1.0)
+        assert wide.partition == (0.0, 0.25, 0.5, 1.0)
+        assert wide.values == (0.0, 1.0, 0.0)
+        assert (h(0.5), wide(0.5)) == (1.0, 0.0)
+
     def test_indicator_near_the_largest_float(self):
         # the cell midpoints 0.5 * (p + q) would overflow to inf here
         f = StepFunction.indicator(1e308, 1.5e308, (0.0, 1.7e308))
         assert f.values == (0.0, 1.0, 0.0)
+
+
+class TestStieltjesIntegral:
+    def test_exact_for_steps(self):
+        f = StepFunction((0.0, 0.25, 1.0), (3.0, -1.0))
+        lam = MeanFunction.cantor(UNIT)
+        assert stieltjes_integral(f, lam, 0.1, 0.9) == stieltjes_step(f, lam, 0.1, 0.9)
+        assert stieltjes_integral(f, RHO_SQ) == stieltjes_step(f, RHO_SQ)
+
+    def test_quadrature_for_functions(self):
+        f = Integrand.from_function(np.cos, bv_breaks=(0.0, 1.0))
+        want = stieltjes_quad(f, RHO_SQ, 0.0, 1.0, 64).value
+        assert stieltjes_integral(f, RHO_SQ, resolution=64) == want
+        assert stieltjes_integral(np.cos, RHO_SQ, 0.2, 0.7, 64) == stieltjes_quad(
+            np.cos, RHO_SQ, 0.2, 0.7, 64).value
 
 
 class TestProjection:

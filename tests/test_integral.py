@@ -27,6 +27,7 @@ from yehsim import (
 from yehsim.funcspace import step_cells
 from yehsim.integral import integrate_step_batch
 from yehsim.process import increment_value_matrix
+from yehsim import verify
 from yehsim.verify import gaussian_battery, moments_battery
 
 UNIT = Interval(0.0, 1.0)
@@ -136,6 +137,12 @@ class TestStepCells:
         with pytest.raises(TypeError):
             step_cells([lambda t: t], UNIT)
 
+    def test_members_are_cut_to_the_interval(self):
+        wide = StepFunction((-1.0, 0.5, 2.0), (1.0, 2.0))
+        grid, weights = step_cells([wide, COUNTEREXAMPLE], UNIT)
+        assert grid.tolist() == [0.0, 1 / 3, 0.5, 2 / 3, 1.0]
+        assert weights.tolist() == [[1.0, 1.0, 2.0, 2.0], [0.5, -0.5, -0.5, 2.0]]
+
 
 class TestIntegrateL2:
     def test_aligned_step_equals_exact(self):
@@ -222,6 +229,15 @@ class TestPathwiseRS:
         rs = integrate_pathwise_rs(f, path, 8)
         assert rs.value == pytest.approx(exact, abs=1e-14)
 
+    @pytest.mark.parametrize("cells", [4, 256])
+    def test_partial_span_step_equals_exact(self, cells):
+        # a left tag on the partition's end 0.5 must read 0, not the last
+        # value, which a StepFunction keeps at its own right end
+        path = brownian_path(7, points=257)
+        h = StepFunction((0.25, 0.5), (1.0,))
+        exact = integrate_step(h, path).value
+        assert integrate_pathwise_rs(h, path, cells).value == pytest.approx(exact, abs=1e-14)
+
     def test_missing_certificate_rejected(self):
         path = brownian_path(10, points=17)
         with pytest.raises(MissingBVCertificateError):
@@ -301,6 +317,16 @@ class TestAnalyticMoments:
             assert raw_val - centered_val == pytest.approx(
                 stieltjes_step(f, lam), abs=1e-13
             )
+
+    def test_non_finite_sample_fails_its_row(self, monkeypatch):
+        def sampler(spec, partition, pieces, seed, count, first_index=0):
+            samples = np.ones((count, len(pieces)))
+            samples[3] = np.nan
+            return samples
+
+        monkeypatch.setattr(verify, "increment_functionals", sampler)
+        rows = moments_battery(BROWNIAN, {"mean": ONE}, 1, 100)
+        assert [row.passed for row in rows] == [False]
 
     def test_moment_identities_small_battery(self):
         # sample mean and covariance against the analytic formulas, 4 SE

@@ -392,13 +392,13 @@ class TestFunctionalSampler:
     def test_grid_validated_once_per_call(self, monkeypatch):
         grid = make_grid(UNIT, 65)
         calls = []
-        original = process._validate_grid
+        original = process.validate_grid
 
         def counting(grid, interval):
             calls.append(interval)
             return original(grid, interval)
 
-        monkeypatch.setattr(process, "_validate_grid", counting)
+        monkeypatch.setattr(process, "validate_grid", counting)
         sample_increments(BROWNIAN, grid, GaussianStream(5, 0))
         increment_value_matrix(BROWNIAN, grid, 5, 3)
         increment_functionals(BROWNIAN, grid, np.ones((1, 64)), 5, 3)

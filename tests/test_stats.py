@@ -9,7 +9,7 @@ from yehsim import (
     NonFiniteDrawError,
     ks_test,
 )
-from yehsim.stats import mc_from_samples
+from yehsim.stats import mc_from_samples, mean_se
 
 
 class TestMCEstimate:
@@ -38,6 +38,20 @@ class TestMCEstimate:
         assert (est.seed, est.first_index, est.count) == (77, 10, 500)
         assert est.mean == draws.mean()
         assert est.se == draws.std(ddof=1) / np.sqrt(500)
+
+    def test_se_is_mean_se(self):
+        rng = np.random.default_rng(140)
+        for _ in range(140):
+            draws = rng.standard_normal(rng.integers(2, 300)) * rng.uniform(0.1, 10.0)
+            est = mc_from_samples(draws)
+            assert (est.mean, est.se) == mean_se(draws)
+            assert est.se == draws.std(ddof=1) / np.sqrt(draws.size)
+            assert est.variance == float(np.sum((draws - est.mean) ** 2)) / (draws.size - 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_mean_se_does_not_raise_on_non_finite(self, bad):
+        mean, se = mean_se(np.array([1.0, bad, 2.0]))
+        assert not np.isfinite(mean) and np.isnan(se)
 
     def test_non_finite_draw_rejected(self):
         with pytest.raises(NonFiniteDrawError):
