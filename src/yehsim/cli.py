@@ -57,25 +57,31 @@ def _load_config(args) -> RunConfig:
     return parse_config(raw, overrides)
 
 
+def _io_failure(path: Path, exc: OSError) -> _IOFailure:
+    return _IOFailure(f"cannot write {path}: {exc}")
+
+
+def _guarded(path: Path, call):
+    """call, with an OSError it raises turned into an _IOFailure that names
+    path."""
+    def guarded(*args):
+        try:
+            return call(*args)
+        except OSError as exc:
+            raise _io_failure(path, exc) from exc
+    return guarded
+
+
 @contextmanager
 def _writer(path: Path):
     """Yield write(text) for a new text file at path.  An OSError in opening,
     writing or closing it becomes an _IOFailure that names path."""
-    def failure(exc: OSError) -> _IOFailure:
-        return _IOFailure(f"cannot write {path}: {exc}")
-
-    def write(text: str):
-        try:
-            fh.write(text)
-        except OSError as exc:
-            raise failure(exc) from exc
-
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w") as fh:
-            yield write
+            yield _guarded(path, fh.write)
     except OSError as exc:
-        raise failure(exc) from exc
+        raise _io_failure(path, exc) from exc
 
 
 def _write_text(path: Path, text: str):
@@ -93,13 +99,114 @@ def _manifest_json(cfg: RunConfig) -> str:
                            "manifest_hash": manifest.hash()}) + "\n"
 
 
+def _write_rows(first: int, chunks, pieces, csv, bundle):
+    """Format the (k0, values) chunks of the paths from stream index `first`
+    on: CSV lines through csv(text), and JSON rows through bundle(text), each
+    chunk after a "," unless it starts at path 0."""
+    for k0, values in chunks:
+        rows = values.tolist()
+        del values  # not held while the next chunk is drawn
+        for k, row in enumerate(rows, first + k0):
+            csv(str(k).join(pieces) % tuple(row))
+        if first + k0:
+            bundle(",")
+        bundle(json.dumps(rows, separators=(",", ":"))[1:-1])
+
+
+class _Part:
+    """A forked child that formats the paths from stream index `first` on
+    into two anonymous temporary files beside the outputs, for the parent to
+    append once the child has exited.
+
+    The child never returns into its caller's stack: it ends with os._exit,
+    so no exit handler or caller's cleanup runs in it.  It stops before its
+    next chunk if its parent has died.  An _IOFailure in it names the output
+    its file belongs to; the child sends the message through a pipe and exits
+    with EXIT_IO, and join raises it again in the parent."""
+
+    def __init__(self, first: int, chunks, pieces, outputs):
+        import itertools
+        import tempfile
+
+        def temp_file(path: Path):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            return tempfile.TemporaryFile("w+", dir=path.parent)
+
+        self.first, self.outputs = first, outputs
+        self.files = [_guarded(path, temp_file)(path) for path in outputs]
+        self.pipe, report = os.pipe()
+        parent = os.getpid()
+        self.pid = os.fork()
+        if self.pid:
+            os.close(report)
+            return
+        code = 1
+        try:
+            os.close(self.pipe)
+            csv, bundle = (_guarded(path, fh.write)
+                           for path, fh in zip(outputs, self.files))
+            live = itertools.takewhile(lambda _: os.getppid() == parent, chunks)
+            _write_rows(first, live, pieces, csv, bundle)
+            for path, fh in zip(outputs, self.files):
+                _guarded(path, fh.flush)()
+            code = EXIT_OK
+        except _IOFailure as exc:
+            code = EXIT_IO
+            os.write(report, str(exc).encode())
+        except BaseException:
+            import traceback
+
+            traceback.print_exc()
+            raise
+        finally:
+            os._exit(code)
+
+    def join(self, *writes):
+        """Wait for the child; append its files through the output writes."""
+        with os.fdopen(self.pipe, "rb") as pipe:
+            self.pipe = None
+            message = pipe.read().decode()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code == EXIT_IO:
+            raise _IOFailure(message)
+        if code != EXIT_OK:
+            raise RuntimeError(f"the process writing paths from {self.first} on "
+                               f"ended with exit code {code}")
+        for path, fh, write in zip(self.outputs, self.files, writes):
+            _guarded(path, fh.seek)(0)
+            read = _guarded(path, fh.read)
+            while block := read(1 << 13):
+                write(block)
+            fh.close()  # frees its disk space now, not at the end of the run
+
+    def close(self):
+        """Kill and reap the child if join has not, and release its files."""
+        import signal
+
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        if self.pipe is not None:
+            os.close(self.pipe)
+            self.pipe = None
+        for fh in self.files:
+            fh.close()
+
+
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     """Sample paths per the config; write bundle.json, paths.csv, manifest.json.
 
-    Paths are sampled, formatted and written in the samplers' row chunks of
-    about process.CHUNK_DRAWS normals, so memory does not grow with the path
-    count.  Row k is stream k whichever chunk holds it, so the bytes do not
-    depend on the chunk height."""
+    The path range is split into one contiguous, near-equal range of stream
+    indices per core this process may run on.  The first range is formatted
+    by this process straight into the outputs; each other one by a forked
+    child into temporary files, which are appended in order.  Every process
+    samples, formats and writes in the samplers' row chunks of about
+    process.CHUNK_DRAWS normals, so the memory of each does not grow with the
+    path count.  Row k is stream k whichever process and chunk hold it, so
+    the bytes depend on neither the core count nor the chunk height."""
     spec = YehSpec(cfg.lam, cfg.rho)
     grid = make_grid(cfg.interval, cfg.grid_points, cfg.grid_scale, rho=cfg.rho)
     manifest = cfg.manifest()
@@ -113,20 +220,27 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         "grid": grid.tolist(),
         "paths": [],
     }).rsplit("[]", 1)
-    chunks = _value_chunks(spec, grid, cfg.seed, cfg.paths)
-    with _writer(out_dir / "paths.csv") as csv, \
-            _writer(out_dir / "bundle.json") as bundle:
-        csv(f"# manifest={mhash}\npath,t,value\n")
-        bundle(head + "[")
-        for k0, values in chunks:
-            rows = values.tolist()
-            del values  # not held while the next chunk is drawn
-            for k, row in enumerate(rows, k0):
-                csv(str(k).join(pieces) % tuple(row))
-            if k0:
-                bundle(",")
-            bundle(json.dumps(rows, separators=(",", ":"))[1:-1])
-        bundle("]" + tail + "\n")
+    count = min(len(os.sched_getaffinity(0)), cfg.paths)
+    firsts = [cfg.paths * i // count for i in range(count + 1)]
+    # Each range's chunk loop is made here, before any fork, so that the
+    # drift and variance are evaluated in this process.
+    ranges = [(lo, _value_chunks(spec, grid, cfg.seed, hi - lo, lo))
+              for lo, hi in zip(firsts, firsts[1:])]
+    outputs = (out_dir / "paths.csv", out_dir / "bundle.json")
+    parts = []
+    try:
+        for first, chunks in ranges[1:]:
+            parts.append(_Part(first, chunks, pieces, outputs))
+        with _writer(outputs[0]) as csv, _writer(outputs[1]) as bundle:
+            csv(f"# manifest={mhash}\npath,t,value\n")
+            bundle(head + "[")
+            _write_rows(*ranges[0], pieces, csv, bundle)
+            for part in parts:
+                part.join(csv, bundle)
+            bundle("]" + tail + "\n")
+    finally:
+        for part in parts:
+            part.close()
     _write_text(out_dir / "manifest.json", _manifest_json(cfg))
     return EXIT_OK
 

@@ -106,18 +106,21 @@ def series_battery(basis: BasisFamily, grid, pairs, truncation: int,
                    endpoint_terms: int, seed: int, paths: int) -> list[CheckRow]:
     """Closed-form truncation defects and the series-sampled covariance.
 
-    The defects are the single-term one at the grid midpoint and the one
-    after endpoint_terms terms at the right end, which vanishes.  For each
-    distinct index pair (i, j), at s, t = grid[i], grid[j], `paths` centered
-    series paths of `truncation` terms give E[X(s) X(t)], which must be the
-    truncated series' covariance K(s, t) = sum over k < truncation of
-    A_k(s) A_k(t), the A_k being the running integrals of the members, within
-    4 SE.  An exact row bounds the truncation: K(s, t) lies within
-    sqrt(D(s) D(t)) of rho(min(s, t)), D being the truncation defect, by
-    Cauchy-Schwarz on the tail and Parseval's sum of A_k(t)**2 = rho(t).
+    The defects are the single-term one midway between the two middle grid
+    points, and the one after endpoint_terms terms at the right end, which
+    vanishes.  The first is closed form, so it may sit off the grid, as it
+    does on an even grid: a 2-point grid's middle point would be b, where it
+    vanishes too.  For each distinct index pair (i, j), at s, t = grid[i],
+    grid[j], `paths` centered series paths of `truncation` terms give
+    E[X(s) X(t)], which must be the truncated series' covariance K(s, t) =
+    sum over k < truncation of A_k(s) A_k(t), the A_k being the running
+    integrals of the members, within 4 SE.  An exact row bounds the
+    truncation: K(s, t) lies within sqrt(D(s) D(t)) of rho(min(s, t)), D
+    being the truncation defect, by Cauchy-Schwarz on the tail and Parseval's
+    sum of A_k(t)**2 = rho(t).
     """
     rho = basis.rho
-    t_mid = float(grid[len(grid) // 2])
+    t_mid = float(grid[(len(grid) - 1) // 2] + grid[len(grid) // 2]) / 2
     rows = [
         _within("series_defect_single_term_midpoint",
                 rho(t_mid) * (1.0 - rho(t_mid) / rho.total_mass),

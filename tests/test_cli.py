@@ -1,10 +1,14 @@
 """Command-line front end: exit codes, outputs, reproducibility."""
 
+import errno
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -21,6 +25,17 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def force_parts(monkeypatch, parts: int):
+    """Make simulate split its paths into `parts` ranges, whatever the cores:
+    the count is read from the CPU affinity."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def read_rows(csv_path):
@@ -184,30 +199,112 @@ class TestSimulate:
         assert "does not exist" in capsys.readouterr().err
 
     def test_unwritable_output_gives_io_exit(self, tmp_path, brownian_config,
-                                             capsys):
+                                             capsys, monkeypatch):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file where a directory must go")
-        code = run_cli("simulate", "--config", str(brownian_config),
-                       "--out", str(blocker / "sub"))
-        assert code == 3
+        for parts in (1, 3):
+            force_parts(monkeypatch, parts)
+            code = run_cli("simulate", "--config", str(brownian_config),
+                           "--out", str(blocker / "sub"))
+            assert code == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write {blocker / 'sub' / 'paths.csv'}: ")
+            assert "Traceback" not in err
+            assert_no_child_left()
+            assert sorted(os.listdir(tmp_path)) == ["blocked", "config.json"]
 
     def test_unopenable_output_file_gives_io_exit(self, tmp_path, brownian_config,
-                                                 capsys):
+                                                 capsys, monkeypatch):
         out = tmp_path / "out"
         (out / "bundle.json").mkdir(parents=True)
+        for parts in (1, 3):
+            force_parts(monkeypatch, parts)
+            code = run_cli("simulate", "--config", str(brownian_config), "--out", str(out))
+            assert code == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write {out / 'bundle.json'}: ")
+            assert "Traceback" not in err
+            assert_no_child_left()
+            assert sorted(os.listdir(out)) == ["bundle.json", "paths.csv"]
+
+    def test_child_write_failure_gives_io_exit(self, tmp_path, brownian_config,
+                                               capsys, monkeypatch):
+        # only the forked children write to temporary files
+        real = tempfile.TemporaryFile
+
+        def full_disk(*args, **kwargs):
+            fh = real(*args, **kwargs)
+
+            def write(text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            fh.write = write
+            return fh
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", full_disk)
+        force_parts(monkeypatch, 2)
+        out = tmp_path / "out"
         code = run_cli("simulate", "--config", str(brownian_config), "--out", str(out))
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot write {out / 'bundle.json'}: ")
-        assert "Traceback" not in err
+        assert err == (f"error: cannot write {out / 'paths.csv'}: "
+                       f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+        assert_no_child_left()
+        assert sorted(os.listdir(out)) == ["bundle.json", "paths.csv"]
+
+    def test_killed_run_leaves_no_child(self, tmp_path):
+        # the children of a SIGKILLed parent stop before their next chunk
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({"mc": {"paths": 20000}, "grid": {"points": 513}}))
+        script = ("import os, sys\n"
+                  "real_fork = os.fork\n"
+                  "def fork():\n"
+                  "    pid = real_fork()\n"
+                  "    if pid:\n"
+                  "        print(pid, flush=True)\n"
+                  "    return pid\n"
+                  "os.fork = fork\n"
+                  "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+                  "from yehsim.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        argv = [sys.executable, "-c", script, "simulate", "--config", str(cfg_path),
+                "--out", str(tmp_path / "out")]
+        children = []
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, text=True, env=env) as proc:
+            try:
+                children = [int(proc.stdout.readline()) for _ in range(2)]
+                time.sleep(0.5)
+                assert proc.poll() is None, "the run ended before it was killed"
+                proc.kill()
+                proc.wait(timeout=10)
+                deadline = time.monotonic() + 2.0
+                while any(map(running, children)) and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                assert not any(map(running, children))
+            finally:
+                proc.kill()
+                for pid in filter(running, children):
+                    os.kill(pid, signal.SIGKILL)
 
 
-#: SHA-256 of paths.csv and bundle.json.  Each config spans three chunks, the
-#: last partial.  The test pins version 0.3.0 in the manifest, so a version
-#: bump alone does not move the digests.  They were first written by the
-#: one-shot writer that preceded chunked output, and re-taken at 0.5.0, when the
-#: config lost its debug section; the outputs at 0.4.0 and 0.5.0 match at 1 and 2
-#: BLAS threads once config_hash and manifest_hash are masked.
+def running(pid: int) -> bool:
+    """Whether the process exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+#: SHA-256 of paths.csv and bundle.json.  The first two configs span three
+#: chunks, the last partial; the third has fewer paths than the cores the
+#: test forces, so each of its ranges holds one path.  The test pins version
+#: 0.3.0 in the manifest, so a version bump alone does not move the digests.
+#: They were first written by the one-shot writer that preceded chunked
+#: output, and re-taken at 0.5.0, when the config lost its debug section; the
+#: outputs at 0.4.0 and 0.5.0 match at 1 and 2 BLAS threads once config_hash
+#: and manifest_hash are masked.  The third was taken from the one-process
+#: writer that preceded the split into stream ranges.
 STREAMED_GOLDEN = {
     "cantor_rho": (
         {"interval": [0.0, 1.0], "lambda": {"kind": "cantor", "depth": 64},
@@ -224,23 +321,38 @@ STREAMED_GOLDEN = {
         "dae034fe54251687f03d056546e300cb8f2bf73e7edb63ceb46b6b8d87a3debf",
         "0553b7462b0ee29fb4c18678b6fa8508501292f299ad653270cc10ba8e1e97f8",
     ),
+    "three_paths": (
+        {"interval": [0.0, 1.0], "lambda": {"kind": "zero"}, "rho": {"kind": "identity"},
+         "mc": {"paths": 3, "seed": 20261018},
+         "grid": {"points": 1025, "scale": "t"}},
+        "44d3122e92deca36871a2722d35a14106bf987c0086f710491c6ff0ae2e01ca5",
+        "be2b37d2568c2a87b8da11ed0521cc5314265b071a692026d47970f29a015b9d",
+    ),
 }
+
+#: (config, CHUNK_DRAWS or None for the default, forced core count).
+STREAMED_CASES = [
+    ("cantor_rho", None, 1), ("cantor_rho", None, 2), ("cantor_rho", None, 3),
+    ("brownian_t", None, 1), ("brownian_t", None, 2), ("brownian_t", None, 3),
+    ("brownian_t", 1, 1), ("brownian_t", 1, 3),                # one path per chunk
+    ("brownian_t", 2**40, 1), ("brownian_t", 2**40, 2),        # one chunk per range
+    ("three_paths", None, 4),                                  # fewer paths than cores
+]
 
 
 class TestStreamedSimulate:
-    @pytest.mark.parametrize("name,chunk_draws", [
-        ("cantor_rho", None),
-        ("brownian_t", None),
-        ("brownian_t", 1),          # one path per chunk
-        ("brownian_t", 2**40),      # every path in one chunk
-    ])
-    def test_bytes_match_golden(self, tmp_path, monkeypatch, name, chunk_draws):
+    @pytest.mark.parametrize(
+        "name,chunk_draws,parts", STREAMED_CASES,
+        ids=[f"{name}-{draws}" + (f"-parts{parts}" if parts > 1 else "")
+             for name, draws, parts in STREAMED_CASES])
+    def test_bytes_match_golden(self, tmp_path, monkeypatch, name, chunk_draws, parts):
         config, csv_digest, bundle_digest = STREAMED_GOLDEN[name]
         monkeypatch.setattr("yehsim.config.TOOL_VERSION", "0.3.0")
+        force_parts(monkeypatch, parts)
         points, paths = config["grid"]["points"], config["mc"]["paths"]
         if chunk_draws is None:
             rows = process.CHUNK_DRAWS // (points - 1)
-            assert 2 * rows < paths < 3 * rows
+            assert 2 * rows < paths < 3 * rows or paths < parts
         else:
             monkeypatch.setattr(process, "CHUNK_DRAWS", chunk_draws)
         cfg_path = tmp_path / "c.json"
@@ -249,40 +361,64 @@ class TestStreamedSimulate:
         assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 0
         assert hashlib.sha256((out / "paths.csv").read_bytes()).hexdigest() == csv_digest
         assert hashlib.sha256((out / "bundle.json").read_bytes()).hexdigest() == bundle_digest
+        assert sorted(os.listdir(out)) == ["bundle.json", "manifest.json", "paths.csv"]
+        assert_no_child_left()
 
     def test_drift_evaluated_once_per_run(self, tmp_path, monkeypatch):
+        # every part's chunk loop is made before the fork, so the drift is
+        # evaluated in the parent only; a call in a child is counted too
         from yehsim.stieltjes import MeanFunction
 
-        calls = []
+        calls = tmp_path / "calls"
         original = MeanFunction.__call__
 
         def counting(self, t):
-            calls.append(t)
+            with calls.open("a") as fh:
+                fh.write(f"{os.getpid()}\n")
             return original(self, t)
 
         monkeypatch.setattr(process, "CHUNK_DRAWS", 1)  # one path per chunk
         monkeypatch.setattr(MeanFunction, "__call__", counting)
+        force_parts(monkeypatch, 3)
         counts = []
         for paths in (3, 30):
             cfg = parse_config({"lambda": {"kind": "cantor"}, "mc": {"paths": paths},
                                 "grid": {"points": 17}}, {})
-            calls.clear()
+            calls.write_text("")
             cli.cmd_simulate(cfg, tmp_path / str(paths))
-            counts.append(len(calls))
+            pids = calls.read_text().split()
+            assert set(pids) == {str(os.getpid())}
+            counts.append(len(pids))
         assert counts[0] == counts[1], counts
 
     def test_peak_memory_flat_in_path_count(self, tmp_path, monkeypatch):
+        # the peak of each part: the forked child reports its own as it exits
         monkeypatch.setattr(process, "CHUNK_DRAWS", 64 * 10)  # 10 paths per chunk
+        force_parts(monkeypatch, 2)
+        child_peaks = tmp_path / "child_peaks"
+        real_exit = os._exit
+
+        def exit_reporting_peak(code):
+            with child_peaks.open("a") as fh:
+                fh.write(f"{tracemalloc.get_traced_memory()[1]}\n")
+            real_exit(code)
+
+        monkeypatch.setattr(os, "_exit", exit_reporting_peak)
         peaks = []
         for paths in (50, 500):
             cfg = parse_config({"mc": {"paths": paths}, "grid": {"points": 65}}, {})
+            child_peaks.write_text("")
             tracemalloc.start()
             try:
                 cli.cmd_simulate(cfg, tmp_path / str(paths))
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                parent = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[1] < 1.5 * peaks[0], peaks
+            children = [int(peak) for peak in child_peaks.read_text().split()]
+            assert len(children) == 1
+            peaks.append([parent, *children])
+        for small, large in zip(*peaks):
+            assert large < 1.5 * small, peaks
 
 
 # The digests below were first taken at version 0.4.0, as each comment says,
@@ -293,24 +429,26 @@ class TestStreamedSimulate:
 # what they drew: there only those verify rows moved and the series_truncation
 # rows were added, and expand matches 0.5.0 once the hashes and version are
 # masked.  They were re-taken at 0.7.0, when a step function became 0 outside
-# its partition, and at 0.8.0, when the series suite stopped taking a pair
-# at grid index 0: each time every golden output matched the previous
-# version at 1 and 2 BLAS threads once the hashes and version were masked.
+# its partition, at 0.8.0, when the series suite stopped taking a pair at
+# grid index 0, and at 0.9.0, when the single-term defect row moved midway
+# between the two middle grid points (only even grids move; every grid here
+# is odd): each time every golden output matched the previous version at 1
+# and 2 BLAS threads once the hashes and version were masked.
 
 #: SHA-256 of verify_all.csv for acceptance criterion 9's config, first taken
 #: when the suites moved onto the functional sampler.
 VERIFY_GOLDEN = (
     {"mc": {"paths": 2000, "seed": 12345}, "grid": {"points": 257}, "series": {"N": 64}},
-    "addc40574e65069920a60f53639801ca72f826231c92c50ef39a818d96f80e5f",
+    "1605ce1a131962905bd212a2e39cb780c471c9d25cfd1abf39d3921cad949282",
 )
 
 #: SHA-256 of verify_all.csv for configs/cantor.json cut down to 500 paths,
 #: 129 points and N = 32, and of expansion.csv for each shipped config, first
 #: taken before the suites were split into batteries and adapters.
-CANTOR_VERIFY_GOLDEN = "3e455d3c4b283f98e07fbed956b13d72732108c487f9d1811471a9df1d9c93c5"
+CANTOR_VERIFY_GOLDEN = "08e416a624a66f1376e8563e160dd89874ec11597efb21908f1a59698b3ad3f3"
 EXPAND_GOLDEN = {
-    "brownian": "42275b238a80087fd92380c47021282ecdbe788a6de7f6fb884e7e80612e11df",
-    "cantor": "6dc820964a92a2a0a0933a60d82d02ddf8ba3ed58df10c5c5df726762dfd031e",
+    "brownian": "aa45856fbbcae770fe5dde4eb44f4c1a44a41f53fe9c6c26531e96ea39ed4143",
+    "cantor": "705d6e4d95c55d0aacc372a6379861f29b98286246575af7fcc22053fdda97c1",
 }
 
 #: A Haar basis on a piecewise rho of mass 1.3 over [0, 2] (every config
@@ -328,9 +466,9 @@ HAAR_MASS_CONFIG = {
 }
 HAAR_MASS_GOLDEN = {
     "verify": ("verify_series.csv",
-               "b64fdac71dd8f1677ae2ea8e364660cbeb961dc26d8fd6dc94bea09892f0a2c3"),
+               "8244c7f07aaed5eff1ab6414821677b46ba991c069451f23d73f402da2ea366a"),
     "expand": ("expansion.csv",
-               "bb14b665dcc43d007bcd115a69332c4080cb4db1fb5a4f660f3abf0d3ecf6727"),
+               "11d10fde6e7e570c852a43e7b234efdfdaa461e2efc220bffad724e60fd3a146"),
 }
 
 
@@ -372,7 +510,7 @@ class TestVerify:
         assert cli_digest(tmp_path, threads, output, command, *suite,
                           "--config", str(cfg_path)) == digest
 
-    @pytest.mark.parametrize("points", [17, 3, 2])
+    @pytest.mark.parametrize("points", [17, 3, 2, 4])
     def test_coarse_grid_haar_config_passes(self, tmp_path, points):
         # the expansion gap drawn on a coarse grid is not the exact members'
         # gap: its rows must expect the mean square of what was drawn, not the
@@ -392,6 +530,12 @@ class TestVerify:
         # a covariance pair at s = a has tolerance 0 and checks nothing
         cov = [r for r in rows if r["check"].startswith("series_cov_")]
         assert cov and all(float(r["tolerance"]) > 0 for r in cov)
+        # the single-term defect sits midway between the two middle grid
+        # points: t = 0.5 on 2 and 4 points, where rho = 0.3; at b it is 0
+        single, = [r for r in rows if r["check"] == "series_defect_single_term_midpoint"]
+        assert float(single["expected"]) > 0
+        if points % 2 == 0:
+            assert float(single["expected"]) == pytest.approx(0.3 * 0.7, abs=1e-15)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowed_tolerance_fails(self, tmp_path):
