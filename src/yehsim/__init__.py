@@ -17,7 +17,6 @@ from .errors import (
     NegativeVarianceError,
     NonFiniteDrawError,
     NonFiniteValueError,
-    NotCenteredError,
     OutOfDomainError,
     OutOfRangeError,
     PartitionNotOnGridError,

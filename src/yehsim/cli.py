@@ -1,10 +1,16 @@
 """Batch command line: simulate paths, run verification suites, expand integrals.
 
+`simulate` writes value paths; `verify` and `expand` reduce each path to a
+few linear functionals drawn straight from the normals, `expand` the step
+integrals of the integrand and basis members under the centered law, from
+stream (seed, 0).
+
 Exit codes: 0 success, 1 verification failure, 2 configuration error (the
-message names the offending field), 3 I/O failure.  The master seed resolves
-as --seed flag > YEH_SEED environment variable > config file > default.
-Outputs embed the run manifest hash and are byte-identical across reruns of
-the same manifest.
+message names the offending field, or the size fields when a size does not
+fit in memory), 3 I/O failure.  The master seed resolves as --seed flag >
+YEH_SEED environment variable > config file > default.  Outputs embed the
+run manifest hash and are byte-identical across reruns of the same
+manifest.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from pathlib import Path
 
 from .config import RunConfig, canonical_json, parse_config
 from .errors import ConfigError, YehError
-from .process import YehSpec, _value_chunks, center, make_grid, sample_increments
+from .process import YehSpec, _value_chunks, make_grid
 from .series import expand_integral
 from .streams import GaussianStream
 from .verify import SUITE_NAMES, run_suite
@@ -265,13 +271,11 @@ def cmd_verify(suite: str, cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_expand(cfg: RunConfig, out_dir: Path) -> int:
-    """Expand the configured integrand over one centered path; write the report."""
-    spec = YehSpec(cfg.lam, cfg.rho)
-    grid = make_grid(cfg.interval, cfg.grid_points, "t")
-    raw_path = sample_increments(spec, grid, GaussianStream(cfg.seed, 0))
-    path = center(raw_path, cfg.lam)
-    report = expand_integral(cfg.integrand, cfg.basis, cfg.truncation, path,
-                             cells=cfg.grid_points - 1, resolution=cfg.resolution)
+    """Expand the configured integrand over the centered path of stream
+    (seed, 0), on grid.points - 1 uniform cells; write the report."""
+    report = expand_integral(cfg.integrand, cfg.basis, cfg.truncation,
+                             cfg.grid_points - 1, GaussianStream(cfg.seed, 0),
+                             cfg.resolution)
     mhash = cfg.manifest().hash()
     lines = [f"# manifest={mhash}", f"# target={_fmt(report.target)}",
              "n,partial_sum,defect"]
@@ -315,26 +319,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        cfg = _load_config(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     out_dir = Path(args.out)
     try:
+        cfg = _load_config(args)
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir)
         if args.command == "verify":
             return cmd_verify(args.suite, cfg, out_dir)
         return cmd_expand(cfg, out_dir)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except _IOFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except YehError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        print("error: out of memory; lower mc.paths, grid.points or series.N",
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -45,10 +45,6 @@ class MissingBVCertificateError(YehError, ValueError):
     """A pathwise Riemann-Stieltjes integral needs a bounded-variation certificate."""
 
 
-class NotCenteredError(YehError, ValueError):
-    """An operation requires a centered sample path."""
-
-
 class NonFiniteDrawError(YehError, ArithmeticError):
     """A Monte Carlo sampler produced a non-finite draw."""
 

@@ -10,16 +10,18 @@ pieces @ (dlambda + sigma * z) straight from the normals, and
 `series_point_values` returns the series values at given times.  The
 per-path samplers are one-row calls: `sample_increments` of
 `increment_value_matrix`, and series.sample_series of
-`series_point_values`.  All draw in row chunks of about CHUNK_DRAWS
-normals, so neither their memory nor that of `simulate`, which writes the
-chunks as they come, grows with the path count.  Row k depends only on
-stream first_index + k, never on the batch layout, chunk height or BLAS
-thread count.
+`series_point_values`.  The centered process X - lambda is a law of
+its own, YehSpec.centered(rho), drawn like any other; `center` is only the
+pathwise identity on a path already drawn.  All draw in row chunks of
+about CHUNK_DRAWS normals, so neither their memory nor that of `simulate`,
+which writes the chunks as they come, grows with the path count.  Row k
+depends only on stream first_index + k, never on the batch layout, chunk
+height or BLAS thread count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,19 +64,18 @@ class YehSpec:
     def brownian(cls, interval=(0.0, 1.0)) -> "YehSpec":
         return cls(MeanFunction.zero(interval), VarianceFunction.identity(interval))
 
+    @classmethod
+    def centered(cls, rho: VarianceFunction) -> "YehSpec":
+        """The centered process X - lambda: zero drift, the same rho."""
+        return cls(MeanFunction.zero(rho.interval), rho)
+
 
 @dataclass(frozen=True)
 class SamplePath:
-    """One realization on a grid, with provenance and stream identity."""
+    """One realization: its values at the points of a grid, read-only."""
 
     grid: np.ndarray
     values: np.ndarray
-    provenance: str  # "increments" or "series"
-    seed: int | None = None
-    stream_index: int | None = None
-    truncation: int | None = None
-    truncation_defect: float | None = None
-    centered: bool = False
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -156,14 +157,15 @@ def sample_increments(spec: YehSpec, grid, stream: GaussianStream) -> SamplePath
     X(a) = lambda(a); each increment is an independent draw from
     Normal(dlambda, drho) over its cell.
     """
-    values = increment_value_matrix(spec, grid, stream.seed, 1, stream.index)[0]
-    return SamplePath(grid, values, "increments",
-                      seed=stream.seed, stream_index=stream.index)
+    return SamplePath(grid, increment_value_matrix(spec, grid, stream.seed, 1,
+                                                   stream.index)[0])
 
 
 def center(path: SamplePath, lam: MeanFunction) -> SamplePath:
-    """Subtract the drift pointwise; centering with a zero drift is the identity."""
-    return replace(path, values=path.values - lam(path.grid), centered=True)
+    """Subtract the drift pointwise: the pathwise identity I(f)(X - lambda) =
+    I(f)(X) - (integral of f d lambda).  The centered process's law is
+    YehSpec.centered."""
+    return SamplePath(path.grid, path.values - lam(path.grid))
 
 
 def _normal_chunks(seed: int, count: int, draws: int, first_index: int = 0):

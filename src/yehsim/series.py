@@ -1,10 +1,12 @@
 """Random-series expansion of Wiener integrals over a centered path.
 
-The expansion writes the integral of f against the centered process as the
-sum over n of <f, phi_n>_rho times the integral of phi_n; the analytic
-mean-square truncation error after n terms is the Parseval defect
-||f||^2_rho - sum of the first n squared coefficients.  `sample_series`
-draws one truncated-series path on a grid.
+The expansion writes the integral of f against the centered process X -
+lambda, the law YehSpec.centered(rho), as the sum over n of <f, phi_n>_rho
+times the integral of phi_n; the analytic mean-square truncation error after
+n terms is the Parseval defect ||f||^2_rho - sum of the first n squared
+coefficients.  `expand_integral` draws f and the members, projected onto
+uniform cells, as one step family straight from the normals of one stream.
+`sample_series` draws one truncated-series path on a grid.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotCenteredError
 from .funcspace import (
     BasisFamily,
     as_integrand,
@@ -21,9 +22,9 @@ from .funcspace import (
     inner_rho,
     project_family,
 )
-from .integral import integrate_step_batch
-from .process import SamplePath, YehSpec, series_point_values, validate_grid
-from .stieltjes import DEFAULT_RESOLUTION, Interval
+from .process import (SamplePath, YehSpec, increment_functionals, series_point_values,
+                      validate_grid)
+from .stieltjes import DEFAULT_RESOLUTION
 from .streams import GaussianStream
 
 
@@ -48,23 +49,22 @@ class ExpansionReport:
                    self.defects.tolist())
 
 
-def expand_integral(f, basis: BasisFamily, truncation: int, path: SamplePath,
-                    cells: int, resolution: int = DEFAULT_RESOLUTION) -> ExpansionReport:
-    """Expand the Wiener integral of f over a centered path.
+def expand_integral(f, basis: BasisFamily, truncation: int, cells: int,
+                    stream: GaussianStream,
+                    resolution: int = DEFAULT_RESOLUTION) -> ExpansionReport:
+    """Expand the Wiener integral of f over the centered path of `stream`.
 
-    The target and the members are projected onto the same `cells` steps and
-    integrated as one family, so the comparison isolates truncation error from
-    grid error.
+    The target and the first `truncation` members are projected onto `cells`
+    uniform cells of the basis interval and drawn as one family on that
+    partition, so the comparison isolates truncation error from grid error.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    if not path.centered:
-        raise NotCenteredError("expansion requires a centered path")
     f = as_integrand(f)
     coeffs = fourier_coeffs(f, basis, truncation, resolution)
-    interval = Interval(float(path.grid[0]), float(path.grid[-1]))
-    edges, values = project_family([f], cells, interval, basis, truncation)
-    integrals = integrate_step_batch(edges, values, path.values, path.grid)
+    edges, values = project_family([f], cells, basis.rho.interval, basis, truncation)
+    integrals = increment_functionals(YehSpec.centered(basis.rho), edges, values,
+                                      stream.seed, 1, stream.index)[0]
     target, member_integrals = float(integrals[0]), integrals[1:]
     partial_sums = np.cumsum(coeffs * member_integrals)
     norm_sq = inner_rho(f, f, basis.rho, resolution)
@@ -103,16 +103,11 @@ def sample_series(spec: YehSpec, basis: BasisFamily, truncation: int, grid,
     over the whole grid.
 
     Values are lambda(t) + sum over n < truncation of (running rho-integral of
-    phi_n up to t) * xi_n, with xi_n consumed from the stream in index order.
-    The reported truncation defect is the largest variance shortfall
-    rho(t) - sum of squared running integrals over the grid.
+    phi_n up to t) * xi_n, with xi_n consumed from the stream in index order;
+    series_variance_defect gives the variance each value lacks.
     """
     if basis.rho != spec.rho:
         raise ValueError("basis must be built on the spec's variance function")
     grid = validate_grid(grid, spec.interval)
-    values = series_point_values(spec, basis, truncation, grid, stream.seed, 1,
-                                 stream.index)[0]
-    defect = float(np.max(series_variance_defect(basis, truncation, grid)))
-    return SamplePath(grid, values, "series",
-                      seed=stream.seed, stream_index=stream.index,
-                      truncation=truncation, truncation_defect=defect)
+    return SamplePath(grid, series_point_values(spec, basis, truncation, grid,
+                                                stream.seed, 1, stream.index)[0])

@@ -128,7 +128,7 @@ def series_battery(basis: BasisFamily, grid, pairs, truncation: int,
         _within("series_defect_endpoint", 0.0,
                 series_variance_defect(basis, endpoint_terms, rho.interval.b), 1e-12),
     ]
-    spec = YehSpec(MeanFunction.zero(rho.interval), rho)
+    spec = YehSpec.centered(rho)
     cols = sorted({i for pair in pairs for i in pair})
     times = grid[cols]
     sv = series_point_values(spec, basis, truncation, times, seed, paths)
@@ -159,7 +159,7 @@ def expansion_battery(basis: BasisFamily, cells: int, integrands: dict, max_term
     """
     rho = basis.rho
     iv = rho.interval
-    spec = YehSpec(MeanFunction.zero(iv), rho)
+    spec = YehSpec.centered(rho)
     rows = []
     for i, (name, f) in enumerate(integrands.items()):
         edges, pieces = project_family([f], cells, iv, basis, max_terms)
@@ -213,7 +213,8 @@ def counterexample_drifts() -> list[CheckRow]:
 
 def counterexample_battery(seed: int = 0, paths: int = 0) -> list[CheckRow]:
     """The exact drifts and mean of the mixed-sign step, its 'neither'
-    verdict and, when paths > 0, a Monte Carlo cross-check of the drifts."""
+    verdict and, when paths > 0, the drifts by Monte Carlo: moments_battery
+    mean rows of the step restricted to each drift's interval."""
     unit = Interval(0.0, 1.0)
     lam = MeanFunction.linear(unit, 1.0)
     neither = classify(MIXED_SIGN_STEP, lam, [(0.25, 0.5), (0.25, 0.75)]).verdict == "neither"
@@ -221,12 +222,10 @@ def counterexample_battery(seed: int = 0, paths: int = 0) -> list[CheckRow]:
             _within("counterexample_mean", 2 / 3, integral_mean(MIXED_SIGN_STEP, lam), 1e-15),
             CheckRow("counterexample_verdict_neither", 1.0, float(neither), 0.0, neither)]
     if paths:
-        spec = YehSpec(lam, VarianceFunction.identity(unit))
-        cells = step_cells([MIXED_SIGN_STEP.restrict(0.25, t)
-                            for _, t, _ in _COUNTEREXAMPLE_DRIFTS], unit)
-        drifts = increment_functionals(spec, *cells, seed, paths)
-        rows += [_mean_within(f"counterexample_mc_drift_{name}", want, samples)
-                 for (name, _, want), samples in zip(_COUNTEREXAMPLE_DRIFTS, drifts.T)]
+        rows += moments_battery(
+            YehSpec(lam, VarianceFunction.identity(unit)),
+            {f"counterexample_mc_drift_{name}": MIXED_SIGN_STEP.restrict(0.25, t)
+             for name, t, _ in _COUNTEREXAMPLE_DRIFTS}, seed, paths)
     return rows
 
 
@@ -275,25 +274,26 @@ def martingale_suite(cfg: RunConfig) -> list[CheckRow]:
     """Eight truth-table instances, and the centered process as a
     martingale: zero drift within 4 SE."""
     iv = cfg.interval
-    cells = step_cells([StepFunction.indicator(iv.a, iv.b, iv)], iv)
-    samples = increment_functionals(YehSpec(MeanFunction.zero(iv), cfg.rho), *cells,
-                                    _suite_seed(cfg, 3), max(cfg.paths, 100))[:, 0]
     return [*truth_table_battery(iv, 8, cfg.seed),
-            _mean_within("martingale_mc_centered_drift", 0.0, samples)]
+            *moments_battery(YehSpec.centered(cfg.rho),
+                             {"martingale_mc_centered_drift":
+                              StepFunction.indicator(iv.a, iv.b, iv)},
+                             _suite_seed(cfg, 3), max(cfg.paths, 100))]
 
 
 def counterexample_suite(cfg: RunConfig) -> list[CheckRow]:
     return counterexample_battery(_suite_seed(cfg, 11), max(cfg.paths, 100))
 
 
-SUITES = {"moments": moments_suite, "gaussian": gaussian_suite, "series": series_suite,
-          "martingale": martingale_suite, "counterexample": counterexample_suite}
-SUITE_NAMES = tuple(SUITES)
+SUITE_NAMES = ("moments", "gaussian", "series", "martingale", "counterexample")
 
 
 def run_suite(name: str, cfg: RunConfig) -> list[CheckRow]:
+    """Run the named suite, or all of them in SUITE_NAMES order.  The suite
+    is looked up by name at call time, so a wrapper set on the module's
+    f"{name}_suite" attribute is the one that runs."""
     if name == "all":
         return [row for suite in SUITE_NAMES for row in run_suite(suite, cfg)]
-    if name not in SUITES:
+    if name not in SUITE_NAMES:
         raise ConfigError(f"suite: unknown suite {name!r}")
-    return SUITES[name](cfg)
+    return globals()[f"{name}_suite"](cfg)

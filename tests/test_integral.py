@@ -96,7 +96,7 @@ class TestIntegrateStep:
         for k in range(6):
             from yehsim import SamplePath
 
-            single = integrate_step(f, SamplePath(grid, vals[k], "increments"))
+            single = integrate_step(f, SamplePath(grid, vals[k]))
             assert batch[k] == pytest.approx(single.value, abs=0)
 
 

@@ -20,6 +20,7 @@ from yehsim import (
     make_grid,
     sample_increments,
     sample_series,
+    series_variance_defect,
 )
 from yehsim import StepFunction, process
 from yehsim.funcspace import step_cells
@@ -207,8 +208,6 @@ class TestSeriesSampling:
         p1 = sample_series(BROWNIAN, basis, 16, grid, GaussianStream(3, 1))
         p2 = sample_series(BROWNIAN, basis, 16, grid, GaussianStream(3, 1))
         assert np.array_equal(p1.values, p2.values)
-        assert p1.provenance == "series"
-        assert p1.truncation == 16
 
     def test_batch_matches_per_path(self):
         basis = BasisFamily(BROWNIAN.rho)
@@ -245,10 +244,8 @@ class TestSeriesSampling:
 
     def test_defect_reported(self):
         basis = BasisFamily(BROWNIAN.rho)
-        path = sample_series(BROWNIAN, basis, 4, make_grid(UNIT, 33),
-                             GaussianStream(5))
-        assert path.truncation_defect is not None
-        assert 0.0 <= path.truncation_defect <= 1.0
+        defect = series_variance_defect(basis, 4, make_grid(UNIT, 33))
+        assert np.all(0.0 <= defect) and np.all(defect <= 1.0)
 
     def test_series_covariance_matches_increment_sampling(self):
         # covariances agree within the truncation defect plus MC error
@@ -274,12 +271,11 @@ class TestCenter:
         path = sample_increments(BROWNIAN, make_grid(UNIT, 17), GaussianStream(1))
         centered = center(path, BROWNIAN.lam)
         assert np.array_equal(centered.values, path.values)
-        assert centered.centered
 
     def test_constant_drift_path_centers_to_zero(self):
         lam = MeanFunction.cantor(UNIT)
         grid = make_grid(UNIT, 33)
-        path = SamplePath(grid, lam(grid), "increments")
+        path = SamplePath(grid, lam(grid))
         assert np.allclose(center(path, lam).values, 0.0, atol=0)
 
     def test_centered_mc_mean_is_zero(self):

@@ -9,11 +9,9 @@ from yehsim import (
     BasisFamily,
     GaussianStream,
     Interval,
-    NotCenteredError,
     StepFunction,
     VarianceFunction,
     YehSpec,
-    center,
     expand_integral,
     fourier_coeffs,
     integrate_l2,
@@ -23,7 +21,7 @@ from yehsim import (
     sample_increments,
     series_variance_defect,
 )
-from yehsim.funcspace import project_to_steps
+from yehsim.funcspace import project_family, project_to_steps
 from yehsim.integral import integrate_step_batch
 from yehsim.process import increment_value_matrix
 
@@ -33,41 +31,52 @@ BASIS = BasisFamily(BROWNIAN.rho)
 HALF = StepFunction.indicator(0.0, 0.5, UNIT)
 
 
-def centered_path(seed, points=257, index=0):
-    raw = sample_increments(BROWNIAN, make_grid(UNIT, points),
-                            GaussianStream(seed, index))
-    return center(raw, BROWNIAN.lam)
+def centered_path(stream, cells, rho=BROWNIAN.rho):
+    """The centered path that expand_integral draws from `stream` on `cells`
+    uniform cells, held as values."""
+    return sample_increments(YehSpec.centered(rho), make_grid(rho.interval, cells + 1),
+                             stream)
 
 
 class TestExpandIntegral:
-    def test_requires_centered_path(self):
-        raw = sample_increments(BROWNIAN, make_grid(UNIT, 17), GaussianStream(1))
-        with pytest.raises(NotCenteredError):
-            expand_integral(HALF, BASIS, 4, raw, 16)
+    def test_matches_value_kernel_on_the_same_stream(self):
+        # the family drawn from the normals is the value kernel on the
+        # centered path of the same stream
+        rho = VarianceFunction.power(UNIT, 2.0)
+        basis = BasisFamily(rho)
+        f = StepFunction((0.0, 0.25, 0.75, 1.0), (0.5, -0.5, 2.0))
+        stream = GaussianStream(17, 3)
+        report = expand_integral(f, basis, 12, 128, stream)
+        path = centered_path(stream, 128, rho)
+        edges, values = project_family([f], 128, UNIT, basis, 12)
+        integrals = integrate_step_batch(edges, values, path.values, path.grid)
+        assert report.target == pytest.approx(integrals[0], abs=1e-12)
+        assert np.allclose(report.partial_sums,
+                           np.cumsum(report.coefficients * integrals[1:]),
+                           rtol=0, atol=1e-12)
 
     def test_basis_member_stabilizes_after_its_index(self):
-        path = centered_path(2)
-        report = expand_integral(BASIS.member(2), BASIS, 6, path, 256)
-        direct = integrate_l2(BASIS.member(2), path, 256).value
+        stream = GaussianStream(2)
+        report = expand_integral(BASIS.member(2), BASIS, 6, 256, stream)
+        direct = integrate_l2(BASIS.member(2), centered_path(stream, 256), 256).value
         for n in range(2, 6):
             assert report.partial_sums[n] == pytest.approx(direct, abs=1e-6)
         assert abs(report.defects[5]) <= 1e-8
 
     def test_constant_integrand_single_coefficient(self):
-        path = centered_path(3)
+        stream = GaussianStream(3)
         one = StepFunction((0.0, 1.0), (1.0,))
-        report = expand_integral(one, BASIS, 4, path, 64)
+        report = expand_integral(one, BASIS, 4, 64, stream)
         assert report.coefficients[0] == pytest.approx(1.0, abs=1e-15)
         assert report.partial_sums[0] == pytest.approx(report.target, abs=1e-12)
         # the single term already is X(1) - X(0)
+        path = centered_path(stream, 64)
         assert report.target == pytest.approx(
             path.values[-1] - path.values[0], abs=1e-12
         )
 
     def test_half_indicator_defect_small_by_large_truncation(self):
-        coeffs_defects = expand_integral(
-            HALF, BASIS, 2000, centered_path(4, points=17), 16
-        ).defects
+        coeffs_defects = expand_integral(HALF, BASIS, 2000, 16, GaussianStream(4)).defects
         assert np.all(np.diff(coeffs_defects) <= 1e-15)
         assert coeffs_defects[-1] < 1e-3
         assert coeffs_defects[0] == pytest.approx(0.25, abs=1e-13)
@@ -103,13 +112,12 @@ class TestExpandIntegral:
     def test_almost_sure_convergence_proxy(self):
         # |target - partial sum| eventually below 10 * sqrt(analytic defect)
         for index in range(10):
-            path = centered_path(8100, points=513, index=index)
-            report = expand_integral(HALF, BASIS, 256, path, 512)
+            report = expand_integral(HALF, BASIS, 256, 512, GaussianStream(8100, index))
             gap = abs(report.target - report.partial_sums[-1])
             assert gap <= 10.0 * math.sqrt(report.defects[-1])
 
     def test_rows_export(self):
-        report = expand_integral(HALF, BASIS, 3, centered_path(9, points=17), 16)
+        report = expand_integral(HALF, BASIS, 3, 16, GaussianStream(9))
         rows = list(report.rows())
         assert [r[0] for r in rows] == [1, 2, 3]
         assert rows[0][2] == pytest.approx(0.25, abs=1e-13)
