@@ -1,9 +1,12 @@
 """Batch command line: simulate paths, run verification suites, expand integrals.
 
-`simulate` writes value paths; `verify` and `expand` reduce each path to a
-few linear functionals drawn straight from the normals, `expand` the step
-integrals of the integrand and basis members under the centered law, from
-stream (seed, 0).
+`simulate` writes value paths, formatting each value once with %.17g: the
+same strings fill the value column of paths.csv and the path rows of
+bundle.json.  Its stream range is split over the cores by
+process.fork_ranges, as the functional samplers split theirs.  `verify` and
+`expand` reduce each path to a few linear functionals drawn straight from
+the normals, `expand` the step integrals of the integrand and basis members
+under the centered law, from stream (seed, 0).
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error (the
 message names the offending field, or the size fields when a size does not
@@ -24,7 +27,7 @@ from pathlib import Path
 
 from .config import RunConfig, canonical_json, parse_config
 from .errors import ConfigError, YehError
-from .process import YehSpec, _value_chunks, make_grid
+from .process import YehSpec, _value_chunks, fork_ranges, make_grid, stream_ranges
 from .series import expand_integral
 from .streams import GaussianStream
 from .verify import SUITE_NAMES, run_suite
@@ -107,118 +110,59 @@ def _manifest_json(cfg: RunConfig) -> str:
 
 def _write_rows(first: int, chunks, pieces, csv, bundle):
     """Format the (k0, values) chunks of the paths from stream index `first`
-    on: CSV lines through csv(text), and JSON rows through bundle(text), each
-    chunk after a "," unless it starts at path 0."""
+    on.  Each path's values are formatted once, with %.17g: the strings fill
+    the value column of its CSV lines, written through csv(text), and joined
+    by "," they are its JSON row, written through bundle(text) after a ","
+    unless it is path 0."""
+    template = ",".join(["%.17g"] * (len(pieces) - 1))
     for k0, values in chunks:
         rows = values.tolist()
         del values  # not held while the next chunk is drawn
         for k, row in enumerate(rows, first + k0):
-            csv(str(k).join(pieces) % tuple(row))
-        if first + k0:
-            bundle(",")
-        bundle(json.dumps(rows, separators=(",", ":"))[1:-1])
+            text = template % tuple(row)
+            csv(str(k).join(pieces) % tuple(text.split(",")))
+            bundle(f",[{text}]" if k else f"[{text}]")
 
 
-class _Part:
-    """A forked child that formats the paths from stream index `first` on
-    into two anonymous temporary files beside the outputs, for the parent to
-    append once the child has exited.
+def _temp_file(path: Path):
+    """An anonymous temporary file beside path."""
+    import tempfile
 
-    The child never returns into its caller's stack: it ends with os._exit,
-    so no exit handler or caller's cleanup runs in it.  It stops before its
-    next chunk if its parent has died.  An _IOFailure in it names the output
-    its file belongs to; the child sends the message through a pipe and exits
-    with EXIT_IO, and join raises it again in the parent."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return tempfile.TemporaryFile("w+", dir=path.parent)
 
-    def __init__(self, first: int, chunks, pieces, outputs):
-        import itertools
-        import tempfile
 
-        def temp_file(path: Path):
-            path.parent.mkdir(parents=True, exist_ok=True)
-            return tempfile.TemporaryFile("w+", dir=path.parent)
-
-        self.first, self.outputs = first, outputs
-        self.files = [_guarded(path, temp_file)(path) for path in outputs]
-        self.pipe, report = os.pipe()
-        parent = os.getpid()
-        self.pid = os.fork()
-        if self.pid:
-            os.close(report)
-            return
-        code = 1
-        try:
-            os.close(self.pipe)
-            csv, bundle = (_guarded(path, fh.write)
-                           for path, fh in zip(outputs, self.files))
-            live = itertools.takewhile(lambda _: os.getppid() == parent, chunks)
-            _write_rows(first, live, pieces, csv, bundle)
-            for path, fh in zip(outputs, self.files):
-                _guarded(path, fh.flush)()
-            code = EXIT_OK
-        except _IOFailure as exc:
-            code = EXIT_IO
-            os.write(report, str(exc).encode())
-        except BaseException:
-            import traceback
-
-            traceback.print_exc()
-            raise
-        finally:
-            os._exit(code)
-
-    def join(self, *writes):
-        """Wait for the child; append its files through the output writes."""
-        with os.fdopen(self.pipe, "rb") as pipe:
-            self.pipe = None
-            message = pipe.read().decode()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        code = os.waitstatus_to_exitcode(status)
-        if code == EXIT_IO:
-            raise _IOFailure(message)
-        if code != EXIT_OK:
-            raise RuntimeError(f"the process writing paths from {self.first} on "
-                               f"ended with exit code {code}")
-        for path, fh, write in zip(self.outputs, self.files, writes):
-            _guarded(path, fh.seek)(0)
-            read = _guarded(path, fh.read)
-            while block := read(1 << 13):
-                write(block)
-            fh.close()  # frees its disk space now, not at the end of the run
-
-    def close(self):
-        """Kill and reap the child if join has not, and release its files."""
-        import signal
-
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        if self.pipe is not None:
-            os.close(self.pipe)
-            self.pipe = None
-        for fh in self.files:
-            fh.close()
+def _append(path: Path, fh, write):
+    """Copy the temporary file fh of output path through write, and close it,
+    which frees its disk space now, not at the end of the run."""
+    _guarded(path, fh.seek)(0)
+    read = _guarded(path, fh.read)
+    while block := read(1 << 13):
+        write(block)
+    fh.close()
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     """Sample paths per the config; write bundle.json, paths.csv, manifest.json.
 
-    The path range is split into one contiguous, near-equal range of stream
-    indices per core this process may run on.  The first range is formatted
-    by this process straight into the outputs; each other one by a forked
-    child into temporary files, which are appended in order.  Every process
-    samples, formats and writes in the samplers' row chunks of about
-    process.CHUNK_DRAWS normals, so the memory of each does not grow with the
-    path count.  Row k is stream k whichever process and chunk hold it, so
-    the bytes depend on neither the core count nor the chunk height."""
+    The path range is split into process.stream_ranges, one contiguous,
+    near-equal range of stream indices per core this process may run on.
+    The first range is formatted by this process straight into the outputs;
+    each other one by a part that process.fork_ranges forks, into two
+    anonymous temporary files beside the outputs, which are appended in
+    order once the part has exited.  A part's _IOFailure names the output
+    its file belongs to and is raised again here.  Every process samples,
+    formats and writes in the samplers' row chunks of about
+    process.CHUNK_DRAWS normals, so the memory of each does not grow with
+    the path count.  Row k is stream k whichever process and chunk hold it,
+    so the bytes depend on neither the core count nor the chunk height."""
     spec = YehSpec(cfg.lam, cfg.rho)
     grid = make_grid(cfg.interval, cfg.grid_points, cfg.grid_scale, rho=cfg.rho)
     manifest = cfg.manifest()
     mhash = manifest.hash()
-    # Path k's CSV lines are str(k).join(pieces) % row: the grid is formatted once.
-    pieces = [""] + [f",{_fmt(t)},%.17g\n" for t in grid]
+    # Path k's CSV lines are str(k).join(pieces) % (its value strings): the
+    # grid is formatted once.
+    pieces = [""] + [f",{_fmt(t)},%s\n" for t in grid]
     # "paths" sorts last, so its empty list is the last "[]" of the document.
     head, tail = canonical_json({
         "manifest": manifest.to_dict(),
@@ -226,27 +170,37 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         "grid": grid.tolist(),
         "paths": [],
     }).rsplit("[]", 1)
-    count = min(len(os.sched_getaffinity(0)), cfg.paths)
-    firsts = [cfg.paths * i // count for i in range(count + 1)]
-    # Each range's chunk loop is made here, before any fork, so that the
-    # drift and variance are evaluated in this process.
-    ranges = [(lo, _value_chunks(spec, grid, cfg.seed, hi - lo, lo))
-              for lo, hi in zip(firsts, firsts[1:])]
+    # The chunk loop is made here, before any fork, so that the drift and
+    # variance are evaluated in this process.
+    chunks = _value_chunks(spec, grid, cfg.seed)
+    ranges = stream_ranges(cfg.paths)
     outputs = (out_dir / "paths.csv", out_dir / "bundle.json")
-    parts = []
+    temps = {}
+    sinks = {}
+
+    def run(lo: int, hi: int) -> int:
+        _write_rows(lo, chunks(hi - lo, lo), pieces, *sinks[lo])
+        for path, fh in zip(outputs, temps.get(lo, ())):
+            _guarded(path, fh.flush)()
+        return lo
+
     try:
-        for first, chunks in ranges[1:]:
-            parts.append(_Part(first, chunks, pieces, outputs))
-        with _writer(outputs[0]) as csv, _writer(outputs[1]) as bundle:
+        for lo, _ in ranges[1:]:
+            temps[lo] = [_guarded(path, _temp_file)(path) for path in outputs]
+            sinks[lo] = [_guarded(path, fh.write) for path, fh in zip(outputs, temps[lo])]
+        with fork_ranges(run, ranges) as done, \
+                _writer(outputs[0]) as csv, _writer(outputs[1]) as bundle:
             csv(f"# manifest={mhash}\npath,t,value\n")
             bundle(head + "[")
-            _write_rows(*ranges[0], pieces, csv, bundle)
-            for part in parts:
-                part.join(csv, bundle)
+            sinks[0] = (csv, bundle)
+            for lo in done:
+                for path, fh, write in zip(outputs, temps.get(lo, ()), (csv, bundle)):
+                    _append(path, fh, write)
             bundle("]" + tail + "\n")
     finally:
-        for part in parts:
-            part.close()
+        for files in temps.values():
+            for fh in files:
+                fh.close()
     _write_text(out_dir / "manifest.json", _manifest_json(cfg))
     return EXIT_OK
 

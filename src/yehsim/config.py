@@ -41,7 +41,7 @@ from .process import DEFAULT_GRID_POINTS, DEFAULT_TRUNCATION
 from .stieltjes import (DEFAULT_CANTOR_DEPTH, DEFAULT_RESOLUTION, Interval,
                         MeanFunction, VarianceFunction)
 
-TOOL_VERSION = "0.10.0"
+TOOL_VERSION = "0.11.0"
 
 
 def canonical_json(obj) -> str:

@@ -16,11 +16,22 @@ pathwise identity on a path already drawn.  All draw in row chunks of
 about CHUNK_DRAWS normals, so neither their memory nor that of `simulate`,
 which writes the chunks as they come, grows with the path count.  Row k
 depends only on stream first_index + k, never on the batch layout, chunk
-height or BLAS thread count.
+height, BLAS thread count or number of processes.
+
+One stream-range map runs on every core: stream_ranges cuts [0, count)
+into one contiguous range per core, and fork_ranges runs each range after
+the first in a forked part, whose result comes back through a pipe.
+`simulate` writes its paths through it, and the two functional samplers
+split through it once they draw FORK_DRAWS normals.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+import pickle
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +54,14 @@ DEFAULT_TRUNCATION = 256
 #: Normal draws per row chunk of the functional samplers: a chunk holds
 #: max(1, CHUNK_DRAWS // draws per row) rows.
 CHUNK_DRAWS = 2**18
+
+#: Normal draws (count x draws per row) from which a functional sampler
+#: splits its stream range over the cores (stream_ranges): below it a fork
+#: and a pipe cost more than the half range saves.
+FORK_DRAWS = 2**20
+
+# The pid of the parent while this process is a part forked by fork_ranges.
+_PARENT: int | None = None
 
 
 @dataclass(frozen=True)
@@ -168,11 +187,107 @@ def center(path: SamplePath, lam: MeanFunction) -> SamplePath:
     return SamplePath(path.grid, path.values - lam(path.grid))
 
 
+def stream_ranges(count: int) -> list[tuple[int, int]]:
+    """[0, count) cut into contiguous, near-equal ranges, one per core this
+    process may run on and at most count; a single range in a part."""
+    parts = 1 if _PARENT is not None else max(1, min(len(os.sched_getaffinity(0)), count))
+    firsts = [count * i // parts for i in range(parts + 1)]
+    return list(zip(firsts, firsts[1:]))
+
+
+@contextmanager
+def fork_ranges(run, ranges):
+    """Yield the results of run(lo, hi) over the ranges, in order, as an
+    iterator.  Every range after the first runs in a part forked on entry;
+    the first runs in this process when the iterator reaches it.  A part's
+    result, or the exception it raised, comes back pickled through a pipe,
+    and the exception is raised again here.  On exit every part not yet
+    joined is killed and reaped."""
+    parts = []
+    try:
+        for lo, hi in ranges[1:]:
+            parts.append(_Part(run, lo, hi))
+        here = (run(lo, hi) for lo, hi in ranges[:1])
+        yield itertools.chain(here, (part.join() for part in parts))
+    finally:
+        for part in parts:
+            part.close()
+
+
+class _Part:
+    """A forked child that runs run(lo, hi) and exits.
+
+    The child never returns into its caller's stack: it ends with os._exit,
+    so no exit handler or caller's cleanup runs in it.  It forks no part of
+    its own (stream_ranges gives it one range), and _normal_chunks stops it
+    before its next chunk once its parent has died."""
+
+    def __init__(self, run, lo: int, hi: int):
+        global _PARENT
+        self.lo, self.hi = lo, hi
+        self.pipe, report = os.pipe()
+        parent = os.getpid()
+        self.pid = os.fork()
+        if self.pid:
+            os.close(report)
+            return
+        _PARENT = parent
+        try:
+            os.close(self.pipe)
+            try:
+                reply = (True, run(lo, hi))
+            except BaseException as exc:
+                reply = (False, _portable(exc))
+            with os.fdopen(report, "wb") as fh:
+                pickle.dump(reply, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+
+    def join(self):
+        """Wait for the child; return its result, or raise its exception."""
+        with os.fdopen(self.pipe, "rb") as pipe:
+            self.pipe = None
+            reply = pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code or not reply:
+            raise RuntimeError(f"the process drawing streams [{self.lo}, {self.hi}) "
+                               f"ended with exit code {code}")
+        ok, value = pickle.loads(reply)
+        if not ok:
+            raise value
+        return value
+
+    def close(self):
+        """Kill and reap the child if join has not."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        if self.pipe is not None:
+            os.close(self.pipe)
+            self.pipe = None
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """exc, or a RuntimeError carrying its type and message when it does not
+    survive pickling."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
+
+
 def _normal_chunks(seed: int, count: int, draws: int, first_index: int = 0):
     """Yield (k0, z) for row chunks of about CHUNK_DRAWS draws: row k of z is
-    the first `draws` normals of stream first_index + k0 + k."""
+    the first `draws` normals of stream first_index + k0 + k.  In a part
+    (fork_ranges) whose parent has died, raise before the next chunk."""
     rows = max(1, CHUNK_DRAWS // draws)
     for k0 in range(0, count, rows):
+        if _PARENT is not None and os.getppid() != _PARENT:
+            raise RuntimeError("the process that forked this part has died")
         yield k0, normal_matrix(seed, min(rows, count - k0), draws, first_index + k0)
 
 
@@ -180,10 +295,11 @@ def _normal_chunks(seed: int, count: int, draws: int, first_index: int = 0):
 # frame would keep its last chunk alive while the caller works on it, and
 # each chunk held that way adds its size to the peak memory.
 
-def _increment_chunks(spec: YehSpec, grid, seed: int, count: int, first_index: int = 0):
-    """(k0, increments) over _normal_chunks: row k of a chunk is
-    dlambda + sigma * z.  The grid is validated and the drift and variance are
-    evaluated once per call, however many chunks there are."""
+def _increment_chunks(spec: YehSpec, grid, seed: int):
+    """chunks(count, first_index): (k0, increments) over _normal_chunks, row k
+    of a chunk being dlambda + sigma * z.  The grid is validated and the drift
+    and variance are evaluated once, here, however many ranges and chunks are
+    drawn, so a part forked later evaluates neither."""
     grid = validate_grid(grid, spec.interval)
     dlam, sigma = _increment_scales(spec, grid)
 
@@ -193,7 +309,10 @@ def _increment_chunks(spec: YehSpec, grid, seed: int, count: int, first_index: i
         z += dlam
         return k0, z
 
-    return map(increments, _normal_chunks(seed, count, len(dlam), first_index))
+    def chunks(count: int, first_index: int):
+        return map(increments, _normal_chunks(seed, count, len(dlam), first_index))
+
+    return chunks
 
 
 def _row_products(chunks, count: int, load: np.ndarray) -> np.ndarray:
@@ -206,10 +325,12 @@ def _row_products(chunks, count: int, load: np.ndarray) -> np.ndarray:
     return out
 
 
-def _value_chunks(spec: YehSpec, grid, seed: int, count: int, first_index: int = 0):
-    """(k0, values): the path values of _increment_chunks' row chunks,
-    starting at lambda(a)."""
+def _value_chunks(spec: YehSpec, grid, seed: int):
+    """chunks(count, first_index): (k0, values), the path values of
+    _increment_chunks' row chunks, starting at lambda(a).  As there, the grid
+    is validated and the drift and variance are evaluated in this call."""
     start = spec.lam(spec.interval.a)
+    increment_chunks = _increment_chunks(spec, grid, seed)
 
     def values(chunk):
         k0, increments = chunk
@@ -219,18 +340,31 @@ def _value_chunks(spec: YehSpec, grid, seed: int, count: int, first_index: int =
         out[:, 1:] += start
         return k0, out
 
-    return map(values, _increment_chunks(spec, grid, seed, count, first_index))
+    def chunks(count: int, first_index: int):
+        return map(values, increment_chunks(count, first_index))
+
+    return chunks
 
 
 def increment_value_matrix(spec: YehSpec, grid, seed: int, count: int,
                            first_index: int = 0) -> np.ndarray:
     """Batched increment sampling: row k is the value array of stream index
     first_index + k."""
-    chunks = _value_chunks(spec, grid, seed, count, first_index)
+    chunks = _value_chunks(spec, grid, seed)(count, first_index)
     values = np.empty((count, len(grid)))
     for k0, chunk in chunks:
         values[k0:k0 + len(chunk)] = chunk
     return values
+
+
+def _map_rows(rows, count: int, draws: int) -> np.ndarray:
+    """rows(lo, hi) over the stream range [0, count), stacked: split over
+    stream_ranges when the range holds at least FORK_DRAWS normals."""
+    ranges = stream_ranges(count) if count * draws >= FORK_DRAWS else [(0, count)]
+    if len(ranges) == 1:
+        return rows(0, count)
+    with fork_ranges(rows, ranges) as results:
+        return np.concatenate(list(results))
 
 
 def increment_functionals(spec: YehSpec, partition, pieces, seed: int, count: int,
@@ -243,16 +377,21 @@ def increment_functionals(spec: YehSpec, partition, pieces, seed: int, count: in
     (as funcspace.step_cells gives it).  The result has shape (count,
     members), row k being pieces @ (dlambda + sigma * z) for stream
     first_index + k.  No path values are formed: the normals are drawn
-    CHUNK_DRAWS at a time.
+    CHUNK_DRAWS at a time, and split over the cores above FORK_DRAWS.
     """
-    chunks = _increment_chunks(spec, partition, seed, count, first_index)
+    chunks = _increment_chunks(spec, partition, seed)
     pieces = np.asarray(pieces, dtype=float)
     if pieces.ndim != 2 or pieces.shape[1] != len(partition) - 1:
         raise ValueError(f"pieces must have shape (members, {len(partition) - 1}), "
                          f"got {pieces.shape}")
     if not np.all(np.isfinite(pieces)):
         raise ValueError("pieces must be finite")
-    return _row_products(chunks, count, pieces.T)
+    load = pieces.T
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        return _row_products(chunks(hi - lo, first_index + lo), hi - lo, load)
+
+    return _map_rows(rows, count, len(partition) - 1)
 
 
 def series_point_values(spec: YehSpec, basis: BasisFamily, truncation: int, times,
@@ -262,11 +401,16 @@ def series_point_values(spec: YehSpec, basis: BasisFamily, truncation: int, time
     Row k is lambda(times) + xi_k @ A, where xi_k are the first `truncation`
     draws of stream first_index + k and A holds the running integrals of the
     basis members at the times.  The normals are drawn CHUNK_DRAWS at a
-    time.
+    time, and split over the cores above FORK_DRAWS.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     times = np.asarray(times, dtype=float)
     amatrix = basis.antiderivative(np.arange(truncation), times)
-    chunks = _normal_chunks(seed, count, truncation, first_index)
-    return spec.lam(times) + _row_products(chunks, count, amatrix)
+    lam = spec.lam(times)
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        chunks = _normal_chunks(seed, hi - lo, truncation, first_index + lo)
+        return lam + _row_products(chunks, hi - lo, amatrix)
+
+    return _map_rows(rows, count, truncation)

@@ -18,6 +18,7 @@ import pytest
 from yehsim import cli, process
 from yehsim.cli import main
 from yehsim.config import parse_config
+from yehsim.process import YehSpec, make_grid
 from yehsim.verify import SUITE_NAMES
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -304,7 +305,11 @@ def running(pid: int) -> bool:
 #: output, and re-taken at 0.5.0, when the config lost its debug section; the
 #: outputs at 0.4.0 and 0.5.0 match at 1 and 2 BLAS threads once config_hash
 #: and manifest_hash are masked.  The third was taken from the one-process
-#: writer that preceded the split into stream ranges.
+#: writer that preceded the split into stream ranges.  The bundle digests
+#: were re-taken at 0.11.0, when bundle.json's path values became the CSV's
+#: %.17g strings instead of the shortest round-trip repr: every CSV digest
+#: was kept, and each config's bundle parses to the same float64 bits as at
+#: 0.10.0, with every key but "paths" byte-identical.
 STREAMED_GOLDEN = {
     "cantor_rho": (
         {"interval": [0.0, 1.0], "lambda": {"kind": "cantor", "depth": 64},
@@ -312,21 +317,21 @@ STREAMED_GOLDEN = {
          "mc": {"paths": 1100, "seed": 20261018},
          "grid": {"points": 513, "scale": "rho"}},
         "912373f4a68735f9add55d911d3ef2b12875fb7396b0620a3b9eb84a183cb558",
-        "82e9f440453b114cf1f3c0acee1d2eb0e8ae0d680b0e1de82d63860177d42cdd",
+        "8274216fc9c4c30abf5e74c3d33188dcc029345883d4203eb66463af474264ec",
     ),
     "brownian_t": (
         {"interval": [0.0, 1.0], "lambda": {"kind": "zero"}, "rho": {"kind": "identity"},
          "mc": {"paths": 600, "seed": 20261018},
          "grid": {"points": 1025, "scale": "t"}},
         "dae034fe54251687f03d056546e300cb8f2bf73e7edb63ceb46b6b8d87a3debf",
-        "0553b7462b0ee29fb4c18678b6fa8508501292f299ad653270cc10ba8e1e97f8",
+        "77d819e04cca5000d7dbb28403134ac5af88d5e39055db7f9946f063db41c25d",
     ),
     "three_paths": (
         {"interval": [0.0, 1.0], "lambda": {"kind": "zero"}, "rho": {"kind": "identity"},
          "mc": {"paths": 3, "seed": 20261018},
          "grid": {"points": 1025, "scale": "t"}},
         "44d3122e92deca36871a2722d35a14106bf987c0086f710491c6ff0ae2e01ca5",
-        "be2b37d2568c2a87b8da11ed0521cc5314265b071a692026d47970f29a015b9d",
+        "bbf6d317482a815ead1c63dd6a7fe4051e49dd1d680ca261fb697df7f5408427",
     ),
 }
 
@@ -421,6 +426,77 @@ class TestStreamedSimulate:
             assert large < 1.5 * small, peaks
 
 
+#: A drift with lambda(a) = -0.0, so that every path starts at -0.0.
+NEGATIVE_ZERO_START = {
+    "lambda": {"kind": "piecewise", "knots": [0.0, 0.5, 1.0], "values": [-0.0, 0.3, -0.2]},
+    "rho": {"kind": "power", "exponent": 2.0},
+    "mc": {"paths": 7, "seed": 99}, "grid": {"points": 17, "scale": "rho"},
+}
+
+
+def simulate_split(tmp_path, monkeypatch, parts: int) -> Path:
+    """Run simulate on NEGATIVE_ZERO_START in `parts` ranges of 3-path chunks."""
+    monkeypatch.setattr(process, "CHUNK_DRAWS", 16 * 3)
+    force_parts(monkeypatch, parts)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(NEGATIVE_ZERO_START))
+    out = tmp_path / f"out{parts}"
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 0
+    assert_no_child_left()
+    return out
+
+
+class TestFormatOnce:
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_bundle_rows_are_the_csv_value_strings(self, tmp_path, monkeypatch, parts):
+        out = simulate_split(tmp_path, monkeypatch, parts)
+        text = (out / "bundle.json").read_text()
+        body = text[text.rindex('"paths":[[') + len('"paths":[['):text.rindex("]]")]
+        rows = body.split("],[")
+        column = [line.split(",")[2] for line in
+                  (out / "paths.csv").read_text().splitlines()[2:]]
+        points = NEGATIVE_ZERO_START["grid"]["points"]
+        assert len(rows) == NEGATIVE_ZERO_START["mc"]["paths"]
+        for k, row in enumerate(rows):
+            assert row.split(",") == column[k * points:(k + 1) * points]
+            assert row.startswith("-0,")
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_bundle_values_are_the_value_matrix(self, tmp_path, monkeypatch, parts):
+        out = simulate_split(tmp_path, monkeypatch, parts)
+        # json reads a whole number as an int; as a float "-0" keeps its sign
+        bundle = json.loads((out / "bundle.json").read_text(), parse_int=float)
+        cfg = parse_config(NEGATIVE_ZERO_START, {})
+        grid = make_grid(cfg.interval, cfg.grid_points, cfg.grid_scale, rho=cfg.rho)
+        want = process.increment_value_matrix(YehSpec(cfg.lam, cfg.rho), grid,
+                                              cfg.seed, cfg.paths)
+        got = np.array(bundle["paths"], dtype=float)
+        assert np.array_equal(np.array(bundle["grid"], dtype=float), grid)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_memory_error_in_a_part_exits_2(tmp_path, brownian_config, monkeypatch, capsys):
+    parent = os.getpid()
+    real = process.normal_matrix
+
+    def exhausted(*args):
+        if os.getpid() != parent:
+            raise MemoryError
+        return real(*args)
+
+    monkeypatch.setattr(process, "normal_matrix", exhausted)
+    monkeypatch.setattr(process, "FORK_DRAWS", 1)
+    force_parts(monkeypatch, 2)
+    for argv in (["simulate"], ["verify", "--suite", "moments"]):
+        code = run_cli(*argv, "--config", str(brownian_config), "--out", str(tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory;"), err
+        assert "Traceback" not in err
+        assert_no_child_left()
+
+
 # The digests below were first taken at version 0.4.0, as each comment says,
 # and re-taken at 0.5.0, when the config lost its debug section: every output
 # at 0.4.0 and 0.5.0 matches at 1 and 2 BLAS threads once config_hash,
@@ -440,6 +516,8 @@ class TestStreamedSimulate:
 # masked, only those two verify rows' expected values and expansion.csv's
 # target and partial_sum columns moved (by at most 2.3e-15; its defect
 # column kept its bits), at 1 and 2 BLAS threads.
+# Since 0.11.0 they are taken with version 0.10.0 pinned in the manifest
+# (GOLDEN_VERSION), so they were kept, not re-taken, when the version moved.
 
 #: SHA-256 of verify_all.csv for acceptance criterion 9's config, first taken
 #: when the suites moved onto the functional sampler.
@@ -478,14 +556,23 @@ HAAR_MASS_GOLDEN = {
 }
 
 
+#: The version the digests below pin in the manifest, so that a version bump
+#: alone does not move them.
+GOLDEN_VERSION = "0.10.0"
+PINNED_CLI = ("import sys, yehsim.config\n"
+              f"yehsim.config.TOOL_VERSION = {GOLDEN_VERSION!r}\n"
+              "from yehsim.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+
+
 def cli_digest(tmp_path, threads: str, output: str, *argv) -> str:
-    """SHA-256 of `output` from `python -m yehsim.cli ARGV --out DIR` run at
-    the given BLAS thread count."""
+    """SHA-256 of `output` from the yehsim CLI run with ARGV --out DIR at the
+    given BLAS thread count, with GOLDEN_VERSION in the manifest."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
            "MKL_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(sys.path)}
     env.pop("YEH_SEED", None)
     out = tmp_path / "out"
-    proc = subprocess.run([sys.executable, "-m", "yehsim.cli", *argv, "--out", str(out)],
+    proc = subprocess.run([sys.executable, "-c", PINNED_CLI, *argv, "--out", str(out)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return hashlib.sha256((out / output).read_bytes()).hexdigest()
@@ -499,6 +586,21 @@ class TestVerify:
         cfg_path.write_text(json.dumps(config))
         assert cli_digest(tmp_path, threads, "verify_all.csv", "verify", "--suite", "all",
                           "--config", str(cfg_path)) == digest
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_bytes_match_golden_at_forced_parts(self, tmp_path, monkeypatch, parts):
+        # every sampler call forks, whatever its size
+        monkeypatch.setattr("yehsim.config.TOOL_VERSION", GOLDEN_VERSION)
+        monkeypatch.setattr(process, "FORK_DRAWS", 1)
+        force_parts(monkeypatch, parts)
+        config, digest = VERIFY_GOLDEN
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run_cli("verify", "--suite", "all", "--config", str(cfg_path),
+                       "--out", str(out)) == 0
+        assert hashlib.sha256((out / "verify_all.csv").read_bytes()).hexdigest() == digest
+        assert_no_child_left()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_cantor_bytes_match_golden_at_blas_threads(self, tmp_path, threads):

@@ -1,6 +1,7 @@
 """Process sampling: increments, series truncation, centering, moments."""
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -34,6 +35,46 @@ from yehsim.streams import _CHUNK_BLOCKS, CROSSOVER_DRAWS, normal_matrix
 
 UNIT = Interval(0.0, 1.0)
 BROWNIAN = YehSpec.brownian(UNIT)
+
+
+def split_over(monkeypatch, parts: int):
+    """Make the samplers split every stream range into `parts` ranges,
+    whatever the cores and size: the count is read from the CPU affinity, and
+    the fork floor drops to one draw."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+    monkeypatch.setattr(process, "FORK_DRAWS", 1)
+
+
+def count_calls(monkeypatch, owner, name: str, path):
+    """Wrap owner.name so that each call appends the caller's pid to the file
+    at path, in this process or in a forked part."""
+    original = getattr(owner, name)
+
+    def counting(*args):
+        with path.open("a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def count_forks(monkeypatch) -> list:
+    """The pids of the children forked from here on, appended as they start."""
+    forks, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestStreams:
@@ -371,36 +412,92 @@ class TestFunctionalSampler:
         assert np.array_equal(
             increment_value_matrix(CANTOR_POWER2, grid, 5, 30, first_index=2), full)
 
-    def test_drift_evaluated_once_per_call(self, monkeypatch):
+    def test_drift_evaluated_once_per_call(self, monkeypatch, tmp_path):
+        # counted through a file, so that a call in a forked part counts too
         grid = make_grid(UNIT, 65)
-        calls = []
-        original = MeanFunction.__call__
-
-        def counting(self, t):
-            calls.append(t)
-            return original(self, t)
-
+        basis = BasisFamily(CANTOR_POWER2.rho)
+        calls = tmp_path / "calls"
         monkeypatch.setattr(process, "CHUNK_DRAWS", 1)
-        monkeypatch.setattr(MeanFunction, "__call__", counting)
-        increment_functionals(CANTOR_POWER2, grid, np.ones((1, 64)), 5, 40)
-        assert len(calls) == 1
+        count_calls(monkeypatch, MeanFunction, "__call__", calls)
+        for parts in (1, 3):
+            split_over(monkeypatch, parts)
+            calls.write_text("")
+            increment_functionals(CANTOR_POWER2, grid, np.ones((1, 64)), 5, 40)
+            assert calls.read_text().split() == [str(os.getpid())]
+            calls.write_text("")
+            series_point_values(CANTOR_POWER2, basis, 8, grid[[8, 32]], 5, 40)
+            assert calls.read_text().split() == [str(os.getpid())]
 
-    def test_grid_validated_once_per_call(self, monkeypatch):
+    def test_grid_validated_once_per_call(self, monkeypatch, tmp_path):
         grid = make_grid(UNIT, 65)
-        calls = []
-        original = process.validate_grid
+        calls = tmp_path / "calls"
+        count_calls(monkeypatch, process, "validate_grid", calls)
+        for parts in (1, 3):
+            split_over(monkeypatch, parts)
+            calls.write_text("")
+            sample_increments(BROWNIAN, grid, GaussianStream(5, 0))
+            increment_value_matrix(BROWNIAN, grid, 5, 3)
+            increment_functionals(BROWNIAN, grid, np.ones((1, 64)), 5, 3)
+            assert calls.read_text().split() == [str(os.getpid())] * 3
+            with pytest.raises(BadGridError):  # the grid is checked before the weights
+                increment_functionals(BROWNIAN, grid[:-1], np.ones((2, 9)), 1, 4)
 
-        def counting(grid, interval):
-            calls.append(interval)
-            return original(grid, interval)
+    def test_samplers_bit_equal_at_any_part_count(self, monkeypatch):
+        grid = make_grid(UNIT, 129)
+        weights = np.random.default_rng(5).normal(size=(3, 128))
+        basis = BasisFamily(CANTOR_POWER2.rho)
+        forks = count_forks(monkeypatch)
 
-        monkeypatch.setattr(process, "validate_grid", counting)
-        sample_increments(BROWNIAN, grid, GaussianStream(5, 0))
-        increment_value_matrix(BROWNIAN, grid, 5, 3)
-        increment_functionals(BROWNIAN, grid, np.ones((1, 64)), 5, 3)
-        assert len(calls) == 3
-        with pytest.raises(BadGridError):  # the grid is checked before the weights
-            increment_functionals(BROWNIAN, grid[:-1], np.ones((2, 9)), 1, 4)
+        def draw():
+            return [increment_functionals(CANTOR_POWER2, grid, weights, 77, 41, first_index=3),
+                    series_point_values(CANTOR_POWER2, basis, 32, grid[[16, 64, 128]], 9, 41,
+                                        first_index=3)]
+
+        whole = draw()  # below the fork floor: one process
+        assert not forks
+        monkeypatch.setattr(process, "CHUNK_DRAWS", 1000)  # several chunks per part
+        for parts in (1, 2, 3):
+            split_over(monkeypatch, parts)
+            forks.clear()
+            for got, want in zip(draw(), whole):
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert len(forks) == 2 * (parts - 1)
+        assert_no_child_left()
+
+    def test_exception_in_a_part_surfaces_in_the_parent(self, monkeypatch):
+        parent = os.getpid()
+        real = process.normal_matrix
+
+        def failing(seed, n_streams, n_draws, first_index=0):
+            if os.getpid() != parent:
+                raise ValueError(f"no draws from stream {first_index}")
+            return real(seed, n_streams, n_draws, first_index)
+
+        monkeypatch.setattr(process, "normal_matrix", failing)
+        split_over(monkeypatch, 3)  # ranges [0, 13), [13, 26), [26, 40)
+        with pytest.raises(ValueError, match="^no draws from stream 13$"):
+            increment_functionals(BROWNIAN, make_grid(UNIT, 9), np.ones((1, 8)), 1, 40)
+        assert_no_child_left()
+
+    def test_unpicklable_exception_in_a_part_keeps_its_message(self, monkeypatch):
+        class TwoFieldError(Exception):
+            def __init__(self, field, detail):
+                super().__init__(f"{field}: {detail}")
+
+        parent = os.getpid()
+        real = process.normal_matrix
+
+        def failing(*args):
+            if os.getpid() != parent:
+                raise TwoFieldError("mc.seed", "no draws")
+            return real(*args)
+
+        monkeypatch.setattr(process, "normal_matrix", failing)
+        split_over(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="^TwoFieldError: mc.seed: no draws$"):
+            increment_functionals(BROWNIAN, make_grid(UNIT, 9), np.ones((1, 8)), 1, 40)
+        assert_no_child_left()
 
     def test_weights_checked(self):
         grid = make_grid(UNIT, 9)
