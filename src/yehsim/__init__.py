@@ -3,9 +3,10 @@
 A process here is determined by a bounded-variation drift lambda and a
 continuous strictly increasing variance function rho: increments over [s, t]
 are Normal(lambda(t) - lambda(s), rho(t) - rho(s)).  The package samples such
-processes exactly on grids and by truncated random series, computes Wiener
-integrals against the paths, and verifies the moment, distribution,
-martingale, and series-expansion identities they satisfy.
+processes exactly on grids and by truncated random series, draws Wiener
+integrals of step families straight from the normals, and verifies the
+moment, distribution, martingale, and series-expansion identities they
+satisfy.
 """
 
 from .config import TOOL_VERSION
@@ -13,13 +14,10 @@ from .errors import (
     BadGridError,
     ConfigError,
     DegenerateReferenceError,
-    MissingBVCertificateError,
     NegativeVarianceError,
-    NonFiniteDrawError,
     NonFiniteValueError,
     OutOfDomainError,
     OutOfRangeError,
-    PartitionNotOnGridError,
     PartitionOutOfDomainError,
     YehError,
 )
@@ -29,46 +27,23 @@ from .funcspace import (
     StepFunction,
     as_integrand,
     fourier_coeffs,
-    gram_matrix,
-    inner_lambda_rho,
     inner_rho,
     norm_sq_rho,
-    project_to_steps,
-    step_combine,
+    project_family,
+    step_cells,
     stieltjes_integral,
 )
-from .integral import (
-    WienerIntegralResult,
-    integral_covariance,
-    integral_distribution,
-    integral_mean,
-    integrate_l2,
-    integrate_pathwise_rs,
-    integrate_step,
-)
-from .martingale import (
-    MartingaleVerdict,
-    classify,
-    conditional_increment_mean,
-    mc_martingale_test,
-)
+from .integral import integral_covariance, integral_mean
+from .martingale import MartingaleVerdict, classify, conditional_increment_mean
 from .process import (
     DEFAULT_GRID_POINTS,
     DEFAULT_TRUNCATION,
-    SamplePath,
     YehSpec,
-    center,
+    increment_functionals,
     make_grid,
-    sample_increments,
 )
-from .series import (
-    ExpansionReport,
-    expand_integral,
-    parseval_defect,
-    sample_series,
-    series_variance_defect,
-)
-from .stats import KSReport, MCEstimate, ks_test
+from .series import ExpansionReport, expand_integral, series_variance_defect
+from .stats import KSReport, ks_test
 from .stieltjes import (
     DEFAULT_CANTOR_DEPTH,
     DEFAULT_RESOLUTION,
@@ -80,7 +55,6 @@ from .stieltjes import (
     rho_inverse,
     stieltjes_quad,
     stieltjes_step,
-    total_variation,
 )
 from .streams import GaussianStream, normal_matrix
 

@@ -117,13 +117,10 @@ def integrand_from_spec(spec: dict, interval, basis: BasisFamily) -> Integrand |
             coeffs = [float(c) for c in spec.get("coeffs", [0.0, 1.0])]
             _require(all(map(math.isfinite, coeffs)), "integrand", "coeffs must be finite")
             poly = np.polynomial.Polynomial(coeffs)
-            crit = [iv.a, iv.b] + [float(r.real) for r in poly.deriv().roots()
-                                   if abs(r.imag) < 1e-12 and iv.a < r.real < iv.b]
-            fn = lambda t: poly(np.asarray(t, dtype=float))
-            return Integrand.from_function(fn, bv_breaks=tuple(sorted(set(crit))))
+            return Integrand(lambda t: poly(np.asarray(t, dtype=float)))
         if kind == "basis":
             index = _int_field(spec.get("index", 0), "integrand.index")
-            # member n carries n + 1 certificate breaks: cap n to bound parsing
+            # the range README "Config schema" documents for the index
             _require(0 <= index <= 2**20, "integrand.index", "must be in [0, 2**20]")
             return basis.member(index)
     except ConfigError:

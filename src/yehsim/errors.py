@@ -21,14 +21,6 @@ class PartitionOutOfDomainError(YehError, ValueError):
     """A step-function partition extends beyond the measure's interval."""
 
 
-class PartitionNotOnGridError(YehError, ValueError):
-    """A partition point does not coincide with any sample-path grid point.
-
-    Paths are only known at their grid points; interpolating would fabricate
-    correlation structure, so we refuse instead.
-    """
-
-
 class NonFiniteValueError(YehError, ArithmeticError):
     """An integrand returned NaN or infinity."""
 
@@ -39,14 +31,6 @@ class BadGridError(YehError, ValueError):
 
 class NegativeVarianceError(YehError, RuntimeError):
     """Internal invariant violation: a variance increment was not positive."""
-
-
-class MissingBVCertificateError(YehError, ValueError):
-    """A pathwise Riemann-Stieltjes integral needs a bounded-variation certificate."""
-
-
-class NonFiniteDrawError(YehError, ArithmeticError):
-    """A Monte Carlo sampler produced a non-finite draw."""
 
 
 class DegenerateReferenceError(YehError, ValueError):

@@ -4,14 +4,14 @@ A step integrand is a StepFunction, sum of c_i 1_[t_{i-1}, t_i), 0 outside
 its partition; other integrands are function handles (Integrand).  A step
 family is one partition and one (members, pieces) matrix: `step_cells`, the
 one code that merges or cuts partitions, builds it from steps and
-`project_family` from any integrands and basis members; both
-Wiener-integral kernels take it.  `stieltjes_integral` integrates against
-d(mu): exactly for a StepFunction, by midpoint quadrature otherwise.  Bases
-of the rho-weighted space pull a Lebesgue-orthonormal family on [0, rho(b)]
-back through rho: closed-form antiderivatives, and orthonormality without
-numerical orthogonalization.  Its two evaluators, members and running
-integrals (sines, or Schauder tents for Haar), take an array of member
-indices and return one matrix.
+`project_family` from any integrands and basis members, and the one
+Wiener-integral kernel, process.increment_functionals, takes it.
+`stieltjes_integral` integrates against d(mu): exactly for a StepFunction,
+by midpoint quadrature otherwise.  Bases of the rho-weighted space pull a
+Lebesgue-orthonormal family on [0, rho(b)] back through rho: closed-form
+antiderivatives, and orthonormality without numerical orthogonalization.
+Its two evaluators, members and running integrals (sines, or Schauder tents
+for Haar), take an array of member indices and return one matrix.
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ from .errors import NonFiniteValueError
 from .stieltjes import (
     DEFAULT_RESOLUTION,
     Interval,
-    MeanFunction,
     VarianceFunction,
     _eval_function,
     midpoint_rule,
-    rho_inverse,
     stieltjes_quad,
     stieltjes_step,
 )
@@ -68,14 +66,6 @@ class StepFunction:
         idx[t == self.partition[-1]] -= 1  # cn holds at t = tn
         out = np.append(self.values, 0.0)[idx]  # indices -1 and n read the 0
         return float(out[0]) if scalar else out
-
-    def max_abs(self) -> float:
-        return max(abs(v) for v in self.values)
-
-    @property
-    def bv_breaks(self) -> tuple:
-        """The partition: a step function is monotone between its points."""
-        return self.partition
 
     @property
     def sign(self) -> int | None:
@@ -125,30 +115,14 @@ def step_cells(family, interval=None) -> tuple[np.ndarray, np.ndarray]:
     return partition, np.vstack([step(mids) for step in steps])
 
 
-def step_combine(alpha: float, f: StepFunction, beta: float, g: StepFunction) -> StepFunction:
-    """The step function alpha*f + beta*g on the merged partition."""
-    partition, (x, y) = step_cells([f, g])
-    return StepFunction(partition, alpha * x + beta * y)
-
-
 @dataclass(frozen=True)
 class Integrand:
-    """A function handle with optional certificates.
-
-    bv_breaks, when present, lists times splitting [a, b] into monotone pieces
-    (a bounded-variation certificate).  sign is +1 for nonnegative, -1 for
-    nonpositive, 0 for identically zero, None for unknown/mixed.  A
-    StepFunction answers both itself.
-    """
+    """A function handle with an optional sign certificate: +1 for
+    nonnegative, -1 for nonpositive, 0 for identically zero, None for
+    unknown/mixed.  A StepFunction answers it itself."""
 
     func: Callable
-    bv_breaks: tuple | None = None
     sign: int | None = None
-
-    @classmethod
-    def from_function(cls, fn: Callable, bv_breaks=None, sign: int | None = None) -> "Integrand":
-        breaks = tuple(float(x) for x in bv_breaks) if bv_breaks is not None else None
-        return cls(func=fn, bv_breaks=breaks, sign=sign)
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
@@ -162,7 +136,7 @@ def as_integrand(obj) -> Integrand | StepFunction:
     if isinstance(obj, (Integrand, StepFunction)):
         return obj
     if callable(obj):
-        return Integrand.from_function(obj)
+        return Integrand(obj)
     raise TypeError(f"cannot interpret {type(obj).__name__} as an integrand")
 
 
@@ -192,26 +166,8 @@ def inner_rho(f, g, rho: VarianceFunction, resolution: int = DEFAULT_RESOLUTION)
     return stieltjes_integral(lambda x: f(x) * g(x), rho, resolution=resolution)
 
 
-def inner_lambda_rho(f, g, lam: MeanFunction, rho: VarianceFunction,
-                     resolution: int = DEFAULT_RESOLUTION) -> float:
-    """Inner product of f and g against d(rho) + d|lambda|."""
-    return inner_rho(f, g, rho, resolution) + inner_rho(
-        f, g, lam.variation_function(), resolution
-    )
-
-
 def norm_sq_rho(f, rho: VarianceFunction, resolution: int = DEFAULT_RESOLUTION) -> float:
     return inner_rho(f, f, rho, resolution)
-
-
-def project_to_steps(f, n: int, interval) -> StepFunction:
-    """Piecewise-constant approximation on a uniform n-cell partition.
-
-    Uses cell-midpoint values (not measure-weighted cell averages): simpler,
-    and sufficient for L2 convergence of continuous integrands.
-    """
-    edges, values = project_family([f], n, interval)
-    return StepFunction(edges, tuple(values[0]))
 
 
 def project_family(fs, n: int, interval, basis: BasisFamily | None = None,
@@ -220,7 +176,9 @@ def project_family(fs, n: int, interval, basis: BasisFamily | None = None,
     partition: (edges, values), edges being the partition as a tuple (as in
     StepFunction) and values[m, i] row m at the midpoint of cell i.  The rows
     are fs, then the first `terms` members of `basis` from one evaluator
-    call: a step family with no StepFunction per member."""
+    call: a step family with no StepFunction per member.  Midpoint values,
+    not measure-weighted cell averages, suffice for the L2 convergence of
+    continuous integrands."""
     if n < 1:
         raise ValueError("cell count must be >= 1")
     iv = Interval.coerce(interval)
@@ -324,21 +282,11 @@ class BasisFamily:
         return self._evaluate(n, t, running=True)
 
     def member(self, n: int) -> Integrand:
-        """Basis member phi_n as an integrand carrying its monotone pieces,
-        found by inverting rho."""
+        """Basis member phi_n as an integrand; the constant member 0 is
+        positive."""
         if n < 0:
             raise ValueError("basis index must be >= 0")
-        rho, T = self.rho, self.mass
-        if n == 0:
-            breaks = (rho.interval.a, rho.interval.b)
-        elif self.family == "cosine":
-            breaks = tuple(rho_inverse(rho, np.arange(n + 1) * T / n))
-        else:
-            shift, width, _ = self._haar(n)
-            xs = (0.0, shift * width, (shift + 0.5) * width, (shift + 1) * width, T)
-            breaks = tuple(np.unique(rho_inverse(rho, xs)))
-        return Integrand.from_function(lambda t: self.values(n, t), bv_breaks=breaks,
-                                       sign=1 if n == 0 else None)
+        return Integrand(lambda t: self.values(n, t), sign=1 if n == 0 else None)
 
 
 def fourier_coeffs(f, basis: BasisFamily, count: int,
@@ -369,12 +317,3 @@ def fourier_coeffs(f, basis: BasisFamily, count: int,
         block *= masses
         coeffs[lo:lo + rows] = block.sum(axis=1)
     return coeffs
-
-
-def gram_matrix(basis: BasisFamily, count: int,
-                resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
-    """Gram matrix of the first `count` members under the rho inner product."""
-    rho = basis.rho
-    _, mids, masses = midpoint_rule(rho.interval.a, rho.interval.b, resolution, rho)
-    members = basis.values(np.arange(count), mids)
-    return (members * masses) @ members.T

@@ -3,20 +3,17 @@
 Conditioning on the past reduces to the independence of later increments:
 E[M(t) | F_s] - M(s) equals the integral of f against d(lambda) over [s, t].
 The filtration is never materialized; classification is exact via that drift
-formula (funcspace.stieltjes_integral), with Monte Carlo only as a
-cross-check, which draws M(t) - M(s) as the integral of the step cut to
+formula (funcspace.stieltjes_integral).  Its Monte Carlo cross-check is a
+verify.moments_battery row: the mean of the integral of the step cut to
 [s, t] (StepFunction.restrict).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import OutOfDomainError
-from .funcspace import StepFunction, as_integrand, step_cells, stieltjes_integral
-from .process import YehSpec, increment_functionals
-from .stats import MCEstimate, mc_from_samples
+from .funcspace import as_integrand, stieltjes_integral
 from .stieltjes import DEFAULT_RESOLUTION, MeanFunction
 
 #: Drifts within this are treated as zero by the classifier.
@@ -35,14 +32,6 @@ class MartingaleVerdict:
 
     verdict: str
     witnesses: tuple = ()
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "verdict": self.verdict,
-            "witnesses": [
-                {"s": s, "t": t, "drift": d} for (s, t, d) in self.witnesses
-            ],
-        })
 
 
 def conditional_increment_mean(f, lam: MeanFunction, s: float, t: float,
@@ -91,22 +80,3 @@ def classify(f, lam: MeanFunction, probes,
     if f.sign * direction > 0:
         return MartingaleVerdict(SUBMARTINGALE, tuple(positive))
     return MartingaleVerdict(SUPERMARTINGALE, tuple(negative))
-
-
-def mc_martingale_test(spec: YehSpec, f: StepFunction, s: float, t: float,
-                       count: int, seed: int, first_index: int = 0) -> MCEstimate:
-    """Monte Carlo estimate of E[M(t) - M(s)] over `count` paths.
-
-    M(t) - M(s) is the integral of f.restrict(s, t).  Later increments are
-    independent of the past, so this unconditional mean must agree with
-    conditional_increment_mean within Monte Carlo error.
-    """
-    if count < 100:
-        raise ValueError("need at least 100 paths")
-    a, b = spec.interval.a, spec.interval.b
-    if not (a <= s < t <= b):
-        raise OutOfDomainError(f"need {a} <= s < t <= {b}, got s={s}, t={t}")
-    cells = step_cells([f.restrict(s, t)], spec.interval)
-    samples = increment_functionals(spec, *cells, seed, count, first_index)[:, 0]
-    return mc_from_samples(samples, seed=seed, first_index=first_index)
-

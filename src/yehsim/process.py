@@ -6,13 +6,10 @@ orthonormal basis of the rho-weighted space.  `increment_value_matrix` gives
 whole increment paths (for `simulate`).  For Monte Carlo checks that reduce
 every path to a few step integrals, `increment_functionals` draws a step
 family (funcspace.step_cells) on its own partition and returns
-pieces @ (dlambda + sigma * z) straight from the normals, and
-`series_point_values` returns the series values at given times.  The
-per-path samplers are one-row calls: `sample_increments` of
-`increment_value_matrix`, and series.sample_series of
-`series_point_values`.  The centered process X - lambda is a law of
-its own, YehSpec.centered(rho), drawn like any other; `center` is only the
-pathwise identity on a path already drawn.  All draw in row chunks of
+pieces @ (dlambda + sigma * z) straight from the normals: it is the one
+Wiener-integral kernel.  `series_point_values` returns the series values at
+given times.  The centered process X - lambda is a law of its own,
+YehSpec.centered(rho), drawn like any other.  All draw in row chunks of
 about CHUNK_DRAWS normals, so neither their memory nor that of `simulate`,
 which writes the chunks as they come, grows with the path count.  Row k
 depends only on stream first_index + k, never on the batch layout, chunk
@@ -36,14 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadGridError,
-    NegativeVarianceError,
-    PartitionNotOnGridError,
-)
+from .errors import BadGridError, NegativeVarianceError
 from .funcspace import BasisFamily
 from .stieltjes import Interval, MeanFunction, VarianceFunction, rho_inverse
-from .streams import GaussianStream, normal_matrix
+from .streams import normal_matrix
 
 #: Default grid resolution: 2**10 + 1 points.
 DEFAULT_GRID_POINTS = 1025
@@ -89,42 +82,6 @@ class YehSpec:
         return cls(MeanFunction.zero(rho.interval), rho)
 
 
-@dataclass(frozen=True)
-class SamplePath:
-    """One realization: its values at the points of a grid, read-only."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if grid.shape != values.shape or grid.ndim != 1:
-            raise ValueError("grid and values must be 1-d arrays of equal length")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("path values must be finite")
-        grid.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
-
-def grid_indices(grid, points) -> np.ndarray:
-    """Indices of `points` on a strictly increasing grid, exact up to 1e-12
-    absolute slack; the lower neighbour wins when both are that close."""
-    grid = np.asarray(grid, dtype=float)
-    points = np.atleast_1d(np.asarray(points, dtype=float))
-    i = np.searchsorted(grid, points)
-    lower, upper = np.maximum(i - 1, 0), np.minimum(i, len(grid) - 1)
-    idx = np.where(np.abs(grid[lower] - points) <= 1e-12, lower, upper)
-    off = ~(np.abs(grid[idx] - points) <= 1e-12)
-    if off.any():
-        raise PartitionNotOnGridError(
-            f"point {points[off][0]} is not on the path grid; refusing to interpolate"
-        )
-    return idx
-
-
 def make_grid(interval, points: int = DEFAULT_GRID_POINTS, scale: str = "t",
               rho: VarianceFunction | None = None) -> np.ndarray:
     """Sampling grid over [a, b]: uniform in t, or uniform in rho mass.
@@ -167,24 +124,6 @@ def _increment_scales(spec: YehSpec, grid: np.ndarray) -> tuple[np.ndarray, np.n
             "variance increment not positive; rho must be strictly increasing"
         )
     return dlam, np.sqrt(drho)
-
-
-def sample_increments(spec: YehSpec, grid, stream: GaussianStream) -> SamplePath:
-    """Exact-in-distribution sampling at the grid points: row 0 of
-    increment_value_matrix for the stream.
-
-    X(a) = lambda(a); each increment is an independent draw from
-    Normal(dlambda, drho) over its cell.
-    """
-    return SamplePath(grid, increment_value_matrix(spec, grid, stream.seed, 1,
-                                                   stream.index)[0])
-
-
-def center(path: SamplePath, lam: MeanFunction) -> SamplePath:
-    """Subtract the drift pointwise: the pathwise identity I(f)(X - lambda) =
-    I(f)(X) - (integral of f d lambda).  The centered process's law is
-    YehSpec.centered."""
-    return SamplePath(path.grid, path.values - lam(path.grid))
 
 
 def stream_ranges(count: int) -> list[tuple[int, int]]:

@@ -4,9 +4,10 @@ The expansion writes the integral of f against the centered process X -
 lambda, the law YehSpec.centered(rho), as the sum over n of <f, phi_n>_rho
 times the integral of phi_n; the analytic mean-square truncation error after
 n terms is the Parseval defect ||f||^2_rho - sum of the first n squared
-coefficients.  `expand_integral` draws f and the members, projected onto
-uniform cells, as one step family straight from the normals of one stream.
-`sample_series` draws one truncated-series path on a grid.
+coefficients, and ExpansionReport.defects holds it for each truncation.
+`expand_integral` draws f and the members, projected onto uniform cells, as
+one step family straight from the normals of one stream.
+`series_variance_defect` is the variance each truncated-series value lacks.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from .funcspace import (
     inner_rho,
     project_family,
 )
-from .process import (SamplePath, YehSpec, increment_functionals, series_point_values,
-                      validate_grid)
+from .process import YehSpec, increment_functionals
 from .stieltjes import DEFAULT_RESOLUTION
 from .streams import GaussianStream
 
@@ -72,16 +72,6 @@ def expand_integral(f, basis: BasisFamily, truncation: int, cells: int,
     return ExpansionReport(truncation, coeffs, partial_sums, target, defects, norm_sq)
 
 
-def parseval_defect(f, basis: BasisFamily, truncation: int,
-                    resolution: int = DEFAULT_RESOLUTION) -> float:
-    """||f||^2_rho minus the sum of the first `truncation` squared coefficients.
-
-    Nonnegative up to quadrature error and nonincreasing in the truncation.
-    """
-    coeffs = fourier_coeffs(f, basis, truncation, resolution)
-    return inner_rho(f, f, basis.rho, resolution) - float(np.sum(coeffs**2))
-
-
 def series_variance_defect(basis: BasisFamily, truncation: int, t):
     """Variance shortfall rho(t) minus the truncated series variance at t,
     broadcast over t (a float for scalar t).
@@ -95,19 +85,3 @@ def series_variance_defect(basis: BasisFamily, truncation: int, t):
     squares = basis.antiderivative(np.arange(truncation), t) ** 2
     defect = np.maximum(0.0, basis.rho(t) - np.cumsum(squares, axis=0)[-1])
     return float(defect) if defect.ndim == 0 else defect
-
-
-def sample_series(spec: YehSpec, basis: BasisFamily, truncation: int, grid,
-                  stream: GaussianStream) -> SamplePath:
-    """Truncated random-series sampling: series_point_values for the stream
-    over the whole grid.
-
-    Values are lambda(t) + sum over n < truncation of (running rho-integral of
-    phi_n up to t) * xi_n, with xi_n consumed from the stream in index order;
-    series_variance_defect gives the variance each value lacks.
-    """
-    if basis.rho != spec.rho:
-        raise ValueError("basis must be built on the spec's variance function")
-    grid = validate_grid(grid, spec.interval)
-    return SamplePath(grid, series_point_values(spec, basis, truncation, grid,
-                                                stream.seed, 1, stream.index)[0])

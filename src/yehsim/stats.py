@@ -1,9 +1,9 @@
-"""Monte Carlo estimators and a one-sample Kolmogorov-Smirnov test.
+"""The Monte Carlo standard error and a one-sample Kolmogorov-Smirnov test.
 
-All stochastic acceptance checks in this package are phrased as "within k
-standard errors" with k = 4 (false-alarm probability below 1e-4 per check
-under Gaussian asymptotics); test seeds are fixed so failures are
-deterministic.
+mean_se is the one SE formula of every Monte Carlo row.  All stochastic
+acceptance checks in this package are phrased as "within k standard errors"
+with k = 4 (false-alarm probability below 1e-4 per check under Gaussian
+asymptotics); test seeds are fixed so failures are deterministic.
 """
 
 from __future__ import annotations
@@ -14,19 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import kolmogorov, ndtr
 
-from .errors import DegenerateReferenceError, NonFiniteDrawError
-
-
-@dataclass(frozen=True)
-class MCEstimate:
-    """Mean/variance estimate with its standard error."""
-
-    mean: float
-    variance: float
-    se: float
-    count: int
-    seed: int | None = None
-    first_index: int | None = None
+from .errors import DegenerateReferenceError
 
 
 def mean_se(samples) -> tuple[float, float]:
@@ -36,20 +24,6 @@ def mean_se(samples) -> tuple[float, float]:
     with np.errstate(invalid="ignore"):
         se = float(samples.std(ddof=1)) / math.sqrt(samples.size)
     return float(samples.mean()), se
-
-
-def mc_from_samples(samples: np.ndarray, seed: int | None = None,
-                    first_index: int | None = None) -> MCEstimate:
-    """Estimate from a sample array: the mean, the ddof=1 variance and the
-    SE of mean_se."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 2:
-        raise ValueError("need at least 2 draws")
-    if not np.all(np.isfinite(samples)):
-        raise NonFiniteDrawError("sample array contains non-finite values")
-    mean, se = mean_se(samples)
-    return MCEstimate(mean=mean, variance=float(samples.var(ddof=1)), se=se,
-                      count=samples.size, seed=seed, first_index=first_index)
 
 
 @dataclass(frozen=True)

@@ -169,8 +169,8 @@ class MeanFunction:
     `knots` and `values` hold the drift at the ends of its monotone pieces:
     `piecewise` interpolates them linearly (zero and linear drifts have two
     knots), `cantor` is the Cantor function on [a, b], one piece from 0 to 1.
-    Total variation and Jordan decomposition are exact over the pieces.  The
-    constructors validate; each error message starts with the parameter name.
+    The constructors validate; each error message starts with the parameter
+    name.
     """
 
     kind: str
@@ -223,7 +223,7 @@ class MeanFunction:
             out = _cantor_array(np.clip(u, 0.0, 1.0), self.depth)
         return float(out[0]) if scalar else out
 
-    # -- variation structure -------------------------------------------------
+    # -- monotonicity -------------------------------------------------------
 
     @cached_property
     def monotone_direction(self):
@@ -234,25 +234,6 @@ class MeanFunction:
         if np.all(deltas <= 0):
             return -1
         return None
-
-    def variation_function(self) -> "MeanFunction":
-        """The nondecreasing function t -> |lambda|(t) anchored at 0 at t=a."""
-        if self.kind == "cantor":
-            return self  # increasing from 0: its own variation
-        vals = np.asarray(self.values)
-        cum = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(vals)))])
-        return MeanFunction.piecewise(self.knots, tuple(cum))
-
-    def jordan(self) -> tuple["MeanFunction", "MeanFunction"]:
-        """Exact Jordan decomposition (pos, neg): both nondecreasing, pos - neg = self."""
-        if self.kind == "cantor":
-            return self, MeanFunction.zero(self.interval)
-        vals = np.asarray(self.values)
-        deltas = np.diff(vals)
-        pos = vals[0] + np.concatenate([[0.0], np.cumsum(np.maximum(deltas, 0.0))])
-        neg = np.concatenate([[0.0], np.cumsum(np.maximum(-deltas, 0.0))])
-        return (MeanFunction.piecewise(self.knots, tuple(pos)),
-                MeanFunction.piecewise(self.knots, tuple(neg)))
 
 
 @dataclass(frozen=True)
@@ -315,18 +296,6 @@ class VarianceFunction:
     @property
     def total_mass(self) -> float:
         return self(self.interval.b)
-
-
-def total_variation(lam: MeanFunction, s: float, t: float) -> float:
-    """Total variation of the drift over [s, t], exact over monotone pieces."""
-    a, b = lam.interval.a, lam.interval.b
-    if not (a <= s <= t <= b):
-        raise OutOfDomainError(f"need {a} <= s <= t <= {b}, got s={s}, t={t}")
-    if s == t:
-        return 0.0
-    cuts = [s] + [k for k in lam.knots if s < k < t] + [t]
-    vals = lam(np.asarray(cuts))
-    return float(np.sum(np.abs(np.diff(vals))))
 
 
 def stieltjes_step(f, mu, s: float | None = None, t: float | None = None) -> float:

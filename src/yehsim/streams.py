@@ -56,13 +56,10 @@ class GaussianStream:
         if not 0 <= self.index < _U64:
             raise ValueError("stream index must fit in 64 bits")
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """n uniforms strictly inside (0, 1), one counter word each."""
-        return _uniform_matrix(self.seed, 1, n, self.index)[0]
-
     def normals(self, n: int) -> np.ndarray:
-        """n standard Gaussians via inverse CDF of the uniform draws."""
-        u = self.uniforms(n)
+        """The first n draws of the stream, one row of _uniform_matrix under
+        the inverse normal CDF: the reference of the stream contract."""
+        u = _uniform_matrix(self.seed, 1, n, self.index)[0]
         return ndtri(u, out=u)
 
 
@@ -75,7 +72,8 @@ def normal_matrix(seed: int, n_streams: int, n_draws: int,
 
 def _uniform_matrix(seed: int, n_streams: int, n_draws: int,
                     first_index: int) -> np.ndarray:
-    """Row i holds the first n_draws uniforms of stream (seed, first_index + i)."""
+    """Row i holds the first n_draws uniforms of stream (seed, first_index + i),
+    strictly inside (0, 1), one counter word each."""
     seed, first_index = operator.index(seed), operator.index(first_index)
     if not 0 <= seed < _U64:
         raise ValueError("seed must fit in 64 bits")

@@ -2,10 +2,12 @@
 
 Each identity family has a battery: its scale is explicit (spec or basis,
 grid, named integrands or pairs, seeds, path count, truncation) and it
-returns (check, expected, observed, tolerance, pass) rows.  The integrands
-are step functions, so their means, rho-norms and coefficients are exact.
+returns (check, expected, observed, tolerance, pass) rows.  The suites'
+integrands are step functions, so their means, rho-norms and coefficients
+are exact.
 A suite is a thin adapter from a RunConfig to battery arguments; the
-acceptance tests call the same batteries at their own scale.  Monte Carlo
+acceptance tests call the same batteries at their own scale, and call
+basis_battery and integral_battery, which no suite runs yet.  Monte Carlo
 rows draw step integrals on the integrands' own partition
 (funcspace.step_cells; the expansion gap on its projection's partition,
 project_family's edges) and check the exact law of what was drawn,
@@ -24,14 +26,14 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import ConfigError
-from .funcspace import (BasisFamily, StepFunction, fourier_coeffs, norm_sq_rho,
-                        project_family, step_cells)
+from .funcspace import (BasisFamily, StepFunction, as_integrand, fourier_coeffs, inner_rho,
+                        norm_sq_rho, project_family, step_cells)
 from .integral import integral_covariance, integral_mean
 from .martingale import classify, conditional_increment_mean
 from .process import YehSpec, increment_functionals, make_grid, series_point_values
 from .series import series_variance_defect
 from .stats import ks_test, mean_se
-from .stieltjes import Interval, MeanFunction, VarianceFunction
+from .stieltjes import Interval, MeanFunction, VarianceFunction, midpoint_rule
 
 #: The mixed-sign step integrand defeating sub/supermartingale classification:
 #: 1/2 on [0, 1/3), -1/2 on [1/3, 2/3), 2 on [2/3, 1], with drift lambda(t) = t.
@@ -171,6 +173,74 @@ def expansion_battery(basis: BasisFamily, cells: int, integrands: dict, max_term
         rows += [_mean_within(f"{name}_N{n}", float(np.sum(g * g * drho)), gap ** 2)
                  for n, g, gap in zip(term_counts, gaps, samples.T)]
     return rows
+
+
+def basis_battery(bases: dict, count: int, resolution: int, pairs) -> list[CheckRow]:
+    """Orthonormality of each named basis under the rho inner product.
+
+    The Gram matrix G of the first `count` members is the midpoint rule at
+    `resolution` cells; row f"basis_gram_{name}" holds max |G - I| within
+    1e-8, and for each index pair (i, j), row
+    f"basis_gram_cross_{name}_{i}_{j}" checks G[i, j] against inner_rho of
+    the members phi_i and phi_j within 1e-12.
+    """
+    rows = []
+    for name, basis in bases.items():
+        rho = basis.rho
+        _, mids, masses = midpoint_rule(rho.interval.a, rho.interval.b, resolution, rho)
+        members = basis.values(np.arange(count), mids)
+        gram = (members * masses) @ members.T
+        rows.append(_within(f"basis_gram_{name}", 0.0,
+                            float(np.abs(gram - np.eye(count)).max()), 1e-8))
+        rows += [_within(f"basis_gram_cross_{name}_{i}_{j}", float(gram[i, j]),
+                         inner_rho(basis.member(i), basis.member(j), rho, resolution), 1e-12)
+                 for i, j in pairs]
+    return rows
+
+
+def integral_battery(spec: YehSpec, f, cells: int, seed: int, paths: int) -> list[CheckRow]:
+    """The pathwise Riemann-Stieltjes sum of f against the L2 limit of its
+    step projections, on c = cells and c = 2 * cells uniform cells.
+
+    On c cells the left-tag sum has the pieces f(left), its tag spread the
+    pieces f(right) - f(left), and the projection (project_family) f at the
+    midpoints, on c and on c // 2 cells.  All are linear in the increments,
+    so each of `paths` streams draws them as one step family on its
+    step_cells partition.  The gap is the sum minus the c-cell projection.
+    Row f"integral_bound_c{c}" counts the paths whose |gap| exceeds the sum
+    of the two refinement estimates, |spread| and the projection's change
+    from c // 2 cells, and must be 0; row f"integral_gap_variance_c{c}"
+    checks the gap's exact variance, the sum of (f(mid) - f(left))**2 drho,
+    within 4 SE.  Row "integral_gap_ratio" holds the ratio of the median
+    |gap| on 2 * cells to that on cells, which must be 0.5 within 25%
+    (f is continuous and not constant).
+    """
+    f = as_integrand(f)
+    iv = spec.interval
+    counts = (cells, 2 * cells)
+    steps, exact = [], []
+    for c in counts:
+        edges, (mid,) = project_family([f], c, iv)
+        half_edges, (half,) = project_family([f], c // 2, iv)
+        ends = f(np.asarray(edges))
+        gap = ends[:-1] - mid
+        steps += [StepFunction(edges, ends[:-1]), StepFunction(edges, ends[1:] - ends[:-1]),
+                  StepFunction(edges, mid), StepFunction(half_edges, half)]
+        exact.append((np.sum(gap * np.diff(spec.lam(edges))),
+                      np.sum(gap * gap * np.diff(spec.rho(edges)))))
+    draws = increment_functionals(spec, *step_cells(steps, iv), seed, paths)
+    rows, medians = [], []
+    for c, block, (mean, variance) in zip(counts, np.split(draws, len(counts), axis=1), exact):
+        rs, spread, l2, coarse = block.T
+        gap = rs - l2
+        over = int(np.sum(np.abs(gap) > np.abs(spread) + np.abs(l2 - coarse)))
+        rows += [CheckRow(f"integral_bound_c{c}", 0.0, float(over), 0.0, over == 0),
+                 _mean_within(f"integral_gap_variance_c{c}", float(variance),
+                              (gap - mean) ** 2)]
+        medians.append(np.median(np.abs(gap)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a constant f has no gap
+        ratio = float(medians[1] / medians[0])
+    return rows + [_within("integral_gap_ratio", 0.5, ratio, 0.125)]
 
 
 def truth_table_battery(interval, instances: int, seed: int) -> list[CheckRow]:

@@ -1,8 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
-Criteria 1, 2, 3, 5, 6 and 8 are the `verify` batteries run at gate scale:
-each calls them with its own sizes, seeds and integrands and turns failed
-rows into its failure list.  One deterministic test beside criterion 2
+All nine criteria call `verify` batteries (criterion 9 through the CLI) at
+gate scale: each calls them with its own sizes, seeds and integrands and
+turns failed rows into its failure list.  One deterministic test beside
+criterion 2
 checks that drawing on the integrands' own partition keeps their law.
 Stochastic criteria use fixed seeds (failures are deterministic) and the
 batteries' 4-standard-error convention.  Run with
@@ -15,15 +16,12 @@ from functools import partial
 
 import numpy as np
 
-from yehsim import (BasisFamily, GaussianStream, Integrand, Interval, MeanFunction,
-                    StepFunction, VarianceFunction, YehSpec, gram_matrix, inner_rho,
-                    integrate_l2, integrate_pathwise_rs, make_grid, project_to_steps,
-                    sample_increments)
+from yehsim import (BasisFamily, Interval, MeanFunction, StepFunction, VarianceFunction,
+                    YehSpec, make_grid, project_family, step_cells)
 from yehsim.cli import main as cli_main
-from yehsim.funcspace import step_cells
-from yehsim.verify import (counterexample_battery, counterexample_drifts, expansion_battery,
-                           gaussian_battery, moments_battery, series_battery,
-                           truth_table_battery)
+from yehsim.verify import (basis_battery, counterexample_battery, counterexample_drifts,
+                           expansion_battery, gaussian_battery, integral_battery,
+                           moments_battery, series_battery, truth_table_battery)
 
 UNIT = Interval(0.0, 1.0)
 
@@ -112,10 +110,11 @@ def test_criterion_2_draw_grid_keeps_the_law():
 
 def test_criterion_3_gaussianity():
     spec = YehSpec(MeanFunction.linear(UNIT, 1.0), VarianceFunction.identity(UNIT))
+    edges, (staircase,) = project_family([lambda t: t], 256, UNIT)
     integrands = {
         "full_indicator": StepFunction.indicator(0.0, 1.0, UNIT),
         "mixed_step": StepFunction((0.0, 0.25, 0.75, 1.0), (0.5, -0.5, 2.0)),
-        "staircase_of_t": project_to_steps(lambda t: t, 256, UNIT),
+        "staircase_of_t": StepFunction(edges, staircase),
     }
     rows = gaussian_battery(spec, integrands, (911, 922, 933), 100_000)
     _report(3, "KS of 1e5 Wiener-integral draws vs the analytic Gaussian, "
@@ -123,28 +122,17 @@ def test_criterion_3_gaussianity():
 
 
 def test_criterion_4_orthonormality():
-    rhos = {
-        "identity": VarianceFunction.identity(UNIT),
-        "square": VarianceFunction.power(UNIT, 2.0),
-        "piecewise": VarianceFunction.piecewise((0.0, 0.5, 1.0),
-                                                (0.0, 0.475, 1.0)),
+    bases = {
+        "identity": BasisFamily(VarianceFunction.identity(UNIT)),
+        "square": BasisFamily(VarianceFunction.power(UNIT, 2.0)),
+        "piecewise": BasisFamily(VarianceFunction.piecewise((0.0, 0.5, 1.0),
+                                                            (0.0, 0.475, 1.0))),
     }
-    failures = []
-    worst = 0.0
-    for name, rho in rhos.items():
-        basis = BasisFamily(rho)
-        gram = gram_matrix(basis, 16, resolution=2**14)
-        dev = float(np.abs(gram - np.eye(16)).max())
-        worst = max(worst, dev)
-        if dev > 1e-8:
-            failures.append(f"{name}: max |G - I| = {dev}")
-        # cross-check two entries through the generic inner product route
-        for i, j in ((3, 3), (2, 5)):
-            direct = inner_rho(basis.member(i), basis.member(j), rho, resolution=2**14)
-            if abs(direct - gram[i, j]) > 1e-12:
-                failures.append(f"{name}: gram[{i},{j}] disagrees with inner_rho")
+    # each Gram matrix, and two of its entries cross-checked through inner_rho
+    rows = basis_battery(bases, 16, 2**14, ((3, 3), (2, 5)))
+    worst = max(r.observed for r in rows if "cross" not in r.check)
     _report(4, f"16x16 cosine-pullback Gram within 1e-8 of identity for 3 "
-               f"variance functions (worst {worst:.2e})", failures)
+               f"variance functions (worst {worst:.2e})", _failures(rows))
 
 
 def test_criterion_5_series_representation():
@@ -172,29 +160,11 @@ def test_criterion_6_expansion_convergence():
 
 
 def test_criterion_7_pathwise_rs():
-    spec = YehSpec.brownian(UNIT)
-    grid = make_grid(UNIT, 513)
-    f = Integrand.from_function(lambda t: np.asarray(t, dtype=float),
-                                bv_breaks=(0.0, 1.0))
-    failures = []
-    gaps = {128: [], 256: []}
-    for k in range(100):
-        path = sample_increments(spec, grid, GaussianStream(7007, k))
-        for cells in (128, 256):
-            rs = integrate_pathwise_rs(f, path, cells)
-            l2 = integrate_l2(f, path, cells)
-            gap = abs(rs.value - l2.value)
-            gaps[cells].append(gap)
-            if gap > rs.refinement + l2.refinement:
-                failures.append(f"path {k}, cells {cells}: gap {gap} exceeds "
-                                f"refinement sum {rs.refinement + l2.refinement}")
-    ratio = float(np.median(gaps[256]) / np.median(gaps[128]))
-    if not 0.375 <= ratio <= 0.625:
-        failures.append(f"median gap ratio after doubling = {ratio}, "
-                        "want 0.5 +- 25%")
+    rows = integral_battery(YehSpec.brownian(UNIT), lambda t: t, 128, seed=7007, paths=100)
+    ratio = next(r.observed for r in rows if r.check == "integral_gap_ratio")
     _report(7, "pathwise RS vs L2 projection within combined refinement "
                f"estimates on 100 paths; doubling cells scales the median gap "
-               f"by {ratio:.3f}", failures)
+               f"by {ratio:.3f}", _failures(rows))
 
 
 def test_criterion_8_martingale_classification():

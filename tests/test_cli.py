@@ -832,12 +832,14 @@ class TestExpand:
         out = tmp_path / "out"
         assert run_cli("expand", "--config", str(cfg_path), "--out", str(out)) == 0
         rows = read_rows(out / "expansion.csv")
-        from yehsim import BasisFamily, StepFunction, VarianceFunction, parseval_defect
+        from yehsim import BasisFamily, StepFunction, VarianceFunction, fourier_coeffs
 
         basis = BasisFamily(VarianceFunction.identity((0.0, 1.0)))
         half = StepFunction.indicator(0.0, 0.5, (0.0, 1.0))
         for row in rows:
-            want = parseval_defect(half, basis, int(row["n"]))
+            # the Parseval defect: ||f||_rho^2 = 1/2 less the squared coefficients
+            coeffs = fourier_coeffs(half, basis, int(row["n"]))
+            want = 0.5 - float(np.sum(coeffs**2))
             assert float(row["defect"]) == pytest.approx(want, abs=1e-12)
 
     def test_poly_integrand_accepted(self, tmp_path):

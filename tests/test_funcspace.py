@@ -16,24 +16,35 @@ from yehsim import (
     StepFunction,
     VarianceFunction,
     fourier_coeffs,
-    gram_matrix,
-    inner_lambda_rho,
     inner_rho,
     norm_sq_rho,
-    parseval_defect,
-    project_to_steps,
+    rho_inverse,
     series_variance_defect,
-    step_combine,
+    step_cells,
     stieltjes_integral,
     stieltjes_quad,
     stieltjes_step,
 )
 from yehsim.funcspace import Integrand, as_integrand, project_family
+from yehsim.stieltjes import midpoint_rule
+from yehsim.verify import basis_battery
 
 UNIT = Interval(0.0, 1.0)
 RHO_ID = VarianceFunction.identity(UNIT)
 RHO_SQ = VarianceFunction.power(UNIT, 2.0)
 ONE = StepFunction((0.0, 1.0), (1.0,))
+
+
+def projection(f, n: int) -> StepFunction:
+    """The midpoint projection of f onto n uniform cells of the unit interval."""
+    edges, (pieces,) = project_family([f], n, UNIT)
+    return StepFunction(edges, pieces)
+
+
+def combine(alpha: float, f: StepFunction, beta: float, g: StepFunction) -> StepFunction:
+    """alpha * f + beta * g on the merged partition."""
+    partition, (x, y) = step_cells([f, g])
+    return StepFunction(partition, alpha * x + beta * y)
 
 
 class TestInnerProducts:
@@ -52,12 +63,12 @@ class TestInnerProducts:
         g = StepFunction((0.5, 1.0), (1.0,))
         assert f(0.75) == 0.0 and g(0.25) == 0.0 and g(1.0) == 1.0
         assert inner_rho(f, g, RHO_ID) == 0.0
-        assert step_combine(1.0, f, 1.0, g).values == (1.0, 1.0)
+        assert combine(1.0, f, 1.0, g).values == (1.0, 1.0)
 
     def test_steps_merge_over_their_hull_not_the_measure(self):
         # a step that leaves rho's interval is refused, not cut to it
         f = StepFunction((-0.5, 0.5), (1.0,))
-        combined = step_combine(2.0, f, -1.0, ONE)
+        combined = combine(2.0, f, -1.0, ONE)
         assert combined.partition == (-0.5, 0.0, 0.5, 1.0)
         assert combined.values == (2.0, 1.0, -1.0)
         with pytest.raises(PartitionOutOfDomainError):
@@ -79,7 +90,7 @@ class TestInnerProducts:
             assert inner_rho(f, g, RHO_SQ) == pytest.approx(
                 inner_rho(g, f, RHO_SQ), abs=1e-15
             )
-            combo = step_combine(alpha, f, beta, g)
+            combo = combine(alpha, f, beta, g)
             assert inner_rho(combo, h, RHO_SQ) == pytest.approx(
                 alpha * inner_rho(f, h, RHO_SQ) + beta * inner_rho(g, h, RHO_SQ),
                 abs=1e-12,
@@ -90,33 +101,6 @@ class TestInnerProducts:
         exact = inner_rho(f, f, RHO_SQ)
         quad = inner_rho(f, lambda t: f(t), RHO_SQ, resolution=2**12)
         assert quad == pytest.approx(exact, abs=1e-6)
-
-    def test_mass_plus_variation(self):
-        lam = MeanFunction.linear(UNIT, 1.0)
-        assert inner_lambda_rho(ONE, ONE, lam, RHO_ID) == 2.0
-
-    def test_zero_mean_reduces_to_rho(self):
-        lam = MeanFunction.zero(UNIT)
-        rng = np.random.default_rng(37)
-        for _ in range(10):
-            cuts = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 3)), [1.0]])
-            f = StepFunction(tuple(cuts), tuple(rng.normal(size=4)))
-            assert inner_lambda_rho(f, f, lam, RHO_SQ) == inner_rho(f, f, RHO_SQ)
-
-    def test_cantor_variation_mass(self):
-        lam = MeanFunction.cantor(UNIT)
-        assert inner_lambda_rho(ONE, ONE, lam, RHO_ID) == 2.0
-
-    def test_norm_split_exact_on_steps(self):
-        lam = MeanFunction.piecewise((0.0, 0.5, 1.0), (0.0, 1.0, 0.25))
-        var = lam.variation_function()
-        rng = np.random.default_rng(41)
-        for _ in range(10):
-            cuts = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 3)), [1.0]])
-            f = StepFunction(tuple(cuts), tuple(rng.normal(size=4)))
-            lhs = inner_lambda_rho(f, f, lam, RHO_SQ)
-            rhs = inner_rho(f, f, RHO_SQ) + inner_rho(f, f, var)
-            assert lhs == pytest.approx(rhs, abs=1e-14)
 
     def test_norm_equivalence_on_steps(self):
         # rho with slopes in [0.5, 2]: 0.5 ||f||_2^2 <= ||f||_rho^2 <= 2 ||f||_2^2
@@ -144,7 +128,6 @@ class TestStepFunction:
     def test_is_its_own_integrand(self):
         f = StepFunction((0.0, 0.5, 1.0), (2.0, 0.0))
         assert as_integrand(f) is f
-        assert f.bv_breaks == f.partition
         assert (f.sign, StepFunction((0.0, 1.0), (-1.0,)).sign) == (1, -1)
         assert StepFunction((0.0, 1.0), (0.0,)).sign == 0
         assert StepFunction((0.0, 0.5, 1.0), (1.0, -1.0)).sign is None
@@ -177,7 +160,7 @@ class TestStieltjesIntegral:
         assert stieltjes_integral(f, RHO_SQ) == stieltjes_step(f, RHO_SQ)
 
     def test_quadrature_for_functions(self):
-        f = Integrand.from_function(np.cos, bv_breaks=(0.0, 1.0))
+        f = Integrand(np.cos)
         want = stieltjes_quad(f, RHO_SQ, 0.0, 1.0, 64).value
         assert stieltjes_integral(f, RHO_SQ, resolution=64) == want
         assert stieltjes_integral(np.cos, RHO_SQ, 0.2, 0.7, 64) == stieltjes_quad(
@@ -187,19 +170,19 @@ class TestStieltjesIntegral:
 class TestProjection:
     def test_idempotent_on_aligned_steps(self):
         f = StepFunction((0.0, 0.25, 0.75, 1.0), (1.0, -2.0, 0.5))
-        proj = project_to_steps(f, 8, UNIT)
-        diff = step_combine(1.0, f, -1.0, proj)
+        proj = projection(f, 8)
+        diff = combine(1.0, f, -1.0, proj)
         assert inner_rho(diff, diff, RHO_ID) == 0.0
 
     def test_single_cell_is_midpoint(self):
-        proj = project_to_steps(lambda t: t, 1, UNIT)
+        proj = projection(lambda t: t, 1)
         assert proj.values == (0.5,)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 16])
     def test_projection_error_closed_form(self, n):
         # || t - proj(t, n) ||^2 against identity rho is exactly 1/(12 n^2):
         # each cell contributes integral of (t - mid)^2 = h^3 / 12
-        proj = project_to_steps(lambda t: t, n, UNIT)
+        proj = projection(lambda t: t, n)
         diff = lambda t: t - proj(t)
         got = inner_rho(diff, diff, RHO_ID, resolution=2**14)
         assert got == pytest.approx(1.0 / (12 * n * n), rel=1e-6)
@@ -211,7 +194,7 @@ class TestProjection:
         edges, values = project_family(fs, 16, UNIT)
         assert values.shape == (len(fs), 16)
         for f, row in zip(fs, values):
-            proj = project_to_steps(f, 16, UNIT)
+            proj = projection(f, 16)
             assert proj.partition == tuple(edges)
             assert proj.values == tuple(row)
 
@@ -225,7 +208,7 @@ class TestProjection:
         f = lambda t: np.sin(3 * t) + t**2
         errs = []
         for n in (4, 16, 64):
-            proj = project_to_steps(f, n, UNIT)
+            proj = projection(f, n)
             diff = lambda t, p=proj: f(t) - p(t)
             errs.append(inner_rho(diff, diff, RHO_SQ, resolution=2**13))
         assert errs[0] > errs[1] > errs[2]
@@ -261,20 +244,30 @@ class TestBasis:
         assert got == pytest.approx(want, abs=1e-6)
 
     def test_gram_near_identity(self):
+        # basis_battery's gram row holds max |G - I|
         for rho, tol in ((RHO_ID, 1e-12), (RHO_SQ, 1e-7)):
-            g = gram_matrix(BasisFamily(rho), 8, resolution=2**12)
-            assert np.abs(g - np.eye(8)).max() <= tol
+            (row,) = basis_battery({"cosine": BasisFamily(rho)}, 8, 2**12, ())
+            assert row.observed <= tol
 
     def test_haar_gram_exact_for_identity(self):
-        g = gram_matrix(BasisFamily(RHO_ID, "haar"), 8, resolution=2**12)
-        assert np.abs(g - np.eye(8)).max() <= 1e-12
+        rows = basis_battery({"haar": BasisFamily(RHO_ID, "haar")}, 8, 2**12, [(1, 1), (2, 3)])
+        assert [row.check for row in rows] == ["basis_gram_haar", "basis_gram_cross_haar_1_1",
+                                               "basis_gram_cross_haar_2_3"]
+        assert all(row.passed for row in rows) and rows[0].observed <= 1e-12
 
-    def test_member_carries_monotone_certificate(self):
-        basis = BasisFamily(RHO_SQ)
-        member = basis.member(4)
-        assert member.bv_breaks is not None
-        assert len(member.bv_breaks) == 5
-        assert member.bv_breaks[0] == 0.0 and member.bv_breaks[-1] == 1.0
+    def test_battery_fails_a_member_flipped_on_half_the_interval(self, monkeypatch):
+        real = BasisFamily.values
+
+        def flipped(self, n, t):
+            out = real(self, n, t)
+            if np.ndim(n) == 1:  # the Gram matrix's evaluator call
+                out[2] *= np.where(np.asarray(t) < 0.5, 1.0, -1.0)
+            return out
+
+        monkeypatch.setattr(BasisFamily, "values", flipped)
+        gram, cross = basis_battery({"cosine": BasisFamily(RHO_SQ)}, 8, 2**12, [(3, 3)])
+        assert not gram.passed and gram.observed > 0.1
+        assert cross.passed
 
 
 class TestFourierCoeffs:
@@ -384,18 +377,37 @@ def basis_layer_digest(basis: BasisFamily) -> str:
     step = StepFunction((a, a + 0.2 * (b - a), a + 0.55 * (b - a), b), (0.7, -1.3, 2.1))
     smooth = lambda t: np.sin(np.asarray(t)) + 0.1 * np.asarray(t) ** 2
     indices = (0, 1, 2, 3, 6, 13, 31)
+    # The golden also covers three pieces of deleted helpers, computed here
+    # as they were: the Gram matrix, the Parseval defect and the
+    # bounded-variation certificate of a member (its monotone pieces).
+    _, mids, masses = midpoint_rule(a, b, 2**10, rho)
+    members = basis.values(np.arange(12), mids)
+
+    def parseval_defect(f, count, resolution=2**14):
+        coeffs = fourier_coeffs(f, basis, count, resolution)
+        return inner_rho(f, f, rho, resolution) - float(np.sum(coeffs**2))
+
+    def certificate_breaks(n):
+        if n == 0:
+            return (a, b)
+        if basis.family == "cosine":
+            return rho_inverse(rho, np.arange(n + 1) * basis.mass / n)
+        shift, width, _ = basis._haar(n)
+        cuts = (0.0, shift * width, (shift + 0.5) * width, (shift + 1) * width, basis.mass)
+        return np.unique(rho_inverse(rho, cuts))
+
     pieces = [
         fourier_coeffs(step, basis, 40),
         fourier_coeffs(smooth, basis, 24, resolution=2**10),
         fourier_coeffs(basis.member(3), basis, 8, resolution=2**10),
-        gram_matrix(basis, 12, resolution=2**10),
+        (members * masses) @ members.T,  # the Gram matrix of 12 members
         [series_variance_defect(basis, k, t) for k in (1, 3, 8, 33) for t in ts[::8]],
-        [parseval_defect(step, basis, 16), parseval_defect(smooth, basis, 8, 2**10)],
+        [parseval_defect(step, 16), parseval_defect(smooth, 8, 2**10)],
         basis.antiderivative(np.arange(40), ts),
         [basis.antiderivative(n, t) for n in (0, 1, 5, 37) for t in ts[::16]],
         *(basis.member(n)(ts) for n in indices),
         [basis.member(n)(float(t)) for n in indices for t in ts[::16]],
-        *(basis.member(n).bv_breaks for n in indices),
+        *(certificate_breaks(n) for n in indices),
         [float(np.max(series_variance_defect(basis, k, ts))) for k in (1, 7, 40)],
     ]
     digest = hashlib.sha256()

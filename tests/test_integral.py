@@ -1,34 +1,26 @@
-"""Wiener integrals: exact step sums, L2 projection route, pathwise RS sums."""
+"""Wiener integrals: the step-family kernel, the L2 projection route,
+pathwise Riemann-Stieltjes sums and the analytic moments."""
 
 import numpy as np
 import pytest
 
 from yehsim import (
-    GaussianStream,
-    Integrand,
     Interval,
     MeanFunction,
-    MissingBVCertificateError,
-    PartitionNotOnGridError,
     StepFunction,
     VarianceFunction,
     YehSpec,
+    increment_functionals,
     integral_covariance,
-    integral_distribution,
     integral_mean,
-    integrate_l2,
-    integrate_pathwise_rs,
-    integrate_step,
-    inner_lambda_rho,
     make_grid,
-    sample_increments,
-    step_combine,
+    norm_sq_rho,
+    project_family,
+    step_cells,
 )
-from yehsim.funcspace import step_cells
-from yehsim.integral import integrate_step_batch
 from yehsim.process import increment_value_matrix
 from yehsim import verify
-from yehsim.verify import gaussian_battery, moments_battery
+from yehsim.verify import gaussian_battery, integral_battery, moments_battery
 
 UNIT = Interval(0.0, 1.0)
 BROWNIAN = YehSpec.brownian(UNIT)
@@ -36,81 +28,85 @@ ONE = StepFunction((0.0, 1.0), (1.0,))
 COUNTEREXAMPLE = StepFunction((0.0, 1 / 3, 2 / 3, 1.0), (0.5, -0.5, 2.0))
 
 
-def brownian_path(seed, points=1025, index=0):
-    return sample_increments(BROWNIAN, make_grid(UNIT, points),
-                             GaussianStream(seed, index))
+def on_grid(family, grid):
+    """The pieces of step functions whose partitions lie on the grid, one row
+    per member and one column per grid cell."""
+    zero = StepFunction(tuple(grid), (0.0,) * (len(grid) - 1))  # the union is the grid
+    cells, pieces = step_cells(list(family) + [zero], UNIT)
+    assert np.array_equal(cells, grid)
+    return pieces[:-1]
+
+
+def telescoped(partition, pieces, values, grid):
+    """The defining telescoping sum over paths held as values on the grid:
+    the values at the partition points, differenced once and weighted."""
+    idx = np.searchsorted(grid, partition)
+    assert np.array_equal(grid[idx], partition)
+    return np.diff(values[:, idx], axis=1) @ np.atleast_2d(pieces).T
+
+
+def left_tags(f, cells):
+    """The step family of the left-tag Riemann-Stieltjes sum on uniform cells."""
+    edges = np.linspace(0.0, 1.0, cells + 1)
+    return StepFunction(edges, f(edges[:-1]))
 
 
 class TestIntegrateStep:
     def test_full_indicator_telescopes(self):
-        path = brownian_path(1)
-        out = integrate_step(ONE, path)
-        assert out.value == path.values[-1] - path.values[0]
-        assert out.refinement == 0.0
+        grid = make_grid(UNIT, 1025)
+        got = increment_functionals(BROWNIAN, grid, on_grid([ONE], grid), 1, 4)[:, 0]
+        vals = increment_value_matrix(BROWNIAN, grid, 1, 4)
+        assert np.max(np.abs(got - (vals[:, -1] - vals[:, 0]))) <= 1e-13
 
     def test_zero_integrand(self):
-        path = brownian_path(2)
         zero = StepFunction((0.0, 1.0), (0.0,))
-        assert integrate_step(zero, path).value == 0.0
+        assert np.all(increment_functionals(BROWNIAN, *step_cells([zero]), 2, 4) == 0.0)
 
     def test_refined_partition_same_value(self):
-        path = brownian_path(3, points=65)
+        grid = make_grid(UNIT, 65)
         f = StepFunction((0.0, 0.25, 1.0), (2.0, -1.0))
         refined = StepFunction((0.0, 0.125, 0.25, 0.5, 1.0), (2.0, 2.0, -1.0, -1.0))
-        assert integrate_step(f, path).value == pytest.approx(
-            integrate_step(refined, path).value, abs=1e-14
-        )
+        got = increment_functionals(BROWNIAN, grid, on_grid([f, refined], grid), 3, 10)
+        assert np.max(np.abs(got[:, 0] - got[:, 1])) <= 1e-14
 
     def test_linearity_exact(self):
         rng = np.random.default_rng(53)
-        path = brownian_path(4, points=129)
-        grid = path.grid
+        grid = make_grid(UNIT, 129)
         for _ in range(20):
             cuts_f = np.sort(rng.choice(grid[1:-1], size=3, replace=False))
             cuts_g = np.sort(rng.choice(grid[1:-1], size=2, replace=False))
             f = StepFunction((0.0, *cuts_f, 1.0), tuple(rng.normal(size=4)))
             g = StepFunction((0.0, *cuts_g, 1.0), tuple(rng.normal(size=3)))
             alpha, beta = rng.normal(size=2)
-            combo = step_combine(alpha, f, beta, g)
-            lhs = integrate_step(combo, path).value
-            rhs = (alpha * integrate_step(f, path).value
-                   + beta * integrate_step(g, path).value)
-            assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_partition_off_grid_refused(self):
-        path = brownian_path(5, points=1025)
-        f = StepFunction((0.0, 1 / 3, 1.0), (1.0, 2.0))  # 1/3 is not dyadic
-        with pytest.raises(PartitionNotOnGridError):
-            integrate_step(f, path)
+            x, y = on_grid([f, g], grid)
+            got = increment_functionals(BROWNIAN, grid, [x, y, alpha * x + beta * y], 4, 5)
+            assert np.max(np.abs(got[:, 2] - (alpha * got[:, 0] + beta * got[:, 1]))) <= 1e-12
 
     def test_non_step_integrand_refused(self):
-        path = brownian_path(5, points=33)
+        # the kernel takes integrands only as a step family: a function
+        # handle reaches it through its projection (project_family)
         with pytest.raises(TypeError, match="step integrands"):
-            integrate_step(lambda t: t, path)
+            step_cells([lambda t: t], UNIT)
 
     def test_batch_matches_single(self):
-        grid = make_grid(UNIT, 33)
-        vals = increment_value_matrix(BROWNIAN, grid, 77, 6)
         f = StepFunction((0.0, 0.25, 0.75, 1.0), (1.0, -2.0, 0.5))
-        batch = integrate_step_batch(f.partition, f.values, vals, grid)[:, 0]
+        cells = step_cells([f])
+        batch = increment_functionals(BROWNIAN, *cells, 77, 6)
         for k in range(6):
-            from yehsim import SamplePath
-
-            single = integrate_step(f, SamplePath(grid, vals[k]))
-            assert batch[k] == pytest.approx(single.value, abs=0)
+            single = increment_functionals(BROWNIAN, *cells, 77, 1, first_index=k)
+            assert np.array_equal(batch[k], single[0])
 
 
 class TestFamilyKernel:
     def test_family_matches_single_members(self):
         grid = make_grid(UNIT, 1025)
-        vals = increment_value_matrix(BROWNIAN, grid, 88, 1000)
         rng = np.random.default_rng(89)
-        partition = tuple(grid[::4])
+        partition = grid[::4]
         pieces = np.array([rng.normal(size=256) for _ in range(64)])
-        batch = integrate_step_batch(partition, pieces, vals, grid)
+        batch = increment_functionals(BROWNIAN, partition, pieces, 88, 1000)
         assert batch.shape == (1000, 64)
         for j, row in enumerate(pieces):
-            single = integrate_step_batch(partition, row, vals, grid)[:, 0]
+            single = increment_functionals(BROWNIAN, partition, row[None], 88, 1000)[:, 0]
             assert np.max(np.abs(batch[:, j] - single)) <= 1e-13
 
 
@@ -123,13 +119,13 @@ class TestStepCells:
                                     [0.5, 0.5, -0.5, -0.5, 2.0, 2.0]]
 
     def test_integrals_equal_the_kernel_on_a_finer_grid(self):
-        # the kernel on the increments of a 1025-point path, merged per cell
+        # the telescoping sum on the values of a 1025-point path, merged per cell
         fine = make_grid(UNIT, 1025)
         family = [StepFunction((0.0, 0.375, 1.0), (2.0, -1.0)), ONE]
         grid, weights = step_cells(family, UNIT)
         vals = increment_value_matrix(BROWNIAN, fine, 90, 5)
         coarse = np.diff(vals[:, np.searchsorted(fine, grid)], axis=1) @ weights.T
-        want = np.column_stack([integrate_step_batch(f.partition, f.values, vals, fine)
+        want = np.column_stack([telescoped(f.partition, f.values, vals, fine)
                                 for f in family])
         assert np.max(np.abs(coarse - want)) <= 1e-13
 
@@ -146,110 +142,108 @@ class TestStepCells:
 
 class TestIntegrateL2:
     def test_aligned_step_equals_exact(self):
-        path = brownian_path(6, points=257)
+        grid = make_grid(UNIT, 257)
         f = StepFunction((0.0, 0.25, 0.75, 1.0), (1.0, -2.0, 0.5))
-        exact = integrate_step(f, path).value
-        approx = integrate_l2(f, path, 64)
-        assert approx.value == pytest.approx(exact, abs=1e-14)
+        edges, (proj,) = project_family([f], 64, UNIT)
+        got = increment_functionals(BROWNIAN, grid,
+                                    on_grid([f, StepFunction(edges, proj)], grid), 6, 10)
+        assert np.max(np.abs(got[:, 0] - got[:, 1])) <= 1e-14
 
     def test_partial_span_step_equals_exact(self):
-        path = brownian_path(7, points=257)
+        grid = make_grid(UNIT, 257)
         h = StepFunction((0.25, 0.5), (1.0,))  # 0 outside [0.25, 0.5]
-        exact = integrate_step(h, path).value
-        assert exact == path.values[128] - path.values[64]
-        assert integrate_l2(h, path, 64).value == pytest.approx(exact, abs=1e-14)
+        edges, (proj,) = project_family([h], 64, UNIT)
+        got = increment_functionals(BROWNIAN, grid, on_grid([StepFunction(edges, proj)], grid),
+                                    7, 10, first_index=3)
+        vals = increment_value_matrix(BROWNIAN, grid, 7, 10, first_index=3)
+        assert np.max(np.abs(got[:, 0] - (vals[:, 128] - vals[:, 64]))) <= 1e-14
 
     def test_refinement_estimate_shrinks_with_cells(self):
-        # median over 100 seeded paths, three doublings
-        f = Integrand.from_function(lambda t: t, bv_breaks=(0.0, 1.0))
-        estimates = {cells: [] for cells in (64, 128, 256, 512)}
-        for k in range(100):
-            path = brownian_path(900, points=513, index=k)
-            for cells in estimates:
-                estimates[cells].append(integrate_l2(f, path, cells).refinement)
-        medians = [np.median(estimates[c]) for c in (64, 128, 256, 512)]
+        # |I(f_c) - I(f_{c/2})| for the midpoint projections f_c of f(t) = t:
+        # its median over 100 streams shrinks with every doubling
+        counts = (32, 64, 128, 256, 512)
+        family = [StepFunction(edges, proj) for edges, (proj,) in
+                  (project_family([lambda t: t], c, UNIT) for c in counts)]
+        draws = increment_functionals(BROWNIAN, *step_cells(family, UNIT), 900, 100)
+        medians = np.median(np.abs(np.diff(draws, axis=1)), axis=0)
         assert medians[0] > medians[1] > medians[2] > medians[3]
 
     def test_mc_variance_of_linear_integrand(self):
         # Var I(t) = integral of t^2 dt = 1/3
         m = 100_000
-        cells = 512
-        grid = make_grid(UNIT, cells + 1)
-        vals = increment_value_matrix(BROWNIAN, grid, 2718, m)
-        from yehsim import project_to_steps
-
-        proj = project_to_steps(lambda t: t, cells, UNIT)
-        samples = integrate_step_batch(proj.partition, proj.values, vals, grid)[:, 0]
+        edges, pieces = project_family([lambda t: t], 512, UNIT)
+        samples = increment_functionals(BROWNIAN, edges, pieces, 2718, m)[:, 0]
         var = samples.var(ddof=1)
         se = var * np.sqrt(2.0 / m)
         assert abs(var - 1 / 3) <= 4 * se
 
     def test_l2_extension_bound(self):
         # E[(I(f) - I(f_n))^2] <= (1 + TV(lambda)) * ||f - f_n||^2 in the
-        # joint norm, for step approximations of f(t) = t
+        # joint norm of d(rho) + d|lambda|, for step approximations of f(t) = t
         lam = MeanFunction.linear(UNIT, 1.0)
         spec = YehSpec(lam, VarianceFunction.identity(UNIT))
         m = 20_000
-        cells_fine = 256
-        grid = make_grid(UNIT, cells_fine + 1)
-        vals = increment_value_matrix(spec, grid, 31415, m)
-        from yehsim import project_to_steps
 
-        fine = project_to_steps(lambda t: t, cells_fine, UNIT)
-        samples_fine = integrate_step_batch(fine.partition, fine.values, vals, grid)[:, 0]
+        def projection(n):
+            edges, (pieces,) = project_family([lambda t: t], n, UNIT)
+            return StepFunction(edges, pieces)
+
         for n in (4, 16):
-            coarse = project_to_steps(lambda t: t, n, UNIT)
-            samples_n = integrate_step_batch(coarse.partition, coarse.values, vals,
-                                             grid)[:, 0]
-            gap_sq = (samples_fine - samples_n) ** 2
-            diff = step_combine(1.0, fine, -1.0, coarse)
-            bound = (1.0 + 1.0) * inner_lambda_rho(diff, diff, lam, spec.rho)
+            cells, (x, y) = step_cells([projection(256), projection(n)], UNIT)
+            gap = x - y
+            samples = increment_functionals(spec, cells, gap[None], 31415, m)[:, 0]
+            joint = np.diff(spec.rho(cells)) + np.abs(np.diff(lam(cells)))
+            bound = (1.0 + 1.0) * float(np.sum(gap * gap * joint))
+            gap_sq = samples**2
             se = gap_sq.std(ddof=1) / np.sqrt(m)
             assert gap_sq.mean() <= bound + 4 * se
 
     def test_cells_must_be_positive(self):
         with pytest.raises(ValueError):
-            integrate_l2(ONE, brownian_path(7, points=17), 0)
+            project_family([ONE], 0, UNIT)
 
 
 class TestPathwiseRS:
     def test_constant_integrand_exact(self):
-        path = brownian_path(8, points=129)
-        f = Integrand.from_function(lambda t: 3.0 * np.ones_like(np.asarray(t)),
-                                    bv_breaks=(0.0, 1.0))
-        out = integrate_pathwise_rs(f, path, 32)
-        assert out.value == pytest.approx(
-            3.0 * (path.values[-1] - path.values[0]), abs=1e-13
-        )
+        grid = make_grid(UNIT, 129)
+        rs = left_tags(lambda t: 3.0 * np.ones_like(t), 32)
+        got = increment_functionals(BROWNIAN, grid, on_grid([rs], grid), 8, 5)[:, 0]
+        vals = increment_value_matrix(BROWNIAN, grid, 8, 5)
+        assert np.max(np.abs(got - 3.0 * (vals[:, -1] - vals[:, 0]))) <= 1e-13
 
     def test_aligned_step_telescopes_to_exact(self):
-        path = brownian_path(9, points=257)
+        grid = make_grid(UNIT, 257)
         f = StepFunction((0.0, 0.25, 0.5, 1.0), (1.0, -1.0, 2.0))
-        exact = integrate_step(f, path).value
-        rs = integrate_pathwise_rs(f, path, 8)
-        assert rs.value == pytest.approx(exact, abs=1e-14)
+        got = increment_functionals(BROWNIAN, grid, on_grid([f, left_tags(f, 8)], grid), 9, 10)
+        assert np.max(np.abs(got[:, 0] - got[:, 1])) <= 1e-14
 
     @pytest.mark.parametrize("cells", [4, 256])
     def test_partial_span_step_equals_exact(self, cells):
         # a left tag on the partition's end 0.5 must read 0, not the last
-        # value, which a StepFunction keeps at its own right end
-        path = brownian_path(7, points=257)
+        # value, which a StepFunction keeps at its own right end: the sum
+        # tags the step cut to the interval
+        grid = make_grid(UNIT, 257)
         h = StepFunction((0.25, 0.5), (1.0,))
-        exact = integrate_step(h, path).value
-        assert integrate_pathwise_rs(h, path, cells).value == pytest.approx(exact, abs=1e-14)
-
-    def test_missing_certificate_rejected(self):
-        path = brownian_path(10, points=17)
-        with pytest.raises(MissingBVCertificateError):
-            integrate_pathwise_rs(Integrand.from_function(lambda t: t), path, 4)
+        rs = left_tags(h.restrict(0.0, 1.0), cells)
+        got = increment_functionals(BROWNIAN, grid, on_grid([h, rs], grid), 7, 10)
+        assert np.max(np.abs(got[:, 0] - got[:, 1])) <= 1e-14
 
     def test_cross_method_agreement_100_paths(self):
-        f = Integrand.from_function(lambda t: t, bv_breaks=(0.0, 1.0))
-        for k in range(100):
-            path = brownian_path(1000, points=513, index=k)
-            rs = integrate_pathwise_rs(f, path, 256)
-            l2 = integrate_l2(f, path, 256)
-            assert abs(rs.value - l2.value) <= rs.refinement + l2.refinement
+        rows = integral_battery(BROWNIAN, lambda t: t, 256, 1000, 100)
+        assert all(row.passed for row in rows), rows
+
+    def test_battery_fails_a_broken_kernel(self, monkeypatch):
+        # for f(t) = t the bound and the ratio hold on any draws (the gap is
+        # -(h/2) X(1)); the exact variance rows are the ones that see draws
+        # of the wrong scale
+        real = verify.increment_functionals
+        monkeypatch.setattr(verify, "increment_functionals",
+                            lambda *args: 2.0 * real(*args))
+        rows = {row.check: row.passed
+                for row in integral_battery(BROWNIAN, lambda t: t, 128, 7007, 100)}
+        assert rows == {"integral_bound_c128": True, "integral_gap_variance_c128": False,
+                        "integral_bound_c256": True, "integral_gap_variance_c256": False,
+                        "integral_gap_ratio": True}
 
 
 class TestAnalyticMoments:
@@ -284,15 +278,16 @@ class TestAnalyticMoments:
         assert integral_covariance(ONE, ONE, lam, rho) == 2.0
 
     def test_distribution_plug_in(self):
+        # the Gaussian law of I(f): mean integral of f dlambda, variance ||f||_rho^2
         lam = MeanFunction.linear(UNIT, 1.0)
         rho = VarianceFunction.identity(UNIT)
-        assert integral_distribution(ONE, lam, rho) == (1.0, 1.0)
+        assert (integral_mean(ONE, lam), norm_sq_rho(ONE, rho)) == (1.0, 1.0)
 
     def test_distribution_degenerate(self):
         lam = MeanFunction.linear(UNIT, 1.0)
         rho = VarianceFunction.identity(UNIT)
         zero = StepFunction((0.0, 1.0), (0.0,))
-        assert integral_distribution(zero, lam, rho) == (0.0, 0.0)
+        assert (integral_mean(zero, lam), norm_sq_rho(zero, rho)) == (0.0, 0.0)
 
     def test_integral_law_by_ks_three_seeds(self):
         spec = YehSpec(MeanFunction.linear(UNIT, 1.0), VarianceFunction.power(UNIT, 2.0))
@@ -301,22 +296,16 @@ class TestAnalyticMoments:
         assert len(rows) == 3 and all(row.passed for row in rows), rows
 
     def test_centered_relation_exact_per_path(self):
-        # integrating against the centered path removes exactly the drift term
+        # the same stream under the centered law removes exactly the drift term
         lam = MeanFunction.piecewise((0.0, 0.25, 1.0), (0.0, 1.5, -0.5))
         spec = YehSpec(lam, VarianceFunction.identity(UNIT))
-        from yehsim import center
-
-        f = StepFunction((0.0, 0.25, 0.5, 1.0), (1.0, -2.0, 0.5))
         from yehsim import stieltjes_step
 
-        for k in range(5):
-            raw = sample_increments(spec, make_grid(UNIT, 129),
-                                    GaussianStream(606, k))
-            raw_val = integrate_step(f, raw).value
-            centered_val = integrate_step(f, center(raw, lam)).value
-            assert raw_val - centered_val == pytest.approx(
-                stieltjes_step(f, lam), abs=1e-13
-            )
+        f = StepFunction((0.0, 0.25, 0.5, 1.0), (1.0, -2.0, 0.5))
+        cells = step_cells([f], UNIT)
+        raw = increment_functionals(spec, *cells, 606, 5)[:, 0]
+        centered = increment_functionals(YehSpec.centered(spec.rho), *cells, 606, 5)[:, 0]
+        assert np.max(np.abs(raw - centered - stieltjes_step(f, lam))) <= 1e-13
 
     def test_non_finite_sample_fails_its_row(self, monkeypatch):
         def sampler(spec, partition, pieces, seed, count, first_index=0):

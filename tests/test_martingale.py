@@ -1,7 +1,5 @@
 """Drift classification: the conditional-expectation identity and verdicts."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -14,9 +12,10 @@ from yehsim import (
     YehSpec,
     classify,
     conditional_increment_mean,
-    mc_martingale_test,
 )
-from yehsim.verify import truth_table_battery
+from yehsim import verify
+from yehsim.config import parse_config
+from yehsim.verify import moments_battery, truth_table_battery
 
 UNIT = Interval(0.0, 1.0)
 LAM_UP = MeanFunction.linear(UNIT, 1.0)
@@ -92,7 +91,7 @@ class TestClassify:
         assert verdict.verdict == "undetermined"
 
     def test_missing_certificate_undetermined(self):
-        f = Integrand.from_function(lambda t: np.ones_like(np.asarray(t)))
+        f = Integrand(lambda t: np.ones_like(np.asarray(t)))
         assert f.sign is None
         assert classify(f, LAM_UP, PROBES).verdict == "undetermined"
 
@@ -106,44 +105,51 @@ class TestClassify:
         assert len(rows) == 20
         assert all(row.passed for row in rows), [row.check for row in rows if not row.passed]
 
-    def test_verdict_serializes_to_json(self):
-        verdict = classify(COUNTEREXAMPLE, LAM_UP, PROBES)
-        blob = json.loads(verdict.to_json())
-        assert blob["verdict"] == "neither"
-        assert len(blob["witnesses"]) == 2
-        assert blob["witnesses"][0]["drift"] == pytest.approx(-1 / 24)
+
+def mc_drift(spec, f, s, t, paths, seed):
+    """The Monte Carlo row of E[M(t) - M(s)]: the moments_battery mean row
+    of f cut to [s, t].  Later increments are independent of the past, so
+    this unconditional mean must agree with conditional_increment_mean."""
+    (row,) = moments_battery(spec, {"drift": f.restrict(s, t)}, seed, paths)
+    return row
 
 
 class TestMCMartingaleTest:
     def test_centered_case_has_zero_drift(self):
-        spec = YehSpec.brownian(UNIT)
-        est = mc_martingale_test(spec, COUNTEREXAMPLE, 0.25, 0.75, 20_000, seed=901)
-        assert abs(est.mean) <= 4 * est.se
+        row = mc_drift(YehSpec.brownian(UNIT), COUNTEREXAMPLE, 0.25, 0.75, 20_000, seed=901)
+        assert row.expected == 0.0 and row.passed, row
 
     def test_counterexample_drifts_recovered(self):
         spec = YehSpec(LAM_UP, VarianceFunction.identity(UNIT))
-        est1 = mc_martingale_test(spec, COUNTEREXAMPLE, 0.25, 0.5, 100_000, seed=902)
-        assert abs(est1.mean - (-1 / 24)) <= 4 * est1.se
-        est2 = mc_martingale_test(spec, COUNTEREXAMPLE, 0.25, 0.75, 100_000, seed=903)
-        assert abs(est2.mean - 1 / 24) <= 4 * est2.se
+        for t, want, seed in ((0.5, -1 / 24, 902), (0.75, 1 / 24, 903)):
+            row = mc_drift(spec, COUNTEREXAMPLE, 0.25, t, 100_000, seed)
+            assert row.expected == pytest.approx(want, abs=1e-15) and row.passed, row
 
     def test_agrees_with_conditional_mean_formula(self):
         lam = MeanFunction.piecewise((0.0, 0.5, 1.0), (0.0, -1.0, 0.5))
         spec = YehSpec(lam, VarianceFunction.identity(UNIT))
         f = StepFunction((0.0, 0.5, 1.0), (1.0, 2.0))
-        est = mc_martingale_test(spec, f, 0.25, 0.875, 50_000, seed=904)
+        row = mc_drift(spec, f, 0.25, 0.875, 50_000, seed=904)
         want = conditional_increment_mean(f, lam, 0.25, 0.875)
-        assert abs(est.mean - want) <= 4 * est.se
+        assert row.expected == pytest.approx(want, abs=1e-15) and row.passed, row
 
     def test_partial_span_step_agrees_with_conditional_mean(self):
         spec = YehSpec(LAM_UP, VarianceFunction.identity(UNIT))
         h = StepFunction((0.25, 0.5), (1.0,))  # 0 outside [0.25, 0.5]
-        est = mc_martingale_test(spec, h, 0.0, 1.0, 20_000, seed=906)
+        row = mc_drift(spec, h, 0.0, 1.0, 20_000, seed=906)
         want = conditional_increment_mean(h, LAM_UP, 0.0, 1.0)
         assert want == 0.25
-        assert abs(est.mean - want) <= 4 * est.se
+        assert row.expected == want and row.passed, row
 
-    def test_requires_enough_paths(self):
-        spec = YehSpec.brownian(UNIT)
-        with pytest.raises(ValueError):
-            mc_martingale_test(spec, ONE, 0.0, 1.0, 50, seed=905)
+    def test_requires_enough_paths(self, monkeypatch):
+        # the martingale suite's Monte Carlo row draws at least 100 paths
+        counts = []
+        real = verify.increment_functionals
+
+        def counting(spec, partition, pieces, seed, count, first_index=0):
+            counts.append(count)
+            return real(spec, partition, pieces, seed, count, first_index)
+
+        monkeypatch.setattr(verify, "increment_functionals", counting)
+        rows = verify.martingale_suite(parse_config({"mc": {"paths": 2}}))
+        assert counts == [100] and rows[-1].check == "martingale_mc_centered_drift"

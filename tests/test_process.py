@@ -1,4 +1,4 @@
-"""Process sampling: increments, series truncation, centering, moments."""
+"""Process sampling: streams, increments, series truncation, centering, moments."""
 
 import hashlib
 import os
@@ -13,25 +13,20 @@ from yehsim import (
     GaussianStream,
     Interval,
     MeanFunction,
-    SamplePath,
     VarianceFunction,
     YehSpec,
-    center,
     ks_test,
     make_grid,
-    sample_increments,
-    sample_series,
     series_variance_defect,
 )
 from yehsim import StepFunction, process
 from yehsim.funcspace import step_cells
-from yehsim.integral import integrate_step_batch
 from yehsim.process import (
     increment_functionals,
     increment_value_matrix,
     series_point_values,
 )
-from yehsim.streams import _CHUNK_BLOCKS, CROSSOVER_DRAWS, normal_matrix
+from yehsim.streams import _CHUNK_BLOCKS, CROSSOVER_DRAWS, _uniform_matrix, normal_matrix
 
 UNIT = Interval(0.0, 1.0)
 BROWNIAN = YehSpec.brownian(UNIT)
@@ -94,8 +89,9 @@ class TestStreams:
             assert np.array_equal(mat[i], GaussianStream(555, 2 + i).normals(32))
 
     def test_uniforms_strictly_inside_unit_interval(self):
-        u = GaussianStream(1).uniforms(10_000)
-        assert u.min() > 0.0 and u.max() < 1.0
+        for rows, draws in ((1, 10_000), (5_000, 3)):  # both implementations
+            u = _uniform_matrix(1, rows, draws, 0)
+            assert u.min() > 0.0 and u.max() < 1.0
 
     def test_normals_are_standard(self):
         z = GaussianStream(2024).normals(100_000)
@@ -140,7 +136,8 @@ class TestStreamBitIdentity:
         for n in (3, CROSSOVER_DRAWS + 1):
             stream = GaussianStream(2**64 - 1, 2**64 - 1)
             assert np.array_equal(stream.normals(n), philox_reference(2**64 - 1, 2**64 - 1, n))
-            assert np.array_equal(ndtri(stream.uniforms(n)), stream.normals(n))
+            uniforms = _uniform_matrix(2**64 - 1, 1, n, 2**64 - 1)[0]
+            assert np.array_equal(ndtri(uniforms), stream.normals(n))
 
     @pytest.mark.parametrize("args,digest", [
         ((20261018, 64, 3),
@@ -184,23 +181,23 @@ class TestIncrementSampling:
     def test_starts_at_drift_value(self):
         lam = MeanFunction.linear(UNIT, 2.0, intercept=0.5)
         spec = YehSpec(lam, VarianceFunction.identity(UNIT))
-        path = sample_increments(spec, make_grid(UNIT, 33), GaussianStream(1, 0))
-        assert path.values[0] == 0.5
+        values = increment_value_matrix(spec, make_grid(UNIT, 33), 1, 3)
+        assert np.all(values[:, 0] == 0.5)
 
     def test_reproducible_and_stream_indexed(self):
         grid = make_grid(UNIT, 65)
-        p1 = sample_increments(BROWNIAN, grid, GaussianStream(42, 7))
-        p2 = sample_increments(BROWNIAN, grid, GaussianStream(42, 7))
-        p3 = sample_increments(BROWNIAN, grid, GaussianStream(42, 8))
-        assert np.array_equal(p1.values, p2.values)
-        assert not np.array_equal(p1.values, p3.values)
+        p1 = increment_value_matrix(BROWNIAN, grid, 42, 1, first_index=7)
+        p2 = increment_value_matrix(BROWNIAN, grid, 42, 1, first_index=7)
+        p3 = increment_value_matrix(BROWNIAN, grid, 42, 1, first_index=8)
+        assert np.array_equal(p1, p2)
+        assert not np.array_equal(p1, p3)
 
     def test_batch_matches_per_path_sampling(self):
         grid = make_grid(UNIT, 17)
         batch = increment_value_matrix(BROWNIAN, grid, 42, 5, first_index=3)
         for k in range(5):
-            single = sample_increments(BROWNIAN, grid, GaussianStream(42, 3 + k))
-            assert np.array_equal(batch[k], single.values)
+            single = increment_value_matrix(BROWNIAN, grid, 42, 1, first_index=3 + k)
+            assert np.array_equal(batch[k], single[0])
 
     def test_two_point_grid_is_single_gaussian(self):
         lam = MeanFunction.linear(UNIT, 1.0)
@@ -234,29 +231,28 @@ class TestIncrementSampling:
 
     def test_grid_must_span_interval(self):
         with pytest.raises(BadGridError):
-            sample_increments(BROWNIAN, np.array([0.0, 0.5]), GaussianStream(1))
+            increment_value_matrix(BROWNIAN, np.array([0.0, 0.5]), 1, 1)
 
     def test_grid_must_increase(self):
         with pytest.raises(BadGridError):
-            sample_increments(BROWNIAN, np.array([0.0, 0.5, 0.5, 1.0]),
-                              GaussianStream(1))
+            increment_value_matrix(BROWNIAN, np.array([0.0, 0.5, 0.5, 1.0]), 1, 1)
 
 
 class TestSeriesSampling:
     def test_deterministic_given_stream(self):
         basis = BasisFamily(BROWNIAN.rho)
         grid = make_grid(UNIT, 33)
-        p1 = sample_series(BROWNIAN, basis, 16, grid, GaussianStream(3, 1))
-        p2 = sample_series(BROWNIAN, basis, 16, grid, GaussianStream(3, 1))
-        assert np.array_equal(p1.values, p2.values)
+        p1 = series_point_values(BROWNIAN, basis, 16, grid, 3, 1, first_index=1)
+        p2 = series_point_values(BROWNIAN, basis, 16, grid, 3, 1, first_index=1)
+        assert np.array_equal(p1, p2)
 
     def test_batch_matches_per_path(self):
         basis = BasisFamily(BROWNIAN.rho)
         grid = make_grid(UNIT, 9)
         batch = series_point_values(BROWNIAN, basis, 8, grid, 91, 4)
         for k in range(4):
-            single = sample_series(BROWNIAN, basis, 8, grid, GaussianStream(91, k))
-            assert np.array_equal(batch[k], single.values)
+            single = series_point_values(BROWNIAN, basis, 8, grid, 91, 1, first_index=k)
+            assert np.array_equal(batch[k], single[0])
 
     def test_single_term_variance_closed_form(self):
         # with one term, the centered value is rho(t)/sqrt(T) * xi_0
@@ -309,15 +305,21 @@ class TestSeriesSampling:
 
 class TestCenter:
     def test_zero_drift_identity(self):
-        path = sample_increments(BROWNIAN, make_grid(UNIT, 17), GaussianStream(1))
-        centered = center(path, BROWNIAN.lam)
-        assert np.array_equal(centered.values, path.values)
+        # a zero-drift law is its own centered law, bit for bit
+        grid = make_grid(UNIT, 17)
+        spec = YehSpec(MeanFunction.zero(UNIT), VarianceFunction.power(UNIT, 2.0))
+        assert np.array_equal(increment_value_matrix(YehSpec.centered(spec.rho), grid, 1, 4),
+                              increment_value_matrix(spec, grid, 1, 4))
 
     def test_constant_drift_path_centers_to_zero(self):
+        # X - lambda is the centered law drawn from the same stream: what the
+        # drift adds along a path, centering takes away
         lam = MeanFunction.cantor(UNIT)
+        spec = YehSpec(lam, VarianceFunction.identity(UNIT))
         grid = make_grid(UNIT, 33)
-        path = SamplePath(grid, lam(grid))
-        assert np.allclose(center(path, lam).values, 0.0, atol=0)
+        drifted = increment_value_matrix(spec, grid, 1, 4)
+        centered = increment_value_matrix(YehSpec.centered(spec.rho), grid, 1, 4)
+        assert np.max(np.abs(drifted - lam(grid) - centered)) <= 1e-13
 
     def test_centered_mc_mean_is_zero(self):
         lam = MeanFunction.piecewise((0.0, 0.5, 1.0), (0.0, 2.0, 1.0))
@@ -384,8 +386,10 @@ class TestFunctionalSampler:
         got = increment_functionals(CANTOR_POWER2, grid, weights[:-1],
                                     606, 300, first_index=5)
         vals = increment_value_matrix(CANTOR_POWER2, grid, 606, 300, first_index=5)
-        want = integrate_step_batch(family[0].partition, [f.values for f in family],
-                                    vals, grid)
+        # the defining telescoping sum: the values at the partition points,
+        # differenced once and weighted by the pieces
+        idx = np.searchsorted(grid, family[0].partition)
+        want = np.diff(vals[:, idx], axis=1) @ np.array([f.values for f in family]).T
         assert got.shape == (300, members)
         assert np.max(np.abs(got - want)) <= 1e-13
 
@@ -435,10 +439,9 @@ class TestFunctionalSampler:
         for parts in (1, 3):
             split_over(monkeypatch, parts)
             calls.write_text("")
-            sample_increments(BROWNIAN, grid, GaussianStream(5, 0))
             increment_value_matrix(BROWNIAN, grid, 5, 3)
             increment_functionals(BROWNIAN, grid, np.ones((1, 64)), 5, 3)
-            assert calls.read_text().split() == [str(os.getpid())] * 3
+            assert calls.read_text().split() == [str(os.getpid())] * 2
             with pytest.raises(BadGridError):  # the grid is checked before the weights
                 increment_functionals(BROWNIAN, grid[:-1], np.ones((2, 9)), 1, 4)
 

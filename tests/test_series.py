@@ -14,15 +14,12 @@ from yehsim import (
     YehSpec,
     expand_integral,
     fourier_coeffs,
-    integrate_l2,
+    increment_functionals,
     make_grid,
     norm_sq_rho,
-    parseval_defect,
-    sample_increments,
+    project_family,
     series_variance_defect,
 )
-from yehsim.funcspace import project_family, project_to_steps
-from yehsim.integral import integrate_step_batch
 from yehsim.process import increment_value_matrix
 
 UNIT = Interval(0.0, 1.0)
@@ -31,11 +28,20 @@ BASIS = BasisFamily(BROWNIAN.rho)
 HALF = StepFunction.indicator(0.0, 0.5, UNIT)
 
 
-def centered_path(stream, cells, rho=BROWNIAN.rho):
-    """The centered path that expand_integral draws from `stream` on `cells`
-    uniform cells, held as values."""
-    return sample_increments(YehSpec.centered(rho), make_grid(rho.interval, cells + 1),
-                             stream)
+def centered_integrals(stream, cells, pieces, rho=BROWNIAN.rho):
+    """Step integrals over the centered path that expand_integral draws from
+    `stream` on `cells` uniform cells, by the telescoping sum over the path
+    held as values."""
+    values = increment_value_matrix(YehSpec.centered(rho), make_grid(rho.interval, cells + 1),
+                                    stream.seed, 1, stream.index)[0]
+    return np.diff(values) @ np.atleast_2d(pieces).T
+
+
+def parseval_defect(f, truncation, resolution=2**14):
+    """||f||^2_rho minus the first `truncation` squared coefficients, as
+    expand_integral reports it."""
+    return expand_integral(f, BASIS, truncation, 16, GaussianStream(0),
+                           resolution).defects[-1]
 
 
 class TestExpandIntegral:
@@ -47,9 +53,8 @@ class TestExpandIntegral:
         f = StepFunction((0.0, 0.25, 0.75, 1.0), (0.5, -0.5, 2.0))
         stream = GaussianStream(17, 3)
         report = expand_integral(f, basis, 12, 128, stream)
-        path = centered_path(stream, 128, rho)
         edges, values = project_family([f], 128, UNIT, basis, 12)
-        integrals = integrate_step_batch(edges, values, path.values, path.grid)
+        integrals = centered_integrals(stream, 128, values, rho)
         assert report.target == pytest.approx(integrals[0], abs=1e-12)
         assert np.allclose(report.partial_sums,
                            np.cumsum(report.coefficients * integrals[1:]),
@@ -58,7 +63,8 @@ class TestExpandIntegral:
     def test_basis_member_stabilizes_after_its_index(self):
         stream = GaussianStream(2)
         report = expand_integral(BASIS.member(2), BASIS, 6, 256, stream)
-        direct = integrate_l2(BASIS.member(2), centered_path(stream, 256), 256).value
+        _, projection = project_family([BASIS.member(2)], 256, UNIT)
+        direct = centered_integrals(stream, 256, projection)[0]
         for n in range(2, 6):
             assert report.partial_sums[n] == pytest.approx(direct, abs=1e-6)
         assert abs(report.defects[5]) <= 1e-8
@@ -70,10 +76,8 @@ class TestExpandIntegral:
         assert report.coefficients[0] == pytest.approx(1.0, abs=1e-15)
         assert report.partial_sums[0] == pytest.approx(report.target, abs=1e-12)
         # the single term already is X(1) - X(0)
-        path = centered_path(stream, 64)
-        assert report.target == pytest.approx(
-            path.values[-1] - path.values[0], abs=1e-12
-        )
+        assert report.target == pytest.approx(centered_integrals(stream, 64, np.ones(64))[0],
+                                              abs=1e-12)
 
     def test_half_indicator_defect_small_by_large_truncation(self):
         coeffs_defects = expand_integral(HALF, BASIS, 2000, 16, GaussianStream(4)).defects
@@ -86,17 +90,13 @@ class TestExpandIntegral:
         # and basis-member integrands; zero-defect rows get a dust floor
         m = 2000
         cells = 1024
-        grid = make_grid(UNIT, cells + 1)
-        vals = increment_value_matrix(BROWNIAN, grid, 6001, m)
         integrands = [
             HALF,
             lambda t: np.asarray(t),
             BASIS.member(3),
         ]
-        members = [BASIS.member(n) for n in range(16)]
-        family = [project_to_steps(g, cells, UNIT) for g in (*integrands, *members)]
-        integrals = integrate_step_batch(family[0].partition, [g.values for g in family],
-                                         vals, grid)
+        integrals = increment_functionals(
+            BROWNIAN, *project_family(integrands, cells, UNIT, BASIS, 16), 6001, m)
         member_integrals = integrals[:, len(integrands):]
         for k, f in enumerate(integrands):
             targets = integrals[:, k]
@@ -125,20 +125,19 @@ class TestExpandIntegral:
 
 class TestParsevalDefect:
     def test_basis_member_exhausted(self):
-        assert abs(parseval_defect(BASIS.member(5), BASIS, 6,
-                                   resolution=2**13)) <= 1e-8
+        assert abs(parseval_defect(BASIS.member(5), 6, resolution=2**13)) <= 1e-8
 
     def test_constant_exhausted_immediately(self):
         one = StepFunction((0.0, 1.0), (1.0,))
-        assert parseval_defect(one, BASIS, 1) == pytest.approx(0.0, abs=1e-14)
+        assert parseval_defect(one, 1) == pytest.approx(0.0, abs=1e-14)
 
     def test_half_indicator_single_term(self):
-        assert parseval_defect(HALF, BASIS, 1) == pytest.approx(0.25, abs=1e-14)
+        assert parseval_defect(HALF, 1) == pytest.approx(0.25, abs=1e-14)
 
     def test_monotone_in_truncation(self):
         prev = math.inf
         for n in (1, 2, 4, 8, 16, 32):
-            d = parseval_defect(HALF, BASIS, n)
+            d = parseval_defect(HALF, n)
             assert d <= prev + 1e-12
             prev = d
 

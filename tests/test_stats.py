@@ -1,52 +1,46 @@
-"""The Monte Carlo estimator and the one-sample KS test."""
+"""The Monte Carlo standard error and the one-sample KS test."""
 
 import numpy as np
 import pytest
 
 from yehsim import (
+    ConfigError,
     DegenerateReferenceError,
     GaussianStream,
-    NonFiniteDrawError,
     ks_test,
 )
-from yehsim.stats import mc_from_samples, mean_se
+from yehsim.config import parse_config
+from yehsim.stats import mean_se
+from yehsim.verify import _mean_within
 
 
 class TestMCEstimate:
     def test_constant_sampler(self):
-        est = mc_from_samples(np.full(100, 2.5))
-        assert est.mean == 2.5
-        assert est.variance == 0.0
-        assert est.se == 0.0
-        assert est.count == 100
+        assert mean_se(np.full(100, 2.5)) == (2.5, 0.0)
 
     def test_standard_normal_mean_within_four_se(self):
         m = 100_000
-        est = mc_from_samples(GaussianStream(5150).normals(m), seed=5150)
-        assert abs(est.mean) <= 4.0 / np.sqrt(m)
-        assert est.variance == pytest.approx(1.0, abs=0.05)
+        mean, se = mean_se(GaussianStream(5150).normals(m))
+        assert abs(mean) <= 4.0 / np.sqrt(m)
+        assert se * np.sqrt(m) == pytest.approx(1.0, abs=0.05)
 
     def test_welford_matches_numpy(self):
         draws = GaussianStream(31).normals(1000)
-        est = mc_from_samples(draws)
-        assert est.mean == pytest.approx(draws.mean(), abs=1e-13)
-        assert est.variance == pytest.approx(draws.var(ddof=1), abs=1e-13)
+        mean, se = mean_se(draws)
+        assert mean == pytest.approx(draws.mean(), abs=1e-13)
+        assert se**2 * draws.size == pytest.approx(draws.var(ddof=1), abs=1e-13)
 
     def test_estimate_is_the_sample_estimate_of_its_draws(self):
         draws = GaussianStream(77, 10).normals(500)
-        est = mc_from_samples(draws, seed=77, first_index=10)
-        assert (est.seed, est.first_index, est.count) == (77, 10, 500)
-        assert est.mean == draws.mean()
-        assert est.se == draws.std(ddof=1) / np.sqrt(500)
+        assert mean_se(draws) == (draws.mean(), draws.std(ddof=1) / np.sqrt(500))
 
     def test_se_is_mean_se(self):
         rng = np.random.default_rng(140)
         for _ in range(140):
             draws = rng.standard_normal(rng.integers(2, 300)) * rng.uniform(0.1, 10.0)
-            est = mc_from_samples(draws)
-            assert (est.mean, est.se) == mean_se(draws)
-            assert est.se == draws.std(ddof=1) / np.sqrt(draws.size)
-            assert est.variance == float(np.sum((draws - est.mean) ** 2)) / (draws.size - 1)
+            mean, se = mean_se(draws)
+            assert mean == draws.mean()
+            assert se == draws.std(ddof=1) / np.sqrt(draws.size)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_mean_se_does_not_raise_on_non_finite(self, bad):
@@ -54,12 +48,14 @@ class TestMCEstimate:
         assert not np.isfinite(mean) and np.isnan(se)
 
     def test_non_finite_draw_rejected(self):
-        with pytest.raises(NonFiniteDrawError):
-            mc_from_samples(np.array([1.0, np.nan, 2.0]))
+        # a non-finite draw fails its Monte Carlo row instead of passing it
+        row = _mean_within("mean", 1.5, np.array([1.0, np.nan, 2.0]))
+        assert not row.passed
 
     def test_needs_two_draws(self):
-        with pytest.raises(ValueError):
-            mc_from_samples(np.array([1.0]))
+        # the SE needs two draws: a run with fewer paths is refused up front
+        with pytest.raises(ConfigError, match="mc.paths"):
+            parse_config({"mc": {"paths": 1}})
 
 
 class TestKSTest:

