@@ -1,12 +1,14 @@
 """Batch command line: simulate paths, run verification suites, expand integrals.
 
-`simulate` writes value paths, formatting each value once with %.17g: the
-same strings fill the value column of paths.csv and the path rows of
-bundle.json.  Its stream range is split over the cores by
-process.fork_ranges, as the functional samplers split theirs.  `verify` and
-`expand` reduce each path to a few linear functionals drawn straight from
-the normals, `expand` the step integrals of the integrand and basis members
-under the centered law, from stream (seed, 0).
+`simulate` writes value paths, encoding each value once as its %.17g text
+(yehsim.encode, in numpy, with Python's "%.17g" as the fallback outside
+1e-4 <= |x| < 2**51): the same bytes fill the value column of paths.csv and
+the path rows of bundle.json.  Only simulate loads that module, so the
+other commands neither compile nor hold it.  Its stream range is split over
+the cores by process.fork_ranges, as the functional samplers split theirs.
+`verify` and `expand` reduce each path to a few linear functionals drawn
+straight from the normals, `expand` the step integrals of the integrand and
+basis members under the centered law, from stream (seed, 0).
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error (the
 message names the offending field, or the size fields when a size does not
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -83,19 +86,19 @@ def _guarded(path: Path, call):
 
 @contextmanager
 def _writer(path: Path):
-    """Yield write(text) for a new text file at path.  An OSError in opening,
-    writing or closing it becomes an _IOFailure that names path."""
+    """Yield a new binary file at path.  An OSError in opening or closing it,
+    or raised in the with block, becomes an _IOFailure that names path."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as fh:
-            yield _guarded(path, fh.write)
+        with path.open("wb") as fh:
+            yield fh
     except OSError as exc:
         raise _io_failure(path, exc) from exc
 
 
 def _write_text(path: Path, text: str):
-    with _writer(path) as write:
-        write(text)
+    with _writer(path) as fh:
+        fh.write(text.encode())
 
 
 class _IOFailure(Exception):
@@ -108,37 +111,23 @@ def _manifest_json(cfg: RunConfig) -> str:
                            "manifest_hash": manifest.hash()}) + "\n"
 
 
-def _write_rows(first: int, chunks, pieces, csv, bundle):
-    """Format the (k0, values) chunks of the paths from stream index `first`
-    on.  Each path's values are formatted once, with %.17g: the strings fill
-    the value column of its CSV lines, written through csv(text), and joined
-    by "," they are its JSON row, written through bundle(text) after a ","
-    unless it is path 0."""
-    template = ",".join(["%.17g"] * (len(pieces) - 1))
-    for k0, values in chunks:
-        rows = values.tolist()
-        del values  # not held while the next chunk is drawn
-        for k, row in enumerate(rows, first + k0):
-            text = template % tuple(row)
-            csv(str(k).join(pieces) % tuple(text.split(",")))
-            bundle(f",[{text}]" if k else f"[{text}]")
-
-
 def _temp_file(path: Path):
     """An anonymous temporary file beside path."""
     import tempfile
 
     path.parent.mkdir(parents=True, exist_ok=True)
-    return tempfile.TemporaryFile("w+", dir=path.parent)
+    return tempfile.TemporaryFile("w+b", dir=path.parent)
 
 
-def _append(path: Path, fh, write):
-    """Copy the temporary file fh of output path through write, and close it,
-    which frees its disk space now, not at the end of the run."""
-    _guarded(path, fh.seek)(0)
-    read = _guarded(path, fh.read)
-    while block := read(1 << 13):
-        write(block)
+def _append(path: Path, fh, out):
+    """Copy the temporary file fh onto out, the open file of output path, in
+    1 MiB blocks, and close fh, which frees its disk space now, not at the
+    end of the run."""
+    try:
+        fh.seek(0)
+        shutil.copyfileobj(fh, out, 1 << 20)
+    except OSError as exc:
+        raise _io_failure(path, exc) from exc
     fh.close()
 
 
@@ -147,12 +136,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
     The path range is split into process.stream_ranges, one contiguous,
     near-equal range of stream indices per core this process may run on.
-    The first range is formatted by this process straight into the outputs;
+    The first range is encoded by this process straight into the outputs;
     each other one by a part that process.fork_ranges forks, into two
     anonymous temporary files beside the outputs, which are appended in
     order once the part has exited.  A part's _IOFailure names the output
     its file belongs to and is raised again here.  Every process samples,
-    formats and writes in the samplers' row chunks of about
+    encodes and writes in the samplers' row chunks of about
     process.CHUNK_DRAWS normals, so the memory of each does not grow with
     the path count.  Row k is stream k whichever process and chunk hold it,
     so the bytes depend on neither the core count nor the chunk height."""
@@ -160,9 +149,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     grid = make_grid(cfg.interval, cfg.grid_points, cfg.grid_scale, rho=cfg.rho)
     manifest = cfg.manifest()
     mhash = manifest.hash()
-    # Path k's CSV lines are str(k).join(pieces) % (its value strings): the
-    # grid is formatted once.
-    pieces = [""] + [f",{_fmt(t)},%s\n" for t in grid]
+    # The grid is formatted once, into the pieces of every path's CSV lines.
+    pieces = [b""] + [f",{_fmt(t)},%s\n".encode() for t in grid]
     # "paths" sorts last, so its empty list is the last "[]" of the document.
     head, tail = canonical_json({
         "manifest": manifest.to_dict(),
@@ -170,16 +158,18 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         "grid": grid.tolist(),
         "paths": [],
     }).rsplit("[]", 1)
-    # The chunk loop is made here, before any fork, so that the drift and
-    # variance are evaluated in this process.
+    # The chunk loop is made and the encoder loaded here, before any fork,
+    # so that the drift and variance are evaluated, and the encoder
+    # compiled, in this process only.
     chunks = _value_chunks(spec, grid, cfg.seed)
+    from .encode import write_rows
     ranges = stream_ranges(cfg.paths)
     outputs = (out_dir / "paths.csv", out_dir / "bundle.json")
     temps = {}
     sinks = {}
 
     def run(lo: int, hi: int) -> int:
-        _write_rows(lo, chunks(hi - lo, lo), pieces, *sinks[lo])
+        write_rows(lo, chunks(hi - lo, lo), pieces, *sinks[lo])
         for path, fh in zip(outputs, temps.get(lo, ())):
             _guarded(path, fh.flush)()
         return lo
@@ -189,14 +179,16 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
             temps[lo] = [_guarded(path, _temp_file)(path) for path in outputs]
             sinks[lo] = [_guarded(path, fh.write) for path, fh in zip(outputs, temps[lo])]
         with fork_ranges(run, ranges) as done, \
-                _writer(outputs[0]) as csv, _writer(outputs[1]) as bundle:
-            csv(f"# manifest={mhash}\npath,t,value\n")
-            bundle(head + "[")
-            sinks[0] = (csv, bundle)
+                _writer(outputs[0]) as csv_fh, _writer(outputs[1]) as bundle_fh:
+            out_files = (csv_fh, bundle_fh)
+            csv, bundle = sinks[0] = [_guarded(path, fh.write)
+                                      for path, fh in zip(outputs, out_files)]
+            csv(f"# manifest={mhash}\npath,t,value\n".encode())
+            bundle(head.encode() + b"[")
             for lo in done:
-                for path, fh, write in zip(outputs, temps.get(lo, ()), (csv, bundle)):
-                    _append(path, fh, write)
-            bundle("]" + tail + "\n")
+                for path, fh, out in zip(outputs, temps.get(lo, ()), out_files):
+                    _append(path, fh, out)
+            bundle(b"]" + tail.encode() + b"\n")
     finally:
         for files in temps.values():
             for fh in files:

@@ -36,7 +36,7 @@ CROSSOVER_DRAWS = 100
 _CHUNK_BLOCKS = 4096
 
 # Philox4x64 round multipliers and key (Weyl) increments.
-_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_M0, _M1 = np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)
 _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _ROUNDS = 10
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -119,11 +119,12 @@ def _philox(seed: int, keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     return np.stack(np.broadcast_arrays(x0, x1, x2, x3), axis=-1)
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products m * x, from 32-bit halves."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+def _mulhilo(m: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x of uint64 arrays or
+    scalars, which broadcast, from 32-bit halves."""
+    m_lo, m_hi = m & _LOW32, m >> _S32
     x_lo, x_hi = x & _LOW32, x >> _S32
     t = m_lo * x_lo
     u = m_hi * x_lo + (t >> _S32)  # each partial sum stays below 2**64
     v = m_lo * x_hi + (u & _LOW32)
-    return m_hi * x_hi + (u >> _S32) + (v >> _S32), np.uint64(m) * x
+    return m_hi * x_hi + (u >> _S32) + (v >> _S32), m * x

@@ -209,7 +209,11 @@ def integral_battery(spec: YehSpec, f, cells: int, seed: int, paths: int) -> lis
     step_cells partition.  The gap is the sum minus the c-cell projection.
     Row f"integral_bound_c{c}" counts the paths whose |gap| exceeds the sum
     of the two refinement estimates, |spread| and the projection's change
-    from c // 2 cells, and must be 0; row f"integral_gap_variance_c{c}"
+    from c // 2 cells, and must be 0.  That bound is an identity only for
+    affine f (for f(t) = t the gap is -(h/2) X(1) and the spread h X(1));
+    for other f a path can exceed it, so no suite may run this battery on a
+    `poly` or `basis` integrand until a row that holds in law replaces
+    it.  Row f"integral_gap_variance_c{c}"
     checks the gap's exact variance, the sum of (f(mid) - f(left))**2 drho,
     within 4 SE.  Row "integral_gap_ratio" holds the ratio of the median
     |gap| on 2 * cells to that on cells, which must be 0.5 within 25%

@@ -14,10 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yehsim import cli, process
 from yehsim.cli import main
 from yehsim.config import parse_config
+from yehsim.encode import encode_17g
 from yehsim.process import YehSpec, make_grid
 from yehsim.verify import SUITE_NAMES
 
@@ -433,40 +436,59 @@ NEGATIVE_ZERO_START = {
     "mc": {"paths": 7, "seed": 99}, "grid": {"points": 17, "scale": "rho"},
 }
 
+#: A steep drift on a Brownian rho: every path starts at 0 and ends above
+#: 2**51, so its values cross both edges of the encoder's fast range.
+MIXED_RANGE = {
+    "lambda": {"kind": "linear", "slope": 3e15},
+    "rho": {"kind": "identity"},
+    "mc": {"paths": 7, "seed": 99}, "grid": {"points": 17},
+}
 
-def simulate_split(tmp_path, monkeypatch, parts: int) -> Path:
-    """Run simulate on NEGATIVE_ZERO_START in `parts` ranges of 3-path chunks."""
+
+def simulate_split(tmp_path, monkeypatch, parts: int, config: dict) -> Path:
+    """Run simulate on config, of 17 grid points, in `parts` ranges of
+    3-path chunks."""
     monkeypatch.setattr(process, "CHUNK_DRAWS", 16 * 3)
     force_parts(monkeypatch, parts)
     cfg_path = tmp_path / "c.json"
-    cfg_path.write_text(json.dumps(NEGATIVE_ZERO_START))
+    cfg_path.write_text(json.dumps(config))
     out = tmp_path / f"out{parts}"
     assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 0
     assert_no_child_left()
     return out
 
 
+#: TestFormatOnce's (config, forced core count) cases; NEGATIVE_ZERO_START's
+#: ids are the bare core counts.
+FORMAT_CASES = [pytest.param(config, parts, id=f"{name}{parts}")
+                for name, config in (("", NEGATIVE_ZERO_START), ("mixed_range-", MIXED_RANGE))
+                for parts in (1, 2, 3)]
+
+
 class TestFormatOnce:
-    @pytest.mark.parametrize("parts", [1, 2, 3])
-    def test_bundle_rows_are_the_csv_value_strings(self, tmp_path, monkeypatch, parts):
-        out = simulate_split(tmp_path, monkeypatch, parts)
+    @pytest.mark.parametrize("config, parts", FORMAT_CASES)
+    def test_bundle_rows_are_the_csv_value_strings(self, tmp_path, monkeypatch,
+                                                   config, parts):
+        out = simulate_split(tmp_path, monkeypatch, parts, config)
         text = (out / "bundle.json").read_text()
         body = text[text.rindex('"paths":[[') + len('"paths":[['):text.rindex("]]")]
         rows = body.split("],[")
         column = [line.split(",")[2] for line in
                   (out / "paths.csv").read_text().splitlines()[2:]]
-        points = NEGATIVE_ZERO_START["grid"]["points"]
-        assert len(rows) == NEGATIVE_ZERO_START["mc"]["paths"]
+        points = config["grid"]["points"]
+        cfg = parse_config(config, {})
+        assert len(rows) == config["mc"]["paths"]
         for k, row in enumerate(rows):
             assert row.split(",") == column[k * points:(k + 1) * points]
-            assert row.startswith("-0,")
+            assert row.startswith(cli._fmt(cfg.lam(cfg.interval.a)) + ",")
 
-    @pytest.mark.parametrize("parts", [1, 2, 3])
-    def test_bundle_values_are_the_value_matrix(self, tmp_path, monkeypatch, parts):
-        out = simulate_split(tmp_path, monkeypatch, parts)
+    @pytest.mark.parametrize("config, parts", FORMAT_CASES)
+    def test_bundle_values_are_the_value_matrix(self, tmp_path, monkeypatch,
+                                                config, parts):
+        out = simulate_split(tmp_path, monkeypatch, parts, config)
         # json reads a whole number as an int; as a float "-0" keeps its sign
         bundle = json.loads((out / "bundle.json").read_text(), parse_int=float)
-        cfg = parse_config(NEGATIVE_ZERO_START, {})
+        cfg = parse_config(config, {})
         grid = make_grid(cfg.interval, cfg.grid_points, cfg.grid_scale, rho=cfg.rho)
         want = process.increment_value_matrix(YehSpec(cfg.lam, cfg.rho), grid,
                                               cfg.seed, cfg.paths)
@@ -474,6 +496,56 @@ class TestFormatOnce:
         assert np.array_equal(np.array(bundle["grid"], dtype=float), grid)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        if config is MIXED_RANGE:
+            fast = (np.abs(want) >= 1e-4) & (np.abs(want) < 2.0**51)
+            assert fast.any() and (want == 0).any() and (want >= 2.0**51).any()
+
+
+def percent_17g(values) -> list[bytes]:
+    return [b"%.17g" % v for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+class TestEncode:
+    """encode_17g gives Python's %.17g text of every double, bit for bit."""
+
+    EDGES = [
+        0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300,
+        1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1),
+        2.0**51, np.nextafter(2.0**51, 0), np.nextafter(2.0**51, np.inf),
+        *np.nextafter(10.0 ** np.arange(-4, 17), 0), *10.0 ** np.arange(-4, 17),
+        # ties at the 17th digit, rounded half to even
+        1234567890123456.25, 1234567890123456.75, -1234567890123456.25,
+    ]
+
+    def test_edges(self):
+        values = np.array(self.EDGES)
+        assert encode_17g(values) == percent_17g(values)
+        assert encode_17g(np.array([-0.0])) == [b"-0"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                    max_size=40))
+    def test_any_finite_double(self, values):
+        assert encode_17g(np.array(values)) == percent_17g(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(min_value=1e-4, max_value=2.0**51, exclude_max=True),
+                    min_size=1, max_size=40),
+           st.booleans())
+    def test_any_double_in_the_fast_range(self, values, negate):
+        values = -np.array(values) if negate else np.array(values)
+        assert encode_17g(values) == percent_17g(values)
+
+    def test_drawn_doubles(self):
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([
+            bits[np.isfinite(bits)],
+            # from 2**49 to 2**51 the ulp is 1/16 to 1/4: many 17th digits tie
+            rng.integers(2**51, 2**53, 20000) / 4.0 * rng.choice([-1.0, 1.0], 20000),
+            rng.standard_normal((20, 513)).cumsum(axis=1).ravel(),
+            rng.standard_normal(20000) * 10.0 ** rng.integers(-6, 18, 20000)])
+        assert encode_17g(values) == percent_17g(values)
 
 
 def test_memory_error_in_a_part_exits_2(tmp_path, brownian_config, monkeypatch, capsys):
