@@ -3,9 +3,10 @@
 `simulate` writes value paths, encoding each value once as its %.17g text
 (yehsim.encode, in numpy, with Python's "%.17g" as the fallback outside
 1e-4 <= |x| < 2**51): the same bytes fill the value column of paths.csv and
-the path rows of bundle.json.  Only simulate loads that module, so the
-other commands neither compile nor hold it.  Its stream range is split over
-the cores by process.fork_ranges, as the functional samplers split theirs.
+the path rows of bundle.json.  Each command loads only its own modules:
+simulate the encoder, verify the batteries (yehsim.verify), so the other
+commands neither compile nor hold them.  simulate's stream range is split
+over the cores by process.fork_ranges, as the functional samplers split theirs.
 `verify` and `expand` reduce each path to a few linear functionals drawn
 straight from the normals, `expand` the step integrals of the integrand and
 basis members under the centered law, from stream (seed, 0).
@@ -16,6 +17,13 @@ fit in memory), 3 I/O failure.  The master seed resolves as --seed flag >
 YEH_SEED environment variable > config file > default.  Outputs embed the
 run manifest hash and are byte-identical across reruns of the same
 manifest.
+
+Run as `python -m yehsim.cli`, the module entry freezes the import heap
+(gc.freeze) before main() runs.  Those objects live until exit anyway;
+frozen, they sit in the permanent generation, which no collection walks,
+the one at interpreter shutdown included, and no collection in a forked
+part writes to their pages.  main() itself never freezes, so a caller
+that runs it in its own process keeps its heap collectable.
 """
 
 from __future__ import annotations
@@ -28,12 +36,11 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .config import RunConfig, canonical_json, parse_config
+from .config import SUITE_NAMES, RunConfig, canonical_json, parse_config
 from .errors import ConfigError, YehError
 from .process import YehSpec, _value_chunks, fork_ranges, make_grid, stream_ranges
 from .series import expand_integral
 from .streams import GaussianStream
-from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -199,6 +206,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_verify(suite: str, cfg: RunConfig, out_dir: Path) -> int:
     """Run the named battery; write its CSV; exit 0 iff every check passed."""
+    from .verify import run_suite
     rows = run_suite(suite, cfg)
     mhash = cfg.manifest().hash()
     lines = [f"# manifest={mhash}", "check,expected,observed,tolerance,pass"]
@@ -286,4 +294,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    import gc
+
+    gc.freeze()
     sys.exit(main())

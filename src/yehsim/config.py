@@ -43,6 +43,11 @@ from .stieltjes import (DEFAULT_CANTOR_DEPTH, DEFAULT_RESOLUTION, Interval,
 
 TOOL_VERSION = "0.11.0"
 
+#: The verification suites, in the order `verify --suite all` runs them.
+#: They are named here, not in verify, so that the CLI can list them
+#: without loading the batteries.
+SUITE_NAMES = ("moments", "gaussian", "series", "martingale", "counterexample")
+
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))

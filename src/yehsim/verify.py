@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import SUITE_NAMES, RunConfig
 from .errors import ConfigError
 from .funcspace import (BasisFamily, StepFunction, as_integrand, fourier_coeffs, inner_rho,
                         norm_sq_rho, project_family, step_cells)
@@ -357,9 +357,6 @@ def martingale_suite(cfg: RunConfig) -> list[CheckRow]:
 
 def counterexample_suite(cfg: RunConfig) -> list[CheckRow]:
     return counterexample_battery(_suite_seed(cfg, 11), max(cfg.paths, 100))
-
-
-SUITE_NAMES = ("moments", "gaussian", "series", "martingale", "counterexample")
 
 
 def run_suite(name: str, cfg: RunConfig) -> list[CheckRow]:

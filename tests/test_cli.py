@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, outputs, reproducibility."""
 
 import errno
+import gc
 import hashlib
 import json
 import os
@@ -1015,3 +1016,44 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as excinfo:
             run_cli("verify", "--suite", "bogus", "--out", "x")
         assert excinfo.value.code == 2
+
+    def test_entry_freezes_the_import_heap(self, tmp_path, brownian_config):
+        # numpy's, scipy's and the package's objects, some 40,000, are
+        # frozen before main() runs
+        code, frozen, _ = run_entry("verify", "--suite", "counterexample", "--config",
+                                    str(brownian_config), "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert frozen >= 10_000
+
+    @pytest.mark.parametrize("command", ["simulate", "expand"])
+    def test_only_verify_loads_the_batteries(self, tmp_path, brownian_config, command):
+        code, _, modules = run_entry(command, "--config", str(brownian_config),
+                                     "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert "yehsim.verify" not in modules
+
+    def test_main_never_freezes(self, tmp_path, brownian_config):
+        before = gc.get_freeze_count()
+        assert run_cli("verify", "--suite", "counterexample", "--config",
+                       str(brownian_config), "--out", str(tmp_path / "out")) == 0
+        assert gc.get_freeze_count() == before
+
+
+def run_entry(*argv):
+    """Run the CLI through its module entry, as `python -m yehsim.cli` does,
+    in a new interpreter: (exit code, gc freeze count, yehsim modules
+    loaded)."""
+    script = ("import gc, json, runpy, sys\n"
+              "try:\n"
+              "    runpy.run_module('yehsim.cli', run_name='__main__')\n"
+              "    code = 0\n"
+              "except SystemExit as exc:\n"
+              "    code = exc.code\n"
+              "print(json.dumps([code, gc.get_freeze_count(),\n"
+              "                  sorted(m for m in sys.modules if m.startswith('yehsim'))]))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, frozen, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, frozen, modules
