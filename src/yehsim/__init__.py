@@ -28,13 +28,11 @@ from .funcspace import (
     as_integrand,
     fourier_coeffs,
     inner_rho,
-    norm_sq_rho,
     project_family,
     step_cells,
     stieltjes_integral,
 )
-from .integral import integral_covariance, integral_mean
-from .martingale import MartingaleVerdict, classify, conditional_increment_mean
+from .martingale import MartingaleVerdict, classify
 from .process import (
     DEFAULT_GRID_POINTS,
     DEFAULT_TRUNCATION,
@@ -49,7 +47,6 @@ from .stieltjes import (
     DEFAULT_RESOLUTION,
     Interval,
     MeanFunction,
-    QuadResult,
     VarianceFunction,
     cantor_eval,
     rho_inverse,

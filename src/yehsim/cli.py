@@ -18,12 +18,13 @@ YEH_SEED environment variable > config file > default.  Outputs embed the
 run manifest hash and are byte-identical across reruns of the same
 manifest.
 
-Run as `python -m yehsim.cli`, the module entry freezes the import heap
-(gc.freeze) before main() runs.  Those objects live until exit anyway;
-frozen, they sit in the permanent generation, which no collection walks,
-the one at interpreter shutdown included, and no collection in a forked
-part writes to their pages.  main() itself never freezes, so a caller
-that runs it in its own process keeps its heap collectable.
+Run as the `yehsim` script or as `python -m yehsim.cli`, the command line
+enters at entry(), which freezes the import heap (gc.freeze) before main()
+runs.  Those objects live until exit anyway; frozen, they sit in the
+permanent generation, which no collection walks, the one at interpreter
+shutdown included, and no collection in a forked part writes to their
+pages.  main() itself never freezes, so a caller that runs it in its own
+process keeps its heap collectable.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import os
 import shutil
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import SUITE_NAMES, RunConfig, canonical_json, parse_config
@@ -114,7 +116,7 @@ class _IOFailure(Exception):
 
 def _manifest_json(cfg: RunConfig) -> str:
     manifest = cfg.manifest()
-    return canonical_json({"manifest": manifest.to_dict(),
+    return canonical_json({"manifest": asdict(manifest),
                            "manifest_hash": manifest.hash()}) + "\n"
 
 
@@ -160,7 +162,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     pieces = [b""] + [f",{_fmt(t)},%s\n".encode() for t in grid]
     # "paths" sorts last, so its empty list is the last "[]" of the document.
     head, tail = canonical_json({
-        "manifest": manifest.to_dict(),
+        "manifest": asdict(manifest),
         "manifest_hash": mhash,
         "grid": grid.tolist(),
         "paths": [],
@@ -293,8 +295,14 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
 
-if __name__ == "__main__":
+def entry() -> int:
+    """The command line's entry, for the `yehsim` script and `python -m
+    yehsim.cli`: main() after freezing the import heap."""
     import gc
 
     gc.freeze()
-    sys.exit(main())
+    return main()
+
+
+if __name__ == "__main__":
+    sys.exit(entry())

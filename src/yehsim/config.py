@@ -31,7 +31,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -206,6 +207,15 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     grid_points = _int_field(
         overrides.get("grid", grid.get("points", DEFAULT_GRID_POINTS)), "grid.points")
     _require(grid_points >= 2, "grid.points", "must be at least 2")
+    # The commands cut the interval into the grid.points t-grid and into
+    # quarters (the Gaussian and series suites' steps), by np.linspace.  A
+    # cut that is a normal double above 8 ulps of the larger end keeps the
+    # rounded points strictly increasing; a narrower one is refused.
+    floor = max(8 * math.ulp(max(abs(interval.a), abs(interval.b))), sys.float_info.min)
+    for points, field in ((5, "interval"), (grid_points, "grid.points")):
+        _require(interval.length / floor > points - 1, field,
+                 f"[{interval.a}, {interval.b}] is too narrow for {points} uniform "
+                 f"points: each cut must exceed {floor!r}")
     grid_scale = grid.get("scale", "t")
     _require(grid_scale in ("t", "rho"), "grid.scale", "must be 't' or 'rho'")
 
@@ -255,16 +265,5 @@ class RunManifest:
     resolution: int
     version: str
 
-    def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "paths": self.paths,
-            "grid_points": self.grid_points,
-            "truncation": self.truncation,
-            "resolution": self.resolution,
-            "version": self.version,
-        }
-
     def hash(self) -> str:
-        return hashlib.sha256(canonical_json(self.to_dict()).encode()).hexdigest()
+        return hashlib.sha256(canonical_json(asdict(self)).encode()).hexdigest()

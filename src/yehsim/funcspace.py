@@ -7,11 +7,14 @@ one code that merges or cuts partitions, builds it from steps and
 `project_family` from any integrands and basis members, and the one
 Wiener-integral kernel, process.increment_functionals, takes it.
 `stieltjes_integral` integrates against d(mu): exactly for a StepFunction,
-by midpoint quadrature otherwise.  Bases of the rho-weighted space pull a
-Lebesgue-orthonormal family on [0, rho(b)] back through rho: closed-form
-antiderivatives, and orthonormality without numerical orthogonalization.
-Its two evaluators, members and running integrals (sines, or Schauder tents
-for Haar), take an array of member indices and return one matrix.
+by midpoint quadrature otherwise.  The Wiener integral I(f) is
+Normal(stieltjes_integral(f, lambda), inner_rho(f, f, rho)), and
+E[I(f) I(g)] is inner_rho(f, g, rho) plus the product of the means.
+Bases of the rho-weighted space pull a Lebesgue-orthonormal family on
+[0, rho(b)] back through rho: closed-form antiderivatives, and
+orthonormality without numerical orthogonalization.  Its two evaluators,
+members and running integrals (sines, or Schauder tents for Haar), take an
+array of member indices and return one matrix.
 """
 
 from __future__ import annotations
@@ -150,7 +153,7 @@ def stieltjes_integral(f, mu, s: float | None = None, t: float | None = None,
         return stieltjes_step(f, mu, s, t)
     lo = mu.interval.a if s is None else s
     hi = mu.interval.b if t is None else t
-    return stieltjes_quad(f, mu, lo, hi, resolution).value
+    return stieltjes_quad(f, mu, lo, hi, resolution)
 
 
 def inner_rho(f, g, rho: VarianceFunction, resolution: int = DEFAULT_RESOLUTION) -> float:
@@ -166,10 +169,6 @@ def inner_rho(f, g, rho: VarianceFunction, resolution: int = DEFAULT_RESOLUTION)
     return stieltjes_integral(lambda x: f(x) * g(x), rho, resolution=resolution)
 
 
-def norm_sq_rho(f, rho: VarianceFunction, resolution: int = DEFAULT_RESOLUTION) -> float:
-    return inner_rho(f, f, rho, resolution)
-
-
 def project_family(fs, n: int, interval, basis: BasisFamily | None = None,
                    terms: int = 0) -> tuple[tuple, np.ndarray]:
     """Midpoint projection of several integrands onto one uniform n-cell
@@ -178,7 +177,8 @@ def project_family(fs, n: int, interval, basis: BasisFamily | None = None,
     are fs, then the first `terms` members of `basis` from one evaluator
     call: a step family with no StepFunction per member.  Midpoint values,
     not measure-weighted cell averages, suffice for the L2 convergence of
-    continuous integrands."""
+    continuous integrands.  The family is not checked here: the kernel
+    checks the partition and the pieces, and StepFunction its own."""
     if n < 1:
         raise ValueError("cell count must be >= 1")
     iv = Interval.coerce(interval)
@@ -186,12 +186,7 @@ def project_family(fs, n: int, interval, basis: BasisFamily | None = None,
     rows = [np.atleast_1d(as_integrand(f)(mids)) for f in fs]
     if terms:
         rows.append(basis.values(np.arange(terms), mids))
-    values = np.vstack(rows)
-    if np.any(np.diff(edges) <= 0):
-        raise ValueError("partition must be strictly increasing")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("values must be finite")
-    return tuple(edges.tolist()), values
+    return tuple(edges.tolist()), np.vstack(rows)
 
 
 #: Member values held at once by the quadrature branch of fourier_coeffs,

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import OutOfDomainError
 from .funcspace import as_integrand, stieltjes_integral
-from .stieltjes import DEFAULT_RESOLUTION, MeanFunction
+from .stieltjes import MeanFunction
 
 #: Drifts within this are treated as zero by the classifier.
 DRIFT_TOL = 1e-12
@@ -34,21 +33,7 @@ class MartingaleVerdict:
     witnesses: tuple = ()
 
 
-def conditional_increment_mean(f, lam: MeanFunction, s: float, t: float,
-                               resolution: int = DEFAULT_RESOLUTION) -> float:
-    """E[M(t) | F_s] - M(s): the integral of f against d(lambda) over [s, t].
-
-    Exact closed form for step integrands; quadrature otherwise.  Additive
-    over adjacent intervals.
-    """
-    a, b = lam.interval.a, lam.interval.b
-    if not (a <= s <= t <= b):
-        raise OutOfDomainError(f"need {a} <= s <= t <= {b}, got s={s}, t={t}")
-    return stieltjes_integral(f, lam, s, t, resolution)
-
-
-def classify(f, lam: MeanFunction, probes,
-             resolution: int = DEFAULT_RESOLUTION) -> MartingaleVerdict:
+def classify(f, lam: MeanFunction, probes) -> MartingaleVerdict:
     """Classify the running integral of f as a (sub/super)martingale.
 
     Probe pairs showing strictly positive and strictly negative drifts prove
@@ -59,9 +44,7 @@ def classify(f, lam: MeanFunction, probes,
     the probes alone are inconclusive and the verdict is 'undetermined'.
     """
     f = as_integrand(f)
-    drifts = [(float(s), float(t),
-               conditional_increment_mean(f, lam, s, t, resolution))
-              for s, t in probes]
+    drifts = [(float(s), float(t), stieltjes_integral(f, lam, s, t)) for s, t in probes]
     positive = [w for w in drifts if w[2] > DRIFT_TOL]
     negative = [w for w in drifts if w[2] < -DRIFT_TOL]
     if positive and negative:
@@ -73,8 +56,7 @@ def classify(f, lam: MeanFunction, probes,
         return MartingaleVerdict(UNDETERMINED, tuple(positive + negative))
     if f.sign == 0 or direction == 0:
         return MartingaleVerdict(MARTINGALE)
-    total = conditional_increment_mean(f, lam, lam.interval.a, lam.interval.b,
-                                       resolution)
+    total = stieltjes_integral(f, lam)
     if abs(total) <= DRIFT_TOL:
         return MartingaleVerdict(MARTINGALE)
     if f.sign * direction > 0:

@@ -324,14 +324,6 @@ def stieltjes_step(f, mu, s: float | None = None, t: float | None = None) -> flo
     return float(np.cumsum(np.append(0.0, terms))[-1])
 
 
-@dataclass(frozen=True)
-class QuadResult:
-    """Quadrature value with a refinement estimate |I(res) - I(res // 2)|."""
-
-    value: float
-    refinement: float
-
-
 def _eval_function(f, x: np.ndarray) -> np.ndarray:
     """Evaluate a function handle on an array, falling back to a scalar loop."""
     try:
@@ -354,31 +346,21 @@ def midpoint_rule(s: float, t: float, cells: int, mu=None):
     return edges, mids, None if mu is None else np.diff(mu(edges))
 
 
-def _midpoint_sum(f, mu, s: float, t: float, resolution: int) -> float:
-    _, mids, masses = midpoint_rule(s, t, resolution, mu)
-    return float(np.sum(_eval_function(f, mids) * masses))
-
-
-def stieltjes_quad(f, mu, s: float, t: float, resolution: int) -> QuadResult:
+def stieltjes_quad(f, mu, s: float, t: float, resolution: int) -> float:
     """Riemann-Stieltjes quadrature of f against d(mu) on [s, t].
 
     Uniform partition of `resolution` cells in t with midpoint tags; converges
-    for continuous f as the resolution grows.  The refinement estimate is the
-    change from the half-resolution result (inf when resolution == 1, where no
-    comparison exists).
+    for continuous f as the resolution grows.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     a, b = mu.interval.a, mu.interval.b
-    if not (a - _EDGE_TOL <= s <= t <= b + _EDGE_TOL):
+    if not (a <= s <= t <= b):
         raise OutOfDomainError(f"need {a} <= s <= t <= {b}, got s={s}, t={t}")
     if s == t:
-        return QuadResult(0.0, 0.0)
-    value = _midpoint_sum(f, mu, s, t, resolution)
-    if resolution == 1:
-        return QuadResult(value, math.inf)
-    coarse = _midpoint_sum(f, mu, s, t, resolution // 2)
-    return QuadResult(value, abs(value - coarse))
+        return 0.0
+    _, mids, masses = midpoint_rule(s, t, resolution, mu)
+    return float(np.sum(_eval_function(f, mids) * masses))
 
 
 def rho_inverse(rho: VarianceFunction, v) -> float | np.ndarray:

@@ -27,9 +27,8 @@ import numpy as np
 from .config import SUITE_NAMES, RunConfig
 from .errors import ConfigError
 from .funcspace import (BasisFamily, StepFunction, as_integrand, fourier_coeffs, inner_rho,
-                        norm_sq_rho, project_family, step_cells)
-from .integral import integral_covariance, integral_mean
-from .martingale import classify, conditional_increment_mean
+                        project_family, step_cells, stieltjes_integral)
+from .martingale import classify
 from .process import YehSpec, increment_functionals, make_grid, series_point_values
 from .series import series_variance_defect
 from .stats import ks_test, mean_se
@@ -81,9 +80,10 @@ def moments_battery(spec: YehSpec, checks: dict, seed: int, paths: int) -> list[
     integrands = list(dict.fromkeys(f for pair in pairs.values() for f in pair))
     samples = dict(zip(integrands, increment_functionals(
         spec, *step_cells(integrands, spec.interval), seed, paths).T))
-    return [_mean_within(name, integral_covariance(f, g[0], spec.lam, spec.rho),
+    means = {f: stieltjes_integral(f, spec.lam) for f in integrands}
+    return [_mean_within(name, inner_rho(f, g[0], spec.rho) + means[f] * means[g[0]],
                          samples[f] * samples[g[0]]) if g else
-            _mean_within(name, integral_mean(f, spec.lam), samples[f])
+            _mean_within(name, means[f], samples[f])
             for name, (f, *g) in pairs.items()]
 
 
@@ -95,8 +95,8 @@ def gaussian_battery(spec: YehSpec, integrands: dict, seeds, paths: int) -> list
     rows = []
     for name, f in integrands.items():
         cells = step_cells([f], spec.interval)
-        mean = integral_mean(f, spec.lam)
-        var = norm_sq_rho(f, spec.rho)
+        mean = stieltjes_integral(f, spec.lam)
+        var = inner_rho(f, f, spec.rho)
         for k, seed in enumerate(seeds):
             samples = increment_functionals(spec, *cells, seed, paths)[:, 0]
             p_value = ks_test(samples, mean, var).p_value
@@ -281,7 +281,7 @@ def counterexample_drifts() -> list[CheckRow]:
     lambda(t) = t over (1/4, 1/2) and (1/4, 3/4)."""
     lam = MeanFunction.linear(Interval(0.0, 1.0), 1.0)
     return [_within(f"counterexample_drift_{name}", want,
-                    conditional_increment_mean(MIXED_SIGN_STEP, lam, 0.25, t), 1e-15)
+                    stieltjes_integral(MIXED_SIGN_STEP, lam, 0.25, t), 1e-15)
             for name, t, want in _COUNTEREXAMPLE_DRIFTS]
 
 
@@ -293,7 +293,8 @@ def counterexample_battery(seed: int = 0, paths: int = 0) -> list[CheckRow]:
     lam = MeanFunction.linear(unit, 1.0)
     neither = classify(MIXED_SIGN_STEP, lam, [(0.25, 0.5), (0.25, 0.75)]).verdict == "neither"
     rows = [*counterexample_drifts(),
-            _within("counterexample_mean", 2 / 3, integral_mean(MIXED_SIGN_STEP, lam), 1e-15),
+            _within("counterexample_mean", 2 / 3, stieltjes_integral(MIXED_SIGN_STEP, lam),
+                    1e-15),
             CheckRow("counterexample_verdict_neither", 1.0, float(neither), 0.0, neither)]
     if paths:
         rows += moments_battery(

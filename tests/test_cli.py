@@ -743,13 +743,13 @@ class TestVerify:
         assert float(drift1["expected"]) == pytest.approx(-1 / 24, abs=1e-16)
         assert float(drift2["expected"]) == pytest.approx(1 / 24, abs=1e-16)
         # the Monte Carlo rows expect the exact mean of the restricted step drawn
-        from yehsim import Interval, MeanFunction, integral_mean
+        from yehsim import Interval, MeanFunction, stieltjes_integral
         from yehsim.verify import MIXED_SIGN_STEP
 
         lam = MeanFunction.linear(Interval(0.0, 1.0), 1.0)
         for name, t in (("quarter_half", 0.5), ("quarter_threequarter", 0.75)):
             assert float(by_name[f"counterexample_mc_drift_{name}"]["expected"]) == \
-                integral_mean(MIXED_SIGN_STEP.restrict(0.25, t), lam)
+                stieltjes_integral(MIXED_SIGN_STEP.restrict(0.25, t), lam)
         assert all(r["pass"] == "true" for r in rows)
 
     def test_moments_suite_brownian(self, tmp_path, brownian_config):
@@ -964,6 +964,20 @@ def test_huge_interval_ends_without_traceback(tmp_path, capsys, command, length)
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["verify", "--suite", "all"], ["expand"]])
+@pytest.mark.parametrize("interval, points", [([1.0, 1.0000000000000002], 3),
+                                              ([1.0, 1.0000000000000004], 2)])
+def test_narrow_interval_names_the_interval(tmp_path, capsys, command, interval, points):
+    # one and two ulps wide: the 3-point grid and the quarter points that
+    # the suites cut the interval into both collapse
+    cfg_path = tmp_path / "narrow.json"
+    cfg_path.write_text(json.dumps({"interval": interval, "grid": {"points": points},
+                                    "integrand": {"kind": "poly", "coeffs": [1.0]}}))
+    code = run_cli(*command, "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: interval: ")
+
+
 @pytest.mark.parametrize("argv", [["verify", "--suite", "moments", "--paths", "100000000000000"],
                                   ["expand", "--truncation", "100000000000000"]])
 def test_size_beyond_memory_names_the_size_fields(tmp_path, argv):
@@ -1032,6 +1046,17 @@ class TestEntryPoint:
         assert code == 0
         assert "yehsim.verify" not in modules
 
+    def test_console_script_freezes_the_import_heap(self, tmp_path, brownian_config):
+        # the `yehsim` script calls the function that pyproject.toml names
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["yehsim"]
+        code, frozen, _ = run_entry("verify", "--suite", "counterexample", "--config",
+                                    str(brownian_config), "--out", str(tmp_path / "out"),
+                                    target=target)
+        assert code == 0
+        assert frozen >= 10_000
+
     def test_main_never_freezes(self, tmp_path, brownian_config):
         before = gc.get_freeze_count()
         assert run_cli("verify", "--suite", "counterexample", "--config",
@@ -1039,14 +1064,18 @@ class TestEntryPoint:
         assert gc.get_freeze_count() == before
 
 
-def run_entry(*argv):
-    """Run the CLI through its module entry, as `python -m yehsim.cli` does,
-    in a new interpreter: (exit code, gc freeze count, yehsim modules
-    loaded)."""
-    script = ("import gc, json, runpy, sys\n"
+def run_entry(*argv, target=None):
+    """Run the CLI in a new interpreter through its module entry, as `python
+    -m yehsim.cli` does, or through a console script's target "module:function"
+    if one is given: (exit code, gc freeze count, yehsim modules loaded)."""
+    if target is None:
+        call = "    runpy.run_module('yehsim.cli', run_name='__main__')\n    code = 0\n"
+    else:
+        module, function = target.split(":")
+        call = f"    code = importlib.import_module({module!r}).{function}()\n"
+    script = ("import gc, importlib, json, runpy, sys\n"
               "try:\n"
-              "    runpy.run_module('yehsim.cli', run_name='__main__')\n"
-              "    code = 0\n"
+              f"{call}"
               "except SystemExit as exc:\n"
               "    code = exc.code\n"
               "print(json.dumps([code, gc.get_freeze_count(),\n"

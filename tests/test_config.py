@@ -1,5 +1,6 @@
 """Config parsing: robustness under arbitrary JSON values, and the version string."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -77,3 +78,29 @@ def test_one_version_string():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     version = tomllib.loads(pyproject.read_text())["project"]["version"]
     assert yehsim.__version__ == TOOL_VERSION == version
+
+
+def test_grid_too_fine_for_the_interval_names_the_grid():
+    # the interval is 2**10 ulps wide: cuts of 8 ulps are refused, 16 taken
+    narrow = [1.0, 1.0 + 2.0**-42]
+    for points in (2**7 + 1, 2**20, 10**400):
+        with pytest.raises(ConfigError, match="^grid.points: .*too narrow"):
+            parse_config({"interval": narrow, "grid": {"points": points}})
+    assert parse_config({"interval": narrow, "grid": {"points": 2**6 + 1}}).grid_points == 65
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(min_value=0.0, exclude_min=True, max_value=64.0),
+       st.integers(2, 4097))
+def test_accepted_grids_are_strictly_increasing(a, ulps, points):
+    # an interval some ulps wide, from subnormal to huge magnitudes: each
+    # uniform cut the commands make of an accepted one keeps its points apart
+    b = a + ulps * (points - 1) * math.ulp(a)
+    try:
+        cfg = parse_config({"interval": [a, b], "grid": {"points": points}})
+    except ConfigError:
+        return
+    for n in (5, cfg.grid_points):
+        cuts = np.linspace(a, b, n)
+        assert np.all(cuts[1:] > cuts[:-1])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from yehsim import (
+    BadGridError,
     BasisFamily,
     Interval,
     MeanFunction,
@@ -15,9 +16,10 @@ from yehsim import (
     PartitionOutOfDomainError,
     StepFunction,
     VarianceFunction,
+    YehSpec,
     fourier_coeffs,
+    increment_functionals,
     inner_rho,
-    norm_sq_rho,
     rho_inverse,
     series_variance_defect,
     step_cells,
@@ -161,10 +163,10 @@ class TestStieltjesIntegral:
 
     def test_quadrature_for_functions(self):
         f = Integrand(np.cos)
-        want = stieltjes_quad(f, RHO_SQ, 0.0, 1.0, 64).value
+        want = stieltjes_quad(f, RHO_SQ, 0.0, 1.0, 64)
         assert stieltjes_integral(f, RHO_SQ, resolution=64) == want
         assert stieltjes_integral(np.cos, RHO_SQ, 0.2, 0.7, 64) == stieltjes_quad(
-            np.cos, RHO_SQ, 0.2, 0.7, 64).value
+            np.cos, RHO_SQ, 0.2, 0.7, 64)
 
 
 class TestProjection:
@@ -204,6 +206,15 @@ class TestProjection:
         assert np.all(np.isfinite(mids))
         assert np.all((edges[:-1] < mids) & (mids < edges[1:]))
 
+    def test_collapsed_partition_is_refused_by_the_kernel(self):
+        # the 2-cell partition of a one-ulp interval repeats a point:
+        # project_family returns it, and the kernel's grid check refuses it
+        narrow = Interval(1.0, 1.0 + 2.0**-52)
+        edges, pieces = project_family([lambda t: t], 2, narrow)
+        assert edges[1] in (narrow.a, narrow.b)
+        with pytest.raises(BadGridError, match="strictly increasing"):
+            increment_functionals(YehSpec.brownian(narrow), edges, pieces, 1, 2)
+
     def test_l2_error_decreases_for_continuous_f(self):
         f = lambda t: np.sin(3 * t) + t**2
         errs = []
@@ -239,7 +250,7 @@ class TestBasis:
         from yehsim import stieltjes_quad
 
         member = basis.member(3)
-        got = stieltjes_quad(member, RHO_SQ, 0.0, 0.7, 2**12).value
+        got = stieltjes_quad(member, RHO_SQ, 0.0, 0.7, 2**12)
         want = basis.antiderivative(3, 0.7)
         assert got == pytest.approx(want, abs=1e-6)
 
@@ -292,7 +303,7 @@ class TestFourierCoeffs:
     def test_parseval_inequality_and_shrinking_defect(self):
         f = StepFunction.indicator(0.0, 0.5, UNIT)
         basis = BasisFamily(RHO_ID)
-        norm_sq = norm_sq_rho(f, RHO_ID)
+        norm_sq = inner_rho(f, f, RHO_ID)
         prev = norm_sq
         for count in (1, 4, 16, 64):
             defect = norm_sq - float(np.sum(fourier_coeffs(f, basis, count) ** 2))

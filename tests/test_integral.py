@@ -1,5 +1,7 @@
 """Wiener integrals: the step-family kernel, the L2 projection route,
-pathwise Riemann-Stieltjes sums and the analytic moments."""
+pathwise Riemann-Stieltjes sums and the analytic moments, which are
+Stieltjes integrals: the mean against d(lambda), the covariance against
+d(rho)."""
 
 import numpy as np
 import pytest
@@ -11,12 +13,11 @@ from yehsim import (
     VarianceFunction,
     YehSpec,
     increment_functionals,
-    integral_covariance,
-    integral_mean,
+    inner_rho,
     make_grid,
-    norm_sq_rho,
     project_family,
     step_cells,
+    stieltjes_integral,
 )
 from yehsim.process import increment_value_matrix
 from yehsim import verify
@@ -45,6 +46,12 @@ def telescoped(partition, pieces, values, grid):
     return np.diff(values[:, idx], axis=1) @ np.atleast_2d(pieces).T
 
 
+def second_moment(f, g, lam, rho):
+    """The E[I(f) I(g)] that moments_battery checks a pair's draws against."""
+    (row,) = moments_battery(YehSpec(lam, rho), {"fg": (f, g)}, 0, 2)
+    return row.expected
+
+
 def left_tags(f, cells):
     """The step family of the left-tag Riemann-Stieltjes sum on uniform cells."""
     edges = np.linspace(0.0, 1.0, cells + 1)
@@ -52,6 +59,8 @@ def left_tags(f, cells):
 
 
 class TestIntegrateStep:
+    """The step-family kernel, increment_functionals, on step integrands."""
+
     def test_full_indicator_telescopes(self):
         grid = make_grid(UNIT, 1025)
         got = increment_functionals(BROWNIAN, grid, on_grid([ONE], grid), 1, 4)[:, 0]
@@ -141,6 +150,9 @@ class TestStepCells:
 
 
 class TestIntegrateL2:
+    """Integrands reach the kernel as their midpoint projections
+    (project_family), the L2 route to the Wiener integral."""
+
     def test_aligned_step_equals_exact(self):
         grid = make_grid(UNIT, 257)
         f = StepFunction((0.0, 0.25, 0.75, 1.0), (1.0, -2.0, 0.5))
@@ -204,6 +216,9 @@ class TestIntegrateL2:
 
 
 class TestPathwiseRS:
+    """Pathwise Riemann-Stieltjes sums against the L2 route
+    (verify.integral_battery)."""
+
     def test_constant_integrand_exact(self):
         grid = make_grid(UNIT, 129)
         rs = left_tags(lambda t: 3.0 * np.ones_like(t), 32)
@@ -249,45 +264,45 @@ class TestPathwiseRS:
 class TestAnalyticMoments:
     def test_mean_zero_drift(self):
         lam = MeanFunction.zero(UNIT)
-        assert integral_mean(COUNTEREXAMPLE, lam) == 0.0
-        assert integral_mean(lambda t: np.cos(t), lam, resolution=128) == 0.0
+        assert stieltjes_integral(COUNTEREXAMPLE, lam) == 0.0
+        assert stieltjes_integral(lambda t: np.cos(t), lam, resolution=128) == 0.0
 
     def test_mean_constant_integrand(self):
         lam = MeanFunction.linear(UNIT, 1.0)
-        assert integral_mean(ONE, lam) == 1.0
+        assert stieltjes_integral(ONE, lam) == 1.0
 
     def test_mean_counterexample_integrand(self):
         lam = MeanFunction.linear(UNIT, 1.0)
-        assert integral_mean(COUNTEREXAMPLE, lam) == pytest.approx(2 / 3, abs=1e-15)
+        assert stieltjes_integral(COUNTEREXAMPLE, lam) == pytest.approx(2 / 3, abs=1e-15)
 
     def test_covariance_centered_indicator(self):
         lam = MeanFunction.zero(UNIT)
         rho = VarianceFunction.identity(UNIT)
-        assert integral_covariance(ONE, ONE, lam, rho) == 1.0
+        assert second_moment(ONE, ONE, lam, rho) == 1.0
 
     def test_disjoint_supports_give_independence(self):
         lam = MeanFunction.zero(UNIT)
         rho = VarianceFunction.power(UNIT, 2.0)
         f = StepFunction.indicator(0.0, 0.5, UNIT)
         g = StepFunction.indicator(0.5, 1.0, UNIT)
-        assert integral_covariance(f, g, lam, rho) == 0.0
+        assert second_moment(f, g, lam, rho) == 0.0
 
     def test_covariance_with_drift(self):
         lam = MeanFunction.linear(UNIT, 1.0)
         rho = VarianceFunction.identity(UNIT)
-        assert integral_covariance(ONE, ONE, lam, rho) == 2.0
+        assert second_moment(ONE, ONE, lam, rho) == 2.0
 
     def test_distribution_plug_in(self):
         # the Gaussian law of I(f): mean integral of f dlambda, variance ||f||_rho^2
         lam = MeanFunction.linear(UNIT, 1.0)
         rho = VarianceFunction.identity(UNIT)
-        assert (integral_mean(ONE, lam), norm_sq_rho(ONE, rho)) == (1.0, 1.0)
+        assert (stieltjes_integral(ONE, lam), inner_rho(ONE, ONE, rho)) == (1.0, 1.0)
 
     def test_distribution_degenerate(self):
         lam = MeanFunction.linear(UNIT, 1.0)
         rho = VarianceFunction.identity(UNIT)
         zero = StepFunction((0.0, 1.0), (0.0,))
-        assert (integral_mean(zero, lam), norm_sq_rho(zero, rho)) == (0.0, 0.0)
+        assert (stieltjes_integral(zero, lam), inner_rho(zero, zero, rho)) == (0.0, 0.0)
 
     def test_integral_law_by_ks_three_seeds(self):
         spec = YehSpec(MeanFunction.linear(UNIT, 1.0), VarianceFunction.power(UNIT, 2.0))

@@ -7,11 +7,12 @@ from yehsim import (
     Integrand,
     Interval,
     MeanFunction,
+    OutOfDomainError,
     StepFunction,
     VarianceFunction,
     YehSpec,
     classify,
-    conditional_increment_mean,
+    stieltjes_integral,
 )
 from yehsim import verify
 from yehsim.config import parse_config
@@ -25,16 +26,19 @@ ONE = StepFunction((0.0, 1.0), (1.0,))
 
 
 class TestConditionalIncrementMean:
+    """E[M(t) | F_s] - M(s) is the integral of f against d(lambda) over
+    [s, t]: stieltjes_integral(f, lam, s, t)."""
+
     def test_counterexample_values_exact(self):
-        assert conditional_increment_mean(COUNTEREXAMPLE, LAM_UP, 0.25, 0.5) \
+        assert stieltjes_integral(COUNTEREXAMPLE, LAM_UP, 0.25, 0.5) \
             == pytest.approx(-1 / 24, abs=1e-15)
-        assert conditional_increment_mean(COUNTEREXAMPLE, LAM_UP, 0.25, 0.75) \
+        assert stieltjes_integral(COUNTEREXAMPLE, LAM_UP, 0.25, 0.75) \
             == pytest.approx(1 / 24, abs=1e-15)
 
     def test_constant_integrand_gives_drift_increment(self):
         lam = MeanFunction.piecewise((0.0, 0.4, 1.0), (0.0, 1.2, 0.7))
         for s, t in [(0.0, 1.0), (0.1, 0.9), (0.5, 0.5)]:
-            assert conditional_increment_mean(ONE, lam, s, t) == pytest.approx(
+            assert stieltjes_integral(ONE, lam, s, t) == pytest.approx(
                 lam(t) - lam(s), abs=1e-15
             )
 
@@ -42,15 +46,21 @@ class TestConditionalIncrementMean:
         rng = np.random.default_rng(71)
         for _ in range(25):
             s, u, t = np.sort(rng.uniform(0, 1, 3))
-            whole = conditional_increment_mean(COUNTEREXAMPLE, LAM_UP, s, t)
-            split = (conditional_increment_mean(COUNTEREXAMPLE, LAM_UP, s, u)
-                     + conditional_increment_mean(COUNTEREXAMPLE, LAM_UP, u, t))
+            whole = stieltjes_integral(COUNTEREXAMPLE, LAM_UP, s, t)
+            split = (stieltjes_integral(COUNTEREXAMPLE, LAM_UP, s, u)
+                     + stieltjes_integral(COUNTEREXAMPLE, LAM_UP, u, t))
             assert whole == pytest.approx(split, abs=1e-14)
 
     def test_quadrature_for_continuous_integrand(self):
-        got = conditional_increment_mean(lambda t: t, LAM_UP, 0.0, 1.0,
-                                         resolution=2**10)
+        got = stieltjes_integral(lambda t: t, LAM_UP, 0.0, 1.0, resolution=2**10)
         assert got == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("f", [COUNTEREXAMPLE, Integrand(lambda t: t)])
+    @pytest.mark.parametrize("s, t", [(-0.5, 0.5), (-1e-13, 0.5), (0.75, 0.25), (0.5, 1.5)])
+    def test_probe_outside_the_interval_refused(self, f, s, t):
+        # the same strict domain check for step and quadrature integrands
+        with pytest.raises(OutOfDomainError):
+            classify(f, LAM_UP, [(s, t)])
 
 
 class TestClassify:
@@ -109,7 +119,8 @@ class TestClassify:
 def mc_drift(spec, f, s, t, paths, seed):
     """The Monte Carlo row of E[M(t) - M(s)]: the moments_battery mean row
     of f cut to [s, t].  Later increments are independent of the past, so
-    this unconditional mean must agree with conditional_increment_mean."""
+    this unconditional mean must agree with the drift formula, the integral
+    of f against d(lambda) over [s, t] (stieltjes_integral)."""
     (row,) = moments_battery(spec, {"drift": f.restrict(s, t)}, seed, paths)
     return row
 
@@ -130,14 +141,14 @@ class TestMCMartingaleTest:
         spec = YehSpec(lam, VarianceFunction.identity(UNIT))
         f = StepFunction((0.0, 0.5, 1.0), (1.0, 2.0))
         row = mc_drift(spec, f, 0.25, 0.875, 50_000, seed=904)
-        want = conditional_increment_mean(f, lam, 0.25, 0.875)
+        want = stieltjes_integral(f, lam, 0.25, 0.875)
         assert row.expected == pytest.approx(want, abs=1e-15) and row.passed, row
 
     def test_partial_span_step_agrees_with_conditional_mean(self):
         spec = YehSpec(LAM_UP, VarianceFunction.identity(UNIT))
         h = StepFunction((0.25, 0.5), (1.0,))  # 0 outside [0.25, 0.5]
         row = mc_drift(spec, h, 0.0, 1.0, 20_000, seed=906)
-        want = conditional_increment_mean(h, LAM_UP, 0.0, 1.0)
+        want = stieltjes_integral(h, LAM_UP, 0.0, 1.0)
         assert want == 0.25
         assert row.expected == want and row.passed, row
 

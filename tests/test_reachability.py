@@ -3,12 +3,14 @@
 One process runs `simulate`, `verify --suite all` and `expand` on small
 configs that between them take every config kind, with its stream ranges
 split over forked parts as `split_over` (tests/test_process.py) forces them,
-and makes one tiny call of each battery that no suite runs.  A profile hook
+makes one tiny call of each battery that no suite runs, and enters once
+through the script entry.  A profile hook
 records every function of the package that starts.  A function that never
 runs is dead code unless UNREACHED names it with its reason; a name on that
 list that does run belongs off it.
 """
 
+import gc
 import inspect
 import json
 import os
@@ -95,6 +97,11 @@ def test_every_function_runs(monkeypatch, tmp_path):
         basis_battery({"square": BasisFamily(VarianceFunction.power(unit, 2.0))}, 4, 64,
                       [(1, 2)])
         integral_battery(YehSpec.brownian(unit), lambda t: t, 4, 7007, 8)
+        # the script entry, with its freeze, which would pin this process's heap, stubbed
+        monkeypatch.setattr(gc, "freeze", lambda: None)
+        monkeypatch.setattr(sys, "argv", ["yehsim", "verify", "--suite", "counterexample",
+                                          "--out", str(tmp_path / "entry")])
+        assert cli.entry() == 0
     finally:
         sys.setprofile(None)
 

@@ -15,8 +15,8 @@ from yehsim import (
     expand_integral,
     fourier_coeffs,
     increment_functionals,
+    inner_rho,
     make_grid,
-    norm_sq_rho,
     project_family,
     series_variance_defect,
 )
@@ -101,7 +101,7 @@ class TestExpandIntegral:
         for k, f in enumerate(integrands):
             targets = integrals[:, k]
             coeffs = fourier_coeffs(f, BASIS, 16)
-            norm_sq = norm_sq_rho(f, BROWNIAN.rho)
+            norm_sq = inner_rho(f, f, BROWNIAN.rho)
             for n_terms in (1, 4, 16):
                 partial = member_integrals[:, :n_terms] @ coeffs[:n_terms]
                 gaps_sq = (targets - partial) ** 2
