@@ -10,17 +10,7 @@ satisfy.
 """
 
 from .config import TOOL_VERSION
-from .errors import (
-    BadGridError,
-    ConfigError,
-    DegenerateReferenceError,
-    NegativeVarianceError,
-    NonFiniteValueError,
-    OutOfDomainError,
-    OutOfRangeError,
-    PartitionOutOfDomainError,
-    YehError,
-)
+from .errors import ConfigError, YehError
 from .funcspace import (
     BasisFamily,
     Integrand,
@@ -53,6 +43,6 @@ from .stieltjes import (
     stieltjes_quad,
     stieltjes_step,
 )
-from .streams import GaussianStream, normal_matrix
+from .streams import normal_matrix
 
 __version__ = TOOL_VERSION

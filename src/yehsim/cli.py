@@ -11,12 +11,12 @@ over the cores by process.fork_ranges, as the functional samplers split theirs.
 straight from the normals, `expand` the step integrals of the integrand and
 basis members under the centered law, from stream (seed, 0).
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error (the
-message names the offending field, or the size fields when a size does not
-fit in memory), 3 I/O failure.  The master seed resolves as --seed flag >
-YEH_SEED environment variable > config file > default.  Outputs embed the
-run manifest hash and are byte-identical across reruns of the same
-manifest.
+Exit codes: 0 success, 1 verification failure, 2 a YehError (the message
+starts with the offending field) or a size that does not fit in memory (the
+message names the size fields), 3 an _IOFailure.  The master seed resolves
+as --seed flag > YEH_SEED environment variable > config file > default.
+Outputs embed the run manifest hash and are byte-identical across reruns of
+the same manifest.
 
 Run as the `yehsim` script or as `python -m yehsim.cli`, the command line
 enters at entry(), which freezes the import heap (gc.freeze) before main()
@@ -42,7 +42,6 @@ from .config import SUITE_NAMES, RunConfig, canonical_json, parse_config
 from .errors import ConfigError, YehError
 from .process import YehSpec, _value_chunks, fork_ranges, make_grid, stream_ranges
 from .series import expand_integral
-from .streams import GaussianStream
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -230,8 +229,7 @@ def cmd_expand(cfg: RunConfig, out_dir: Path) -> int:
     """Expand the configured integrand over the centered path of stream
     (seed, 0), on grid.points - 1 uniform cells; write the report."""
     report = expand_integral(cfg.integrand, cfg.basis, cfg.truncation,
-                             cfg.grid_points - 1, GaussianStream(cfg.seed, 0),
-                             cfg.resolution)
+                             cfg.grid_points - 1, cfg.seed, 0, cfg.resolution)
     mhash = cfg.manifest().hash()
     lines = [f"# manifest={mhash}", f"# target={_fmt(report.target)}",
              "n,partial_sum,defect"]

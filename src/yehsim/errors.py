@@ -1,41 +1,16 @@
-"""Exception hierarchy for the yehsim package.
+"""The two errors of the yehsim package.
 
-Every error raised by the library derives from YehError so callers can
-catch library failures without swallowing unrelated exceptions.
+Every error the library raises on purpose is a YehError, whose message
+starts with what went wrong (the field, where a config can reach it); the
+CLI prints it and exits 2.  ConfigError marks a run configuration that
+failed validation, which config.integrand_from_spec passes through
+unwrapped while it names the other errors of the integrand it builds.
 """
 
 
-class YehError(Exception):
-    """Base error for this package."""
+class YehError(ValueError):
+    """A library error: bad input or a computation that cannot proceed."""
 
 
-class OutOfDomainError(YehError, ValueError):
-    """A time argument lies outside the function's interval [a, b]."""
-
-
-class OutOfRangeError(YehError, ValueError):
-    """A target value lies outside the reachable range of a monotone function."""
-
-
-class PartitionOutOfDomainError(YehError, ValueError):
-    """A step-function partition extends beyond the measure's interval."""
-
-
-class NonFiniteValueError(YehError, ArithmeticError):
-    """An integrand returned NaN or infinity."""
-
-
-class BadGridError(YehError, ValueError):
-    """A sampling grid is not strictly increasing or does not span [a, b]."""
-
-
-class NegativeVarianceError(YehError, RuntimeError):
-    """Internal invariant violation: a variance increment was not positive."""
-
-
-class DegenerateReferenceError(YehError, ValueError):
-    """A reference distribution has zero variance."""
-
-
-class ConfigError(YehError, ValueError):
+class ConfigError(YehError):
     """A run configuration failed validation; the message names the field."""

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteValueError
+from .errors import YehError
 from .stieltjes import (
     DEFAULT_RESOLUTION,
     Interval,
@@ -238,8 +238,8 @@ class BasisFamily:
         if self.family == "cosine":
             freq = flat * math.pi
             if not (math.isfinite(2.0 * T) and math.isfinite(float(freq.max(initial=0)) * T)):
-                raise NonFiniteValueError(f"series.family: the cosine basis overflows for rho "
-                                          f"mass {T!r} (2 T or n pi T is not finite)")
+                raise YehError(f"series.family: the cosine basis overflows for rho "
+                               f"mass {T!r} (2 T or n pi T is not finite)")
             out = np.multiply.outer(freq, xs)
             out /= T
             if running:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadGridError, NegativeVarianceError
+from .errors import YehError
 from .funcspace import BasisFamily
 from .stieltjes import Interval, MeanFunction, VarianceFunction, rho_inverse
 from .streams import normal_matrix
@@ -90,29 +90,27 @@ def make_grid(interval, points: int = DEFAULT_GRID_POINTS, scale: str = "t",
     """
     iv = Interval.coerce(interval)
     if points < 2:
-        raise BadGridError("grid needs at least 2 points")
+        raise YehError("grid needs at least 2 points")
     if scale == "t":
         return np.linspace(iv.a, iv.b, points)
     if scale == "rho":
         if rho is None:
-            raise BadGridError("rho-scale grid requires the variance function")
+            raise YehError("rho-scale grid requires the variance function")
         masses = np.linspace(0.0, rho.total_mass, points)
         return rho_inverse(rho, masses)
-    raise BadGridError(f"unknown grid scale {scale!r}")
+    raise YehError(f"unknown grid scale {scale!r}")
 
 
 def validate_grid(grid: np.ndarray, interval: Interval) -> np.ndarray:
     """The grid as a float array, checked to be strictly increasing from a to b."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
-        raise BadGridError("grid must be a 1-d array with at least 2 points")
+        raise YehError("grid must be a 1-d array with at least 2 points")
     if np.any(np.diff(grid) <= 0):
-        raise BadGridError("grid must be strictly increasing")
+        raise YehError("grid must be strictly increasing")
     if grid[0] != interval.a or grid[-1] != interval.b:
-        raise BadGridError(
-            f"grid must span [{interval.a}, {interval.b}], "
-            f"got [{grid[0]}, {grid[-1]}]"
-        )
+        raise YehError(f"grid must span [{interval.a}, {interval.b}], "
+                       f"got [{grid[0]}, {grid[-1]}]")
     return grid
 
 
@@ -120,9 +118,11 @@ def _increment_scales(spec: YehSpec, grid: np.ndarray) -> tuple[np.ndarray, np.n
     dlam = np.diff(spec.lam(grid))
     drho = np.diff(spec.rho(grid))
     if np.any(drho <= 0):
-        raise NegativeVarianceError(
-            "variance increment not positive; rho must be strictly increasing"
-        )
+        i = int(np.argmax(drho <= 0))
+        lo, hi, d = grid[i].item(), grid[i + 1].item(), drho[i].item()
+        raise YehError(f"rho: the variance increment over the cell [{lo!r}, {hi!r}] "
+                       f"is {d!r}, not positive; rho must be strictly increasing "
+                       f"in double precision")
     return dlam, np.sqrt(drho)
 
 

@@ -6,7 +6,7 @@ times the integral of phi_n; the analytic mean-square truncation error after
 n terms is the Parseval defect ||f||^2_rho - sum of the first n squared
 coefficients, and ExpansionReport.defects holds it for each truncation.
 `expand_integral` draws f and the members, projected onto uniform cells, as
-one step family straight from the normals of one stream.
+one step family straight from the normals of stream (seed, index).
 `series_variance_defect` is the variance each truncated-series value lacks.
 """
 
@@ -25,7 +25,6 @@ from .funcspace import (
 )
 from .process import YehSpec, increment_functionals
 from .stieltjes import DEFAULT_RESOLUTION
-from .streams import GaussianStream
 
 
 @dataclass(frozen=True)
@@ -50,9 +49,10 @@ class ExpansionReport:
 
 
 def expand_integral(f, basis: BasisFamily, truncation: int, cells: int,
-                    stream: GaussianStream,
+                    seed: int, index: int,
                     resolution: int = DEFAULT_RESOLUTION) -> ExpansionReport:
-    """Expand the Wiener integral of f over the centered path of `stream`.
+    """Expand the Wiener integral of f over the centered path of stream
+    (seed, index), whose first cells draws it takes (streams.normal_matrix).
 
     The target and the first `truncation` members are projected onto `cells`
     uniform cells of the basis interval and drawn as one family on that
@@ -64,7 +64,7 @@ def expand_integral(f, basis: BasisFamily, truncation: int, cells: int,
     coeffs = fourier_coeffs(f, basis, truncation, resolution)
     edges, values = project_family([f], cells, basis.rho.interval, basis, truncation)
     integrals = increment_functionals(YehSpec.centered(basis.rho), edges, values,
-                                      stream.seed, 1, stream.index)[0]
+                                      seed, 1, index)[0]
     target, member_integrals = float(integrals[0]), integrals[1:]
     partial_sums = np.cumsum(coeffs * member_integrals)
     norm_sq = inner_rho(f, f, basis.rho, resolution)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import kolmogorov, ndtr
 
-from .errors import DegenerateReferenceError
+from .errors import YehError
 
 
 def mean_se(samples) -> tuple[float, float]:
@@ -45,7 +45,7 @@ def ks_test(samples, mean: float, variance: float) -> KSReport:
     sqrt(n) * D.
     """
     if variance <= 0:
-        raise DegenerateReferenceError("reference variance must be positive")
+        raise YehError("reference variance must be positive")
     x = np.sort(np.asarray(samples, dtype=float))
     n = len(x)
     if n < 30:

@@ -16,12 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    NonFiniteValueError,
-    OutOfDomainError,
-    OutOfRangeError,
-    PartitionOutOfDomainError,
-)
+from .errors import YehError
 
 #: Default cell count for midpoint Stieltjes quadrature.
 DEFAULT_RESOLUTION = 2**14
@@ -66,9 +61,7 @@ class Interval:
         slack = _EDGE_TOL * max(1.0, abs(self.a), abs(self.b))
         if np.any(arr < self.a - slack) or np.any(arr > self.b + slack):
             bad = arr[(arr < self.a - slack) | (arr > self.b + slack)]
-            raise OutOfDomainError(
-                f"time {np.ravel(bad)[0]} outside [{self.a}, {self.b}]"
-            )
+            raise YehError(f"time {np.ravel(bad)[0]} outside [{self.a}, {self.b}]")
         return np.clip(arr, self.a, self.b)
 
 
@@ -86,7 +79,7 @@ def cantor_eval(t, depth: int = DEFAULT_CANTOR_DEPTH) -> float:
         raise ValueError("depth must be a positive integer")
     x = t if isinstance(t, Fraction) else Fraction(t)
     if x < 0 or x > 1:
-        raise OutOfDomainError(f"cantor_eval requires t in [0, 1], got {t}")
+        raise YehError(f"cantor_eval requires t in [0, 1], got {t}")
     if x == 1:
         return 1.0
     value = Fraction(0)
@@ -309,13 +302,11 @@ def stieltjes_step(f, mu, s: float | None = None, t: float | None = None) -> flo
     values = np.asarray(f.values, dtype=float)
     a, b = mu.interval.a, mu.interval.b
     if partition[0] < a - _EDGE_TOL or partition[-1] > b + _EDGE_TOL:
-        raise PartitionOutOfDomainError(
-            f"partition [{partition[0]}, {partition[-1]}] outside [{a}, {b}]"
-        )
+        raise YehError(f"partition [{partition[0]}, {partition[-1]}] outside [{a}, {b}]")
     lo = a if s is None else float(s)
     hi = b if t is None else float(t)
     if not (a <= lo <= hi <= b):
-        raise OutOfDomainError(f"need {a} <= s <= t <= {b}, got s={lo}, t={hi}")
+        raise YehError(f"need {a} <= s <= t <= {b}, got s={lo}, t={hi}")
     left = np.maximum(partition[:-1], lo)
     right = np.minimum(partition[1:], hi)
     terms = (values * (mu(right) - mu(left)))[right > left]
@@ -325,15 +316,21 @@ def stieltjes_step(f, mu, s: float | None = None, t: float | None = None) -> flo
 
 
 def _eval_function(f, x: np.ndarray) -> np.ndarray:
-    """Evaluate a function handle on an array, falling back to a scalar loop."""
-    try:
-        out = np.asarray(f(x), dtype=float)
-        if out.shape != x.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        out = np.array([float(f(xi)) for xi in x])
+    """Evaluate a function handle on an array, falling back to a scalar loop
+    when f takes no array; a YehError that f raises passes through.  A
+    non-finite value raises a YehError naming the integrand, with no numpy
+    float warning before it."""
+    with np.errstate(all="ignore"):
+        try:
+            out = np.asarray(f(x), dtype=float)
+            if out.shape != x.shape:
+                raise TypeError
+        except YehError:
+            raise
+        except (TypeError, ValueError):
+            out = np.array([float(f(xi)) for xi in x])
     if not np.all(np.isfinite(out)):
-        raise NonFiniteValueError("integrand returned a non-finite value")
+        raise YehError("integrand: returned a non-finite value")
     return out
 
 
@@ -356,7 +353,7 @@ def stieltjes_quad(f, mu, s: float, t: float, resolution: int) -> float:
         raise ValueError("resolution must be >= 1")
     a, b = mu.interval.a, mu.interval.b
     if not (a <= s <= t <= b):
-        raise OutOfDomainError(f"need {a} <= s <= t <= {b}, got s={s}, t={t}")
+        raise YehError(f"need {a} <= s <= t <= {b}, got s={s}, t={t}")
     if s == t:
         return 0.0
     _, mids, masses = midpoint_rule(s, t, resolution, mu)
@@ -377,7 +374,7 @@ def rho_inverse(rho: VarianceFunction, v) -> float | np.ndarray:
     v = np.asarray(v, dtype=float)
     outside = ~((v >= -tol) & (v <= top + tol))
     if outside.any():
-        raise OutOfRangeError(f"target {np.ravel(v[outside])[0]} outside [0, {top}]")
+        raise YehError(f"target {np.ravel(v[outside])[0]} outside [0, {top}]")
     x = np.clip(v, 0.0, top)
     if rho.kind == "power":
         t = a + x ** (1.0 / rho.exponent)

@@ -20,7 +20,6 @@ once per row.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -43,29 +42,12 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 
 
-@dataclass(frozen=True)
-class GaussianStream:
-    """One reproducible stream: identical (seed, index) -> identical draws."""
-
-    seed: int
-    index: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.seed < _U64:
-            raise ValueError("seed must fit in 64 bits")
-        if not 0 <= self.index < _U64:
-            raise ValueError("stream index must fit in 64 bits")
-
-    def normals(self, n: int) -> np.ndarray:
-        """The first n draws of the stream, one row of _uniform_matrix under
-        the inverse normal CDF: the reference of the stream contract."""
-        u = _uniform_matrix(self.seed, 1, n, self.index)[0]
-        return ndtri(u, out=u)
-
-
 def normal_matrix(seed: int, n_streams: int, n_draws: int,
                   first_index: int = 0) -> np.ndarray:
-    """Stacked stream draws: row i equals GaussianStream(seed, first_index+i).normals(n_draws)."""
+    """Stacked stream draws: row i holds the first n_draws draws of stream
+    (seed, first_index + i) as the module docstring defines them, so
+    normal_matrix(seed, 1, n, k)[0] is the first n draws of stream k and a
+    row does not depend on the rows stacked with it."""
     u = _uniform_matrix(seed, n_streams, n_draws, first_index)
     return ndtri(u, out=u)
 

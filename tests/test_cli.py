@@ -1014,6 +1014,40 @@ def test_cosine_overflow_names_the_family(tmp_path, command, code):
         assert "series.family" in proc.stderr and "1e+308" in proc.stderr, proc.stderr
 
 
+ALL_COMMANDS = (["simulate"], ["verify", "--suite", "all"], ["expand"])
+#: (name, config, field the message starts with, commands it reaches): a
+#: valid steep rho whose increments underflow to 0 on the grid, a polynomial
+#: that overflows, the cosine basis on [0, 1e308] (simulate uses no basis,
+#: and the moments suite of `verify --suite all` overflows first) and an
+#: interval too narrow for its grid.
+LIBRARY_ERRORS = [
+    ("steep_rho", {"rho": {"kind": "power", "exponent": 200}, "grid": {"points": 1025}},
+     "rho", ALL_COMMANDS),
+    ("poly_overflow", {"integrand": {"kind": "poly", "coeffs": [1e308, 1e308]}},
+     "integrand", (["expand"],)),
+    ("cosine_overflow", {"interval": [0.0, 1e308], "grid": {"points": 17}},
+     "series.family", (["verify", "--suite", "series"], ["expand"])),
+    ("narrow", {"interval": [1.0, 1.0000000000000002], "grid": {"points": 3}},
+     "interval", ALL_COMMANDS),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("config, field, command", [
+    pytest.param(config, field, command, id=f"{name}-{command[0]}")
+    for name, config, field, commands in LIBRARY_ERRORS for command in commands])
+def test_library_error_names_its_field(tmp_path, capsys, config, field, command):
+    # every error a valid-looking config can reach ends with exit 2 and one
+    # line that starts with the field, and no float warning before it
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    code = run_cli(*command, "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                   "--paths", "20", "--truncation", "8")
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1, err
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path, brownian_config):
         out = tmp_path / "out"

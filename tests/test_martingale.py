@@ -7,9 +7,9 @@ from yehsim import (
     Integrand,
     Interval,
     MeanFunction,
-    OutOfDomainError,
     StepFunction,
     VarianceFunction,
+    YehError,
     YehSpec,
     classify,
     stieltjes_integral,
@@ -59,7 +59,7 @@ class TestConditionalIncrementMean:
     @pytest.mark.parametrize("s, t", [(-0.5, 0.5), (-1e-13, 0.5), (0.75, 0.25), (0.5, 1.5)])
     def test_probe_outside_the_interval_refused(self, f, s, t):
         # the same strict domain check for step and quadrature integrands
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(YehError, match="<= s <= t <="):
             classify(f, LAM_UP, [(s, t)])
 
 

@@ -8,12 +8,11 @@ import pytest
 from scipy.special import ndtri
 
 from yehsim import (
-    BadGridError,
     BasisFamily,
-    GaussianStream,
     Interval,
     MeanFunction,
     VarianceFunction,
+    YehError,
     YehSpec,
     ks_test,
     make_grid,
@@ -74,19 +73,14 @@ def assert_no_child_left():
 
 class TestStreams:
     def test_identical_stream_identical_draws(self):
-        a = GaussianStream(987, 3).normals(64)
-        b = GaussianStream(987, 3).normals(64)
+        a = normal_matrix(987, 1, 64, first_index=3)
+        b = normal_matrix(987, 1, 64, first_index=3)
         assert np.array_equal(a, b)
 
     def test_distinct_indices_differ(self):
-        a = GaussianStream(987, 3).normals(64)
-        b = GaussianStream(987, 4).normals(64)
+        a = normal_matrix(987, 1, 64, first_index=3)
+        b = normal_matrix(987, 1, 64, first_index=4)
         assert not np.array_equal(a, b)
-
-    def test_matrix_rows_match_per_stream_draws(self):
-        mat = normal_matrix(555, 8, 32, first_index=2)
-        for i in range(8):
-            assert np.array_equal(mat[i], GaussianStream(555, 2 + i).normals(32))
 
     def test_uniforms_strictly_inside_unit_interval(self):
         for rows, draws in ((1, 10_000), (5_000, 3)):  # both implementations
@@ -94,7 +88,7 @@ class TestStreams:
             assert u.min() > 0.0 and u.max() < 1.0
 
     def test_normals_are_standard(self):
-        z = GaussianStream(2024).normals(100_000)
+        z = normal_matrix(2024, 1, 100_000)[0]
         assert ks_test(z, 0.0, 1.0).p_value > 0.01
 
 
@@ -132,12 +126,21 @@ class TestStreamBitIdentity:
                   n_streams - 1):
             assert np.array_equal(mat[i], philox_reference(2**63 + 5, 11 + i, n_draws))
 
-    def test_stream_methods_are_matrix_rows(self):
-        for n in (3, CROSSOVER_DRAWS + 1):
-            stream = GaussianStream(2**64 - 1, 2**64 - 1)
-            assert np.array_equal(stream.normals(n), philox_reference(2**64 - 1, 2**64 - 1, n))
-            uniforms = _uniform_matrix(2**64 - 1, 1, n, 2**64 - 1)[0]
-            assert np.array_equal(ndtri(uniforms), stream.normals(n))
+    @pytest.mark.parametrize("seed,n_streams,n_draws,first", [
+        # the same draws on every call, and streams 3 and 4 differ
+        pytest.param(987, 2, 64, 3, id="same_and_next"),
+        # each row of a stack is its own stream
+        pytest.param(555, 8, 32, 2, id="stack"),
+        # a lone row at the last seed and index, on both implementations
+        pytest.param(2**64 - 1, 1, 3, 2**64 - 1, id="last_short"),
+        pytest.param(2**64 - 1, 1, CROSSOVER_DRAWS + 1, 2**64 - 1, id="last_long"),
+    ])
+    def test_rows_match_numpy_philox(self, seed, n_streams, n_draws, first):
+        for _ in range(2):
+            mat = normal_matrix(seed, n_streams, n_draws, first)
+            for i in range(n_streams):
+                assert np.array_equal(mat[i], philox_reference(seed, first + i, n_draws))
+        assert len({row.tobytes() for row in mat}) == n_streams
 
     @pytest.mark.parametrize("args,digest", [
         ((20261018, 64, 3),
@@ -173,7 +176,7 @@ class TestGrid:
         assert g[0] == 0.0 and g[-1] == 1.0
 
     def test_bad_scale(self):
-        with pytest.raises(BadGridError):
+        with pytest.raises(YehError, match="unknown grid scale 'log'"):
             make_grid(UNIT, 5, scale="log")
 
 
@@ -230,11 +233,11 @@ class TestIncrementSampling:
         assert abs(cov) <= 4 * se
 
     def test_grid_must_span_interval(self):
-        with pytest.raises(BadGridError):
+        with pytest.raises(YehError, match="grid must span"):
             increment_value_matrix(BROWNIAN, np.array([0.0, 0.5]), 1, 1)
 
     def test_grid_must_increase(self):
-        with pytest.raises(BadGridError):
+        with pytest.raises(YehError, match="grid must be strictly increasing"):
             increment_value_matrix(BROWNIAN, np.array([0.0, 0.5, 0.5, 1.0]), 1, 1)
 
 
@@ -442,7 +445,8 @@ class TestFunctionalSampler:
             increment_value_matrix(BROWNIAN, grid, 5, 3)
             increment_functionals(BROWNIAN, grid, np.ones((1, 64)), 5, 3)
             assert calls.read_text().split() == [str(os.getpid())] * 2
-            with pytest.raises(BadGridError):  # the grid is checked before the weights
+            # the grid is checked before the weights
+            with pytest.raises(YehError, match="grid must span"):
                 increment_functionals(BROWNIAN, grid[:-1], np.ones((2, 9)), 1, 4)
 
     def test_samplers_bit_equal_at_any_part_count(self, monkeypatch):
@@ -510,7 +514,7 @@ class TestFunctionalSampler:
             increment_functionals(BROWNIAN, grid, np.ones(8), 1, 4)
         with pytest.raises(ValueError, match="finite"):
             increment_functionals(BROWNIAN, grid, np.full((1, 8), np.nan), 1, 4)
-        with pytest.raises(BadGridError):
+        with pytest.raises(YehError, match="grid must span"):
             increment_functionals(BROWNIAN, grid[:-1], np.ones((1, 7)), 1, 4)
 
     def test_step_cells_zero_outside_partition(self):

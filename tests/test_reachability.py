@@ -25,8 +25,6 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 #: Qualified name -> why no command or battery runs it.
 UNREACHED = {
-    "GaussianStream.normals": "the stream contract's reference: row i of normal_matrix "
-                              "equals it bit for bit",
     "increment_value_matrix": "the reference bench/run.py checks simulate's values against",
     "cantor_eval": "the exact rational oracle that _cantor_array is tested against",
     "_portable": "error handler: an exception raised in a forked part",

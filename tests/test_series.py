@@ -7,7 +7,6 @@ import pytest
 
 from yehsim import (
     BasisFamily,
-    GaussianStream,
     Interval,
     StepFunction,
     VarianceFunction,
@@ -28,20 +27,19 @@ BASIS = BasisFamily(BROWNIAN.rho)
 HALF = StepFunction.indicator(0.0, 0.5, UNIT)
 
 
-def centered_integrals(stream, cells, pieces, rho=BROWNIAN.rho):
+def centered_integrals(seed, index, cells, pieces, rho=BROWNIAN.rho):
     """Step integrals over the centered path that expand_integral draws from
-    `stream` on `cells` uniform cells, by the telescoping sum over the path
-    held as values."""
+    stream (seed, index) on `cells` uniform cells, by the telescoping sum
+    over the path held as values."""
     values = increment_value_matrix(YehSpec.centered(rho), make_grid(rho.interval, cells + 1),
-                                    stream.seed, 1, stream.index)[0]
+                                    seed, 1, index)[0]
     return np.diff(values) @ np.atleast_2d(pieces).T
 
 
 def parseval_defect(f, truncation, resolution=2**14):
     """||f||^2_rho minus the first `truncation` squared coefficients, as
     expand_integral reports it."""
-    return expand_integral(f, BASIS, truncation, 16, GaussianStream(0),
-                           resolution).defects[-1]
+    return expand_integral(f, BASIS, truncation, 16, 0, 0, resolution).defects[-1]
 
 
 class TestExpandIntegral:
@@ -51,36 +49,33 @@ class TestExpandIntegral:
         rho = VarianceFunction.power(UNIT, 2.0)
         basis = BasisFamily(rho)
         f = StepFunction((0.0, 0.25, 0.75, 1.0), (0.5, -0.5, 2.0))
-        stream = GaussianStream(17, 3)
-        report = expand_integral(f, basis, 12, 128, stream)
+        report = expand_integral(f, basis, 12, 128, 17, 3)
         edges, values = project_family([f], 128, UNIT, basis, 12)
-        integrals = centered_integrals(stream, 128, values, rho)
+        integrals = centered_integrals(17, 3, 128, values, rho)
         assert report.target == pytest.approx(integrals[0], abs=1e-12)
         assert np.allclose(report.partial_sums,
                            np.cumsum(report.coefficients * integrals[1:]),
                            rtol=0, atol=1e-12)
 
     def test_basis_member_stabilizes_after_its_index(self):
-        stream = GaussianStream(2)
-        report = expand_integral(BASIS.member(2), BASIS, 6, 256, stream)
+        report = expand_integral(BASIS.member(2), BASIS, 6, 256, 2, 0)
         _, projection = project_family([BASIS.member(2)], 256, UNIT)
-        direct = centered_integrals(stream, 256, projection)[0]
+        direct = centered_integrals(2, 0, 256, projection)[0]
         for n in range(2, 6):
             assert report.partial_sums[n] == pytest.approx(direct, abs=1e-6)
         assert abs(report.defects[5]) <= 1e-8
 
     def test_constant_integrand_single_coefficient(self):
-        stream = GaussianStream(3)
         one = StepFunction((0.0, 1.0), (1.0,))
-        report = expand_integral(one, BASIS, 4, 64, stream)
+        report = expand_integral(one, BASIS, 4, 64, 3, 0)
         assert report.coefficients[0] == pytest.approx(1.0, abs=1e-15)
         assert report.partial_sums[0] == pytest.approx(report.target, abs=1e-12)
         # the single term already is X(1) - X(0)
-        assert report.target == pytest.approx(centered_integrals(stream, 64, np.ones(64))[0],
+        assert report.target == pytest.approx(centered_integrals(3, 0, 64, np.ones(64))[0],
                                               abs=1e-12)
 
     def test_half_indicator_defect_small_by_large_truncation(self):
-        coeffs_defects = expand_integral(HALF, BASIS, 2000, 16, GaussianStream(4)).defects
+        coeffs_defects = expand_integral(HALF, BASIS, 2000, 16, 4, 0).defects
         assert np.all(np.diff(coeffs_defects) <= 1e-15)
         assert coeffs_defects[-1] < 1e-3
         assert coeffs_defects[0] == pytest.approx(0.25, abs=1e-13)
@@ -112,12 +107,12 @@ class TestExpandIntegral:
     def test_almost_sure_convergence_proxy(self):
         # |target - partial sum| eventually below 10 * sqrt(analytic defect)
         for index in range(10):
-            report = expand_integral(HALF, BASIS, 256, 512, GaussianStream(8100, index))
+            report = expand_integral(HALF, BASIS, 256, 512, 8100, index)
             gap = abs(report.target - report.partial_sums[-1])
             assert gap <= 10.0 * math.sqrt(report.defects[-1])
 
     def test_rows_export(self):
-        report = expand_integral(HALF, BASIS, 3, 16, GaussianStream(9))
+        report = expand_integral(HALF, BASIS, 3, 16, 9, 0)
         rows = list(report.rows())
         assert [r[0] for r in rows] == [1, 2, 3]
         assert rows[0][2] == pytest.approx(0.25, abs=1e-13)

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from yehsim import (
-    ConfigError,
-    DegenerateReferenceError,
-    GaussianStream,
-    ks_test,
-)
+from yehsim import ConfigError, YehError, ks_test, normal_matrix
 from yehsim.config import parse_config
 from yehsim.stats import mean_se
 from yehsim.verify import _mean_within
@@ -20,18 +15,18 @@ class TestMCEstimate:
 
     def test_standard_normal_mean_within_four_se(self):
         m = 100_000
-        mean, se = mean_se(GaussianStream(5150).normals(m))
+        mean, se = mean_se(normal_matrix(5150, 1, m)[0])
         assert abs(mean) <= 4.0 / np.sqrt(m)
         assert se * np.sqrt(m) == pytest.approx(1.0, abs=0.05)
 
     def test_welford_matches_numpy(self):
-        draws = GaussianStream(31).normals(1000)
+        draws = normal_matrix(31, 1, 1000)[0]
         mean, se = mean_se(draws)
         assert mean == pytest.approx(draws.mean(), abs=1e-13)
         assert se**2 * draws.size == pytest.approx(draws.var(ddof=1), abs=1e-13)
 
     def test_estimate_is_the_sample_estimate_of_its_draws(self):
-        draws = GaussianStream(77, 10).normals(500)
+        draws = normal_matrix(77, 1, 500, 10)[0]
         assert mean_se(draws) == (draws.mean(), draws.std(ddof=1) / np.sqrt(500))
 
     def test_se_is_mean_se(self):
@@ -61,11 +56,11 @@ class TestMCEstimate:
 class TestKSTest:
     def test_self_consistency_three_seeds(self):
         for seed in (11, 12, 13):
-            samples = 1.5 + 2.0 * GaussianStream(seed).normals(20_000)
+            samples = 1.5 + 2.0 * normal_matrix(seed, 1, 20_000)[0]
             assert ks_test(samples, 1.5, 4.0).p_value > 0.01
 
     def test_gross_misfit_rejected(self):
-        samples = 5.0 + GaussianStream(21).normals(500)  # mean off by 5 sigma
+        samples = 5.0 + normal_matrix(21, 1, 500)[0]  # mean off by 5 sigma
         report = ks_test(samples, 0.0, 1.0)
         assert report.p_value < 1e-6
 
@@ -76,7 +71,7 @@ class TestKSTest:
     def test_statistic_matches_brute_force(self):
         from scipy.stats import norm
 
-        samples = GaussianStream(23).normals(200)
+        samples = normal_matrix(23, 1, 200)[0]
         report = ks_test(samples, 0.0, 1.0)
         xs = np.sort(samples)
         brute = 0.0
@@ -88,13 +83,13 @@ class TestKSTest:
     def test_p_value_matches_scipy_asymptotic(self):
         from scipy.stats import kstwobign
 
-        samples = GaussianStream(29).normals(5000)
+        samples = normal_matrix(29, 1, 5000)[0]
         report = ks_test(samples, 0.0, 1.0)
         want = float(kstwobign.sf(np.sqrt(5000) * report.statistic))
         assert report.p_value == pytest.approx(want, abs=1e-9)
 
     def test_degenerate_reference(self):
-        with pytest.raises(DegenerateReferenceError):
+        with pytest.raises(YehError, match="reference variance must be positive"):
             ks_test(np.arange(100, dtype=float), 0.0, 0.0)
 
     def test_sample_size_floor(self):
