@@ -2,29 +2,29 @@
 
 `simulate` writes value paths, encoding each value once as its %.17g text
 (yehsim.encode, in numpy, with Python's "%.17g" as the fallback outside
-1e-4 <= |x| < 2**51): the same bytes fill the value column of paths.csv and
-the path rows of bundle.json.  Each command loads only its own modules:
-simulate the encoder, verify the batteries (yehsim.verify), so the other
-commands neither compile nor hold them.  simulate's stream range is split
-over the cores by process.fork_ranges, as the functional samplers split theirs.
-`verify` and `expand` reduce each path to a few linear functionals drawn
-straight from the normals, `expand` the step integrals of the integrand and
-basis members under the centered law, from stream (seed, 0).
+1e-4 <= |x| < 2**51) into both the value column of paths.csv and the path
+rows of bundle.json; process.fork_ranges splits its stream range over the
+cores, as the functional samplers split theirs.  `verify` and `expand`
+reduce each path to a few linear functionals drawn straight from the
+normals, `expand` the step integrals of the integrand and basis members
+under the centered law, from stream (seed, 0).  Each command loads only its
+own modules (simulate the encoder, verify the batteries in yehsim.verify).
 
-Exit codes: 0 success, 1 verification failure, 2 a YehError (the message
-starts with the offending field) or a size that does not fit in memory (the
-message names the size fields), 3 an _IOFailure.  The master seed resolves
-as --seed flag > YEH_SEED environment variable > config file > default.
-Outputs embed the run manifest hash and are byte-identical across reruns of
-the same manifest.
+Every file a command writes is an _Output, which turns each OSError on it
+into an _IOFailure naming the file; _write_reports writes the CSV reports
+and manifest.json.  Exit codes: 0 success, 1 verification failure, 2 a
+YehError (the message starts with the offending field; a forked part that
+died names its stream range), an unreadable config or a size that does not
+fit in memory (the message names the size fields), 3 an _IOFailure.  The
+master seed resolves as --seed flag > YEH_SEED environment variable >
+config file > default.  Outputs embed the run manifest hash and are
+byte-identical across reruns of the same manifest.
 
 Run as the `yehsim` script or as `python -m yehsim.cli`, the command line
 enters at entry(), which freezes the import heap (gc.freeze) before main()
 runs.  Those objects live until exit anyway; frozen, they sit in the
-permanent generation, which no collection walks, the one at interpreter
-shutdown included, and no collection in a forked part writes to their
-pages.  main() itself never freezes, so a caller that runs it in its own
-process keeps its heap collectable.
+permanent generation, which no collection walks (at shutdown or in a forked
+part).  main() itself never freezes, so a caller keeps its heap collectable.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import json
 import os
 import shutil
 import sys
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, ExitStack, contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -57,12 +57,14 @@ def _load_config(args) -> RunConfig:
     raw = {}
     if args.config is not None:
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config: file {path} does not exist")
         try:
             raw = json.loads(path.read_text())
+        except FileNotFoundError as exc:
+            raise ConfigError(f"config: file {path} does not exist") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config: invalid JSON ({exc})") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config: cannot read {path} ({exc})") from exc
     overrides = {}
     env_seed = os.environ.get("YEH_SEED")
     if env_seed is not None:
@@ -77,66 +79,64 @@ def _load_config(args) -> RunConfig:
     return parse_config(raw, overrides)
 
 
-def _io_failure(path: Path, exc: OSError) -> _IOFailure:
-    return _IOFailure(f"cannot write {path}: {exc}")
-
-
-def _guarded(path: Path, call):
-    """call, with an OSError it raises turned into an _IOFailure that names
-    path."""
-    def guarded(*args):
-        try:
-            return call(*args)
-        except OSError as exc:
-            raise _io_failure(path, exc) from exc
-    return guarded
-
-
-@contextmanager
-def _writer(path: Path):
-    """Yield a new binary file at path.  An OSError in opening or closing it,
-    or raised in the with block, becomes an _IOFailure that names path."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("wb") as fh:
-            yield fh
-    except OSError as exc:
-        raise _io_failure(path, exc) from exc
-
-
-def _write_text(path: Path, text: str):
-    with _writer(path) as fh:
-        fh.write(text.encode())
-
-
 class _IOFailure(Exception):
     pass
 
 
-def _manifest_json(cfg: RunConfig) -> str:
+class _Output(AbstractContextManager):
+    """A binary output file: path itself, or with temp an anonymous temporary
+    file beside it, to be appended to path's own.  Every OSError in making,
+    writing, appending to or closing it becomes an _IOFailure that names
+    path."""
+
+    def __init__(self, path: Path, temp: bool = False):
+        self.path = path
+        with self._naming():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if temp:
+                import tempfile  # only a forking simulate makes one
+                self.fh = tempfile.TemporaryFile("w+b", dir=path.parent)
+            else:
+                self.fh = path.open("wb")
+
+    @contextmanager
+    def _naming(self):
+        try:
+            yield
+        except OSError as exc:
+            raise _IOFailure(f"cannot write {self.path}: {exc}") from exc
+
+    def write(self, data: bytes):
+        with self._naming():
+            self.fh.write(data)
+
+    def append(self, part: _Output):
+        """Copy the temporary output part onto this one in 1 MiB blocks and
+        close it, which frees its disk space now, not at the end of the run."""
+        with self._naming():
+            part.fh.seek(0)
+            shutil.copyfileobj(part.fh, self.fh, 1 << 20)
+        part.close()
+
+    def close(self):
+        with self._naming():
+            self.fh.close()
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def _write_reports(cfg: RunConfig, out_dir: Path, name: str | None = None, lines=()):
+    """Write the CSV report `name`, its lines under a "# manifest=" line, if
+    a name is given, then manifest.json, both for cfg's run manifest."""
     manifest = cfg.manifest()
-    return canonical_json({"manifest": asdict(manifest),
-                           "manifest_hash": manifest.hash()}) + "\n"
-
-
-def _temp_file(path: Path):
-    """An anonymous temporary file beside path."""
-    import tempfile
-
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return tempfile.TemporaryFile("w+b", dir=path.parent)
-
-
-def _append(path: Path, fh, out):
-    """Copy the temporary file fh onto out, the open file of output path, in
-    1 MiB blocks, and close fh, which frees its disk space now, not at the
-    end of the run."""
-    try:
-        fh.seek(0)
-        shutil.copyfileobj(fh, out, 1 << 20)
-    except OSError as exc:
-        raise _io_failure(path, exc) from exc
-    fh.close()
+    mhash = manifest.hash()
+    texts = {name: "\n".join([f"# manifest={mhash}", *lines]) + "\n"} if name else {}
+    texts["manifest.json"] = canonical_json({"manifest": asdict(manifest),
+                                             "manifest_hash": mhash}) + "\n"
+    for name, text in texts.items():
+        with _Output(out_dir / name) as out:
+            out.write(text.encode())
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
@@ -144,15 +144,14 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
     The path range is split into process.stream_ranges, one contiguous,
     near-equal range of stream indices per core this process may run on.
-    The first range is encoded by this process straight into the outputs;
-    each other one by a part that process.fork_ranges forks, into two
-    anonymous temporary files beside the outputs, which are appended in
-    order once the part has exited.  A part's _IOFailure names the output
-    its file belongs to and is raised again here.  Every process samples,
-    encodes and writes in the samplers' row chunks of about
-    process.CHUNK_DRAWS normals, so the memory of each does not grow with
-    the path count.  Row k is stream k whichever process and chunk hold it,
-    so the bytes depend on neither the core count nor the chunk height."""
+    This process encodes the first range straight into the outputs; a part
+    that process.fork_ranges forks encodes each other one into two temporary
+    _Outputs, made before the fork and appended in order once it has exited
+    (its _IOFailure names the output and is raised again here).  Every
+    process samples, encodes and writes in the samplers' row chunks of about
+    process.CHUNK_DRAWS normals, so no memory grows with the path count.
+    Row k is stream k whichever process and chunk hold it, so the bytes
+    depend on neither the core count nor the chunk height."""
     spec = YehSpec(cfg.lam, cfg.rho)
     grid = make_grid(cfg.interval, cfg.grid_points, cfg.grid_scale, rho=cfg.rho)
     manifest = cfg.manifest()
@@ -172,36 +171,28 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     chunks = _value_chunks(spec, grid, cfg.seed)
     from .encode import write_rows
     ranges = stream_ranges(cfg.paths)
-    outputs = (out_dir / "paths.csv", out_dir / "bundle.json")
-    temps = {}
-    sinks = {}
+    paths = (out_dir / "paths.csv", out_dir / "bundle.json")
+    with ExitStack() as stack:
+        parts = {lo: [stack.enter_context(_Output(path, temp=True)) for path in paths]
+                 for lo, _ in ranges[1:]}
+        csv, bundle = outs = [stack.enter_context(_Output(path)) for path in paths]
 
-    def run(lo: int, hi: int) -> int:
-        write_rows(lo, chunks(hi - lo, lo), pieces, *sinks[lo])
-        for path, fh in zip(outputs, temps.get(lo, ())):
-            _guarded(path, fh.flush)()
-        return lo
+        def run(lo: int, hi: int) -> int:
+            files = parts.get(lo, outs)
+            write_rows(lo, chunks(hi - lo, lo), pieces, *(out.write for out in files))
+            # a part ends with os._exit, so it closes, and so flushes, its own
+            for part in parts.get(lo, ()):
+                part.close()
+            return lo
 
-    try:
-        for lo, _ in ranges[1:]:
-            temps[lo] = [_guarded(path, _temp_file)(path) for path in outputs]
-            sinks[lo] = [_guarded(path, fh.write) for path, fh in zip(outputs, temps[lo])]
-        with fork_ranges(run, ranges) as done, \
-                _writer(outputs[0]) as csv_fh, _writer(outputs[1]) as bundle_fh:
-            out_files = (csv_fh, bundle_fh)
-            csv, bundle = sinks[0] = [_guarded(path, fh.write)
-                                      for path, fh in zip(outputs, out_files)]
-            csv(f"# manifest={mhash}\npath,t,value\n".encode())
-            bundle(head.encode() + b"[")
-            for lo in done:
-                for path, fh, out in zip(outputs, temps.get(lo, ()), out_files):
-                    _append(path, fh, out)
-            bundle(b"]" + tail.encode() + b"\n")
-    finally:
-        for files in temps.values():
-            for fh in files:
-                fh.close()
-    _write_text(out_dir / "manifest.json", _manifest_json(cfg))
+        done = stack.enter_context(fork_ranges(run, ranges))
+        csv.write(f"# manifest={mhash}\npath,t,value\n".encode())
+        bundle.write(head.encode() + b"[")
+        for lo in done:
+            for out, part in zip(outs, parts.get(lo, ())):
+                out.append(part)
+        bundle.write(b"]" + tail.encode() + b"\n")
+    _write_reports(cfg, out_dir)
     return EXIT_OK
 
 
@@ -209,15 +200,10 @@ def cmd_verify(suite: str, cfg: RunConfig, out_dir: Path) -> int:
     """Run the named battery; write its CSV; exit 0 iff every check passed."""
     from .verify import run_suite
     rows = run_suite(suite, cfg)
-    mhash = cfg.manifest().hash()
-    lines = [f"# manifest={mhash}", "check,expected,observed,tolerance,pass"]
-    for row in rows:
-        lines.append(
-            f"{row.check},{_fmt(row.expected)},{_fmt(row.observed)},"
-            f"{_fmt(row.tolerance)},{'true' if row.passed else 'false'}"
-        )
-    _write_text(out_dir / f"verify_{suite}.csv", "\n".join(lines) + "\n")
-    _write_text(out_dir / "manifest.json", _manifest_json(cfg))
+    lines = ["check,expected,observed,tolerance,pass"] + [
+        f"{row.check},{_fmt(row.expected)},{_fmt(row.observed)},"
+        f"{_fmt(row.tolerance)},{'true' if row.passed else 'false'}" for row in rows]
+    _write_reports(cfg, out_dir, f"verify_{suite}.csv", lines)
     failed = [row for row in rows if not row.passed]
     for row in failed:
         print(f"FAIL {row.check}: expected {row.expected}, observed "
@@ -230,13 +216,9 @@ def cmd_expand(cfg: RunConfig, out_dir: Path) -> int:
     (seed, 0), on grid.points - 1 uniform cells; write the report."""
     report = expand_integral(cfg.integrand, cfg.basis, cfg.truncation,
                              cfg.grid_points - 1, cfg.seed, 0, cfg.resolution)
-    mhash = cfg.manifest().hash()
-    lines = [f"# manifest={mhash}", f"# target={_fmt(report.target)}",
-             "n,partial_sum,defect"]
-    for n, partial, defect in report.rows():
-        lines.append(f"{n},{_fmt(partial)},{_fmt(defect)}")
-    _write_text(out_dir / "expansion.csv", "\n".join(lines) + "\n")
-    _write_text(out_dir / "manifest.json", _manifest_json(cfg))
+    lines = [f"# target={_fmt(report.target)}", "n,partial_sum,defect"] + [
+        f"{n},{_fmt(partial)},{_fmt(defect)}" for n, partial, defect in report.rows()]
+    _write_reports(cfg, out_dir, "expansion.csv", lines)
     return EXIT_OK
 
 

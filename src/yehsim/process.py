@@ -183,7 +183,9 @@ class _Part:
             os._exit(0)
 
     def join(self):
-        """Wait for the child; return its result, or raise its exception."""
+        """Wait for the child; return its result, or raise its exception, or
+        a YehError naming its range if it died (by a signal, as the OOM
+        killer ends it) without a reply."""
         with os.fdopen(self.pipe, "rb") as pipe:
             self.pipe = None
             reply = pipe.read()
@@ -191,8 +193,9 @@ class _Part:
         self.pid = None
         code = os.waitstatus_to_exitcode(status)
         if code or not reply:
-            raise RuntimeError(f"the process drawing streams [{self.lo}, {self.hi}) "
-                               f"ended with exit code {code}")
+            how = (f"was killed by signal {-code}" if code < 0
+                   else f"ended with exit code {code}")
+            raise YehError(f"the process drawing streams [{self.lo}, {self.hi}) {how}")
         ok, value = pickle.loads(reply)
         if not ok:
             raise value

@@ -19,11 +19,11 @@ from .errors import YehError
 
 def mean_se(samples) -> tuple[float, float]:
     """(mean, std(ddof=1) / sqrt(count)) of a sample array; a non-finite
-    sample gives a non-finite result, never an exception."""
+    sample, or a sum that overflows, gives a non-finite result, never an
+    exception or a warning."""
     samples = np.asarray(samples, dtype=float)
-    with np.errstate(invalid="ignore"):
-        se = float(samples.std(ddof=1)) / math.sqrt(samples.size)
-    return float(samples.mean()), se
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(samples.mean()), float(samples.std(ddof=1)) / math.sqrt(samples.size)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -198,25 +199,35 @@ class TestSimulate:
             assert f"error: integrand: {field} {problem}" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
-        code = run_cli("simulate", "--config", str(tmp_path / "nope.json"),
-                       "--out", str(tmp_path / "out"))
-        assert code == 2
-        assert "does not exist" in capsys.readouterr().err
+        # a missing file, a directory and a file that is not UTF-8
+        (tmp_path / "dir.json").mkdir()
+        (tmp_path / "latin1.json").write_bytes('{"mc": {"seed": "\u00e9"}}'.encode("latin-1"))
+        for name, problem in (("nope.json", "does not exist"), ("dir.json", "Is a directory"),
+                              ("latin1.json", "can't decode byte 0xe9")):
+            code = run_cli("simulate", "--config", str(tmp_path / name),
+                           "--out", str(tmp_path / "out"))
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: config: ") and err.count("\n") == 1, err
+            assert problem in err and "Traceback" not in err
 
     def test_unwritable_output_gives_io_exit(self, tmp_path, brownian_config,
                                              capsys, monkeypatch):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file where a directory must go")
-        for parts in (1, 3):
-            force_parts(monkeypatch, parts)
-            code = run_cli("simulate", "--config", str(brownian_config),
-                           "--out", str(blocker / "sub"))
-            assert code == 3
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: cannot write {blocker / 'sub' / 'paths.csv'}: ")
-            assert "Traceback" not in err
-            assert_no_child_left()
-            assert sorted(os.listdir(tmp_path)) == ["blocked", "config.json"]
+        for argv, first in ((["simulate"], "paths.csv"), (["expand"], "expansion.csv"),
+                            (["verify", "--suite", "counterexample"],
+                             "verify_counterexample.csv")):
+            for parts in (1, 3):
+                force_parts(monkeypatch, parts)
+                code = run_cli(*argv, "--config", str(brownian_config),
+                               "--out", str(blocker / "sub"))
+                assert code == 3
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: cannot write {blocker / 'sub' / first}: ")
+                assert "Traceback" not in err
+                assert_no_child_left()
+                assert sorted(os.listdir(tmp_path)) == ["blocked", "config.json"]
 
     def test_unopenable_output_file_gives_io_exit(self, tmp_path, brownian_config,
                                                  capsys, monkeypatch):
@@ -234,27 +245,38 @@ class TestSimulate:
 
     def test_child_write_failure_gives_io_exit(self, tmp_path, brownian_config,
                                                capsys, monkeypatch):
-        # only the forked children write to temporary files
+        # the disk fills as a part writes its temporary files (only the
+        # parts make them), as the parent of one part writes paths.csv
+        # (/dev/full) and as the parent appends a part's files
+        def full_disk(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
         real = tempfile.TemporaryFile
 
-        def full_disk(*args, **kwargs):
+        def full_temp(*args, **kwargs):
             fh = real(*args, **kwargs)
-
-            def write(text):
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            fh.write = write
+            fh.write = full_disk
             return fh
 
-        monkeypatch.setattr(tempfile, "TemporaryFile", full_disk)
-        force_parts(monkeypatch, 2)
-        out = tmp_path / "out"
-        code = run_cli("simulate", "--config", str(brownian_config), "--out", str(out))
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err == (f"error: cannot write {out / 'paths.csv'}: "
-                       f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
-        assert_no_child_left()
-        assert sorted(os.listdir(out)) == ["bundle.json", "paths.csv"]
+        for case, parts in (("part", 2), ("parent", 1), ("append", 2)):
+            out = tmp_path / case
+            out.mkdir()
+            with monkeypatch.context() as patch:
+                if case == "part":
+                    patch.setattr(tempfile, "TemporaryFile", full_temp)
+                elif case == "parent":
+                    (out / "paths.csv").symlink_to("/dev/full")
+                else:
+                    patch.setattr(shutil, "copyfileobj", full_disk)
+                force_parts(patch, parts)
+                code = run_cli("simulate", "--config", str(brownian_config),
+                               "--out", str(out))
+            assert code == 3, case
+            err = capsys.readouterr().err
+            assert err == (f"error: cannot write {out / 'paths.csv'}: "
+                           f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"), case
+            assert_no_child_left()
+            assert sorted(os.listdir(out)) == ["bundle.json", "paths.csv"]
 
     def test_killed_run_leaves_no_child(self, tmp_path):
         # the children of a SIGKILLed parent stop before their next chunk
@@ -567,6 +589,27 @@ def test_memory_error_in_a_part_exits_2(tmp_path, brownian_config, monkeypatch, 
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory;"), err
         assert "Traceback" not in err
+        assert_no_child_left()
+
+
+def test_killed_part_exits_2(tmp_path, brownian_config, monkeypatch, capsys):
+    # a part that a signal ends, as the OOM killer ends one, sends no reply
+    parent = os.getpid()
+    real = process.normal_matrix
+
+    def killed(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(process, "normal_matrix", killed)
+    monkeypatch.setattr(process, "FORK_DRAWS", 1)
+    force_parts(monkeypatch, 2)
+    for argv in (["simulate"], ["verify", "--suite", "moments"]):
+        code = run_cli(*argv, "--config", str(brownian_config), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == ("error: the process drawing streams [5, 10) "
+                                           f"was killed by signal {int(signal.SIGKILL)}\n")
         assert_no_child_left()
 
 
@@ -996,11 +1039,12 @@ def test_size_beyond_memory_names_the_size_fields(tmp_path, argv):
 
 
 @pytest.mark.parametrize("command, code", [(["expand"], 2), (["verify", "--suite", "series"], 2),
-                                           (["simulate"], 0)])
+                                           (["simulate"], 0), (["verify", "--suite", "all"], 2)])
 def test_cosine_overflow_names_the_family(tmp_path, command, code):
     # on [0, 1e308] the cosine closed forms overflow (2 * rho(b) is not
     # finite): the basis commands end with the field and the rho mass named
-    # and without a numpy warning; simulate uses no basis
+    # and without a numpy warning, the moments suite that `verify --suite
+    # all` runs first included; simulate uses no basis
     cfg_path = tmp_path / "huge.json"
     cfg_path.write_text(json.dumps({"interval": [0.0, 1e308]}))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -1017,9 +1061,9 @@ def test_cosine_overflow_names_the_family(tmp_path, command, code):
 ALL_COMMANDS = (["simulate"], ["verify", "--suite", "all"], ["expand"])
 #: (name, config, field the message starts with, commands it reaches): a
 #: valid steep rho whose increments underflow to 0 on the grid, a polynomial
-#: that overflows, the cosine basis on [0, 1e308] (simulate uses no basis,
-#: and the moments suite of `verify --suite all` overflows first) and an
-#: interval too narrow for its grid.
+#: that overflows, the cosine basis on [0, 1e308] (simulate uses no basis;
+#: test_cosine_overflow_names_the_family runs `verify --suite all` on it)
+#: and an interval too narrow for its grid.
 LIBRARY_ERRORS = [
     ("steep_rho", {"rho": {"kind": "power", "exponent": 200}, "grid": {"points": 1025}},
      "rho", ALL_COMMANDS),

@@ -28,7 +28,6 @@ UNREACHED = {
     "increment_value_matrix": "the reference bench/run.py checks simulate's values against",
     "cantor_eval": "the exact rational oracle that _cantor_array is tested against",
     "_portable": "error handler: an exception raised in a forked part",
-    "_io_failure": "error handler: an output that cannot be written",
 }
 
 SMALL = {"mc": {"paths": 24, "seed": 3}, "grid": {"points": 17}, "series": {"N": 8}}
