@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kolmogorov, ndtr
 
 from .errors import YehError
+from .streams import kolmogorov, ndtr
 
 
 def mean_se(samples) -> tuple[float, float]:

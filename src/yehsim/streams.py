@@ -15,14 +15,46 @@ Two implementations compute it, chosen by row length and equal bit for bit:
 rows of at most CROSSOVER_DRAWS draws run a numpy-vectorized Philox over all
 rows at once, in chunks of counter blocks; longer rows rekey numpy's C Philox
 once per row.
+
+ndtri, and the ndtr and kolmogorov that stats takes from here, are ufuncs of
+scipy.special's compiled module _ufuncs.  The package's __init__ would also
+load its array-API layer, and with it numpy.f2py and numpy.testing: about
+0.2 s and 14 MB per command on a 2-core host (BENCH_scipy_import.json).  So,
+unless scipy.special is loaded already, _ufuncs loads under a bare stand-in
+for its package, removed again at once; a later `import scipy.special` reuses
+the module and gives the same objects.  _ufuncs is private, so any
+ImportError, a missing name included, falls back to the package.
 """
 
 from __future__ import annotations
 
 import operator
+import os
+import sys
+import types
 
 import numpy as np
-from scipy.special import ndtri
+import scipy
+
+# statements, not a function: one that only the import calls would escape the
+# profile hook of tests/test_reachability.py
+if "scipy.special" in sys.modules:
+    from scipy.special import kolmogorov, ndtr, ndtri
+else:
+    _stub = sys.modules["scipy.special"] = types.ModuleType("scipy.special")
+    _stub.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
+    try:
+        from scipy.special._ufuncs import kolmogorov, ndtr, ndtri
+    except ImportError:
+        ndtri = None
+    finally:
+        del sys.modules["scipy.special"]
+        # vars(), not getattr(): scipy's module __getattr__ would import the package
+        if vars(scipy).get("special") is _stub:
+            del scipy.special
+        del _stub
+    if ndtri is None:
+        from scipy.special import kolmogorov, ndtr, ndtri
 
 _U64 = 2**64
 _BITS = 52  # uniform resolution; (k + 0.5) * 2**-52 is exact for k < 2**52

@@ -1110,7 +1110,7 @@ class TestEntryPoint:
         assert excinfo.value.code == 2
 
     def test_entry_freezes_the_import_heap(self, tmp_path, brownian_config):
-        # numpy's, scipy's and the package's objects, some 40,000, are
+        # numpy's, scipy's and the package's objects, some 24,000, are
         # frozen before main() runs
         code, frozen, _ = run_entry("verify", "--suite", "counterexample", "--config",
                                     str(brownian_config), "--out", str(tmp_path / "out"))

@@ -1,0 +1,112 @@
+"""How streams loads scipy.special's ndtri, ndtr and kolmogorov.
+
+Each test runs a new interpreter, since this one may hold scipy.special
+already.  By default the ufuncs load without the package's __init__, whose
+array-API layer loads numpy.f2py and numpy.testing; a caller that imported
+scipy.special first gets its objects, and a refused private import falls back
+to the package.  Every route gives the same bits.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+#: Modules that only scipy.special's package __init__ brings in.
+HEAVY = ("scipy.special", "numpy.f2py", "numpy.testing")
+
+PRELUDE = f"""\
+import json, sys
+import scipy
+
+def loaded():
+    found = [name for name in {HEAVY!r} if name in sys.modules]
+    # vars(), not getattr(): scipy's module __getattr__ would import the package
+    return found + ["scipy.special attribute"] * ("special" in vars(scipy))
+"""
+
+LEAN = PRELUDE + """\
+import yehsim
+from yehsim import cli, stats, streams
+
+left = {"import": loaded()}
+config, out = sys.argv[1:]
+for command in (["simulate"], ["verify", "--suite", "all"], ["expand"]):
+    code = cli.main([*command, "--config", config, "--out", out])
+    assert code in (0, 1), (command, code)
+    left[command[0]] = loaded()
+import scipy.special
+same = [scipy.special.ndtri is streams.ndtri, scipy.special.ndtr is stats.ndtr,
+        scipy.special.kolmogorov is stats.kolmogorov]
+print(json.dumps([left, same]))
+"""
+
+#: Per route, what runs before the package loads.
+ROUTES = {
+    "stub": "",
+    "package": "import scipy.special\n",
+    # a finder that refuses the private module while the stand-in stands;
+    # a None in sys.modules would block the package's own import of it too
+    "fallback": """\
+class Refuse:
+    hits = 0
+
+    def find_spec(self, name, path, target=None):
+        if name == "scipy.special._ufuncs" and not hasattr(
+                sys.modules.get("scipy.special"), "__file__"):
+            Refuse.hits += 1
+            raise ImportError("refused under the stand-in")
+
+sys.meta_path.insert(0, Refuse())
+""",
+}
+
+BITS = """\
+import hashlib
+import numpy as np
+from yehsim import ks_test, normal_matrix
+
+digests = {}
+for seed, rows, draws, first in [(7, 5, 3, 0), (7, 3, 1024, 2**40), (2**64 - 1, 2, 101, 9)]:
+    matrix = normal_matrix(seed, rows, draws, first)
+    digests[f"{seed}-{rows}-{draws}-{first}"] = hashlib.sha256(matrix.tobytes()).hexdigest()
+report = ks_test(normal_matrix(11, 1, 500)[0] * 1.1 + 0.05, 0.0, 1.0)
+ks = [report.statistic.hex(), report.p_value.hex()]
+hits = Refuse.hits if "Refuse" in globals() else None
+print(json.dumps([digests, ks, "scipy.special" in sys.modules, hits]))
+"""
+
+
+def run_script(script: str, *argv) -> list:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_commands_stay_lean(tmp_path):
+    # neither the import nor any command leaves the package __init__ behind,
+    # and a later import of the package gives the very ufuncs the package uses
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mc": {"paths": 40, "seed": 3}, "grid": {"points": 17},
+                                  "series": {"N": 8}}))
+    left, same = run_script(LEAN, str(config), str(tmp_path / "out"))
+    assert left == {"import": [], "simulate": [], "verify": [], "expand": []}
+    assert same == [True, True, True]
+
+
+@pytest.fixture(scope="module")
+def stub_route():
+    return run_script(PRELUDE + ROUTES["stub"] + BITS)
+
+
+@pytest.mark.parametrize("route", ["package", "fallback"])
+def test_every_route_gives_the_same_bits(stub_route, route):
+    digests, ks, package_loaded, hits = run_script(PRELUDE + ROUTES[route] + BITS)
+    assert stub_route[2] is False
+    assert package_loaded is True
+    assert hits == (1 if route == "fallback" else None)
+    assert [digests, ks] == stub_route[:2]
