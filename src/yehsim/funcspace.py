@@ -113,7 +113,10 @@ def step_cells(family, interval=None) -> tuple[np.ndarray, np.ndarray]:
     points = np.concatenate([s.partition for s in steps])
     iv = Interval.coerce((points.min(), points.max()) if interval is None else interval)
     points = np.append(points, [iv.a, iv.b])
-    partition = np.unique(points[(points >= iv.a) & (points <= iv.b)])
+    # np.unique's sort-and-compare, without its np.ma.is_masked check, which
+    # imports numpy.ma
+    partition = np.sort(points[(points >= iv.a) & (points <= iv.b)])
+    partition = partition[np.append(True, partition[1:] != partition[:-1])]
     mids = 0.5 * partition[:-1] + 0.5 * partition[1:]
     return partition, np.vstack([step(mids) for step in steps])
 

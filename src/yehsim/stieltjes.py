@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -75,6 +74,8 @@ def cantor_eval(t, depth: int = DEFAULT_CANTOR_DEPTH) -> float:
     Fraction inputs are honored exactly, which makes the self-similarity
     identities testable without argument rounding.
     """
+    from fractions import Fraction  # only this oracle needs it
+
     if depth < 1:
         raise ValueError("depth must be a positive integer")
     x = t if isinstance(t, Fraction) else Fraction(t)

@@ -106,13 +106,16 @@ def _uniform_matrix(seed: int, n_streams: int, n_draws: int,
     else:
         bitgen = np.random.Philox(key=0)
         zero = np.zeros(4, dtype=np.uint64)
+        key = np.array([seed, 0], dtype=np.uint64)
+        # counter 0 and an exhausted buffer: the first word is block 1's; the
+        # setter copies key and counter, so one dict serves every row
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": zero, "key": key},
+                 "buffer": zero, "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
         for i in range(n_streams):
-            key = np.array([seed, first_index + i], dtype=np.uint64)
-            # counter 0 and an exhausted buffer: the first word is block 1's
-            bitgen.state = {"bit_generator": "Philox",
-                            "state": {"counter": zero, "key": key},
-                            "buffer": zero, "buffer_pos": 4,
-                            "has_uint32": 0, "uinteger": 0}
+            key[1] = first_index + i
+            bitgen.state = state
             out[i] = bitgen.random_raw(n_draws) >> _SHIFT
     out += 0.5
     out *= 2.0**-_BITS

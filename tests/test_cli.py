@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from yehsim import cli, process
 from yehsim.cli import main
 from yehsim.config import parse_config
-from yehsim.encode import encode_17g
+from yehsim.encode import encode_17g, write_rows
 from yehsim.process import YehSpec, make_grid
 from yehsim.verify import SUITE_NAMES
 
@@ -569,6 +569,31 @@ class TestEncode:
             rng.standard_normal((20, 513)).cumsum(axis=1).ravel(),
             rng.standard_normal(20000) * 10.0 ** rng.integers(-6, 18, 20000)])
         assert encode_17g(values) == percent_17g(values)
+
+    def test_working_set_bounded_by_the_block(self):
+        # write_rows holds one block's temporaries at a time: about 3.6 MB
+        # over a chunk of 512 paths of 513 points (blocks of 2**15 values
+        # took 15 MB), and no more over four such chunks.  The chunks, paths
+        # of the benchmark's simulate workload, are drawn, and the sinks
+        # discard, outside the traced peak.
+        cfg = parse_config({"lambda": {"kind": "cantor", "depth": 64},
+                            "rho": {"kind": "power", "exponent": 2.0},
+                            "mc": {"paths": 512, "seed": 7},
+                            "grid": {"points": 513, "scale": "rho"}}, {})
+        grid = make_grid(cfg.interval, cfg.grid_points, cfg.grid_scale, rho=cfg.rho)
+        values = process.increment_value_matrix(YehSpec(cfg.lam, cfg.rho), grid,
+                                                cfg.seed, cfg.paths)
+        pieces = [b""] + [f",{cli._fmt(t)},%s\n".encode() for t in grid]
+        peaks = []
+        for chunks in ([(0, values)], [(k0, values) for k0 in range(0, 2048, 512)]):
+            tracemalloc.start()
+            try:
+                write_rows(0, chunks, pieces, len, len)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 4e6, peaks
+        assert abs(peaks[1] - peaks[0]) < 0.02 * peaks[0], peaks
 
 
 def test_memory_error_in_a_part_exits_2(tmp_path, brownian_config, monkeypatch, capsys):

@@ -1,10 +1,13 @@
-"""How streams loads scipy.special's ndtri, ndtr and kolmogorov.
+"""How streams loads scipy.special's ndtri, ndtr and kolmogorov, and what
+else the commands leave unloaded.
 
 Each test runs a new interpreter, since this one may hold scipy.special
 already.  By default the ufuncs load without the package's __init__, whose
 array-API layer loads numpy.f2py and numpy.testing; a caller that imported
 scipy.special first gets its objects, and a refused private import falls back
-to the package.  Every route gives the same bits.
+to the package.  Every route gives the same bits.  No command loads numpy.ma
+(np.unique would, through np.ma.is_masked) or fractions (only
+stieltjes.cantor_eval, an oracle no command calls, uses it).
 """
 
 import json
@@ -14,8 +17,9 @@ import sys
 
 import pytest
 
-#: Modules that only scipy.special's package __init__ brings in.
-HEAVY = ("scipy.special", "numpy.f2py", "numpy.testing")
+#: Modules that no command may load: the first three only scipy.special's
+#: package __init__ brings in.
+HEAVY = ("scipy.special", "numpy.f2py", "numpy.testing", "numpy.ma", "fractions")
 
 PRELUDE = f"""\
 import json, sys
