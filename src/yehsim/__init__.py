@@ -13,9 +13,7 @@ from .config import TOOL_VERSION
 from .errors import ConfigError, YehError
 from .funcspace import (
     BasisFamily,
-    Integrand,
     StepFunction,
-    as_integrand,
     fourier_coeffs,
     inner_rho,
     project_family,
@@ -40,8 +38,6 @@ from .stieltjes import (
     VarianceFunction,
     cantor_eval,
     rho_inverse,
-    stieltjes_quad,
-    stieltjes_step,
 )
 from .streams import normal_matrix
 

@@ -16,10 +16,11 @@ Schema (all sections optional, defaults shown):
 Eight function kinds map onto two representations per family: lambda zero,
 linear(slope, intercept), piecewise/table(knots, values) -> piecewise drift,
 cantor(depth) -> Cantor drift; rho identity, power(exponent) -> power
-variance, piecewise/table(knots, values) -> piecewise variance.  Integrand
-kinds: step(partition, values) | indicator(lo, hi) | poly(coeffs) |
-basis(index); step and indicator give the StepFunction itself, whose
-partition lies in the interval and which is 0 outside it.  Ranges (README
+variance, piecewise/table(knots, values) -> piecewise variance.  The
+integrand kinds: step(partition, values) | indicator(lo, hi) | poly(coeffs)
+| basis(index); step and indicator give the StepFunction itself, whose
+partition lies in the interval and which is 0 outside it, and poly and
+basis a function of t.  Ranges (README
 "Config schema"): finite numbers, knots strictly increasing over the
 interval, exponent >= 1, depth in [1, 1074], basis index in [0, 2**20].
 A value out of range, or a section other than interval that is not an
@@ -33,11 +34,12 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError
-from .funcspace import BasisFamily, Integrand, StepFunction
+from .funcspace import BasisFamily, StepFunction
 from .process import DEFAULT_GRID_POINTS, DEFAULT_TRUNCATION
 from .stieltjes import (DEFAULT_CANTOR_DEPTH, DEFAULT_RESOLUTION, Interval,
                         MeanFunction, VarianceFunction)
@@ -104,7 +106,7 @@ def variance_function_from_spec(spec: dict, interval) -> VarianceFunction:
     raise ConfigError(f"rho: unknown kind {kind!r}")
 
 
-def integrand_from_spec(spec: dict, interval, basis: BasisFamily) -> Integrand | StepFunction:
+def integrand_from_spec(spec: dict, interval, basis: BasisFamily) -> StepFunction | Callable:
     kind = spec.get("kind", "indicator")
     iv = Interval.coerce(interval)
     try:
@@ -122,8 +124,7 @@ def integrand_from_spec(spec: dict, interval, basis: BasisFamily) -> Integrand |
         if kind == "poly":
             coeffs = [float(c) for c in spec.get("coeffs", [0.0, 1.0])]
             _require(all(map(math.isfinite, coeffs)), "integrand", "coeffs must be finite")
-            poly = np.polynomial.Polynomial(coeffs)
-            return Integrand(lambda t: poly(np.asarray(t, dtype=float)))
+            return np.polynomial.Polynomial(coeffs)
         if kind == "basis":
             index = _int_field(spec.get("index", 0), "integrand.index")
             # the range README "Config schema" documents for the index
@@ -143,7 +144,7 @@ class RunConfig:
     interval: Interval
     lam: MeanFunction
     rho: VarianceFunction
-    integrand: Integrand | StepFunction
+    integrand: StepFunction | Callable
     paths: int
     seed: int
     grid_points: int

@@ -1,15 +1,16 @@
 """Weighted L2 spaces: step functions, integrands, inner products, bases.
 
-A step integrand is a StepFunction, sum of c_i 1_[t_{i-1}, t_i), 0 outside
-its partition; other integrands are function handles (Integrand).  A step
-family is one partition and one (members, pieces) matrix: `step_cells`, the
-one code that merges or cuts partitions, builds it from steps and
-`project_family` from any integrands and basis members, and the one
-Wiener-integral kernel, process.increment_functionals, takes it.
-`stieltjes_integral` integrates against d(mu): exactly for a StepFunction,
-by midpoint quadrature otherwise.  The Wiener integral I(f) is
-Normal(stieltjes_integral(f, lambda), inner_rho(f, f, rho)), and
-E[I(f) I(g)] is inner_rho(f, g, rho) plus the product of the means.
+An integrand is a StepFunction, sum of c_i 1_[t_{i-1}, t_i), 0 outside its
+partition, or a callable on arrays, which stieltjes._eval_function evaluates
+and guards.  A step family is one partition and one (members, pieces)
+matrix: `step_cells`, the one code that merges or cuts partitions, builds it
+from steps and `project_family` from any integrands and basis members, and
+the one Wiener-integral kernel, process.increment_functionals, takes it.
+`stieltjes_integral`, the one Stieltjes integral, integrates against d(mu):
+exactly for a StepFunction, by midpoint quadrature otherwise.  The Wiener
+integral I(f) is Normal(stieltjes_integral(f, lambda), inner_rho(f, f,
+rho)), and E[I(f) I(g)] is inner_rho(f, g, rho) plus the product of the
+means.
 Bases of the rho-weighted space pull a Lebesgue-orthonormal family on
 [0, rho(b)] back through rho: closed-form antiderivatives, and
 orthonormality without numerical orthogonalization.  Its two evaluators,
@@ -22,19 +23,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
 from .errors import YehError
 from .stieltjes import (
+    _EDGE_TOL,
     DEFAULT_RESOLUTION,
     Interval,
     VarianceFunction,
     _eval_function,
     midpoint_rule,
-    stieltjes_quad,
-    stieltjes_step,
 )
 
 
@@ -121,42 +120,36 @@ def step_cells(family, interval=None) -> tuple[np.ndarray, np.ndarray]:
     return partition, np.vstack([step(mids) for step in steps])
 
 
-@dataclass(frozen=True)
-class Integrand:
-    """A function handle with an optional sign certificate: +1 for
-    nonnegative, -1 for nonpositive, 0 for identically zero, None for
-    unknown/mixed.  A StepFunction answers it itself."""
-
-    func: Callable
-    sign: int | None = None
-
-    def __call__(self, t):
-        arr = np.asarray(t, dtype=float)
-        if arr.ndim == 0:
-            return float(self.func(float(arr)))
-        return _eval_function(self.func, arr)
-
-
-def as_integrand(obj) -> Integrand | StepFunction:
-    """A StepFunction or Integrand unchanged, a bare callable as an Integrand."""
-    if isinstance(obj, (Integrand, StepFunction)):
-        return obj
-    if callable(obj):
-        return Integrand(obj)
-    raise TypeError(f"cannot interpret {type(obj).__name__} as an integrand")
-
-
 def stieltjes_integral(f, mu, s: float | None = None, t: float | None = None,
                        resolution: int = DEFAULT_RESOLUTION) -> float:
-    """The integral of f against d(mu) over [s, t], by default mu's interval:
-    the exact closed form for a StepFunction, midpoint quadrature at
-    `resolution` otherwise."""
-    f = as_integrand(f)
+    """The integral of f against d(mu) over [s, t], by default mu's interval.
+
+    For a StepFunction, t0 < ... < tn with values c1..cn, it is the closed
+    form sum of ci * (mu(ti) - mu(t_{i-1})) restricted to [s, t], independent
+    of partition refinement.  For a callable it is the midpoint rule on
+    `resolution` uniform cells of [s, t], which converges for continuous f.
+    """
+    a, b = mu.interval.a, mu.interval.b
+    lo = a if s is None else float(s)
+    hi = b if t is None else float(t)
+    if not (a <= lo <= hi <= b):
+        raise YehError(f"need {a} <= s <= t <= {b}, got s={lo}, t={hi}")
     if isinstance(f, StepFunction):
-        return stieltjes_step(f, mu, s, t)
-    lo = mu.interval.a if s is None else s
-    hi = mu.interval.b if t is None else t
-    return stieltjes_quad(f, mu, lo, hi, resolution)
+        partition = np.asarray(f.partition)
+        if partition[0] < a - _EDGE_TOL or partition[-1] > b + _EDGE_TOL:
+            raise YehError(f"partition [{partition[0]}, {partition[-1]}] outside [{a}, {b}]")
+        left = np.maximum(partition[:-1], lo)
+        right = np.minimum(partition[1:], hi)
+        terms = (np.asarray(f.values) * (mu(right) - mu(left)))[right > left]
+        # cumsum adds the pieces in order from 0.0, so the bits do not depend
+        # on numpy's pairwise summation
+        return float(np.cumsum(np.append(0.0, terms))[-1])
+    if resolution < 1:
+        raise ValueError("resolution must be >= 1")
+    if lo == hi:
+        return 0.0
+    _, mids, masses = midpoint_rule(lo, hi, resolution, mu)
+    return float(np.sum(_eval_function(f, mids) * masses))
 
 
 def inner_rho(f, g, rho: VarianceFunction, resolution: int = DEFAULT_RESOLUTION) -> float:
@@ -165,7 +158,6 @@ def inner_rho(f, g, rho: VarianceFunction, resolution: int = DEFAULT_RESOLUTION)
     Exact when both arguments are step functions, on the union of their
     partitions; midpoint quadrature at `resolution` otherwise.
     """
-    f, g = as_integrand(f), as_integrand(g)
     if isinstance(f, StepFunction) and isinstance(g, StepFunction):
         partition, (x, y) = step_cells([f, g])
         return stieltjes_integral(StepFunction(partition, x * y), rho)
@@ -186,7 +178,7 @@ def project_family(fs, n: int, interval, basis: BasisFamily | None = None,
         raise ValueError("cell count must be >= 1")
     iv = Interval.coerce(interval)
     edges, mids, _ = midpoint_rule(iv.a, iv.b, n)
-    rows = [np.atleast_1d(as_integrand(f)(mids)) for f in fs]
+    rows = [_eval_function(f, mids) for f in fs]
     if terms:
         rows.append(basis.values(np.arange(terms), mids))
     return tuple(edges.tolist()), np.vstack(rows)
@@ -279,12 +271,11 @@ class BasisFamily:
         and Schauder tents for Haar members."""
         return self._evaluate(n, t, running=True)
 
-    def member(self, n: int) -> Integrand:
-        """Basis member phi_n as an integrand; the constant member 0 is
-        positive."""
+    def member(self, n: int):
+        """Basis member phi_n as a function of t."""
         if n < 0:
             raise ValueError("basis index must be >= 0")
-        return Integrand(lambda t: self.values(n, t), sign=1 if n == 0 else None)
+        return lambda t: self.values(n, t)
 
 
 def fourier_coeffs(f, basis: BasisFamily, count: int,
@@ -300,14 +291,13 @@ def fourier_coeffs(f, basis: BasisFamily, count: int,
     """
     if count < 1:
         raise ValueError("coefficient count must be >= 1")
-    f = as_integrand(f)
     ns = np.arange(count)
     if isinstance(f, StepFunction):
         steps = np.diff(basis.antiderivative(ns, f.partition), axis=1)
         return (steps[:, None, :] @ np.asarray(f.values)[:, None])[:, 0, 0]
     rho = basis.rho
     _, mids, masses = midpoint_rule(rho.interval.a, rho.interval.b, resolution, rho)
-    fvals = f(mids)
+    fvals = _eval_function(f, mids)
     rows = max(1, BLOCK_VALUES // resolution)
     coeffs = np.empty(count)
     for lo in range(0, count, rows):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .funcspace import as_integrand, stieltjes_integral
+from .funcspace import StepFunction, stieltjes_integral
 from .stieltjes import MeanFunction
 
 #: Drifts within this are treated as zero by the classifier.
@@ -38,12 +38,13 @@ def classify(f, lam: MeanFunction, probes) -> MartingaleVerdict:
 
     Probe pairs showing strictly positive and strictly negative drifts prove
     'neither' outright, with both probes as witnesses.  Otherwise the verdict
-    needs a sign certificate on f and a monotone drift: increasing lambda with
+    needs the sign of f and a monotone drift: increasing lambda with
     nonnegative f gives a submartingale, and flipping either sign flips the
-    verdict; zero total drift mass gives a martingale.  Without certificates
-    the probes alone are inconclusive and the verdict is 'undetermined'.
+    verdict; zero total drift mass gives a martingale.  Only a StepFunction
+    carries a sign (StepFunction.sign); for a callable f, or a mixed-sign
+    step, the probes alone are inconclusive and the verdict is
+    'undetermined'.
     """
-    f = as_integrand(f)
     drifts = [(float(s), float(t), stieltjes_integral(f, lam, s, t)) for s, t in probes]
     positive = [w for w in drifts if w[2] > DRIFT_TOL]
     negative = [w for w in drifts if w[2] < -DRIFT_TOL]
@@ -52,13 +53,14 @@ def classify(f, lam: MeanFunction, probes) -> MartingaleVerdict:
         worst_neg = min(negative, key=lambda w: w[2])
         return MartingaleVerdict(NEITHER, (worst_neg, worst_pos))
     direction = lam.monotone_direction
-    if f.sign is None or direction is None:
+    sign = f.sign if isinstance(f, StepFunction) else None
+    if sign is None or direction is None:
         return MartingaleVerdict(UNDETERMINED, tuple(positive + negative))
-    if f.sign == 0 or direction == 0:
+    if sign == 0 or direction == 0:
         return MartingaleVerdict(MARTINGALE)
     total = stieltjes_integral(f, lam)
     if abs(total) <= DRIFT_TOL:
         return MartingaleVerdict(MARTINGALE)
-    if f.sign * direction > 0:
+    if sign * direction > 0:
         return MartingaleVerdict(SUBMARTINGALE, tuple(positive))
     return MartingaleVerdict(SUPERMARTINGALE, tuple(negative))

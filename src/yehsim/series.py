@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import (
-    BasisFamily,
-    as_integrand,
-    fourier_coeffs,
-    inner_rho,
-    project_family,
-)
+from .funcspace import BasisFamily, fourier_coeffs, inner_rho, project_family
 from .process import YehSpec, increment_functionals
 from .stieltjes import DEFAULT_RESOLUTION
 
@@ -35,12 +29,14 @@ class ExpansionReport:
     mean-square residual after those terms (nonincreasing in i).
     """
 
-    truncation: int
     coefficients: np.ndarray
     partial_sums: np.ndarray
     target: float
     defects: np.ndarray
-    norm_sq: float
+
+    @property
+    def truncation(self) -> int:
+        return len(self.partial_sums)
 
     def rows(self):
         """(n, partial_sum, defect) rows, n = 1..truncation."""
@@ -60,16 +56,14 @@ def expand_integral(f, basis: BasisFamily, truncation: int, cells: int,
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    f = as_integrand(f)
     coeffs = fourier_coeffs(f, basis, truncation, resolution)
     edges, values = project_family([f], cells, basis.rho.interval, basis, truncation)
     integrals = increment_functionals(YehSpec.centered(basis.rho), edges, values,
                                       seed, 1, index)[0]
     target, member_integrals = float(integrals[0]), integrals[1:]
     partial_sums = np.cumsum(coeffs * member_integrals)
-    norm_sq = inner_rho(f, f, basis.rho, resolution)
-    defects = norm_sq - np.cumsum(coeffs**2)
-    return ExpansionReport(truncation, coeffs, partial_sums, target, defects, norm_sq)
+    defects = inner_rho(f, f, basis.rho, resolution) - np.cumsum(coeffs**2)
+    return ExpansionReport(coeffs, partial_sums, target, defects)
 
 
 def series_variance_defect(basis: BasisFamily, truncation: int, t):

@@ -1,10 +1,11 @@
-"""Mean/variance functions and Lebesgue-Stieltjes integration against them.
+"""Mean and variance functions, and the pieces of quadrature against them.
 
 A process is parameterized by a drift lambda of bounded variation and a
 continuous strictly increasing variance function rho.  This module holds the
-representable families for both, their induced Stieltjes measures, exact
-closed-form integrals of step functions, and midpoint-tagged quadrature for
-continuous integrands.
+representable families for both, the uniform midpoint partition whose cell
+masses diff(mu(edges)) are their Stieltjes measures, the one guarded
+evaluation of a function integrand, and the inverse of rho.  The Stieltjes
+integral itself is funcspace.stieltjes_integral.
 """
 
 from __future__ import annotations
@@ -292,35 +293,11 @@ class VarianceFunction:
         return self(self.interval.b)
 
 
-def stieltjes_step(f, mu, s: float | None = None, t: float | None = None) -> float:
-    """Exact Stieltjes integral of a step function against d(mu) over [s, t].
-
-    f carries a partition t0 < ... < tn and values c1..cn (ci on [t_{i-1}, t_i));
-    the result is the closed form sum of ci * (mu(ti) - mu(t_{i-1})) restricted
-    to [s, t], independent of partition refinement.
-    """
-    partition = np.asarray(f.partition, dtype=float)
-    values = np.asarray(f.values, dtype=float)
-    a, b = mu.interval.a, mu.interval.b
-    if partition[0] < a - _EDGE_TOL or partition[-1] > b + _EDGE_TOL:
-        raise YehError(f"partition [{partition[0]}, {partition[-1]}] outside [{a}, {b}]")
-    lo = a if s is None else float(s)
-    hi = b if t is None else float(t)
-    if not (a <= lo <= hi <= b):
-        raise YehError(f"need {a} <= s <= t <= {b}, got s={lo}, t={hi}")
-    left = np.maximum(partition[:-1], lo)
-    right = np.minimum(partition[1:], hi)
-    terms = (values * (mu(right) - mu(left)))[right > left]
-    # cumsum adds the pieces in order from 0.0, so the bits do not depend on
-    # numpy's pairwise summation
-    return float(np.cumsum(np.append(0.0, terms))[-1])
-
-
 def _eval_function(f, x: np.ndarray) -> np.ndarray:
-    """Evaluate a function handle on an array, falling back to a scalar loop
-    when f takes no array; a YehError that f raises passes through.  A
-    non-finite value raises a YehError naming the integrand, with no numpy
-    float warning before it."""
+    """Evaluate an integrand on an array, falling back to a scalar loop when
+    f takes no array; a YehError that f raises passes through.  A non-finite
+    value raises a YehError naming the integrand, with no numpy float warning
+    before it.  Every callable integrand is evaluated here."""
     with np.errstate(all="ignore"):
         try:
             out = np.asarray(f(x), dtype=float)
@@ -342,23 +319,6 @@ def midpoint_rule(s: float, t: float, cells: int, mu=None):
     edges = np.linspace(s, t, cells + 1)
     mids = 0.5 * edges[:-1] + 0.5 * edges[1:]
     return edges, mids, None if mu is None else np.diff(mu(edges))
-
-
-def stieltjes_quad(f, mu, s: float, t: float, resolution: int) -> float:
-    """Riemann-Stieltjes quadrature of f against d(mu) on [s, t].
-
-    Uniform partition of `resolution` cells in t with midpoint tags; converges
-    for continuous f as the resolution grows.
-    """
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
-    a, b = mu.interval.a, mu.interval.b
-    if not (a <= s <= t <= b):
-        raise YehError(f"need {a} <= s <= t <= {b}, got s={s}, t={t}")
-    if s == t:
-        return 0.0
-    _, mids, masses = midpoint_rule(s, t, resolution, mu)
-    return float(np.sum(_eval_function(f, mids) * masses))
 
 
 def rho_inverse(rho: VarianceFunction, v) -> float | np.ndarray:

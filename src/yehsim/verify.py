@@ -26,13 +26,13 @@ import numpy as np
 
 from .config import SUITE_NAMES, RunConfig
 from .errors import ConfigError
-from .funcspace import (BasisFamily, StepFunction, as_integrand, fourier_coeffs, inner_rho,
-                        project_family, step_cells, stieltjes_integral)
+from .funcspace import (BasisFamily, StepFunction, fourier_coeffs, inner_rho, project_family,
+                        step_cells, stieltjes_integral)
 from .martingale import classify
 from .process import YehSpec, increment_functionals, make_grid, series_point_values
 from .series import series_variance_defect
 from .stats import ks_test, mean_se
-from .stieltjes import Interval, MeanFunction, VarianceFunction, midpoint_rule
+from .stieltjes import Interval, MeanFunction, VarianceFunction, _eval_function, midpoint_rule
 
 #: The mixed-sign step integrand defeating sub/supermartingale classification:
 #: 1/2 on [0, 1/3), -1/2 on [1/3, 2/3), 2 on [2/3, 1], with drift lambda(t) = t.
@@ -220,14 +220,13 @@ def integral_battery(spec: YehSpec, f, cells: int, seed: int, paths: int) -> lis
     |gap| on 2 * cells to that on cells, which must be 0.5 within 25%
     (f is continuous and not constant).
     """
-    f = as_integrand(f)
     iv = spec.interval
     counts = (cells, 2 * cells)
     steps, exact = [], []
     for c in counts:
         edges, (mid,) = project_family([f], c, iv)
         half_edges, (half,) = project_family([f], c // 2, iv)
-        ends = f(np.asarray(edges))
+        ends = _eval_function(f, np.asarray(edges))
         gap = ends[:-1] - mid
         steps += [StepFunction(edges, ends[:-1]), StepFunction(edges, ends[1:] - ends[:-1]),
                   StepFunction(edges, mid), StepFunction(half_edges, half)]

@@ -22,10 +22,8 @@ from yehsim import (
     series_variance_defect,
     step_cells,
     stieltjes_integral,
-    stieltjes_quad,
-    stieltjes_step,
 )
-from yehsim.funcspace import Integrand, as_integrand, project_family
+from yehsim.funcspace import project_family
 from yehsim.stieltjes import midpoint_rule
 from yehsim.verify import basis_battery
 
@@ -127,7 +125,7 @@ class TestStepFunction:
 
     def test_is_its_own_integrand(self):
         f = StepFunction((0.0, 0.5, 1.0), (2.0, 0.0))
-        assert as_integrand(f) is f
+        assert stieltjes_integral(f, RHO_ID) == 1.0  # the closed form, 2.0 * 0.5
         assert (f.sign, StepFunction((0.0, 1.0), (-1.0,)).sign) == (1, -1)
         assert StepFunction((0.0, 1.0), (0.0,)).sign == 0
         assert StepFunction((0.0, 0.5, 1.0), (1.0, -1.0)).sign is None
@@ -154,17 +152,23 @@ class TestStepFunction:
 
 class TestStieltjesIntegral:
     def test_exact_for_steps(self):
+        # the closed form equals the sum over the cells cut to [s, t], added
+        # in order
         f = StepFunction((0.0, 0.25, 1.0), (3.0, -1.0))
         lam = MeanFunction.cantor(UNIT)
-        assert stieltjes_integral(f, lam, 0.1, 0.9) == stieltjes_step(f, lam, 0.1, 0.9)
-        assert stieltjes_integral(f, RHO_SQ) == stieltjes_step(f, RHO_SQ)
+        assert stieltjes_integral(f, lam, 0.1, 0.9) == (
+            0.0 + 3.0 * (lam(0.25) - lam(0.1)) - 1.0 * (lam(0.9) - lam(0.25)))
+        assert stieltjes_integral(f, RHO_SQ) == (
+            0.0 + 3.0 * (RHO_SQ(0.25) - RHO_SQ(0.0)) - 1.0 * (RHO_SQ(1.0) - RHO_SQ(0.25)))
 
     def test_quadrature_for_functions(self):
-        f = Integrand(np.cos)
-        want = stieltjes_quad(f, RHO_SQ, 0.0, 1.0, 64)
-        assert stieltjes_integral(f, RHO_SQ, resolution=64) == want
-        assert stieltjes_integral(np.cos, RHO_SQ, 0.2, 0.7, 64) == stieltjes_quad(
-            np.cos, RHO_SQ, 0.2, 0.7, 64)
+        # the midpoint rule: the sum of f at the cell midpoints times the
+        # cells' rho masses
+        for s, t in ((0.0, 1.0), (0.2, 0.7)):
+            edges = np.linspace(s, t, 65)
+            mids = 0.5 * edges[:-1] + 0.5 * edges[1:]
+            want = float(np.sum(np.cos(mids) * np.diff(RHO_SQ(edges))))
+            assert stieltjes_integral(np.cos, RHO_SQ, s, t, 64) == want
 
 
 class TestProjection:
@@ -245,10 +249,8 @@ class TestBasis:
 
     def test_antiderivative_matches_quadrature(self):
         basis = BasisFamily(RHO_SQ)
-        from yehsim import stieltjes_quad
-
         member = basis.member(3)
-        got = stieltjes_quad(member, RHO_SQ, 0.0, 0.7, 2**12)
+        got = stieltjes_integral(member, RHO_SQ, 0.0, 0.7, 2**12)
         want = basis.antiderivative(3, 0.7)
         assert got == pytest.approx(want, abs=1e-6)
 

@@ -314,13 +314,11 @@ class TestAnalyticMoments:
         # the same stream under the centered law removes exactly the drift term
         lam = MeanFunction.piecewise((0.0, 0.25, 1.0), (0.0, 1.5, -0.5))
         spec = YehSpec(lam, VarianceFunction.identity(UNIT))
-        from yehsim import stieltjes_step
-
         f = StepFunction((0.0, 0.25, 0.5, 1.0), (1.0, -2.0, 0.5))
         cells = step_cells([f], UNIT)
         raw = increment_functionals(spec, *cells, 606, 5)[:, 0]
         centered = increment_functionals(YehSpec.centered(spec.rho), *cells, 606, 5)[:, 0]
-        assert np.max(np.abs(raw - centered - stieltjes_step(f, lam))) <= 1e-13
+        assert np.max(np.abs(raw - centered - stieltjes_integral(f, lam))) <= 1e-13
 
     def test_non_finite_sample_fails_its_row(self, monkeypatch):
         def sampler(spec, partition, pieces, seed, count, first_index=0):

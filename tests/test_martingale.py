@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from yehsim import (
-    Integrand,
     Interval,
     MeanFunction,
     StepFunction,
@@ -55,7 +54,7 @@ class TestConditionalIncrementMean:
         got = stieltjes_integral(lambda t: t, LAM_UP, 0.0, 1.0, resolution=2**10)
         assert got == pytest.approx(0.5, abs=1e-9)
 
-    @pytest.mark.parametrize("f", [COUNTEREXAMPLE, Integrand(lambda t: t)])
+    @pytest.mark.parametrize("f", [COUNTEREXAMPLE, lambda t: t])
     @pytest.mark.parametrize("s, t", [(-0.5, 0.5), (-1e-13, 0.5), (0.75, 0.25), (0.5, 1.5)])
     def test_probe_outside_the_interval_refused(self, f, s, t):
         # the same strict domain check for step and quadrature integrands
@@ -101,8 +100,12 @@ class TestClassify:
         assert verdict.verdict == "undetermined"
 
     def test_missing_certificate_undetermined(self):
-        f = Integrand(lambda t: np.ones_like(np.asarray(t)))
-        assert f.sign is None
+        # only a StepFunction carries a sign: a callable has none, even one
+        # with a sign attribute
+        def f(t):
+            return np.ones_like(np.asarray(t))
+
+        f.sign = 1
         assert classify(f, LAM_UP, PROBES).verdict == "undetermined"
 
     def test_non_monotone_drift_undetermined(self):

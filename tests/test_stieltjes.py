@@ -14,8 +14,7 @@ from yehsim import (
     YehError,
     cantor_eval,
     rho_inverse,
-    stieltjes_quad,
-    stieltjes_step,
+    stieltjes_integral,
 )
 
 UNIT = Interval(0.0, 1.0)
@@ -165,14 +164,14 @@ class TestStieltjesStep:
     def test_single_step_closed_form(self):
         f = StepFunction.indicator(0.0, 0.5, UNIT)
         mu = VarianceFunction.power(UNIT, 2.0)
-        assert stieltjes_step(f, mu) == 0.25
+        assert stieltjes_integral(f, mu) == 0.25
 
     def test_counterexample_drifts(self):
         lam = MeanFunction.linear(UNIT, 1.0)
-        assert stieltjes_step(COUNTEREXAMPLE, lam, 0.25, 0.5) == pytest.approx(
+        assert stieltjes_integral(COUNTEREXAMPLE, lam, 0.25, 0.5) == pytest.approx(
             -1 / 24, abs=1e-15
         )
-        assert stieltjes_step(COUNTEREXAMPLE, lam, 0.25, 0.75) == pytest.approx(
+        assert stieltjes_integral(COUNTEREXAMPLE, lam, 0.25, 0.75) == pytest.approx(
             1 / 24, abs=1e-15
         )
 
@@ -180,8 +179,8 @@ class TestStieltjesStep:
         lam = MeanFunction.piecewise((0.0, 0.4, 1.0), (0.0, 2.0, -1.0))
         f = StepFunction((0.0, 0.5, 1.0), (1.0, -2.0))
         refined = StepFunction((0.0, 0.2, 0.5, 0.7, 1.0), (1.0, 1.0, -2.0, -2.0))
-        assert stieltjes_step(f, lam) == pytest.approx(
-            stieltjes_step(refined, lam), abs=1e-15
+        assert stieltjes_integral(f, lam) == pytest.approx(
+            stieltjes_integral(refined, lam), abs=1e-15
         )
 
     def test_additivity_over_splits(self):
@@ -191,8 +190,8 @@ class TestStieltjesStep:
             cuts = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 4)), [1.0]])
             f = StepFunction(tuple(cuts), tuple(rng.normal(size=5)))
             s, u, t = np.sort(rng.uniform(0, 1, 3))
-            whole = stieltjes_step(f, lam, s, t)
-            split = stieltjes_step(f, lam, s, u) + stieltjes_step(f, lam, u, t)
+            whole = stieltjes_integral(f, lam, s, t)
+            split = stieltjes_integral(f, lam, s, u) + stieltjes_integral(f, lam, u, t)
             assert whole == pytest.approx(split, abs=1e-13)
 
     def test_bounded_by_total_variation(self):
@@ -202,7 +201,7 @@ class TestStieltjesStep:
         for _ in range(25):
             cuts = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 3)), [1.0]])
             f = StepFunction(tuple(cuts), tuple(rng.normal(size=4)))
-            assert abs(stieltjes_step(f, lam)) <= max(map(abs, f.values)) * tv + 1e-12
+            assert abs(stieltjes_integral(f, lam)) <= max(map(abs, f.values)) * tv + 1e-12
 
     def test_jordan_consistency(self):
         rng = np.random.default_rng(17)
@@ -222,8 +221,8 @@ class TestStieltjesStep:
         for _ in range(20):
             cuts = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 3)), [1.0]])
             f = StepFunction(tuple(cuts), tuple(rng.normal(size=4)))
-            direct = stieltjes_step(f, lam)
-            decomposed = stieltjes_step(f, pos) - stieltjes_step(f, neg)
+            direct = stieltjes_integral(f, lam)
+            decomposed = stieltjes_integral(f, pos) - stieltjes_integral(f, neg)
             assert direct == pytest.approx(decomposed, abs=1e-13)
 
     def test_equals_piecewise_loop_bit_for_bit(self):
@@ -244,29 +243,29 @@ class TestStieltjesStep:
                 f = StepFunction(tuple(cuts), tuple(rng.normal(size=pieces)))
                 s, t = np.sort(rng.uniform(0, 1, 2))
                 for lo, hi in ((0.0, 1.0), (s, t), (s, s)):
-                    assert stieltjes_step(f, mu, lo, hi) == loop(f, mu, lo, hi)
+                    assert stieltjes_integral(f, mu, lo, hi) == loop(f, mu, lo, hi)
 
     def test_partition_out_of_domain(self):
         lam = MeanFunction.linear(Interval(0.0, 0.5), 1.0)
         with pytest.raises(YehError, match=r"partition \[0\.0, 1\.0\] outside \[0\.0, 0\.5\]"):
-            stieltjes_step(StepFunction((0.0, 1.0), (1.0,)), lam)
+            stieltjes_integral(StepFunction((0.0, 1.0), (1.0,)), lam)
 
 
 class TestStieltjesQuad:
     def test_total_mass_exact(self):
         rho = VarianceFunction.identity(UNIT)
         for res in (1, 3, 7, 64):
-            assert stieltjes_quad(lambda t: np.ones_like(t), rho, 0, 1, res) == 1.0
+            assert stieltjes_integral(lambda t: np.ones_like(t), rho, 0, 1, res) == 1.0
 
     def test_midpoint_exact_linear_vs_linear(self):
         lam = MeanFunction.linear(UNIT, 1.0)
-        assert stieltjes_quad(lambda t: t, lam, 0.0, 1.0, 2) == pytest.approx(0.5, abs=1e-15)
+        assert stieltjes_integral(lambda t: t, lam, 0.0, 1.0, 2) == pytest.approx(0.5, abs=1e-15)
 
     def test_cantor_symmetry(self):
         # the Cantor measure is symmetric about 1/2, so the mean is 1/2
         lam = MeanFunction.cantor(UNIT)
-        fine = stieltjes_quad(lambda t: t, lam, 0.0, 1.0, 2**12)
-        coarse = stieltjes_quad(lambda t: t, lam, 0.0, 1.0, 2**11)
+        fine = stieltjes_integral(lambda t: t, lam, 0.0, 1.0, 2**12)
+        coarse = stieltjes_integral(lambda t: t, lam, 0.0, 1.0, 2**11)
         assert fine == pytest.approx(0.5, abs=1e-6)
         assert abs(fine - 0.5) <= 10 * max(abs(fine - coarse), 1e-9)
 
@@ -275,15 +274,15 @@ class TestStieltjesQuad:
         rho = VarianceFunction.power(UNIT, 2.0)
 
         def refinement(res):
-            return abs(stieltjes_quad(np.cos, rho, 0.0, 1.0, res)
-                       - stieltjes_quad(np.cos, rho, 0.0, 1.0, res // 2))
+            return abs(stieltjes_integral(np.cos, rho, 0.0, 1.0, res)
+                       - stieltjes_integral(np.cos, rho, 0.0, 1.0, res // 2))
 
         assert refinement(256) < refinement(64)
 
     def test_non_finite_integrand(self):
         rho = VarianceFunction.identity(UNIT)
         with pytest.raises(YehError, match="^integrand: returned a non-finite value$"):
-            stieltjes_quad(lambda t: np.where(t > 0.4, np.nan, 1.0), rho, 0, 1, 8)
+            stieltjes_integral(lambda t: np.where(t > 0.4, np.nan, 1.0), rho, 0, 1, 8)
 
 
 class TestRhoInverse:
