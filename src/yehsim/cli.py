@@ -149,7 +149,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     _Outputs, made before the fork and appended in order once it has exited
     (its _IOFailure names the output and is raised again here).  Every
     process samples, encodes and writes in the samplers' row chunks of about
-    process.CHUNK_DRAWS normals, so no memory grows with the path count.
+    process.CHUNK_DRAWS normals, each one value matrix drawn and summed in
+    place, so no memory grows with the path count.
     Row k is stream k whichever process and chunk hold it, so the bytes
     depend on neither the core count nor the chunk height."""
     spec = YehSpec(cfg.lam, cfg.rho)

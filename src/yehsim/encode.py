@@ -9,8 +9,7 @@ even.  Their ASCII, from a table of digit pairs, is laid out by sign and
 decimal exponent and cut after the last nonzero digit.  Every other value
 (zeros, |x| < 1e-4, |x| >= 2**51, the exponent form) goes through Python's
 "%.17g", so the bytes are Python's either way.  Values are encoded about
-2**13 at a time, so the temporaries neither grow with the path count nor
-outweigh the chunk of paths they encode.
+2**13 at a time, so the temporaries do not grow with the path count.
 
 Only simulate imports this module (cli.cmd_simulate), so the other commands
 neither compile nor hold it.
@@ -26,8 +25,10 @@ from .streams import _mulhilo
 _CELL = 24
 #: Values encoded at a time, which bounds the encoder's temporaries.  They
 #: take about 450 bytes a value, 192 of them encode_17g's (values, _CELL)
-#: intp gather index: 3.6 MB for a block of 15 paths of 513 points, less
-#: than drawing a chunk of process.CHUNK_DRAWS normals takes (5.0 MB).
+#: intp gather index: 3.6 MB for a block of 15 paths of 513 points, more
+#: than a chunk of process.CHUNK_DRAWS draws holds (0.5 MB).  Blocks of 2**12
+#: values cut simulate's peak by 2.1 MB but cost 50 ms of its 0.6 s wall on
+#: a 2-core host (BENCH_working_set.json).
 _BLOCK_VALUES = 2**13
 #: 5**q for the scale 10**q = 5**q * 2**q of the digits, q = 16 - exp10.
 _POW5 = np.array([5**q for q in range(22)], dtype=np.uint64)

@@ -11,9 +11,11 @@ Wiener-integral kernel.  `series_point_values` returns the series values at
 given times.  The centered process X - lambda is a law of its own,
 YehSpec.centered(rho), drawn like any other.  All draw in row chunks of
 about CHUNK_DRAWS normals, so neither their memory nor that of `simulate`,
-which writes the chunks as they come, grows with the path count.  Row k
-depends only on stream first_index + k, never on the batch layout, chunk
-height, BLAS thread count or number of processes.
+which writes the chunks as they come, grows with the path count.  A chunk
+is one matrix: the normals are drawn into it and scaled, shifted and (for
+path values) summed in place.  Row k depends only on stream first_index +
+k, never on the batch layout, chunk height, BLAS thread count or number of
+processes.
 
 One stream-range map runs on every core: stream_ranges cuts [0, count)
 into one contiguous range per core, and fork_ranges runs each range after
@@ -44,9 +46,9 @@ DEFAULT_GRID_POINTS = 1025
 #: Default series truncation.
 DEFAULT_TRUNCATION = 256
 
-#: Normal draws per row chunk of the functional samplers: a chunk holds
-#: max(1, CHUNK_DRAWS // draws per row) rows.
-CHUNK_DRAWS = 2**18
+#: Normal draws per row chunk of every sampler: a chunk holds
+#: max(1, CHUNK_DRAWS // draws per row) rows, 128 paths of 513 points.
+CHUNK_DRAWS = 2**16
 
 #: Normal draws (count x draws per row) from which a functional sampler
 #: splits its stream range over the cores (stream_ranges): below it a fork
@@ -222,37 +224,43 @@ def _portable(exc: BaseException) -> BaseException:
     return exc
 
 
-def _normal_chunks(seed: int, count: int, draws: int, first_index: int = 0):
-    """Yield (k0, z) for row chunks of about CHUNK_DRAWS draws: row k of z is
-    the first `draws` normals of stream first_index + k0 + k.  In a part
-    (fork_ranges) whose parent has died, raise before the next chunk."""
+def _normal_chunks(seed: int, count: int, draws: int, first_index: int = 0,
+                   lead: int = 0):
+    """Yield (k0, z) for row chunks of about CHUNK_DRAWS draws: row k of
+    z[:, lead:] is the first `draws` normals of stream first_index + k0 + k,
+    and the `lead` columns before them are left for the caller to fill.  In a
+    part (fork_ranges) whose parent has died, raise before the next chunk."""
     rows = max(1, CHUNK_DRAWS // draws)
     for k0 in range(0, count, rows):
         if _PARENT is not None and os.getppid() != _PARENT:
             raise RuntimeError("the process that forked this part has died")
-        yield k0, normal_matrix(seed, min(rows, count - k0), draws, first_index + k0)
+        z = np.empty((min(rows, count - k0), lead + draws))
+        normal_matrix(seed, len(z), draws, first_index + k0, out=z[:, lead:])
+        yield k0, z
+        del z  # not held while the next chunk is drawn
 
 
 # The chunk pipelines below are maps rather than generators: a generator's
 # frame would keep its last chunk alive while the caller works on it, and
 # each chunk held that way adds its size to the peak memory.
 
-def _increment_chunks(spec: YehSpec, grid, seed: int):
-    """chunks(count, first_index): (k0, increments) over _normal_chunks, row k
-    of a chunk being dlambda + sigma * z.  The grid is validated and the drift
-    and variance are evaluated once, here, however many ranges and chunks are
-    drawn, so a part forked later evaluates neither."""
+def _increment_chunks(spec: YehSpec, grid, seed: int, lead: int = 0):
+    """chunks(count, first_index): (k0, z) over _normal_chunks, row k of
+    z[:, lead:] being dlambda + sigma * normals.  The grid is validated and
+    the drift and variance are evaluated once, here, however many ranges and
+    chunks are drawn, so a part forked later evaluates neither."""
     grid = validate_grid(grid, spec.interval)
     dlam, sigma = _increment_scales(spec, grid)
 
     def increments(chunk):
         k0, z = chunk
-        z *= sigma  # in place: the bits of dlam + sigma * z, without temporaries
-        z += dlam
+        dz = z[:, lead:]
+        dz *= sigma  # in place: the bits of dlam + sigma * z, without temporaries
+        dz += dlam
         return k0, z
 
     def chunks(count: int, first_index: int):
-        return map(increments, _normal_chunks(seed, count, len(dlam), first_index))
+        return map(increments, _normal_chunks(seed, count, len(dlam), first_index, lead))
 
     return chunks
 
@@ -269,17 +277,19 @@ def _row_products(chunks, count: int, load: np.ndarray) -> np.ndarray:
 
 def _value_chunks(spec: YehSpec, grid, seed: int):
     """chunks(count, first_index): (k0, values), the path values of
-    _increment_chunks' row chunks, starting at lambda(a).  As there, the grid
-    is validated and the drift and variance are evaluated in this call."""
+    _increment_chunks' row chunks, starting at lambda(a).  Each chunk is one
+    matrix: its increments are drawn into columns 1: and summed in place.
+    As there, the grid is validated and the drift and variance are evaluated
+    in this call."""
     start = spec.lam(spec.interval.a)
-    increment_chunks = _increment_chunks(spec, grid, seed)
+    increment_chunks = _increment_chunks(spec, grid, seed, lead=1)
 
     def values(chunk):
-        k0, increments = chunk
-        out = np.empty((len(increments), increments.shape[1] + 1))
+        k0, out = chunk
         out[:, 0] = start
-        np.cumsum(increments, axis=1, out=out[:, 1:])
-        out[:, 1:] += start
+        path = out[:, 1:]
+        np.cumsum(path, axis=1, out=path)
+        path += start
         return k0, out
 
     def chunks(count: int, first_index: int):

@@ -16,45 +16,64 @@ rows of at most CROSSOVER_DRAWS draws run a numpy-vectorized Philox over all
 rows at once, in chunks of counter blocks; longer rows rekey numpy's C Philox
 once per row.
 
+Two compiled modules are loaded without their package's __init__ (_load):
 ndtri, and the ndtr and kolmogorov that stats takes from here, are ufuncs of
-scipy.special's compiled module _ufuncs.  The package's __init__ would also
-load its array-API layer, and with it numpy.f2py and numpy.testing: about
-0.2 s and 14 MB per command on a 2-core host (BENCH_scipy_import.json).  So,
-unless scipy.special is loaded already, _ufuncs loads under a bare stand-in
-for its package, removed again at once; a later `import scipy.special` reuses
-the module and gives the same objects.  _ufuncs is private, so any
-ImportError, a missing name included, falls back to the package.
+scipy.special's _ufuncs, whose package would also load its array-API layer,
+and with it numpy.f2py and numpy.testing: about 0.2 s and 14 MB per command
+on a 2-core host (BENCH_scipy_import.json).  The C Philox is
+numpy.random._philox's, whose package would also load every other bit
+generator and the Generator and RandomState modules: 2.2 MB and 10 ms
+against 0.6 MB and 4 ms for _philox (BENCH_working_set.json).  _ufuncs loads with this module; _philox at
+the first row longer than CROSSOVER_DRAWS, so a command that draws only
+short rows loads no numpy.random module.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 import os
 import sys
 import types
 
 import numpy as np
-import scipy
+import scipy  # scipy.special's parent, which _load looks up
 
-# statements, not a function: one that only the import calls would escape the
-# profile hook of tests/test_reachability.py
-if "scipy.special" in sys.modules:
-    from scipy.special import kolmogorov, ndtr, ndtri
-else:
-    _stub = sys.modules["scipy.special"] = types.ModuleType("scipy.special")
-    _stub.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
-    try:
-        from scipy.special._ufuncs import kolmogorov, ndtr, ndtri
-    except ImportError:
-        ndtri = None
-    finally:
-        del sys.modules["scipy.special"]
-        # vars(), not getattr(): scipy's module __getattr__ would import the package
-        if vars(scipy).get("special") is _stub:
-            del scipy.special
-        del _stub
-    if ndtri is None:
-        from scipy.special import kolmogorov, ndtr, ndtri
+
+def _load(package: str, module: str, names: tuple[str, ...]) -> tuple:
+    """The objects `names` of package.module, or of the package itself if it
+    is loaded already.  Unless it is, the module loads under a bare stand-in
+    for the package, removed again at once, so the package's __init__ does
+    not run; a later import of the package reuses the module and gives the
+    same objects.  The module is private, so any ImportError, a missing name
+    included, falls back to the package."""
+    parent, _, child = package.rpartition(".")
+    base = sys.modules[parent]
+    if package not in sys.modules:
+        stub = sys.modules[package] = types.ModuleType(package)
+        stub.__path__ = [os.path.join(path, child) for path in base.__path__]
+        try:
+            found = __import__(f"{package}.{module}", fromlist=names)
+            return tuple(getattr(found, name) for name in names)
+        except (ImportError, AttributeError):
+            pass
+        finally:
+            del sys.modules[package]
+            # vars(), not getattr(): a package's module __getattr__ may import it
+            if vars(base).get(child) is stub:
+                delattr(base, child)
+    found = __import__(package, fromlist=names)
+    return tuple(getattr(found, name) for name in names)
+
+
+kolmogorov, ndtr, ndtri = _load("scipy.special", "_ufuncs", ("kolmogorov", "ndtr", "ndtri"))
+
+
+@functools.cache
+def _philox_class() -> type:
+    """numpy's C Philox bit generator class, loaded at the first call."""
+    return _load("numpy.random", "_philox", ("Philox",))[0]
+
 
 _U64 = 2**64
 _BITS = 52  # uniform resolution; (k + 0.5) * 2**-52 is exact for k < 2**52
@@ -74,26 +93,29 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 
 
-def normal_matrix(seed: int, n_streams: int, n_draws: int,
-                  first_index: int = 0) -> np.ndarray:
+def normal_matrix(seed: int, n_streams: int, n_draws: int, first_index: int = 0,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Stacked stream draws: row i holds the first n_draws draws of stream
     (seed, first_index + i) as the module docstring defines them, so
     normal_matrix(seed, 1, n, k)[0] is the first n draws of stream k and a
-    row does not depend on the rows stacked with it."""
-    u = _uniform_matrix(seed, n_streams, n_draws, first_index)
+    row does not depend on the rows stacked with it.  They fill out, a float
+    matrix (or a view of one) of shape (n_streams, n_draws), if it is given,
+    and out is returned."""
+    u = _uniform_matrix(seed, n_streams, n_draws, first_index, out)
     return ndtri(u, out=u)
 
 
-def _uniform_matrix(seed: int, n_streams: int, n_draws: int,
-                    first_index: int) -> np.ndarray:
+def _uniform_matrix(seed: int, n_streams: int, n_draws: int, first_index: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Row i holds the first n_draws uniforms of stream (seed, first_index + i),
-    strictly inside (0, 1), one counter word each."""
+    strictly inside (0, 1), one counter word each; in out, if it is given."""
     seed, first_index = operator.index(seed), operator.index(first_index)
     if not 0 <= seed < _U64:
         raise ValueError("seed must fit in 64 bits")
     if first_index < 0 or first_index + n_streams > _U64:
         raise ValueError("stream indices must fit in 64 bits")
-    out = np.empty((n_streams, n_draws))
+    if out is None:
+        out = np.empty((n_streams, n_draws))
     if n_draws <= CROSSOVER_DRAWS:
         blocks = -(-n_draws // 4)
         counters = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
@@ -104,7 +126,7 @@ def _uniform_matrix(seed: int, n_streams: int, n_draws: int,
             words = _philox(seed, keys[:, None], counters).reshape(rows, 4 * blocks)
             out[r0:r0 + rows] = words[:, :n_draws] >> _SHIFT
     else:
-        bitgen = np.random.Philox(key=0)
+        bitgen = _philox_class()(key=0)
         zero = np.zeros(4, dtype=np.uint64)
         key = np.array([seed, 0], dtype=np.uint64)
         # counter 0 and an exhausted buffer: the first word is block 1's; the

@@ -33,6 +33,7 @@ from .process import YehSpec, increment_functionals, make_grid, series_point_val
 from .series import series_variance_defect
 from .stats import ks_test, mean_se
 from .stieltjes import Interval, MeanFunction, VarianceFunction, _eval_function, midpoint_rule
+from .streams import _uniform_matrix
 
 #: The mixed-sign step integrand defeating sub/supermartingale classification:
 #: 1/2 on [0, 1/3), -1/2 on [1/3, 2/3), 2 on [2/3, 1], with drift lambda(t) = t.
@@ -248,24 +249,28 @@ def integral_battery(spec: YehSpec, f, cells: int, seed: int, paths: int) -> lis
 
 
 def truth_table_battery(interval, instances: int, seed: int) -> list[CheckRow]:
-    """The drift-sign truth table on random instances drawn from RNG `seed`:
-    instance i has an increasing (even i) or decreasing piecewise-linear drift
-    and a positive or negative (by the parity of i // 2) step integrand, and
-    classify, probing three random pairs, must say submartingale when the
-    signs agree and supermartingale when they differ."""
-    rng = np.random.default_rng(seed)
+    """The drift-sign truth table on random instances, instance i drawn from
+    the 18 uniforms of stream (seed, i): it has an increasing (even i) or
+    decreasing piecewise-linear drift and a positive or negative (by the
+    parity of i // 2) step integrand, and classify, probing three random
+    pairs, must say submartingale when the signs agree and supermartingale
+    when they differ."""
     iv = Interval.coerce(interval)
+
+    def scaled(lo, hi, u):
+        return lo + (hi - lo) * u
+
     rows = []
-    for i in range(instances):
+    for i, u in enumerate(_uniform_matrix(seed, instances, 18, 0)):
         lam_dir, f_sign = (-1) ** i, (-1) ** (i // 2)
         want = "submartingale" if lam_dir == f_sign else "supermartingale"
-        knots = np.concatenate([[iv.a], np.sort(rng.uniform(iv.a, iv.b, 3)), [iv.b]])
-        increments = rng.uniform(0.1, 1.0, 4)
-        lam = MeanFunction.piecewise(
-            tuple(knots), tuple(lam_dir * np.concatenate([[0.0], np.cumsum(increments)])))
-        cuts = np.concatenate([[iv.a], np.sort(rng.uniform(iv.a, iv.b, 2)), [iv.b]])
-        f = StepFunction(tuple(cuts), tuple(f_sign * rng.uniform(0.1, 2.0, 3)))
-        probes = [tuple(np.sort(rng.uniform(iv.a, iv.b, 2))) for _ in range(3)]
+        knots, increments, cuts, values, probes = np.split(u, [3, 7, 9, 12])
+        knots = np.concatenate([[iv.a], np.sort(scaled(iv.a, iv.b, knots)), [iv.b]])
+        lam = MeanFunction.piecewise(tuple(knots), tuple(
+            lam_dir * np.concatenate([[0.0], np.cumsum(scaled(0.1, 1.0, increments))])))
+        cuts = np.concatenate([[iv.a], np.sort(scaled(iv.a, iv.b, cuts)), [iv.b]])
+        f = StepFunction(tuple(cuts), tuple(f_sign * scaled(0.1, 2.0, values)))
+        probes = np.sort(scaled(iv.a, iv.b, probes).reshape(3, 2), axis=1)
         passed = classify(f, lam, probes).verdict == want
         rows.append(CheckRow(f"martingale_table_{i}_{want}", 1.0, float(passed), 0.0, passed))
     return rows

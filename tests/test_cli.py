@@ -323,19 +323,21 @@ def running(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
-#: SHA-256 of paths.csv and bundle.json.  The first two configs span three
-#: chunks, the last partial; the third has fewer paths than the cores the
-#: test forces, so each of its ranges holds one path.  The test pins version
-#: 0.3.0 in the manifest, so a version bump alone does not move the digests.
-#: They were first written by the one-shot writer that preceded chunked
-#: output, and re-taken at 0.5.0, when the config lost its debug section; the
-#: outputs at 0.4.0 and 0.5.0 match at 1 and 2 BLAS threads once config_hash
-#: and manifest_hash are masked.  The third was taken from the one-process
-#: writer that preceded the split into stream ranges.  The bundle digests
-#: were re-taken at 0.11.0, when bundle.json's path values became the CSV's
-#: %.17g strings instead of the shortest round-trip repr: every CSV digest
-#: was kept, and each config's bundle parses to the same float64 bits as at
-#: 0.10.0, with every key but "paths" byte-identical.
+#: SHA-256 of paths.csv and bundle.json.  At the default chunk height (128
+#: and 64 paths) the first two configs span 9 and 10 chunks in one process
+#: and 3 to 5 in each range of two or three parts, the last one partial; the
+#: third has fewer paths than the cores the test forces, so each of its
+#: ranges holds one path.  The test pins version 0.3.0 in the manifest, so a
+#: version bump alone does not move the digests, and neither did chunks of
+#: 2**16 draws.  They were first written by the one-shot writer that preceded
+#: chunked output, and re-taken at 0.5.0, when the config lost its debug
+#: section; the outputs at 0.4.0 and 0.5.0 match at 1 and 2 BLAS threads once
+#: config_hash and manifest_hash are masked.  The third was taken from the
+#: one-process writer that preceded the split into stream ranges.  The bundle
+#: digests were re-taken at 0.11.0, when bundle.json's path values became the
+#: CSV's %.17g strings instead of the shortest round-trip repr: every CSV
+#: digest was kept, and each config's bundle parses to the same float64 bits
+#: as at 0.10.0, with every key but "paths" byte-identical.
 STREAMED_GOLDEN = {
     "cantor_rho": (
         {"interval": [0.0, 1.0], "lambda": {"kind": "cantor", "depth": 64},
@@ -382,8 +384,10 @@ class TestStreamedSimulate:
         force_parts(monkeypatch, parts)
         points, paths = config["grid"]["points"], config["mc"]["paths"]
         if chunk_draws is None:
+            # each range spans several default chunks, the last one partial
             rows = process.CHUNK_DRAWS // (points - 1)
-            assert 2 * rows < paths < 3 * rows or paths < parts
+            sizes = [hi - lo for lo, hi in process.stream_ranges(paths)]
+            assert all(size > 2 * rows and size % rows for size in sizes) or paths < parts
         else:
             monkeypatch.setattr(process, "CHUNK_DRAWS", chunk_draws)
         cfg_path = tmp_path / "c.json"
@@ -572,20 +576,20 @@ class TestEncode:
 
     def test_working_set_bounded_by_the_block(self):
         # write_rows holds one block's temporaries at a time: about 3.6 MB
-        # over a chunk of 512 paths of 513 points (blocks of 2**15 values
-        # took 15 MB), and no more over four such chunks.  The chunks, paths
-        # of the benchmark's simulate workload, are drawn, and the sinks
-        # discard, outside the traced peak.
+        # over a chunk of the default height, 128 paths of 513 points
+        # (blocks of 2**15 values took 15 MB), and no more over four such
+        # chunks.  The chunks, paths of the benchmark's simulate workload,
+        # are drawn, and the sinks discard, outside the traced peak.
         cfg = parse_config({"lambda": {"kind": "cantor", "depth": 64},
                             "rho": {"kind": "power", "exponent": 2.0},
-                            "mc": {"paths": 512, "seed": 7},
+                            "mc": {"paths": 128, "seed": 7},
                             "grid": {"points": 513, "scale": "rho"}}, {})
         grid = make_grid(cfg.interval, cfg.grid_points, cfg.grid_scale, rho=cfg.rho)
         values = process.increment_value_matrix(YehSpec(cfg.lam, cfg.rho), grid,
                                                 cfg.seed, cfg.paths)
         pieces = [b""] + [f",{cli._fmt(t)},%s\n".encode() for t in grid]
         peaks = []
-        for chunks in ([(0, values)], [(k0, values) for k0 in range(0, 2048, 512)]):
+        for chunks in ([(0, values)], [(k0, values) for k0 in range(0, 512, 128)]):
             tracemalloc.start()
             try:
                 write_rows(0, chunks, pieces, len, len)
@@ -600,10 +604,10 @@ def test_memory_error_in_a_part_exits_2(tmp_path, brownian_config, monkeypatch, 
     parent = os.getpid()
     real = process.normal_matrix
 
-    def exhausted(*args):
+    def exhausted(*args, **kwargs):
         if os.getpid() != parent:
             raise MemoryError
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(process, "normal_matrix", exhausted)
     monkeypatch.setattr(process, "FORK_DRAWS", 1)
@@ -622,10 +626,10 @@ def test_killed_part_exits_2(tmp_path, brownian_config, monkeypatch, capsys):
     parent = os.getpid()
     real = process.normal_matrix
 
-    def killed(*args):
+    def killed(*args, **kwargs):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(process, "normal_matrix", killed)
     monkeypatch.setattr(process, "FORK_DRAWS", 1)
@@ -848,8 +852,9 @@ class TestVerify:
         # repeat its first stream, and every stochastic suite must notice
         original = process.normal_matrix
 
-        def reused(seed, n_streams, n_draws, first_index=0):
-            return np.tile(original(seed, 1, n_draws, first_index), (n_streams, 1))
+        def reused(seed, n_streams, n_draws, first_index=0, out=None):
+            out[:] = original(seed, 1, n_draws, first_index)
+            return out
 
         monkeypatch.setattr(process, "normal_matrix", reused)
         cfg_path = tmp_path / "corrupt.json"

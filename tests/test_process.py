@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,17 @@ class TestStreamBitIdentity:
                 assert np.array_equal(mat[i], philox_reference(seed, first + i, n_draws))
         assert len({row.tobytes() for row in mat}) == n_streams
 
+    @pytest.mark.parametrize("n_draws", [3, CROSSOVER_DRAWS + 1])
+    def test_out_view_gets_the_same_bits(self, n_draws):
+        # both implementations fill a strided view, as _normal_chunks passes
+        # columns 1: of a value matrix, and leave the column before it alone
+        want = normal_matrix(2024, 5, n_draws, 2**40)
+        matrix = np.full((5, n_draws + 1), -1.0)
+        view = matrix[:, 1:]
+        assert normal_matrix(2024, 5, n_draws, 2**40, out=view) is view
+        assert np.array_equal(view.view(np.uint64), want.view(np.uint64))
+        assert np.all(matrix[:, 0] == -1.0)
+
     @pytest.mark.parametrize("args,digest", [
         ((20261018, 64, 3),
          "60310e472b63a51bfdc7b39c42e866b153948fd8d2b94b2fa84b537f05f61518"),
@@ -231,6 +243,26 @@ class TestIncrementSampling:
         cov = np.mean(inc1 * inc2) - inc1.mean() * inc2.mean()
         se = np.std(inc1 * inc2, ddof=1) / np.sqrt(m)
         assert abs(cov) <= 4 * se
+
+    def test_drawing_a_value_chunk_holds_one_matrix(self):
+        # the normals are drawn into columns 1: of a chunk's value matrix
+        # and summed there, so a chunk is one matrix, not an increment matrix
+        # beside a value matrix, and the pipeline holds one chunk at a time
+        grid = make_grid(UNIT, 513)
+        rows = process.CHUNK_DRAWS // 512
+        chunks = process._value_chunks(BROWNIAN, grid, 7)
+        list(chunks(1, 0))  # loads the C Philox outside the traced peak
+        tracemalloc.start()
+        try:
+            for _, values in chunks(3 * rows, 0):
+                assert values.shape == (rows, 513)
+                del values  # as write_rows drops each chunk
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the slack holds the buffers numpy's ufuncs take on a strided view,
+        # 8192 values per operand: about 0.2 MB, whatever the chunk height
+        assert peak < rows * 513 * 8 + 2**18, (peak, rows)
 
     def test_grid_must_span_interval(self):
         with pytest.raises(YehError, match="grid must span"):
@@ -476,10 +508,10 @@ class TestFunctionalSampler:
         parent = os.getpid()
         real = process.normal_matrix
 
-        def failing(seed, n_streams, n_draws, first_index=0):
+        def failing(seed, n_streams, n_draws, first_index=0, out=None):
             if os.getpid() != parent:
                 raise ValueError(f"no draws from stream {first_index}")
-            return real(seed, n_streams, n_draws, first_index)
+            return real(seed, n_streams, n_draws, first_index, out)
 
         monkeypatch.setattr(process, "normal_matrix", failing)
         split_over(monkeypatch, 3)  # ranges [0, 13), [13, 26), [26, 40)
@@ -495,10 +527,10 @@ class TestFunctionalSampler:
         parent = os.getpid()
         real = process.normal_matrix
 
-        def failing(*args):
+        def failing(*args, **kwargs):
             if os.getpid() != parent:
                 raise TwoFieldError("mc.seed", "no draws")
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(process, "normal_matrix", failing)
         split_over(monkeypatch, 2)

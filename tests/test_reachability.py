@@ -3,8 +3,9 @@
 One process runs `simulate`, `verify --suite all` and `expand` on small
 configs that between them take every config kind, with its stream ranges
 split over forked parts as `split_over` (tests/test_process.py) forces them,
-makes one tiny call of each battery that no suite runs, and enters once
-through the script entry.  A profile hook
+draws rows longer than streams.CROSSOVER_DRAWS once, which load the C
+Philox, makes one tiny call of each battery that no suite runs, and enters
+once through the script entry.  A profile hook
 records every function of the package that starts.  A function that never
 runs is dead code unless UNREACHED names it with its reason; a name on that
 list that does run belongs off it.
@@ -17,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from yehsim import BasisFamily, VarianceFunction, YehSpec, cli, process
+from yehsim import BasisFamily, VarianceFunction, YehSpec, cli, process, streams
 from yehsim.verify import basis_battery, integral_battery
 
 SRC = Path(process.__file__).resolve().parent
@@ -90,6 +91,9 @@ def test_every_function_runs(monkeypatch, tmp_path):
                 code = cli.main([*command, "--config", str(config), "--out",
                                  str(tmp_path / name)])
                 assert code in (0, 1), (name, command, code)
+        # the C Philox class loads once per process, at its first long row
+        streams._philox_class.cache_clear()
+        assert cli.main(["expand", "--grid", "129", "--out", str(tmp_path / "long")]) == 0
         unit = (0.0, 1.0)
         basis_battery({"square": BasisFamily(VarianceFunction.power(unit, 2.0))}, 4, 64,
                       [(1, 2)])
