@@ -4,7 +4,7 @@
 (yehsim.encode, in numpy, with Python's "%.17g" as the fallback outside
 1e-4 <= |x| < 2**51) into both the value column of paths.csv and the path
 rows of bundle.json; process.fork_ranges splits its stream range over the
-cores, as the functional samplers split theirs.  `verify` and `expand`
+cores, as the Wiener-integral kernel splits its own.  `verify` and `expand`
 reduce each path to a few linear functionals drawn straight from the
 normals, `expand` the step integrals of the integrand and basis members
 under the centered law, from stream (seed, 0).  Each command loads only its

@@ -2,26 +2,26 @@
 
 Two representations: exact increment sampling on a grid (no truncation error
 at the grid points) and truncated random-series sampling built on an
-orthonormal basis of the rho-weighted space.  `increment_value_matrix` gives
-whole increment paths (for `simulate`).  For Monte Carlo checks that reduce
-every path to a few step integrals, `increment_functionals` draws a step
-family (funcspace.step_cells) on its own partition and returns
-pieces @ (dlambda + sigma * z) straight from the normals: it is the one
-Wiener-integral kernel.  `series_point_values` returns the series values at
-given times.  The centered process X - lambda is a law of its own,
-YehSpec.centered(rho), drawn like any other.  All draw in row chunks of
-about CHUNK_DRAWS normals, so neither their memory nor that of `simulate`,
-which writes the chunks as they come, grows with the path count.  A chunk
-is one matrix: the normals are drawn into it and scaled, shifted and (for
-path values) summed in place.  Row k depends only on stream first_index +
-k, never on the batch layout, chunk height, BLAS thread count or number of
-processes.
+orthonormal basis of the rho-weighted space.  One generator,
+_increment_chunks, draws every chunk: rows of dlambda + sigma * z, about
+CHUNK_DRAWS normals a chunk, drawn, scaled and shifted in place in one
+matrix.  `increment_value_matrix` sums them into whole paths (for
+`simulate`, which writes the chunks as they come).  `increment_functionals`
+is the one Wiener-integral kernel: it draws a step family
+(funcspace.step_cells) on its own partition and returns pieces @ (dlambda +
+sigma * z) straight from the normals.  `series_point_values` calls it: the
+series coefficients are the increments of a standard Brownian motion over
+unit cells, so a series value is a Wiener integral too.  The centered
+process X - lambda is a law of its own, YehSpec.centered(rho), drawn like
+any other.  No chunk grows with the path count.  Row k depends only on
+stream first_index + k, never on the batch layout, chunk height, BLAS
+thread count or number of processes.
 
 One stream-range map runs on every core: stream_ranges cuts [0, count)
 into one contiguous range per core, and fork_ranges runs each range after
 the first in a forked part, whose result comes back through a pipe.
-`simulate` writes its paths through it, and the two functional samplers
-split through it once they draw FORK_DRAWS normals.
+`simulate` writes its paths through it, and the kernel splits through it
+once it draws FORK_DRAWS normals.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ DEFAULT_TRUNCATION = 256
 #: max(1, CHUNK_DRAWS // draws per row) rows, 128 paths of 513 points.
 CHUNK_DRAWS = 2**16
 
-#: Normal draws (count x draws per row) from which a functional sampler
+#: Normal draws (count x draws per row) from which increment_functionals
 #: splits its stream range over the cores (stream_ranges): below it a fork
 #: and a pipe cost more than the half range saves.
 FORK_DRAWS = 2**20
@@ -116,7 +116,10 @@ def validate_grid(grid: np.ndarray, interval: Interval) -> np.ndarray:
     return grid
 
 
-def _increment_scales(spec: YehSpec, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _increment_scales(spec: YehSpec, grid) -> tuple[np.ndarray, np.ndarray]:
+    """(dlambda, sigma) over the cells of the grid, which is validated first:
+    the one evaluation of the law by a sampler, made before any fork."""
+    grid = validate_grid(grid, spec.interval)
     dlam = np.diff(spec.lam(grid))
     drho = np.diff(spec.rho(grid))
     if np.any(drho <= 0):
@@ -160,7 +163,7 @@ class _Part:
 
     The child never returns into its caller's stack: it ends with os._exit,
     so no exit handler or caller's cleanup runs in it.  It forks no part of
-    its own (stream_ranges gives it one range), and _normal_chunks stops it
+    its own (stream_ranges gives it one range), and _increment_chunks stops it
     before its next chunk once its parent has died."""
 
     def __init__(self, run, lo: int, hi: int):
@@ -224,65 +227,36 @@ def _portable(exc: BaseException) -> BaseException:
     return exc
 
 
-def _normal_chunks(seed: int, count: int, draws: int, first_index: int = 0,
-                   lead: int = 0):
+def _increment_chunks(seed: int, count: int, dlam: np.ndarray, sigma: np.ndarray,
+                      first_index: int = 0, lead: int = 0):
     """Yield (k0, z) for row chunks of about CHUNK_DRAWS draws: row k of
-    z[:, lead:] is the first `draws` normals of stream first_index + k0 + k,
-    and the `lead` columns before them are left for the caller to fill.  In a
-    part (fork_ranges) whose parent has died, raise before the next chunk."""
+    z[:, lead:] is dlam + sigma * the first len(dlam) normals of stream
+    first_index + k0 + k, and the `lead` columns before them are left for
+    the caller to fill.  In a part (fork_ranges) whose parent has died,
+    raise before the next chunk."""
+    draws = len(dlam)
     rows = max(1, CHUNK_DRAWS // draws)
     for k0 in range(0, count, rows):
         if _PARENT is not None and os.getppid() != _PARENT:
             raise RuntimeError("the process that forked this part has died")
         z = np.empty((min(rows, count - k0), lead + draws))
-        normal_matrix(seed, len(z), draws, first_index + k0, out=z[:, lead:])
-        yield k0, z
-        del z  # not held while the next chunk is drawn
-
-
-# The chunk pipelines below are maps rather than generators: a generator's
-# frame would keep its last chunk alive while the caller works on it, and
-# each chunk held that way adds its size to the peak memory.
-
-def _increment_chunks(spec: YehSpec, grid, seed: int, lead: int = 0):
-    """chunks(count, first_index): (k0, z) over _normal_chunks, row k of
-    z[:, lead:] being dlambda + sigma * normals.  The grid is validated and
-    the drift and variance are evaluated once, here, however many ranges and
-    chunks are drawn, so a part forked later evaluates neither."""
-    grid = validate_grid(grid, spec.interval)
-    dlam, sigma = _increment_scales(spec, grid)
-
-    def increments(chunk):
-        k0, z = chunk
-        dz = z[:, lead:]
+        dz = normal_matrix(seed, len(z), draws, first_index + k0, out=z[:, lead:])
         dz *= sigma  # in place: the bits of dlam + sigma * z, without temporaries
         dz += dlam
-        return k0, z
-
-    def chunks(count: int, first_index: int):
-        return map(increments, _normal_chunks(seed, count, len(dlam), first_index, lead))
-
-    return chunks
-
-
-def _row_products(chunks, count: int, load: np.ndarray) -> np.ndarray:
-    """Stack the products row @ load over (k0, rows) chunks.  The stacked
-    matmul multiplies each row on its own, so its bits do not depend on the
-    chunk it falls in or on the BLAS thread count, as a blocked GEMM's do."""
-    out = np.empty((count, load.shape[1]))
-    for k0, block in chunks:
-        out[k0:k0 + len(block)] = (block[:, None, :] @ load)[:, 0]
-    return out
+        yield k0, z
+        del z, dz  # not held while the next chunk is drawn
 
 
 def _value_chunks(spec: YehSpec, grid, seed: int):
     """chunks(count, first_index): (k0, values), the path values of
     _increment_chunks' row chunks, starting at lambda(a).  Each chunk is one
     matrix: its increments are drawn into columns 1: and summed in place.
-    As there, the grid is validated and the drift and variance are evaluated
-    in this call."""
+    The grid is validated and the drift and variance are evaluated in this
+    call, however many ranges and chunks are drawn, so a part forked later
+    evaluates neither.  A map rather than a generator: a generator's frame
+    would keep its last chunk alive while the caller works on it."""
     start = spec.lam(spec.interval.a)
-    increment_chunks = _increment_chunks(spec, grid, seed, lead=1)
+    dlam, sigma = _increment_scales(spec, grid)
 
     def values(chunk):
         k0, out = chunk
@@ -293,7 +267,7 @@ def _value_chunks(spec: YehSpec, grid, seed: int):
         return k0, out
 
     def chunks(count: int, first_index: int):
-        return map(values, increment_chunks(count, first_index))
+        return map(values, _increment_chunks(seed, count, dlam, sigma, first_index, lead=1))
 
     return chunks
 
@@ -309,16 +283,6 @@ def increment_value_matrix(spec: YehSpec, grid, seed: int, count: int,
     return values
 
 
-def _map_rows(rows, count: int, draws: int) -> np.ndarray:
-    """rows(lo, hi) over the stream range [0, count), stacked: split over
-    stream_ranges when the range holds at least FORK_DRAWS normals."""
-    ranges = stream_ranges(count) if count * draws >= FORK_DRAWS else [(0, count)]
-    if len(ranges) == 1:
-        return rows(0, count)
-    with fork_ranges(rows, ranges) as results:
-        return np.concatenate(list(results))
-
-
 def increment_functionals(spec: YehSpec, partition, pieces, seed: int, count: int,
                           first_index: int = 0) -> np.ndarray:
     """Step integrals of increment-sampled paths, straight from the normals.
@@ -331,38 +295,46 @@ def increment_functionals(spec: YehSpec, partition, pieces, seed: int, count: in
     first_index + k.  No path values are formed: the normals are drawn
     CHUNK_DRAWS at a time, and split over the cores above FORK_DRAWS.
     """
-    chunks = _increment_chunks(spec, partition, seed)
+    dlam, sigma = _increment_scales(spec, partition)
     pieces = np.asarray(pieces, dtype=float)
-    if pieces.ndim != 2 or pieces.shape[1] != len(partition) - 1:
-        raise ValueError(f"pieces must have shape (members, {len(partition) - 1}), "
+    if pieces.ndim != 2 or pieces.shape[1] != len(dlam):
+        raise ValueError(f"pieces must have shape (members, {len(dlam)}), "
                          f"got {pieces.shape}")
     if not np.all(np.isfinite(pieces)):
         raise ValueError("pieces must be finite")
     load = pieces.T
 
     def rows(lo: int, hi: int) -> np.ndarray:
-        return _row_products(chunks(hi - lo, first_index + lo), hi - lo, load)
+        # The stacked matmul multiplies each row on its own, so its bits do
+        # not depend on the chunk it falls in or on the BLAS thread count, as
+        # a blocked GEMM's do.
+        out = np.empty((hi - lo, load.shape[1]))
+        for k0, z in _increment_chunks(seed, hi - lo, dlam, sigma, first_index + lo):
+            out[k0:k0 + len(z)] = (z[:, None, :] @ load)[:, 0]
+        return out
 
-    return _map_rows(rows, count, len(partition) - 1)
+    ranges = stream_ranges(count) if count * len(dlam) >= FORK_DRAWS else [(0, count)]
+    if len(ranges) == 1:
+        return rows(0, count)
+    with fork_ranges(rows, ranges) as results:
+        return np.concatenate(list(results))
 
 
-def series_point_values(spec: YehSpec, basis: BasisFamily, truncation: int, times,
-                        seed: int, count: int, first_index: int = 0) -> np.ndarray:
-    """Series-sampled values at a few times, shape (count, len(times)).
+def series_point_values(basis: BasisFamily, truncation: int, times, seed: int,
+                        count: int, first_index: int = 0) -> np.ndarray:
+    """Centered series-sampled values at a few times, shape (count,
+    len(times)), under basis.rho.
 
-    Row k is lambda(times) + xi_k @ A, where xi_k are the first `truncation`
-    draws of stream first_index + k and A holds the running integrals of the
-    basis members at the times.  The normals are drawn CHUNK_DRAWS at a
-    time, and split over the cores above FORK_DRAWS.
+    Row k is xi_k @ A, where xi_k are the first `truncation` draws of stream
+    first_index + k and A holds the running integrals of the basis members at
+    the times.  The xi_j are the increments of a standard Brownian motion
+    over the unit cells [j, j + 1), so row k is the Wiener integral of the
+    step j -> A[j] and increment_functionals draws it: sigma is exactly 1.0
+    and dlambda exactly 0.0, which leave the normals' bits as they are.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    times = np.asarray(times, dtype=float)
-    amatrix = basis.antiderivative(np.arange(truncation), times)
-    lam = spec.lam(times)
-
-    def rows(lo: int, hi: int) -> np.ndarray:
-        chunks = _normal_chunks(seed, hi - lo, truncation, first_index + lo)
-        return lam + _row_products(chunks, hi - lo, amatrix)
-
-    return _map_rows(rows, count, truncation)
+    amatrix = basis.antiderivative(np.arange(truncation), np.asarray(times, dtype=float))
+    return increment_functionals(YehSpec.brownian((0.0, float(truncation))),
+                                 np.arange(truncation + 1.0), amatrix.T, seed, count,
+                                 first_index)

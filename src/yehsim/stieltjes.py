@@ -294,19 +294,15 @@ class VarianceFunction:
 
 
 def _eval_function(f, x: np.ndarray) -> np.ndarray:
-    """Evaluate an integrand on an array, falling back to a scalar loop when
-    f takes no array; a YehError that f raises passes through.  A non-finite
-    value raises a YehError naming the integrand, with no numpy float warning
-    before it.  Every callable integrand is evaluated here."""
+    """Evaluate an integrand on an array of times in one call.  A result of
+    another shape, or a non-finite value, raises a YehError naming the
+    integrand, with no numpy float warning before it.  Every callable
+    integrand is evaluated here."""
     with np.errstate(all="ignore"):
-        try:
-            out = np.asarray(f(x), dtype=float)
-            if out.shape != x.shape:
-                raise TypeError
-        except YehError:
-            raise
-        except (TypeError, ValueError):
-            out = np.array([float(f(xi)) for xi in x])
+        out = np.asarray(f(x), dtype=float)
+    if out.shape != x.shape:
+        raise YehError(f"integrand: must map an array of times to an array of shape "
+                       f"{x.shape}, got {out.shape}")
     if not np.all(np.isfinite(out)):
         raise YehError("integrand: returned a non-finite value")
     return out

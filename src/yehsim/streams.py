@@ -23,9 +23,10 @@ and with it numpy.f2py and numpy.testing: about 0.2 s and 14 MB per command
 on a 2-core host (BENCH_scipy_import.json).  The C Philox is
 numpy.random._philox's, whose package would also load every other bit
 generator and the Generator and RandomState modules: 2.2 MB and 10 ms
-against 0.6 MB and 4 ms for _philox (BENCH_working_set.json).  _ufuncs loads with this module; _philox at
-the first row longer than CROSSOVER_DRAWS, so a command that draws only
-short rows loads no numpy.random module.
+against 0.6 MB and 4 ms for _philox (BENCH_working_set.json).  _ufuncs
+loads with this module.  _philox loads, and its one generator per process
+is built (_c_philox), at the first row longer than CROSSOVER_DRAWS, so a
+command that draws only short rows loads no numpy.random module.
 """
 
 from __future__ import annotations
@@ -70,9 +71,11 @@ kolmogorov, ndtr, ndtri = _load("scipy.special", "_ufuncs", ("kolmogorov", "ndtr
 
 
 @functools.cache
-def _philox_class() -> type:
-    """numpy's C Philox bit generator class, loaded at the first call."""
-    return _load("numpy.random", "_philox", ("Philox",))[0]
+def _c_philox():
+    """numpy's C Philox bit generator, loaded and built at the first call.
+    Each row sets its whole state, so every call, and a forked part with its
+    inherited copy, can share it."""
+    return _load("numpy.random", "_philox", ("Philox",))[0](key=0)
 
 
 _U64 = 2**64
@@ -126,7 +129,7 @@ def _uniform_matrix(seed: int, n_streams: int, n_draws: int, first_index: int,
             words = _philox(seed, keys[:, None], counters).reshape(rows, 4 * blocks)
             out[r0:r0 + rows] = words[:, :n_draws] >> _SHIFT
     else:
-        bitgen = _philox_class()(key=0)
+        bitgen = _c_philox()
         zero = np.zeros(4, dtype=np.uint64)
         key = np.array([seed, 0], dtype=np.uint64)
         # counter 0 and an exhausted buffer: the first word is block 1's; the

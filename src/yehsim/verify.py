@@ -132,10 +132,9 @@ def series_battery(basis: BasisFamily, grid, pairs, truncation: int,
         _within("series_defect_endpoint", 0.0,
                 series_variance_defect(basis, endpoint_terms, rho.interval.b), 1e-12),
     ]
-    spec = YehSpec.centered(rho)
     cols = sorted({i for pair in pairs for i in pair})
     times = grid[cols]
-    sv = series_point_values(spec, basis, truncation, times, seed, paths)
+    sv = series_point_values(basis, truncation, times, seed, paths)
     amatrix = basis.antiderivative(np.arange(truncation), times)
     defects = series_variance_defect(basis, truncation, times)
     for i, j in dict.fromkeys(pairs):

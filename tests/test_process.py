@@ -19,7 +19,7 @@ from yehsim import (
     make_grid,
     series_variance_defect,
 )
-from yehsim import StepFunction, process
+from yehsim import StepFunction, process, streams
 from yehsim.funcspace import step_cells
 from yehsim.process import (
     increment_functionals,
@@ -145,7 +145,7 @@ class TestStreamBitIdentity:
 
     @pytest.mark.parametrize("n_draws", [3, CROSSOVER_DRAWS + 1])
     def test_out_view_gets_the_same_bits(self, n_draws):
-        # both implementations fill a strided view, as _normal_chunks passes
+        # both implementations fill a strided view, as _increment_chunks passes
         # columns 1: of a value matrix, and leave the column before it alone
         want = normal_matrix(2024, 5, n_draws, 2**40)
         matrix = np.full((5, n_draws + 1), -1.0)
@@ -153,6 +153,14 @@ class TestStreamBitIdentity:
         assert normal_matrix(2024, 5, n_draws, 2**40, out=view) is view
         assert np.array_equal(view.view(np.uint64), want.view(np.uint64))
         assert np.all(matrix[:, 0] == -1.0)
+
+    def test_one_c_philox_per_process(self):
+        # the C path builds its generator at its first long row, then reuses it
+        streams._c_philox.cache_clear()
+        first = normal_matrix(7, 2, CROSSOVER_DRAWS + 1, 5)
+        again = normal_matrix(7, 2, CROSSOVER_DRAWS + 1, 5)
+        assert streams._c_philox.cache_info().misses == 1
+        assert np.array_equal(first.view(np.uint64), again.view(np.uint64))
 
     @pytest.mark.parametrize("args,digest", [
         ((20261018, 64, 3),
@@ -277,16 +285,16 @@ class TestSeriesSampling:
     def test_deterministic_given_stream(self):
         basis = BasisFamily(BROWNIAN.rho)
         grid = make_grid(UNIT, 33)
-        p1 = series_point_values(BROWNIAN, basis, 16, grid, 3, 1, first_index=1)
-        p2 = series_point_values(BROWNIAN, basis, 16, grid, 3, 1, first_index=1)
+        p1 = series_point_values(basis, 16, grid, 3, 1, first_index=1)
+        p2 = series_point_values(basis, 16, grid, 3, 1, first_index=1)
         assert np.array_equal(p1, p2)
 
     def test_batch_matches_per_path(self):
         basis = BasisFamily(BROWNIAN.rho)
         grid = make_grid(UNIT, 9)
-        batch = series_point_values(BROWNIAN, basis, 8, grid, 91, 4)
+        batch = series_point_values(basis, 8, grid, 91, 4)
         for k in range(4):
-            single = series_point_values(BROWNIAN, basis, 8, grid, 91, 1, first_index=k)
+            single = series_point_values(basis, 8, grid, 91, 1, first_index=k)
             assert np.array_equal(batch[k], single[0])
 
     def test_single_term_variance_closed_form(self):
@@ -294,7 +302,7 @@ class TestSeriesSampling:
         basis = BasisFamily(BROWNIAN.rho)
         grid = make_grid(UNIT, 5)
         m = 60_000
-        vals = series_point_values(BROWNIAN, basis, 1, grid, 29, m)
+        vals = series_point_values(basis, 1, grid, 29, m)
         t = grid[2]
         want = BROWNIAN.rho(t) ** 2 / BROWNIAN.rho.total_mass
         got = vals[:, 2].var(ddof=1)
@@ -314,6 +322,25 @@ class TestSeriesSampling:
         a_big = basis.antiderivative(np.arange(1024), np.array([0.0, 0.5, 1.0]))
         assert np.sum(a_big[:, 1] ** 2) == pytest.approx(0.5, abs=1e-3)
 
+    @pytest.mark.parametrize("parts", [1, 3])
+    @pytest.mark.parametrize("terms", [8, 128])  # both Philox paths
+    @pytest.mark.parametrize("family", ["cosine", "haar"])
+    def test_values_are_the_normals_times_the_running_integrals(self, monkeypatch, family,
+                                                                terms, parts):
+        # drawn as a Wiener integral over unit cells, whose sigma 1.0 and
+        # dlambda 0.0 leave the normals' bits as they are
+        basis = BasisFamily(VarianceFunction.power(UNIT, 2.0), family)
+        times = make_grid(UNIT, 17)[[0, 4, 9, 16]]
+        amatrix = basis.antiderivative(np.arange(terms), times)
+        want = (normal_matrix(13, 40, terms, 6)[:, None, :] @ amatrix)[:, 0]
+        forks = count_forks(monkeypatch)
+        if parts > 1:
+            split_over(monkeypatch, parts)
+        got = series_point_values(basis, terms, times, 13, 40, first_index=6)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert len(forks) == parts - 1
+        assert_no_child_left()
+
     def test_defect_reported(self):
         basis = BasisFamily(BROWNIAN.rho)
         defect = series_variance_defect(basis, 4, make_grid(UNIT, 33))
@@ -326,7 +353,7 @@ class TestSeriesSampling:
         basis = BasisFamily(rho)
         grid = make_grid(UNIT, 17)
         m = 40_000
-        sv = series_point_values(spec, basis, 128, grid, 71, m)
+        sv = series_point_values(basis, 128, grid, 71, m)
         iv = increment_value_matrix(spec, grid, 72, m)
         for i, j in [(4, 8), (8, 8), (4, 12)]:
             cs = np.mean(sv[:, i] * sv[:, j])
@@ -464,7 +491,7 @@ class TestFunctionalSampler:
             increment_functionals(CANTOR_POWER2, grid, np.ones((1, 64)), 5, 40)
             assert calls.read_text().split() == [str(os.getpid())]
             calls.write_text("")
-            series_point_values(CANTOR_POWER2, basis, 8, grid[[8, 32]], 5, 40)
+            series_point_values(basis, 8, grid[[8, 32]], 5, 40)
             assert calls.read_text().split() == [str(os.getpid())]
 
     def test_grid_validated_once_per_call(self, monkeypatch, tmp_path):
@@ -489,8 +516,7 @@ class TestFunctionalSampler:
 
         def draw():
             return [increment_functionals(CANTOR_POWER2, grid, weights, 77, 41, first_index=3),
-                    series_point_values(CANTOR_POWER2, basis, 32, grid[[16, 64, 128]], 9, 41,
-                                        first_index=3)]
+                    series_point_values(basis, 32, grid[[16, 64, 128]], 9, 41, first_index=3)]
 
         whole = draw()  # below the fork floor: one process
         assert not forks
@@ -561,16 +587,12 @@ class TestFunctionalSampler:
         basis = BasisFamily(CANTOR_POWER2.rho)
         grid = make_grid(UNIT, 65)
         cols = [16, 32, 48]
-        got = series_point_values(CANTOR_POWER2, basis, 32, grid[cols], 9, 50,
-                                  first_index=4)
-        want = series_point_values(CANTOR_POWER2, basis, 32, grid, 9, 50,
-                                   first_index=4)[:, cols]
+        got = series_point_values(basis, 32, grid[cols], 9, 50, first_index=4)
+        want = series_point_values(basis, 32, grid, 9, 50, first_index=4)[:, cols]
         assert np.max(np.abs(got - want)) <= 1e-13
-        tail = series_point_values(CANTOR_POWER2, basis, 32, grid[cols], 9, 20,
-                                   first_index=4 + 30)
+        tail = series_point_values(basis, 32, grid[cols], 9, 20, first_index=4 + 30)
         assert np.array_equal(tail, got[30:])
         monkeypatch.setattr(process, "CHUNK_DRAWS", 1)
         assert np.array_equal(
-            series_point_values(CANTOR_POWER2, basis, 32, grid[cols], 9, 50,
-                                first_index=4), got)
+            series_point_values(basis, 32, grid[cols], 9, 50, first_index=4), got)
 

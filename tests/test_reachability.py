@@ -91,8 +91,8 @@ def test_every_function_runs(monkeypatch, tmp_path):
                 code = cli.main([*command, "--config", str(config), "--out",
                                  str(tmp_path / name)])
                 assert code in (0, 1), (name, command, code)
-        # the C Philox class loads once per process, at its first long row
-        streams._philox_class.cache_clear()
+        # the C Philox loads and is built once per process, at its first long row
+        streams._c_philox.cache_clear()
         assert cli.main(["expand", "--grid", "129", "--out", str(tmp_path / "long")]) == 0
         unit = (0.0, 1.0)
         basis_battery({"square": BasisFamily(VarianceFunction.power(unit, 2.0))}, 4, 64,

@@ -49,7 +49,7 @@ import numpy.random
 import scipy.special
 same = [scipy.special.ndtri is streams.ndtri, scipy.special.ndtr is stats.ndtr,
         scipy.special.kolmogorov is stats.kolmogorov,
-        numpy.random.Philox is streams._philox_class()]
+        numpy.random.Philox is type(streams._c_philox())]
 print(json.dumps([left, same]))
 """
 

@@ -284,6 +284,13 @@ class TestStieltjesQuad:
         with pytest.raises(YehError, match="^integrand: returned a non-finite value$"):
             stieltjes_integral(lambda t: np.where(t > 0.4, np.nan, 1.0), rho, 0, 1, 8)
 
+    def test_integrand_must_map_arrays(self):
+        # a function integrand is called once, on the array of midpoints
+        lam = MeanFunction.linear(UNIT, 1.0)
+        with pytest.raises(YehError, match=r"^integrand: must map an array of times to an "
+                                           r"array of shape \(16384,\), got \(\)$"):
+            stieltjes_integral(lambda t: 1.0, lam)
+
 
 class TestRhoInverse:
     def test_identity(self):
