@@ -5,8 +5,9 @@ at the grid points) and truncated random-series sampling built on an
 orthonormal basis of the rho-weighted space.  One generator,
 _increment_chunks, draws every chunk: rows of dlambda + sigma * z, about
 CHUNK_DRAWS normals a chunk, drawn, scaled and shifted in place in one
-matrix.  `increment_value_matrix` sums them into whole paths (for
-`simulate`, which writes the chunks as they come).  `increment_functionals`
+matrix, and, given a start value, summed there into path values (for
+`simulate`, which writes the chunks as they come, and for
+`increment_value_matrix`, which stacks them).  `increment_functionals`
 is the one Wiener-integral kernel: it draws a step family
 (funcspace.step_cells) on its own partition and returns pieces @ (dlambda +
 sigma * z) straight from the normals.  `series_point_values` calls it: the
@@ -20,8 +21,8 @@ thread count or number of processes.
 One stream-range map runs on every core: stream_ranges cuts [0, count)
 into one contiguous range per core, and fork_ranges runs each range after
 the first in a forked part, whose result comes back through a pipe.
-`simulate` writes its paths through it, and the kernel splits through it
-once it draws FORK_DRAWS normals.
+`simulate` writes its paths through it, and every kernel call runs through
+it: one range, which forks nothing, below FORK_DRAWS normals.
 """
 
 from __future__ import annotations
@@ -228,13 +229,15 @@ def _portable(exc: BaseException) -> BaseException:
 
 
 def _increment_chunks(seed: int, count: int, dlam: np.ndarray, sigma: np.ndarray,
-                      first_index: int = 0, lead: int = 0):
-    """Yield (k0, z) for row chunks of about CHUNK_DRAWS draws: row k of
-    z[:, lead:] is dlam + sigma * the first len(dlam) normals of stream
-    first_index + k0 + k, and the `lead` columns before them are left for
-    the caller to fill.  In a part (fork_ranges) whose parent has died,
-    raise before the next chunk."""
+                      first_index: int = 0, start: float | None = None):
+    """Yield (k0, z) for row chunks of about CHUNK_DRAWS draws: row k of z
+    is dlam + sigma * the first len(dlam) normals of stream first_index +
+    k0 + k.  Given `start`, row k is instead the path values from start on:
+    a column of start, then start plus the running sums of those
+    increments, summed in place, so a chunk is one matrix.  In a part
+    (fork_ranges) whose parent has died, raise before the next chunk."""
     draws = len(dlam)
+    lead = 0 if start is None else 1
     rows = max(1, CHUNK_DRAWS // draws)
     for k0 in range(0, count, rows):
         if _PARENT is not None and os.getppid() != _PARENT:
@@ -243,33 +246,23 @@ def _increment_chunks(seed: int, count: int, dlam: np.ndarray, sigma: np.ndarray
         dz = normal_matrix(seed, len(z), draws, first_index + k0, out=z[:, lead:])
         dz *= sigma  # in place: the bits of dlam + sigma * z, without temporaries
         dz += dlam
+        if lead:
+            z[:, 0] = start
+            np.cumsum(dz, axis=1, out=dz)
+            dz += start
         yield k0, z
         del z, dz  # not held while the next chunk is drawn
 
 
 def _value_chunks(spec: YehSpec, grid, seed: int):
-    """chunks(count, first_index): (k0, values), the path values of
-    _increment_chunks' row chunks, starting at lambda(a).  Each chunk is one
-    matrix: its increments are drawn into columns 1: and summed in place.
-    The grid is validated and the drift and variance are evaluated in this
-    call, however many ranges and chunks are drawn, so a part forked later
-    evaluates neither.  A map rather than a generator: a generator's frame
-    would keep its last chunk alive while the caller works on it."""
+    """A function of (count, first_index) giving _increment_chunks' chunks
+    of path values from lambda(a) on.  The grid is validated and the drift
+    and variance are evaluated in this call, however many ranges and chunks
+    are drawn, so a part forked later evaluates neither."""
     start = spec.lam(spec.interval.a)
     dlam, sigma = _increment_scales(spec, grid)
-
-    def values(chunk):
-        k0, out = chunk
-        out[:, 0] = start
-        path = out[:, 1:]
-        np.cumsum(path, axis=1, out=path)
-        path += start
-        return k0, out
-
-    def chunks(count: int, first_index: int):
-        return map(values, _increment_chunks(seed, count, dlam, sigma, first_index, lead=1))
-
-    return chunks
+    return lambda count, first_index: _increment_chunks(seed, count, dlam, sigma,
+                                                        first_index, start)
 
 
 def increment_value_matrix(spec: YehSpec, grid, seed: int, count: int,
@@ -314,8 +307,6 @@ def increment_functionals(spec: YehSpec, partition, pieces, seed: int, count: in
         return out
 
     ranges = stream_ranges(count) if count * len(dlam) >= FORK_DRAWS else [(0, count)]
-    if len(ranges) == 1:
-        return rows(0, count)
     with fork_ranges(rows, ranges) as results:
         return np.concatenate(list(results))
 

@@ -663,18 +663,22 @@ def test_killed_part_exits_2(tmp_path, brownian_config, monkeypatch, capsys):
 # column kept its bits), at 1 and 2 BLAS threads.
 # Since 0.11.0 they are taken with version 0.10.0 pinned in the manifest
 # (GOLDEN_VERSION), so they were kept, not re-taken, when the version moved.
+# VERIFY_GOLDEN and CANTOR_VERIFY_GOLDEN were re-taken at 0.12.0, which drops
+# the three gaussian_ks_half rows: with GOLDEN_VERSION pinned, the parent's
+# verify_all.csv gave the old digests and lost exactly those three lines, at
+# 1 and 2 BLAS threads.
 
 #: SHA-256 of verify_all.csv for acceptance criterion 9's config, first taken
 #: when the suites moved onto the functional sampler.
 VERIFY_GOLDEN = (
     {"mc": {"paths": 2000, "seed": 12345}, "grid": {"points": 257}, "series": {"N": 64}},
-    "da5aa48b00d1576b28e7422ecdffc443ab19637b97d10f593cfb334d277aadc7",
+    "2b887400f4e1e67f9d762bfd85508c0cf998b74ae6a4f01ad7483e6ea200005e",
 )
 
 #: SHA-256 of verify_all.csv for configs/cantor.json cut down to 500 paths,
 #: 129 points and N = 32, and of expansion.csv for each shipped config, first
 #: taken before the suites were split into batteries and adapters.
-CANTOR_VERIFY_GOLDEN = "34e3a53f19db400bb1f6d4a058b1c447ac403f9a3c207f585fd6ba369c3d0fd2"
+CANTOR_VERIFY_GOLDEN = "792eec03d057d978cb894cd4b3cfd2867bc53bae8a734c83855369e010f25223"
 EXPAND_GOLDEN = {
     "brownian": "49deaa7c69990c95d3c4baaef81f226d139edebb6bd4b2904841091c7d6da0c7",
     "cantor": "949b32f0d86722da3d9bf75f38b4bb4be9a7dd165fde487a654126be91b9b497",
@@ -932,6 +936,14 @@ class TestVerify:
         cfg = parse_config({"mc": {"paths": 20}, "grid": {"points": 9}}, {})
         assert verify.run_suite("moments", cfg) == original(cfg)
         assert calls == [cfg]
+
+    def test_gaussian_suite_rows(self):
+        # no half-indicator rows: drawn alone, each repeated the full row's KS
+        from yehsim import verify
+
+        cfg = parse_config({"mc": {"paths": 20}, "grid": {"points": 9}}, {})
+        assert [r.check for r in verify.gaussian_suite(cfg)] == [
+            f"gaussian_ks_{name}_seed{k}" for name in ("full", "mixed") for k in range(3)]
 
     def test_bad_env_seed(self, tmp_path, brownian_config, monkeypatch, capsys):
         monkeypatch.setenv("YEH_SEED", "not-a-number")

@@ -272,6 +272,21 @@ class TestIncrementSampling:
         # 8192 values per operand: about 0.2 MB, whatever the chunk height
         assert peak < rows * 513 * 8 + 2**18, (peak, rows)
 
+    @pytest.mark.parametrize("draws", [3, CROSSOVER_DRAWS + 1])
+    def test_start_sums_each_chunk_into_path_values(self, monkeypatch, draws):
+        # given a start, a chunk is that start, then the start plus the
+        # running sums of the chunk drawn without one, bit for bit
+        monkeypatch.setattr(process, "CHUNK_DRAWS", 4 * draws)
+        grid = make_grid(UNIT, draws + 1)
+        dlam, sigma = process._increment_scales(CANTOR_POWER2, grid)
+        plain = list(process._increment_chunks(5, 10, dlam, sigma, 7))
+        summed = list(process._increment_chunks(5, 10, dlam, sigma, 7, 0.375))
+        assert [k0 for k0, _ in summed] == [k0 for k0, _ in plain] == [0, 4, 8]
+        for (_, increments), (_, values) in zip(plain, summed):
+            want = np.hstack([np.full((len(increments), 1), 0.375),
+                              np.cumsum(increments, axis=1) + 0.375])
+            assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
+
     def test_grid_must_span_interval(self):
         with pytest.raises(YehError, match="grid must span"):
             increment_value_matrix(BROWNIAN, np.array([0.0, 0.5]), 1, 1)
@@ -512,14 +527,17 @@ class TestFunctionalSampler:
         grid = make_grid(UNIT, 129)
         weights = np.random.default_rng(5).normal(size=(3, 128))
         basis = BasisFamily(CANTOR_POWER2.rho)
-        forks = count_forks(monkeypatch)
+        real_fork = os.fork
 
         def draw():
             return [increment_functionals(CANTOR_POWER2, grid, weights, 77, 41, first_index=3),
                     series_point_values(basis, 32, grid[[16, 64, 128]], 9, 41, first_index=3)]
 
-        whole = draw()  # below the fork floor: one process
-        assert not forks
+        # below the fork floor the one range runs in this process: a fork raises
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked below FORK_DRAWS"))
+        whole = draw()
+        monkeypatch.setattr(os, "fork", real_fork)
+        forks = count_forks(monkeypatch)
         monkeypatch.setattr(process, "CHUNK_DRAWS", 1000)  # several chunks per part
         for parts in (1, 2, 3):
             split_over(monkeypatch, parts)

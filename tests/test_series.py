@@ -1,6 +1,7 @@
 """Random-series expansion of Wiener integrals and truncation defects."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from yehsim import (
     project_family,
     series_variance_defect,
 )
+from yehsim import verify
 from yehsim.process import increment_value_matrix
+
+from test_process import count_calls
 
 UNIT = Interval(0.0, 1.0)
 BROWNIAN = YehSpec.brownian(UNIT)
@@ -157,3 +161,25 @@ class TestSeriesVarianceDefect:
         for t in rng.uniform(0, 1, 32):
             d = series_variance_defect(BASIS, 8, float(t))
             assert 0.0 <= d <= BROWNIAN.rho(float(t)) + 1e-15
+
+
+class TestExpansionBattery:
+    def test_draws_the_integrands_as_one_family(self, monkeypatch, tmp_path):
+        # criterion 6's three integrands take one projection and one kernel
+        # call, from streams [0, paths): each integrand's rows are the ones
+        # it gets alone, in the same order
+        integrands = {"half": HALF, "inner": StepFunction.indicator(0.25, 0.625, UNIT),
+                      "mixed": StepFunction((0.0, 0.25, 0.625, 1.0), (0.5, -0.5, 2.0))}
+        alone = [row for name, f in integrands.items()
+                 for row in verify.expansion_battery(BASIS, 64, {name: f}, 16, (1, 4, 16),
+                                                     6006, 200)]
+        calls = {name: tmp_path / name for name in ("project_family", "increment_functionals")}
+        for name, path in calls.items():
+            count_calls(monkeypatch, verify, name, path)
+        rows = verify.expansion_battery(BASIS, 64, integrands, 16, (1, 4, 16), 6006, 200)
+        for path in calls.values():
+            assert path.read_text().split() == [str(os.getpid())]
+        assert [r.check for r in rows] == [r.check for r in alone]
+        assert [r.expected for r in rows] == [r.expected for r in alone]
+        assert [r.observed for r in rows] == pytest.approx([r.observed for r in alone],
+                                                           rel=1e-12)
