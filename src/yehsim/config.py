@@ -25,11 +25,15 @@ basis a function of t.  Ranges (README
 interval, exponent >= 1, depth in [1, 1074], basis index in [0, 2**20].
 A value out of range, or a section other than interval that is not an
 object, raises ConfigError naming the field; the CLI exits 2.
+
+The manifest's sha256 is CPython's built-in SHA-256 (_sha2, or _sha256
+before Python 3.12), as random.py takes its _sha512, not hashlib's: hashlib
+loads _hashlib, which maps OpenSSL's libcrypto, about 3.5 MB of resident
+memory per command (BENCH_no_openssl.json).  The digests are the same.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import sys
@@ -37,6 +41,14 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import ConfigError
 from .funcspace import BasisFamily, StepFunction
@@ -159,7 +171,7 @@ class RunConfig:
         return BasisFamily(self.rho, self.family)
 
     def config_hash(self) -> str:
-        return hashlib.sha256(canonical_json(self.normalized).encode()).hexdigest()
+        return sha256(canonical_json(self.normalized).encode()).hexdigest()
 
     def manifest(self) -> "RunManifest":
         return RunManifest(
@@ -267,4 +279,4 @@ class RunManifest:
     version: str
 
     def hash(self) -> str:
-        return hashlib.sha256(canonical_json(asdict(self)).encode()).hexdigest()
+        return sha256(canonical_json(asdict(self)).encode()).hexdigest()

@@ -164,29 +164,35 @@ def inner_rho(f, g, rho: VarianceFunction, resolution: int = DEFAULT_RESOLUTION)
     return stieltjes_integral(lambda x: f(x) * g(x), rho, resolution=resolution)
 
 
+#: Member values held at once by project_family and by the quadrature branch
+#: of fourier_coeffs, which evaluate the members in blocks of
+#: max(1, BLOCK_VALUES // cells).
+BLOCK_VALUES = 2**16
+
+
 def project_family(fs, n: int, interval, basis: BasisFamily | None = None,
                    terms: int = 0) -> tuple[tuple, np.ndarray]:
     """Midpoint projection of several integrands onto one uniform n-cell
     partition: (edges, values), edges being the partition as a tuple (as in
     StepFunction) and values[m, i] row m at the midpoint of cell i.  The rows
-    are fs, then the first `terms` members of `basis` from one evaluator
-    call: a step family with no StepFunction per member.  Midpoint values,
-    not measure-weighted cell averages, suffice for the L2 convergence of
+    are fs, then the first `terms` members of `basis`, evaluated straight
+    into the one result matrix in blocks of max(1, BLOCK_VALUES // n) rows:
+    a step family with no StepFunction per member.  Midpoint values, not
+    measure-weighted cell averages, suffice for the L2 convergence of
     continuous integrands.  The family is not checked here: the kernel
     checks the partition and the pieces, and StepFunction its own."""
     if n < 1:
         raise ValueError("cell count must be >= 1")
     iv = Interval.coerce(interval)
     edges, mids, _ = midpoint_rule(iv.a, iv.b, n)
-    rows = [_eval_function(f, mids) for f in fs]
-    if terms:
-        rows.append(basis.values(np.arange(terms), mids))
-    return tuple(edges.tolist()), np.vstack(rows)
-
-
-#: Member values held at once by the quadrature branch of fourier_coeffs,
-#: which evaluates the members in blocks of max(1, BLOCK_VALUES // resolution).
-BLOCK_VALUES = 2**16
+    fs = list(fs)
+    values = np.empty((len(fs) + terms, n))
+    for row, f in zip(values, fs):
+        row[:] = _eval_function(f, mids)
+    ns, members, rows = np.arange(terms), values[len(fs):], max(1, BLOCK_VALUES // n)
+    for lo in range(0, terms, rows):
+        members[lo:lo + rows] = basis.values(ns[lo:lo + rows], mids)
+    return tuple(edges.tolist()), values
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,14 @@ generator and the Generator and RandomState modules: 2.2 MB and 10 ms
 against 0.6 MB and 4 ms for _philox (BENCH_working_set.json).  _ufuncs
 loads with this module.  _philox loads, and its one generator per process
 is built (_c_philox), at the first row longer than CROSSOVER_DRAWS, so a
-command that draws only short rows loads no numpy.random module.
+command that draws only short rows loads no numpy.random module.  _philox
+loads numpy.random.bit_generator, which takes randbits from secrets, and
+secrets imports hmac, whose _hashlib maps OpenSSL's libcrypto: about 3.5 MB
+of resident memory (BENCH_no_openssl.json) for a name that only draws a
+SeedSequence's entropy from the OS.  Unless secrets is loaded already,
+_c_philox loads _philox under a stand-in for secrets whose randbits is
+random.SystemRandom().getrandbits, which is what secrets.randbits is, and
+removes the stand-in again; a later import of secrets gets the real module.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from __future__ import annotations
 import functools
 import operator
 import os
+import random
 import sys
 import types
 
@@ -74,8 +82,17 @@ kolmogorov, ndtr, ndtri = _load("scipy.special", "_ufuncs", ("kolmogorov", "ndtr
 def _c_philox():
     """numpy's C Philox bit generator, loaded and built at the first call.
     Each row sets its whole state, so every call, and a forked part with its
-    inherited copy, can share it."""
-    return _load("numpy.random", "_philox", ("Philox",))[0](key=0)
+    inherited copy, can share it.  Unless secrets is loaded, it loads under
+    a stand-in for secrets, removed again at once (module docstring)."""
+    stub = None
+    if "secrets" not in sys.modules:
+        stub = sys.modules["secrets"] = types.ModuleType("secrets")
+        stub.randbits = random.SystemRandom().getrandbits
+    try:
+        return _load("numpy.random", "_philox", ("Philox",))[0](key=0)
+    finally:
+        if stub is not None:
+            del sys.modules["secrets"]
 
 
 _U64 = 2**64

@@ -1,6 +1,10 @@
-"""Config parsing: robustness under arbitrary JSON values, and the version string."""
+"""Config parsing: robustness under arbitrary JSON values, the version
+string, and the manifest's hashes."""
 
+import hashlib
+import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import yehsim
-from yehsim.config import TOOL_VERSION, parse_config
+from yehsim.config import TOOL_VERSION, canonical_json, parse_config
 from yehsim.errors import ConfigError
 
 #: Section -> (names its string fields take, its keys), after the schema in
@@ -78,6 +82,19 @@ def test_one_version_string():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     version = tomllib.loads(pyproject.read_text())["project"]["version"]
     assert yehsim.__version__ == TOOL_VERSION == version
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("raw", [{}, *(json.loads(path.read_text()) for path in CONFIGS)],
+                         ids=["defaults", *(path.stem for path in CONFIGS)])
+def test_hashes_are_hashlib_sha256(raw):
+    # the package hashes with CPython's built-in SHA-256, not hashlib's
+    cfg = parse_config(raw)
+    manifest = cfg.manifest()
+    for got, obj in ((cfg.config_hash(), cfg.normalized), (manifest.hash(), asdict(manifest))):
+        assert got == hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
 def test_grid_too_fine_for_the_interval_names_the_grid():

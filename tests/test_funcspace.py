@@ -23,7 +23,7 @@ from yehsim import (
     step_cells,
     stieltjes_integral,
 )
-from yehsim.funcspace import project_family
+from yehsim.funcspace import BLOCK_VALUES, project_family
 from yehsim.stieltjes import midpoint_rule
 from yehsim.verify import basis_battery
 
@@ -201,6 +201,37 @@ class TestProjection:
             proj = projection(f, 16)
             assert proj.partition == tuple(edges)
             assert proj.values == tuple(row)
+
+    @pytest.mark.parametrize("family", ["cosine", "haar"])
+    @pytest.mark.parametrize("integrands", [0, 1, 2])
+    def test_blocked_members_equal_one_evaluator_call(self, family, integrands):
+        # the members are written in blocks of BLOCK_VALUES // n rows; the
+        # rows equal stacking the integrands over one call for every member
+        n = 2**12
+        block = BLOCK_VALUES // n
+        basis = BasisFamily(RHO_SQ, family)
+        fs = [lambda t: t**2, StepFunction((0.0, 0.3, 1.0), (1.0, -2.0))][:integrands]
+        mids = midpoint_rule(0.0, 1.0, n)[1]
+        for terms in (0, 1, block - 1, block, block + 1):
+            edges, values = project_family(fs, n, UNIT, basis, terms)
+            rows = [np.asarray(f(mids), dtype=float) for f in fs]
+            rows.append(basis.values(np.arange(terms), mids))
+            assert edges == tuple(midpoint_rule(0.0, 1.0, n)[0])
+            assert values.shape == (integrands + terms, n)
+            assert values.tobytes() == np.vstack(rows).tobytes()
+
+    def test_family_memory_is_one_matrix_and_one_block(self):
+        # expand's family, 1 integrand and 256 cosine members on 1024 cells:
+        # the result (2.1 MB) and one block of members, not two copies
+        basis = BasisFamily(RHO_ID)
+        project_family([lambda t: t], 1024, UNIT, basis, 256)
+        tracemalloc.start()
+        try:
+            project_family([lambda t: t], 1024, UNIT, basis, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.7 * 2**20, peak
 
     def test_midpoints_finite_on_huge_interval(self):
         edges, values = project_family([lambda t: t], 16, (0.0, 1e308))

@@ -9,7 +9,10 @@ numpy.random's, which loads the Generator and RandomState modules.  A
 caller that imported either package first gets its objects, and a refused
 private import falls back to the package.  Every route gives the same bits.
 No command loads numpy.ma (np.unique would, through np.ma.is_masked) or
-fractions (only stieltjes.cantor_eval, an oracle no command calls, uses it).
+fractions (only stieltjes.cantor_eval, an oracle no command calls, uses it),
+nor hashlib, hmac or secrets, which map OpenSSL's libcrypto through
+_hashlib: config hashes with CPython's built-in SHA-256, and the C Philox
+loads under a stand-in for secrets unless the caller loaded it first.
 """
 
 import json
@@ -20,18 +23,25 @@ import sys
 import pytest
 
 #: Modules that no command may load: the first three only scipy.special's
-#: package __init__ brings in, the two numpy.random ones only numpy.random's.
+#: package __init__ brings in, the two numpy.random ones only numpy.random's,
+#: and the last four those that map OpenSSL's libcrypto.
 HEAVY = ("scipy.special", "numpy.f2py", "numpy.testing", "numpy.random.mtrand",
-         "numpy.random._generator", "numpy.ma", "fractions")
+         "numpy.random._generator", "numpy.ma", "fractions",
+         "_hashlib", "hashlib", "hmac", "secrets")
 
 PRELUDE = f"""\
-import json, sys
+import json, os, sys
 import scipy
 
 def loaded():
     found = [name for name in {HEAVY!r} if name in sys.modules]
     # vars(), not getattr(): scipy's module __getattr__ would import the package
-    return found + ["scipy.special attribute"] * ("special" in vars(scipy))
+    found += ["scipy.special attribute"] * ("special" in vars(scipy))
+    if os.path.exists("/proc/self/maps"):
+        with open("/proc/self/maps") as maps:
+            found += sorted({{line.split()[-1] for line in maps
+                              if "libcrypto" in line or "libssl" in line}})
+    return found
 """
 
 LEAN = PRELUDE + """\
@@ -113,6 +123,36 @@ def test_commands_stay_lean(tmp_path):
     left, same = run_script(LEAN, str(config), str(tmp_path / "out"))
     assert left == {"import": [], "simulate": [], "verify": [], "expand": [], "C Philox": True}
     assert same == [True, True, True, True]
+
+
+# with secrets loaded first, numpy takes its randbits; else the stand-in's,
+# and either is a SystemRandom's getrandbits, so numpy still seeds from the OS
+SECRETS = """\
+import json, random, sys
+{prelude}
+from yehsim import streams
+
+before = sys.modules.get("secrets")
+streams._c_philox()
+after = sys.modules.get("secrets")
+import numpy.random
+from numpy.random import bit_generator
+
+randbits = bit_generator.randbits
+entropy = [numpy.random.SeedSequence().entropy for _ in range(2)]
+print(json.dumps([after is before, before is not None and randbits is before.randbits,
+                  isinstance(getattr(randbits, "__self__", None), random.SystemRandom),
+                  [type(e).__name__ for e in entropy], entropy[0] != entropy[1]]))
+"""
+
+
+@pytest.mark.parametrize("prelude,first", [("import secrets", True), ("", False)],
+                         ids=["secrets-first", "stand-in"])
+def test_c_philox_leaves_secrets_as_it_found_it(prelude, first):
+    same, numpy_takes_it, system_random, types, differ = run_script(
+        SECRETS.format(prelude=prelude))
+    assert same and numpy_takes_it == first and system_random
+    assert types == ["int", "int"] and differ
 
 
 @pytest.fixture(scope="module")
