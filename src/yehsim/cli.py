@@ -61,10 +61,10 @@ def _load_config(args) -> RunConfig:
             raw = json.loads(path.read_text())
         except FileNotFoundError as exc:
             raise ConfigError(f"config: file {path} does not exist") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: invalid JSON ({exc})") from exc
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config: cannot read {path} ({exc})") from exc
+        except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+            raise ConfigError(f"config: invalid JSON ({exc})") from exc
     overrides = {}
     env_seed = os.environ.get("YEH_SEED")
     if env_seed is not None:
@@ -144,11 +144,14 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
     The path range is split into process.stream_ranges, one contiguous,
     near-equal range of stream indices per core this process may run on.
-    This process encodes the first range straight into the outputs; a part
-    that process.fork_ranges forks encodes each other one into two temporary
-    _Outputs, made before the fork and appended in order once it has exited
-    (its _IOFailure names the output and is raised again here).  Every
-    process samples, encodes and writes in the samplers' row chunks of about
+    The CSV header and the bundle's head are written first.  This process
+    encodes the first range straight into the outputs; a part that
+    process.fork_ranges forks encodes each other one into two temporary
+    _Outputs, made before the fork and appended in order once fork_ranges
+    returns (a part's _IOFailure names the output and is raised again here).
+    A part inherits the frames in the unflushed buffers but never flushes
+    them: it ends with os._exit and writes only its own files.  Every process
+    samples, encodes and writes in the samplers' row chunks of about
     process.CHUNK_DRAWS normals, each one value matrix drawn and summed in
     place, so no memory grows with the path count.
     Row k is stream k whichever process and chunk hold it, so the bytes
@@ -177,20 +180,19 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         parts = {lo: [stack.enter_context(_Output(path, temp=True)) for path in paths]
                  for lo, _ in ranges[1:]}
         csv, bundle = outs = [stack.enter_context(_Output(path)) for path in paths]
+        csv.write(f"# manifest={mhash}\npath,t,value\n".encode())
+        bundle.write(head.encode() + b"[")
 
-        def run(lo: int, hi: int) -> int:
+        def run(lo: int, hi: int):
             files = parts.get(lo, outs)
             write_rows(lo, chunks(hi - lo, lo), pieces, *(out.write for out in files))
             # a part ends with os._exit, so it closes, and so flushes, its own
             for part in parts.get(lo, ()):
                 part.close()
-            return lo
 
-        done = stack.enter_context(fork_ranges(run, ranges))
-        csv.write(f"# manifest={mhash}\npath,t,value\n".encode())
-        bundle.write(head.encode() + b"[")
-        for lo in done:
-            for out, part in zip(outs, parts.get(lo, ())):
+        fork_ranges(run, ranges)
+        for lo, _ in ranges[1:]:
+            for out, part in zip(outs, parts[lo]):
                 out.append(part)
         bundle.write(b"]" + tail.encode() + b"\n")
     _write_reports(cfg, out_dir)

@@ -23,8 +23,9 @@ partition lies in the interval and which is 0 outside it, and poly and
 basis a function of t.  Ranges (README
 "Config schema"): finite numbers, knots strictly increasing over the
 interval, exponent >= 1, depth in [1, 1074], basis index in [0, 2**20].
-A value out of range, or a section other than interval that is not an
-object, raises ConfigError naming the field; the CLI exits 2.
+A value out of range, a key a section does not have (SECTIONS), a count,
+seed or index that is not a JSON integer, or a section other than interval
+that is not an object, raises ConfigError naming the field; the CLI exits 2.
 
 The manifest's sha256 is CPython's built-in SHA-256 (_sha2, or _sha256
 before Python 3.12), as random.py takes its _sha512, not hashlib's: hashlib
@@ -63,6 +64,18 @@ TOOL_VERSION = "0.12.0"
 #: without loading the batteries.
 SUITE_NAMES = ("moments", "gaussian", "series", "martingale", "counterexample")
 
+#: Each section's keys (README "Config schema"); interval is a pair [a, b].
+SECTIONS = {
+    "interval": (),
+    "lambda": ("kind", "slope", "intercept", "knots", "values", "depth"),
+    "rho": ("kind", "exponent", "knots", "values"),
+    "integrand": ("kind", "partition", "values", "lo", "hi", "coeffs", "index"),
+    "mc": ("paths", "seed"),
+    "grid": ("points", "scale"),
+    "series": ("N", "family"),
+    "quadrature": ("resolution",),
+}
+
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -74,10 +87,11 @@ def _require(cond: bool, field: str, message: str):
 
 
 def _int_field(value, field: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{field}: must be an integer, got {value!r}") from exc
+    """value if it is an integer: a bool, a string or a float is refused,
+    however integral its value."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{field}: must be an integer, got {value!r}")
+    return value
 
 
 def _build(section: str, constructor, *args):
@@ -189,11 +203,12 @@ def parse_config(raw: dict, overrides: dict | None = None) -> RunConfig:
     """Validate a config dict, apply defaults and CLI/env overrides."""
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be a JSON object")
-    known = {"interval", "lambda", "rho", "integrand", "mc", "grid", "series",
-             "quadrature"}
     for key, value in raw.items():
-        _require(key in known, key, "unknown configuration section")
-        _require(key == "interval" or isinstance(value, dict), key, "must be a JSON object")
+        _require(key in SECTIONS, key, "unknown configuration section")
+        if key != "interval":
+            _require(isinstance(value, dict), key, "must be a JSON object")
+            for field in value:
+                _require(field in SECTIONS[key], f"{key}.{field}", "unknown field")
     overrides = overrides or {}
 
     interval_spec = raw.get("interval", [0.0, 1.0])

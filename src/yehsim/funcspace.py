@@ -259,9 +259,13 @@ class BasisFamily:
                 out -= down
                 out *= scale
             else:  # the last member of a level (n + 1 a power of 2) is closed at x = T
-                end = ((flat & (flat + 1)) == 0)[:, None] & (xs == T)
-                out = np.select([(out >= 0) & (out < half), (out >= half) & (out < width) | end],
-                                [scale, -scale])
+                up = out >= 0
+                up &= out < half
+                down = out < width
+                down &= out >= half
+                down |= ((flat & (flat + 1)) == 0)[:, None] & (xs == T)
+                np.subtract(up, down, out=out, dtype=float)  # 1, -1 or 0, into out
+                out *= scale
         out[flat == 0] = xs / math.sqrt(T) if running else 1.0 / math.sqrt(T)
         out = out.reshape(ns.shape + x.shape)
         return float(out) if out.ndim == 0 else out

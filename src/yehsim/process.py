@@ -19,19 +19,18 @@ stream first_index + k, never on the batch layout, chunk height, BLAS
 thread count or number of processes.
 
 One stream-range map runs on every core: stream_ranges cuts [0, count)
-into one contiguous range per core, and fork_ranges runs each range after
-the first in a forked part, whose result comes back through a pipe.
-`simulate` writes its paths through it, and every kernel call runs through
-it: one range, which forks nothing, below FORK_DRAWS normals.
+into one contiguous range per core, and fork_ranges returns a run's results
+over the ranges in order, each range after the first run in a forked part
+whose result comes back through a pipe.  `simulate` writes its paths
+through it, and every kernel call runs through it: one range, which forks
+nothing, below FORK_DRAWS normals.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import pickle
 import signal
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,26 +133,24 @@ def _increment_scales(spec: YehSpec, grid) -> tuple[np.ndarray, np.ndarray]:
 
 def stream_ranges(count: int) -> list[tuple[int, int]]:
     """[0, count) cut into contiguous, near-equal ranges, one per core this
-    process may run on and at most count; a single range in a part."""
-    parts = 1 if _PARENT is not None else max(1, min(len(os.sched_getaffinity(0)), count))
+    process may run on and at most count."""
+    parts = max(1, min(len(os.sched_getaffinity(0)), count))
     firsts = [count * i // parts for i in range(parts + 1)]
     return list(zip(firsts, firsts[1:]))
 
 
-@contextmanager
-def fork_ranges(run, ranges):
-    """Yield the results of run(lo, hi) over the ranges, in order, as an
-    iterator.  Every range after the first runs in a part forked on entry;
-    the first runs in this process when the iterator reaches it.  A part's
-    result, or the exception it raised, comes back pickled through a pipe,
-    and the exception is raised again here.  On exit every part not yet
-    joined is killed and reaped."""
+def fork_ranges(run, ranges) -> list:
+    """The results of run(lo, hi) over the ranges, as a list in range order.
+    Every range after the first runs in a forked part; the first then runs
+    in this process, and the parts are joined in order.  A part's result,
+    or the exception it raised, comes back pickled through a pipe, and the
+    exception is raised again here.  If run or a join raises, every part
+    not yet joined is killed and reaped."""
     parts = []
     try:
         for lo, hi in ranges[1:]:
             parts.append(_Part(run, lo, hi))
-        here = (run(lo, hi) for lo, hi in ranges[:1])
-        yield itertools.chain(here, (part.join() for part in parts))
+        return [run(*ranges[0]), *(part.join() for part in parts)]
     finally:
         for part in parts:
             part.close()
@@ -164,8 +161,8 @@ class _Part:
 
     The child never returns into its caller's stack: it ends with os._exit,
     so no exit handler or caller's cleanup runs in it.  It forks no part of
-    its own (stream_ranges gives it one range), and _increment_chunks stops it
-    before its next chunk once its parent has died."""
+    its own: run draws only through _increment_chunks, which never forks and
+    stops it before its next chunk once its parent has died."""
 
     def __init__(self, run, lo: int, hi: int):
         global _PARENT
@@ -307,8 +304,7 @@ def increment_functionals(spec: YehSpec, partition, pieces, seed: int, count: in
         return out
 
     ranges = stream_ranges(count) if count * len(dlam) >= FORK_DRAWS else [(0, count)]
-    with fork_ranges(rows, ranges) as results:
-        return np.concatenate(list(results))
+    return np.concatenate(fork_ranges(rows, ranges))
 
 
 def series_point_values(basis: BasisFamily, truncation: int, times, seed: int,

@@ -125,7 +125,7 @@ class TestSimulate:
         assert code == 2
         assert "variance function must be strictly increasing" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", ["abc", None])
+    @pytest.mark.parametrize("bad", ["abc", None, 2000.5, "300", True])
     @pytest.mark.parametrize("section,key", [
         ("mc", "paths"), ("mc", "seed"), ("grid", "points"), ("series", "N"),
         ("quadrature", "resolution"),
@@ -137,6 +137,20 @@ class TestSimulate:
                        "--out", str(tmp_path / "out"))
         assert code == 2
         assert f"{section}.{key}: must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key", [
+        ("lambda", "slpoe"), ("rho", "exponant"), ("integrand", "value"),
+        ("mc", "path"), ("grid", "point"), ("series", "n"), ("quadrature", "resolutions"),
+    ])
+    def test_unknown_field_named(self, tmp_path, capsys, section, key):
+        # a misspelled key is refused, not run with the key's default
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({section: {key: 5}}))
+        code = run_cli("simulate", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {section}.{key}: unknown field\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bad", [5, [], "x", None])
     @pytest.mark.parametrize("section", [
@@ -199,11 +213,16 @@ class TestSimulate:
             assert f"error: integrand: {field} {problem}" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
-        # a missing file, a directory and a file that is not UTF-8
+        # a missing file, a directory, a file that is not UTF-8 and, where
+        # Python limits the digits of an integer it converts, one too long
         (tmp_path / "dir.json").mkdir()
         (tmp_path / "latin1.json").write_bytes('{"mc": {"seed": "\u00e9"}}'.encode("latin-1"))
-        for name, problem in (("nope.json", "does not exist"), ("dir.json", "Is a directory"),
-                              ("latin1.json", "can't decode byte 0xe9")):
+        (tmp_path / "long.json").write_text('{"mc": {"seed": %s}}' % ("1" * 5000))
+        cases = [("nope.json", "does not exist"), ("dir.json", "Is a directory"),
+                 ("latin1.json", "can't decode byte 0xe9")]
+        if hasattr(sys, "get_int_max_str_digits"):
+            cases.append(("long.json", "invalid JSON (Exceeds the limit"))
+        for name, problem in cases:
             code = run_cli("simulate", "--config", str(tmp_path / name),
                            "--out", str(tmp_path / "out"))
             assert code == 2
@@ -246,8 +265,9 @@ class TestSimulate:
     def test_child_write_failure_gives_io_exit(self, tmp_path, brownian_config,
                                                capsys, monkeypatch):
         # the disk fills as a part writes its temporary files (only the
-        # parts make them), as the parent of one part writes paths.csv
-        # (/dev/full) and as the parent appends a part's files
+        # parts make them), as the parent writes paths.csv (/dev/full),
+        # alone or while a part is drawing, and as the parent appends a
+        # part's files
         def full_disk(*args):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
@@ -258,8 +278,8 @@ class TestSimulate:
             fh.write = full_disk
             return fh
 
-        for case, parts in (("part", 2), ("parent", 1), ("append", 2)):
-            out = tmp_path / case
+        for case, parts in (("part", 2), ("parent", 1), ("parent", 2), ("append", 2)):
+            out = tmp_path / f"{case}-{parts}"
             out.mkdir()
             with monkeypatch.context() as patch:
                 if case == "part":

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import yehsim
-from yehsim.config import TOOL_VERSION, canonical_json, parse_config
+from yehsim.config import SECTIONS, TOOL_VERSION, canonical_json, parse_config
 from yehsim.errors import ConfigError
 
 #: Section -> (names its string fields take, its keys), after the schema in
@@ -75,6 +75,11 @@ def test_parse_config_gives_finite_functions_or_config_error(raw):
     grid = np.linspace(cfg.interval.a, cfg.interval.b, 9)
     assert np.all(np.isfinite(cfg.lam(grid)))
     assert np.all(np.isfinite(cfg.rho(grid)))
+
+
+def test_schema_keys_are_the_parsers():
+    # the keys fuzzed here are the keys parse_config accepts, no more
+    assert SECTIONS == {"interval": (), **{name: keys for name, (_, keys) in SCHEMA.items()}}
 
 
 def test_one_version_string():

@@ -221,17 +221,19 @@ class TestProjection:
             assert values.tobytes() == np.vstack(rows).tobytes()
 
     def test_family_memory_is_one_matrix_and_one_block(self):
-        # expand's family, 1 integrand and 256 cosine members on 1024 cells:
-        # the result (2.1 MB) and one block of members, not two copies
-        basis = BasisFamily(RHO_ID)
-        project_family([lambda t: t], 1024, UNIT, basis, 256)
-        tracemalloc.start()
-        try:
+        # expand's family, 1 integrand and 256 members on 1024 cells: the
+        # result (2.1 MB) and one block of members, not two copies; a Haar
+        # block also holds its two masks
+        for family, bound in (("cosine", 2.7), ("haar", 2.85)):
+            basis = BasisFamily(RHO_ID, family)
             project_family([lambda t: t], 1024, UNIT, basis, 256)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.7 * 2**20, peak
+            tracemalloc.start()
+            try:
+                project_family([lambda t: t], 1024, UNIT, basis, 256)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * 2**20, (family, peak)
 
     def test_midpoints_finite_on_huge_interval(self):
         edges, values = project_family([lambda t: t], 16, (0.0, 1e308))
