@@ -153,7 +153,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     them: it ends with os._exit and writes only its own files.  Every process
     samples, encodes and writes in the samplers' row chunks of about
     process.CHUNK_DRAWS normals, each one value matrix drawn and summed in
-    place, so no memory grows with the path count.
+    place, so no chunk grows with the path count; the process's peak RSS
+    still does, by 2.4 MB from 2,000 to 30,000 paths of 513 points (README).
     Row k is stream k whichever process and chunk hold it, so the bytes
     depend on neither the core count nor the chunk height."""
     spec = YehSpec(cfg.lam, cfg.rho)

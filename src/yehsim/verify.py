@@ -9,12 +9,15 @@ A suite is a thin adapter from a RunConfig to battery arguments; the
 acceptance tests call the same batteries at their own scale, and call
 basis_battery and integral_battery, which no suite runs yet.  Monte Carlo
 rows draw a battery's step integrals as one family in one kernel call (in
-gaussian_battery, one per integrand and seed), on its own partition
+gaussian_battery, one per integrand and repeat), on its own partition
 (funcspace.step_cells; the expansion gaps on project_family's edges), and
 check the exact law of what was drawn within 4 standard errors; truncation
 and projection errors get exact rows of their own.  Exact identities carry
-absolute tolerances.  Suite draws derive from the manifest seed through
-fixed seed offsets (mod 2**64) and stream indices: reruns give identical rows.
+absolute tolerances.  A battery draws the streams of its seed from its
+first_index on (0 by default).  Every suite draw is keyed by the manifest
+seed, and each Monte Carlo check family reads its own block of streams
+(BLOCKS): no two families, nor two seeds, share a stream.  Reruns give
+identical rows.
 """
 
 from __future__ import annotations
@@ -63,24 +66,27 @@ def _mean_within(check: str, expected: float, samples: np.ndarray) -> CheckRow:
     return _within(check, expected, mean, 4.0 * se)
 
 
-def _suite_seed(cfg: RunConfig, offset: int) -> int:
-    """The manifest seed shifted by a suite's fixed offset, wrapped to 64 bits."""
-    return (cfg.seed + offset) % 2**64
+#: The first stream of each Monte Carlo check family of the suites: the i-th
+#: in suite order reads block i, the streams [i * 2**48, (i + 1) * 2**48).
+BLOCKS = {family: i * 2**48 for i, family in enumerate((
+    "moments", *(f"gaussian_ks_{f}_seed{k}" for f in ("full", "mixed") for k in range(3)),
+    "series_cov", "series_expansion_gap", "martingale_table",
+    "martingale_mc_centered_drift", "counterexample_mc_drift"))}
 
 
-def moments_battery(spec: YehSpec, checks: dict, seed: int, paths: int) -> list[CheckRow]:
+def moments_battery(spec: YehSpec, checks: dict, seed: int, paths: int,
+                    first_index: int = 0) -> list[CheckRow]:
     """Sample moments of Wiener integrals against the analytic formulas.
 
     checks maps a check name to a step integrand f, for the mean E[I(f)] (the
     integral of f against d(lambda)), or to a pair (f, g), for E[I(f) I(g)]
     (the rho inner product plus the product of the means).  All integrals of
-    a path come from one stream, drawn on the integrands' own partition; the
-    paths are streams 0 .. paths - 1.
+    a path come from one stream, drawn on the integrands' own partition.
     """
     pairs = {name: c if isinstance(c, tuple) else (c,) for name, c in checks.items()}
     integrands = list(dict.fromkeys(f for pair in pairs.values() for f in pair))
     samples = dict(zip(integrands, increment_functionals(
-        spec, *step_cells(integrands, spec.interval), seed, paths).T))
+        spec, *step_cells(integrands, spec.interval), seed, paths, first_index).T))
     means = {f: stieltjes_integral(f, spec.lam) for f in integrands}
     with np.errstate(over="ignore"):  # an overflowed product fails its row
         return [_mean_within(name, inner_rho(f, g[0], spec.rho) + means[f] * means[g[0]],
@@ -89,25 +95,26 @@ def moments_battery(spec: YehSpec, checks: dict, seed: int, paths: int) -> list[
                 for name, (f, *g) in pairs.items()]
 
 
-def gaussian_battery(spec: YehSpec, integrands: dict, seeds, paths: int) -> list[CheckRow]:
+def gaussian_battery(spec: YehSpec, integrands: dict, draws, paths: int) -> list[CheckRow]:
     """KS tests of the Wiener integral law against its analytic Gaussian:
     check f"{name}_seed{k}" draws `paths` integrals of the named step
-    integrand from the k-th of `seeds`, and passes when the p-value exceeds
-    0.01."""
+    integrand from the streams of the k-th (seed, first_index) pair of
+    `draws`, and passes when the p-value exceeds 0.01."""
     rows = []
     for name, f in integrands.items():
         cells = step_cells([f], spec.interval)
         mean = stieltjes_integral(f, spec.lam)
         var = inner_rho(f, f, spec.rho)
-        for k, seed in enumerate(seeds):
-            samples = increment_functionals(spec, *cells, seed, paths)[:, 0]
+        for k, (seed, first_index) in enumerate(draws):
+            samples = increment_functionals(spec, *cells, seed, paths, first_index)[:, 0]
             p_value = ks_test(samples, mean, var).p_value
             rows.append(CheckRow(f"{name}_seed{k}", 0.01, p_value, 0.0, p_value > 0.01))
     return rows
 
 
 def series_battery(basis: BasisFamily, grid, pairs, truncation: int,
-                   endpoint_terms: int, seed: int, paths: int) -> list[CheckRow]:
+                   endpoint_terms: int, seed: int, paths: int,
+                   first_index: int = 0) -> list[CheckRow]:
     """Closed-form truncation defects and the series-sampled covariance.
 
     The defects are the single-term one midway between the two middle grid
@@ -115,8 +122,8 @@ def series_battery(basis: BasisFamily, grid, pairs, truncation: int,
     vanishes.  The first is closed form, so it may sit off the grid, as it
     does on an even grid: a 2-point grid's middle point would be b, where it
     vanishes too.  For each distinct index pair (i, j), at s, t = grid[i],
-    grid[j], `paths` centered series paths of `truncation` terms give
-    E[X(s) X(t)], which must be the truncated series' covariance K(s, t) =
+    grid[j], `paths` centered series paths of `truncation` terms give E[X(s)
+    X(t)], which must be the truncated series' covariance K(s, t) =
     sum over k < truncation of A_k(s) A_k(t), the A_k being the running
     integrals of the members, within 4 SE.  An exact row bounds the
     truncation: K(s, t) lies within sqrt(D(s) D(t)) of rho(min(s, t)), D
@@ -134,7 +141,7 @@ def series_battery(basis: BasisFamily, grid, pairs, truncation: int,
     ]
     cols = sorted({i for pair in pairs for i in pair})
     times = grid[cols]
-    sv = series_point_values(basis, truncation, times, seed, paths)
+    sv = series_point_values(basis, truncation, times, seed, paths, first_index)
     amatrix = basis.antiderivative(np.arange(truncation), times)
     defects = series_variance_defect(basis, truncation, times)
     for i, j in dict.fromkeys(pairs):
@@ -147,7 +154,8 @@ def series_battery(basis: BasisFamily, grid, pairs, truncation: int,
 
 
 def expansion_battery(basis: BasisFamily, cells: int, integrands: dict, max_terms: int,
-                      term_counts, seed: int, paths: int) -> list[CheckRow]:
+                      term_counts, seed: int, paths: int,
+                      first_index: int = 0) -> list[CheckRow]:
     """Mean-square gap of the truncated expansion against its exact law.
 
     The named step integrands f and the first max_terms basis members are
@@ -155,7 +163,7 @@ def expansion_battery(basis: BasisFamily, cells: int, integrands: dict, max_term
     and w_k.  The gap after n terms, I(f) - sum over k < n of c_k I(phi_k),
     has the piece row g = w_f - sum over k < n of c_k w_k and the exact mean
     square sum(g**2 drho) under the centered spec.  All gaps are drawn as
-    one step family from streams [0, paths); check f"{name}_N{n}" compares
+    one step family from `paths` streams; check f"{name}_N{n}" compares
     their mean squared gap with that value within 4 SE, for n in term_counts.
     """
     rho = basis.rho
@@ -166,7 +174,8 @@ def expansion_battery(basis: BasisFamily, cells: int, integrands: dict, max_term
     gaps = np.array([w - np.sum(c[:n, None] * members[:n], axis=0)
                      for w, c in zip(pieces, coeffs) for n in term_counts])
     drho = np.diff(rho(np.asarray(edges)))
-    samples = increment_functionals(YehSpec.centered(rho), edges, gaps, seed, paths)
+    samples = increment_functionals(YehSpec.centered(rho), edges, gaps, seed, paths,
+                                    first_index)
     checks = [f"{name}_N{n}" for name in integrands for n in term_counts]
     return [_mean_within(check, float(np.sum(g * g * drho)), gap ** 2)
             for check, g, gap in zip(checks, gaps, samples.T)]
@@ -243,20 +252,21 @@ def integral_battery(spec: YehSpec, f, cells: int, seed: int, paths: int) -> lis
     return rows + [_within("integral_gap_ratio", 0.5, ratio, 0.125)]
 
 
-def truth_table_battery(interval, instances: int, seed: int) -> list[CheckRow]:
+def truth_table_battery(interval, instances: int, seed: int,
+                        first_index: int = 0) -> list[CheckRow]:
     """The drift-sign truth table on random instances, instance i drawn from
-    the 18 uniforms of stream (seed, i): it has an increasing (even i) or
-    decreasing piecewise-linear drift and a positive or negative (by the
-    parity of i // 2) step integrand, and classify, probing three random
-    pairs, must say submartingale when the signs agree and supermartingale
-    when they differ."""
+    the 18 uniforms of stream (seed, first_index + i): it has an increasing
+    (even i) or decreasing piecewise-linear drift and a positive or negative
+    (by the parity of i // 2) step integrand, and classify, probing three
+    random pairs, must say submartingale when the signs agree and
+    supermartingale when they differ."""
     iv = Interval.coerce(interval)
 
     def scaled(lo, hi, u):
         return lo + (hi - lo) * u
 
     rows = []
-    for i, u in enumerate(_uniform_matrix(seed, instances, 18, 0)):
+    for i, u in enumerate(_uniform_matrix(seed, instances, 18, first_index)):
         lam_dir, f_sign = (-1) ** i, (-1) ** (i // 2)
         want = "submartingale" if lam_dir == f_sign else "supermartingale"
         knots, increments, cuts, values, probes = np.split(u, [3, 7, 9, 12])
@@ -285,7 +295,8 @@ def counterexample_drifts() -> list[CheckRow]:
             for name, t, want in _COUNTEREXAMPLE_DRIFTS]
 
 
-def counterexample_battery(seed: int = 0, paths: int = 0) -> list[CheckRow]:
+def counterexample_battery(seed: int = 0, paths: int = 0,
+                           first_index: int = 0) -> list[CheckRow]:
     """The exact drifts and mean of the mixed-sign step, its 'neither'
     verdict and, when paths > 0, the drifts by Monte Carlo: moments_battery
     mean rows of the step restricted to each drift's interval."""
@@ -300,7 +311,7 @@ def counterexample_battery(seed: int = 0, paths: int = 0) -> list[CheckRow]:
         rows += moments_battery(
             YehSpec(lam, VarianceFunction.identity(unit)),
             {f"counterexample_mc_drift_{name}": MIXED_SIGN_STEP.restrict(0.25, t)
-             for name, t, _ in _COUNTEREXAMPLE_DRIFTS}, seed, paths)
+             for name, t, _ in _COUNTEREXAMPLE_DRIFTS}, seed, paths, first_index)
     return rows
 
 
@@ -312,12 +323,14 @@ def moments_suite(cfg: RunConfig) -> list[CheckRow]:
     g = StepFunction.indicator(iv.a, float(grid[len(grid) // 2]), iv)
     checks = {"moments_mean_f": f, "moments_mean_g": g,
               "moments_second_fg": (f, g), "moments_second_ff": (f, f)}
-    return moments_battery(YehSpec(cfg.lam, cfg.rho), checks, cfg.seed, cfg.paths)
+    return moments_battery(YehSpec(cfg.lam, cfg.rho), checks, cfg.seed, cfg.paths,
+                           BLOCKS["moments"])
 
 
 def gaussian_suite(cfg: RunConfig) -> list[CheckRow]:
-    """Full-indicator and mixed-sign step integrands, 3 seeds, at least 1000
-    paths; no half indicator, whose KS row, drawn alone, repeats the full's."""
+    """Full-indicator and mixed-sign step integrands, three rows each, each on
+    its own stream block, at least 1000 paths; no half indicator, whose KS
+    row, drawn alone, repeats the full's."""
     iv = cfg.interval
     q = iv.length / 4.0
     integrands = {
@@ -325,8 +338,9 @@ def gaussian_suite(cfg: RunConfig) -> list[CheckRow]:
         "gaussian_ks_mixed": StepFunction((iv.a, iv.a + q, iv.a + 3 * q, iv.b),
                                           (0.5, -0.5, 2.0)),
     }
-    return gaussian_battery(YehSpec(cfg.lam, cfg.rho), integrands,
-                            [_suite_seed(cfg, k) for k in range(3)], max(cfg.paths, 1000))
+    return [row for name, f in integrands.items() for row in gaussian_battery(
+        YehSpec(cfg.lam, cfg.rho), {name: f},
+        [(cfg.seed, BLOCKS[f"{name}_seed{k}"]) for k in range(3)], max(cfg.paths, 1000))]
 
 
 def series_suite(cfg: RunConfig) -> list[CheckRow]:
@@ -340,24 +354,27 @@ def series_suite(cfg: RunConfig) -> list[CheckRow]:
     half = StepFunction.indicator(iv.a, iv.a + iv.length / 2, iv)
     return [*series_battery(cfg.basis, grid, [(quarter, n // 2), (n // 2, n // 2),
                                               (quarter, 3 * n // 4)],
-                            cfg.truncation, max(1, cfg.truncation), cfg.seed, cfg.paths),
+                            cfg.truncation, max(1, cfg.truncation), cfg.seed, cfg.paths,
+                            BLOCKS["series_cov"]),
             *expansion_battery(cfg.basis, n - 1, {"series_expansion_gap": half}, 16,
-                               (1, 4, 16), _suite_seed(cfg, 7), cfg.paths)]
+                               (1, 4, 16), cfg.seed, cfg.paths, BLOCKS["series_expansion_gap"])]
 
 
 def martingale_suite(cfg: RunConfig) -> list[CheckRow]:
     """Eight truth-table instances, and the centered process as a
     martingale: zero drift within 4 SE."""
     iv = cfg.interval
-    return [*truth_table_battery(iv, 8, cfg.seed),
+    return [*truth_table_battery(iv, 8, cfg.seed, BLOCKS["martingale_table"]),
             *moments_battery(YehSpec.centered(cfg.rho),
                              {"martingale_mc_centered_drift":
                               StepFunction.indicator(iv.a, iv.b, iv)},
-                             _suite_seed(cfg, 3), max(cfg.paths, 100))]
+                             cfg.seed, max(cfg.paths, 100),
+                             BLOCKS["martingale_mc_centered_drift"])]
 
 
 def counterexample_suite(cfg: RunConfig) -> list[CheckRow]:
-    return counterexample_battery(_suite_seed(cfg, 11), max(cfg.paths, 100))
+    return counterexample_battery(cfg.seed, max(cfg.paths, 100),
+                                  BLOCKS["counterexample_mc_drift"])
 
 
 def run_suite(name: str, cfg: RunConfig) -> list[CheckRow]:

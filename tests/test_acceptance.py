@@ -116,7 +116,7 @@ def test_criterion_3_gaussianity():
         "mixed_step": StepFunction((0.0, 0.25, 0.75, 1.0), (0.5, -0.5, 2.0)),
         "staircase_of_t": StepFunction(edges, staircase),
     }
-    rows = gaussian_battery(spec, integrands, (911, 922, 933), 100_000)
+    rows = gaussian_battery(spec, integrands, [(911, 0), (922, 0), (933, 0)], 100_000)
     _report(3, "KS of 1e5 Wiener-integral draws vs the analytic Gaussian, "
                "p > 0.01 for 3 integrands x 3 seeds", _failures(rows))
 

@@ -686,19 +686,27 @@ def test_killed_part_exits_2(tmp_path, brownian_config, monkeypatch, capsys):
 # VERIFY_GOLDEN and CANTOR_VERIFY_GOLDEN were re-taken at 0.12.0, which drops
 # the three gaussian_ks_half rows: with GOLDEN_VERSION pinned, the parent's
 # verify_all.csv gave the old digests and lost exactly those three lines, at
-# 1 and 2 BLAS threads.
+# 1 and 2 BLAS threads.  VERIFY_GOLDEN, CANTOR_VERIFY_GOLDEN and
+# HAAR_MASS_GOLDEN["verify"] were re-taken at 0.13.0, which keys every suite
+# draw by the manifest seed and gives each Monte Carlo check family its own
+# block of streams: with GOLDEN_VERSION pinned, only the rows of the families
+# that left streams [0, paths) of their old seeds moved (the gaussian_ks,
+# series_cov, series_expansion_gap, martingale_mc_centered_drift and
+# counterexample_mc_drift rows), at 1 and 2 BLAS threads; the moments rows,
+# on block 0, the truth-table rows, whose bytes hold only a verdict, and every
+# exact row kept their bytes.
 
 #: SHA-256 of verify_all.csv for acceptance criterion 9's config, first taken
 #: when the suites moved onto the functional sampler.
 VERIFY_GOLDEN = (
     {"mc": {"paths": 2000, "seed": 12345}, "grid": {"points": 257}, "series": {"N": 64}},
-    "2b887400f4e1e67f9d762bfd85508c0cf998b74ae6a4f01ad7483e6ea200005e",
+    "bbc41a101dba507b63f90f06783b0e16f488898ca9f91e19beee80172a279a07",
 )
 
 #: SHA-256 of verify_all.csv for configs/cantor.json cut down to 500 paths,
 #: 129 points and N = 32, and of expansion.csv for each shipped config, first
 #: taken before the suites were split into batteries and adapters.
-CANTOR_VERIFY_GOLDEN = "792eec03d057d978cb894cd4b3cfd2867bc53bae8a734c83855369e010f25223"
+CANTOR_VERIFY_GOLDEN = "3283c211e5bd7f9ca9e48d1d8a134f6fafe0c9c232c5f9370a872d3880c78003"
 EXPAND_GOLDEN = {
     "brownian": "49deaa7c69990c95d3c4baaef81f226d139edebb6bd4b2904841091c7d6da0c7",
     "cantor": "949b32f0d86722da3d9bf75f38b4bb4be9a7dd165fde487a654126be91b9b497",
@@ -734,7 +742,7 @@ HAAR_MASS_CONFIG = {
 }
 HAAR_MASS_GOLDEN = {
     "verify": ("verify_series.csv",
-               "49ea71a636e868cd642bfceaab24382a43c65fda6b5cc78616f6031082b1851c"),
+               "1b35b3ec6028b7586586b55382e0f4283089c04bcb3220a450621c85cd619ce5"),
     "expand": ("expansion.csv",
                "4a03d84a2e7d3ec201cd15edb13b0f0b3f2cc398a5e13d0b33d8a53d8f2ddd3c"),
 }
@@ -964,6 +972,38 @@ class TestVerify:
         cfg = parse_config({"mc": {"paths": 20}, "grid": {"points": 9}}, {})
         assert [r.check for r in verify.gaussian_suite(cfg)] == [
             f"gaussian_ks_{name}_seed{k}" for name in ("full", "mixed") for k in range(3)]
+
+    def test_check_families_share_no_stream(self, monkeypatch):
+        # every draw of every suite at two adjacent seeds, recorded as (key,
+        # first stream, end stream, suite): no stream of a key may be drawn
+        # twice, by two check families of one run or by the runs of two seeds
+        from yehsim import verify
+
+        draws = []
+
+        def recorder(real):
+            def record(seed, n_streams, n_draws, first_index=0, out=None):
+                draws.append((seed, first_index, first_index + n_streams, suite))
+                return real(seed, n_streams, n_draws, first_index, out)
+            return record
+
+        monkeypatch.setattr(process, "normal_matrix", recorder(process.normal_matrix))
+        monkeypatch.setattr(verify, "_uniform_matrix", recorder(verify._uniform_matrix))
+        monkeypatch.setattr(process, "FORK_DRAWS", 2**62)  # every draw in this process
+        for seed in (41, 42):
+            cfg = parse_config({"mc": {"paths": 50, "seed": seed}, "grid": {"points": 9},
+                                "series": {"N": 8}}, {})
+            for suite in SUITE_NAMES:
+                verify.run_suite(suite, cfg)
+        assert {where for *_, where in draws} == set(SUITE_NAMES)
+        overlaps, reach = [], {}
+        for key, lo, hi, where in sorted(draws):
+            end, last = reach.get(key, (0, None))
+            if lo < end:
+                overlaps.append((key, lo, where, last))
+            if hi > end:
+                reach[key] = (hi, where)
+        assert not overlaps, overlaps
 
     def test_bad_env_seed(self, tmp_path, brownian_config, monkeypatch, capsys):
         monkeypatch.setenv("YEH_SEED", "not-a-number")

@@ -307,7 +307,7 @@ class TestAnalyticMoments:
     def test_integral_law_by_ks_three_seeds(self):
         spec = YehSpec(MeanFunction.linear(UNIT, 1.0), VarianceFunction.power(UNIT, 2.0))
         f = StepFunction((0.0, 0.25, 0.75, 1.0), (1.0, -0.5, 2.0))
-        rows = gaussian_battery(spec, {"ks": f}, (7001, 7002, 7003), 50_000)
+        rows = gaussian_battery(spec, {"ks": f}, [(7001, 0), (7002, 0), (7003, 0)], 50_000)
         assert len(rows) == 3 and all(row.passed for row in rows), rows
 
     def test_centered_relation_exact_per_path(self):
