@@ -57,7 +57,7 @@ from .process import DEFAULT_GRID_POINTS, DEFAULT_TRUNCATION
 from .stieltjes import (DEFAULT_CANTOR_DEPTH, DEFAULT_RESOLUTION, Interval,
                         MeanFunction, VarianceFunction)
 
-TOOL_VERSION = "0.13.0"
+TOOL_VERSION = "0.14.0"
 
 #: The verification suites, in the order `verify --suite all` runs them.
 #: They are named here, not in verify, so that the CLI can list them

@@ -3,14 +3,14 @@
 Two representations: exact increment sampling on a grid (no truncation error
 at the grid points) and truncated random-series sampling built on an
 orthonormal basis of the rho-weighted space.  One generator,
-_increment_chunks, draws every chunk: rows of dlambda + sigma * z, about
-CHUNK_DRAWS normals a chunk, drawn, scaled and shifted in place in one
-matrix, and, given a start value, summed there into path values (for
+_increment_chunks, draws every chunk: rows of sigma * z, about CHUNK_DRAWS
+normals a chunk, drawn and scaled in place in one matrix, and, given a
+start value, shifted by dlambda and summed there into path values (for
 `simulate`, which writes the chunks as they come, and for
-`increment_value_matrix`, which stacks them).  `increment_functionals`
-is the one Wiener-integral kernel: it draws a step family
-(funcspace.step_cells) on its own partition and returns pieces @ (dlambda +
-sigma * z) straight from the normals.  `series_point_values` calls it: the
+`increment_value_matrix`, which stacks them).  `increment_functionals` is
+the one Wiener-integral kernel: it draws a step family (funcspace.step_cells)
+on its own partition and returns the centered integrals pieces @ (sigma * z)
+and, once, their mean pieces @ dlambda.  `series_point_values` calls it: the
 series coefficients are the increments of a standard Brownian motion over
 unit cells, so a series value is a Wiener integral too.  The centered
 process X - lambda is a law of its own, YehSpec.centered(rho), drawn like
@@ -228,12 +228,12 @@ def _portable(exc: BaseException) -> BaseException:
 def _increment_chunks(seed: int, count: int, dlam: np.ndarray, sigma: np.ndarray,
                       first_index: int = 0, start: float | None = None):
     """Yield (k0, z) for row chunks of about CHUNK_DRAWS draws: row k of z
-    is dlam + sigma * the first len(dlam) normals of stream first_index +
-    k0 + k.  Given `start`, row k is instead the path values from start on:
-    a column of start, then start plus the running sums of those
+    is sigma * the first len(sigma) normals of stream first_index + k0 + k.
+    Given `start`, row k is instead the path values from start on: a column
+    of start, then start plus the running sums of dlam plus those
     increments, summed in place, so a chunk is one matrix.  In a part
     (fork_ranges) whose parent has died, raise before the next chunk."""
-    draws = len(dlam)
+    draws = len(sigma)
     lead = 0 if start is None else 1
     rows = max(1, CHUNK_DRAWS // draws)
     for k0 in range(0, count, rows):
@@ -241,9 +241,9 @@ def _increment_chunks(seed: int, count: int, dlam: np.ndarray, sigma: np.ndarray
             raise RuntimeError("the process that forked this part has died")
         z = np.empty((min(rows, count - k0), lead + draws))
         dz = normal_matrix(seed, len(z), draws, first_index + k0, out=z[:, lead:])
-        dz *= sigma  # in place: the bits of dlam + sigma * z, without temporaries
-        dz += dlam
+        dz *= sigma  # in place: the bits of sigma * z, without temporaries
         if lead:
+            dz += dlam
             z[:, 0] = start
             np.cumsum(dz, axis=1, out=dz)
             dz += start
@@ -274,16 +274,16 @@ def increment_value_matrix(spec: YehSpec, grid, seed: int, count: int,
 
 
 def increment_functionals(spec: YehSpec, partition, pieces, seed: int, count: int,
-                          first_index: int = 0) -> np.ndarray:
-    """Step integrals of increment-sampled paths, straight from the normals.
+                          first_index: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The Wiener integrals of a step family, straight from the normals.
 
-    This is the Wiener-integral kernel for paths that exist only as
-    increments.  It takes a step family as one partition, the grid drawn on,
-    and one piece matrix with one row per member and one column per cell
-    (as funcspace.step_cells gives it).  The result has shape (count,
-    members), row k being pieces @ (dlambda + sigma * z) for stream
-    first_index + k.  No path values are formed: the normals are drawn
-    CHUNK_DRAWS at a time, and split over the cores above FORK_DRAWS.
+    The family is one partition, the grid drawn on, and one piece matrix,
+    one row per member and one column per cell (funcspace.step_cells).  The
+    result is the paper's split of the integrals: (samples, means), row k of
+    samples (count x members) the centered integrals pieces @ (sigma * z) of
+    stream first_index + k, and means = pieces @ dlambda.  No path values
+    are formed: the normals are drawn CHUNK_DRAWS at a time, and split over
+    the cores above FORK_DRAWS.
     """
     dlam, sigma = _increment_scales(spec, partition)
     pieces = np.asarray(pieces, dtype=float)
@@ -297,14 +297,14 @@ def increment_functionals(spec: YehSpec, partition, pieces, seed: int, count: in
     def rows(lo: int, hi: int) -> np.ndarray:
         # The stacked matmul multiplies each row on its own, so its bits do
         # not depend on the chunk it falls in or on the BLAS thread count, as
-        # a blocked GEMM's do.
+        # a blocked GEMM's do, nor do the means' row products.
         out = np.empty((hi - lo, load.shape[1]))
         for k0, z in _increment_chunks(seed, hi - lo, dlam, sigma, first_index + lo):
             out[k0:k0 + len(z)] = (z[:, None, :] @ load)[:, 0]
         return out
 
     ranges = stream_ranges(count) if count * len(dlam) >= FORK_DRAWS else [(0, count)]
-    return np.concatenate(fork_ranges(rows, ranges))
+    return np.concatenate(fork_ranges(rows, ranges)), (pieces[:, None, :] @ dlam[:, None])[:, 0, 0]
 
 
 def series_point_values(basis: BasisFamily, truncation: int, times, seed: int,
@@ -316,12 +316,12 @@ def series_point_values(basis: BasisFamily, truncation: int, times, seed: int,
     first_index + k and A holds the running integrals of the basis members at
     the times.  The xi_j are the increments of a standard Brownian motion
     over the unit cells [j, j + 1), so row k is the Wiener integral of the
-    step j -> A[j] and increment_functionals draws it: sigma is exactly 1.0
-    and dlambda exactly 0.0, which leave the normals' bits as they are.
+    step j -> A[j] and increment_functionals draws it: sigma is exactly 1.0,
+    which leaves the normals' bits as they are, and the means are 0.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     amatrix = basis.antiderivative(np.arange(truncation), np.asarray(times, dtype=float))
     return increment_functionals(YehSpec.brownian((0.0, float(truncation))),
                                  np.arange(truncation + 1.0), amatrix.T, seed, count,
-                                 first_index)
+                                 first_index)[0]

@@ -59,7 +59,7 @@ def expand_integral(f, basis: BasisFamily, truncation: int, cells: int,
     coeffs = fourier_coeffs(f, basis, truncation, resolution)
     edges, values = project_family([f], cells, basis.rho.interval, basis, truncation)
     integrals = increment_functionals(YehSpec.centered(basis.rho), edges, values,
-                                      seed, 1, index)[0]
+                                      seed, 1, index)[0][0]
     target, member_integrals = float(integrals[0]), integrals[1:]
     partial_sums = np.cumsum(coeffs * member_integrals)
     defects = inner_rho(f, f, basis.rho, resolution) - np.cumsum(coeffs**2)

@@ -4,20 +4,20 @@ Each identity family has a battery: its scale is explicit (spec or basis,
 grid, named integrands or pairs, seeds, path count, truncation) and it
 returns (check, expected, observed, tolerance, pass) rows.  The suites'
 integrands are step functions, so their means, rho-norms and coefficients
-are exact.
-A suite is a thin adapter from a RunConfig to battery arguments; the
-acceptance tests call the same batteries at their own scale, and call
-basis_battery and integral_battery, which no suite runs yet.  Monte Carlo
-rows draw a battery's step integrals as one family in one kernel call (in
-gaussian_battery, one per integrand and repeat), on its own partition
-(funcspace.step_cells; the expansion gaps on project_family's edges), and
-check the exact law of what was drawn within 4 standard errors; truncation
-and projection errors get exact rows of their own.  Exact identities carry
-absolute tolerances.  A battery draws the streams of its seed from its
-first_index on (0 by default).  Every suite draw is keyed by the manifest
-seed, and each Monte Carlo check family reads its own block of streams
-(BLOCKS): no two families, nor two seeds, share a stream.  Reruns give
-identical rows.
+are exact.  A suite is a thin adapter from a RunConfig to battery
+arguments; the acceptance tests call the same batteries at their own scale,
+and call basis_battery and integral_battery, which no suite runs yet.
+Monte Carlo rows draw a battery's step integrals as one family in one kernel
+call (in gaussian_battery, one per integrand and repeat), on its own
+partition (funcspace.step_cells; the expansion gaps on project_family's
+edges), and check the exact law of what was drawn within 4 standard errors.
+The kernel draws the centered integrals and returns their mean once, so a
+drift enters only the mean rows.  Truncation and projection errors get
+exact rows of their own, and exact identities absolute tolerances.  A
+battery draws the streams of its seed from its first_index on (0 by
+default).  Every suite draw is keyed by the manifest seed, and each Monte
+Carlo check family reads its own block of streams (BLOCKS): no two
+families, nor two seeds, share a stream.  Reruns give identical rows.
 """
 
 from __future__ import annotations
@@ -59,11 +59,11 @@ def _within(check: str, expected: float, observed: float, tol: float) -> CheckRo
                     math.isfinite(tol) and abs(observed - expected) <= tol)
 
 
-def _mean_within(check: str, expected: float, samples: np.ndarray) -> CheckRow:
-    """The sample mean against `expected` within 4 standard errors; a
-    non-finite sample makes the row fail, not raise."""
+def _mean_within(check: str, expected: float, samples, shift: float = 0.0) -> CheckRow:
+    """shift plus the sample mean against `expected` within 4 standard
+    errors; a non-finite sample makes the row fail, not raise."""
     mean, se = mean_se(samples)
-    return _within(check, expected, mean, 4.0 * se)
+    return _within(check, expected, shift + mean, 4.0 * se)
 
 
 #: The first stream of each Monte Carlo check family of the suites: the i-th
@@ -79,35 +79,35 @@ def moments_battery(spec: YehSpec, checks: dict, seed: int, paths: int,
     """Sample moments of Wiener integrals against the analytic formulas.
 
     checks maps a check name to a step integrand f, for the mean E[I(f)] (the
-    integral of f against d(lambda)), or to a pair (f, g), for E[I(f) I(g)]
-    (the rho inner product plus the product of the means).  All integrals of
-    a path come from one stream, drawn on the integrands' own partition.
+    integral of f against d(lambda)), or to a pair (f, g), for the covariance
+    of I(f) and I(g) (the rho inner product).  All integrals of a path come
+    from one stream, drawn on the integrands' own partition: a mean row adds
+    the drawn mean to the centered sample mean, a pair row multiplies
+    centered samples.
     """
     pairs = {name: c if isinstance(c, tuple) else (c,) for name, c in checks.items()}
     integrands = list(dict.fromkeys(f for pair in pairs.values() for f in pair))
-    samples = dict(zip(integrands, increment_functionals(
-        spec, *step_cells(integrands, spec.interval), seed, paths, first_index).T))
-    means = {f: stieltjes_integral(f, spec.lam) for f in integrands}
+    samples, means = increment_functionals(spec, *step_cells(integrands, spec.interval),
+                                           seed, paths, first_index)
+    samples, means = dict(zip(integrands, samples.T)), dict(zip(integrands, means))
     with np.errstate(over="ignore"):  # an overflowed product fails its row
-        return [_mean_within(name, inner_rho(f, g[0], spec.rho) + means[f] * means[g[0]],
-                             samples[f] * samples[g[0]]) if g else
-                _mean_within(name, means[f], samples[f])
+        return [_mean_within(name, inner_rho(f, g[0], spec.rho), samples[f] * samples[g[0]])
+                if g else _mean_within(name, stieltjes_integral(f, spec.lam), samples[f], means[f])
                 for name, (f, *g) in pairs.items()]
 
 
 def gaussian_battery(spec: YehSpec, integrands: dict, draws, paths: int) -> list[CheckRow]:
-    """KS tests of the Wiener integral law against its analytic Gaussian:
-    check f"{name}_seed{k}" draws `paths` integrals of the named step
-    integrand from the streams of the k-th (seed, first_index) pair of
-    `draws`, and passes when the p-value exceeds 0.01."""
+    """KS tests of the centered Wiener integral against its analytic law
+    Normal(0, inner_rho(f, f)): check f"{name}_seed{k}" draws `paths` of the
+    named step integrand from the streams of the k-th (seed, first_index)
+    pair of `draws`, and passes when the p-value exceeds 0.01."""
     rows = []
     for name, f in integrands.items():
         cells = step_cells([f], spec.interval)
-        mean = stieltjes_integral(f, spec.lam)
         var = inner_rho(f, f, spec.rho)
         for k, (seed, first_index) in enumerate(draws):
-            samples = increment_functionals(spec, *cells, seed, paths, first_index)[:, 0]
-            p_value = ks_test(samples, mean, var).p_value
+            samples = increment_functionals(spec, *cells, seed, paths, first_index)[0][:, 0]
+            p_value = ks_test(samples, 0.0, var).p_value
             rows.append(CheckRow(f"{name}_seed{k}", 0.01, p_value, 0.0, p_value > 0.01))
     return rows
 
@@ -175,7 +175,7 @@ def expansion_battery(basis: BasisFamily, cells: int, integrands: dict, max_term
                      for w, c in zip(pieces, coeffs) for n in term_counts])
     drho = np.diff(rho(np.asarray(edges)))
     samples = increment_functionals(YehSpec.centered(rho), edges, gaps, seed, paths,
-                                    first_index)
+                                    first_index)[0]
     checks = [f"{name}_N{n}" for name in integrands for n in term_counts]
     return [_mean_within(check, float(np.sum(g * g * drho)), gap ** 2)
             for check, g, gap in zip(checks, gaps, samples.T)]
@@ -211,23 +211,23 @@ def integral_battery(spec: YehSpec, f, cells: int, seed: int, paths: int) -> lis
     On c cells the left-tag sum has the pieces f(left), its tag spread the
     pieces f(right) - f(left), and the projection (project_family) f at the
     midpoints, on c and on c // 2 cells.  All are linear in the increments,
-    so each of `paths` streams draws them as one step family on its
-    step_cells partition.  The gap is the sum minus the c-cell projection.
-    Row f"integral_bound_c{c}" counts the paths whose |gap| exceeds the sum
-    of the two refinement estimates, |spread| and the projection's change
-    from c // 2 cells, and must be 0.  That bound is an identity only for
-    affine f (for f(t) = t the gap is -(h/2) X(1) and the spread h X(1));
-    for other f a path can exceed it, so no suite may run this battery on a
-    `poly` or `basis` integrand until a row that holds in law replaces
-    it.  Row f"integral_gap_variance_c{c}"
-    checks the gap's exact variance, the sum of (f(mid) - f(left))**2 drho,
-    within 4 SE.  Row "integral_gap_ratio" holds the ratio of the median
-    |gap| on 2 * cells to that on cells, which must be 0.5 within 25%
-    (f is continuous and not constant).
+    so each of `paths` streams draws their centered integrals as one step
+    family on its step_cells partition.  The gap is the sum minus the c-cell
+    projection.  Row f"integral_bound_c{c}" counts the paths whose |gap|
+    exceeds the sum of the two refinement estimates, |spread| and the
+    projection's change from c // 2 cells, and must be 0.  That bound is an
+    identity only for affine f (for f(t) = t the gap is -(h/2) X(1) and the
+    spread h X(1)); for other f a path can exceed it, so no suite may run
+    this battery on a `poly` or `basis` integrand until a row that holds in
+    law replaces it.  Row f"integral_gap_variance_c{c}" checks the mean of
+    gap**2 against the gap's exact variance, the sum of (f(mid) -
+    f(left))**2 drho, within 4 SE.  Row "integral_gap_ratio" holds the ratio
+    of the median |gap| on 2 * cells to that on cells, which must be 0.5
+    within 25% (f is continuous and not constant).
     """
     iv = spec.interval
     counts = (cells, 2 * cells)
-    steps, exact = [], []
+    steps, variances = [], []
     for c in counts:
         edges, (mid,) = project_family([f], c, iv)
         half_edges, (half,) = project_family([f], c // 2, iv)
@@ -235,17 +235,15 @@ def integral_battery(spec: YehSpec, f, cells: int, seed: int, paths: int) -> lis
         gap = ends[:-1] - mid
         steps += [StepFunction(edges, ends[:-1]), StepFunction(edges, ends[1:] - ends[:-1]),
                   StepFunction(edges, mid), StepFunction(half_edges, half)]
-        exact.append((np.sum(gap * np.diff(spec.lam(edges))),
-                      np.sum(gap * gap * np.diff(spec.rho(edges)))))
-    draws = increment_functionals(spec, *step_cells(steps, iv), seed, paths)
+        variances.append(np.sum(gap * gap * np.diff(spec.rho(edges))))
+    draws = increment_functionals(spec, *step_cells(steps, iv), seed, paths)[0]
     rows, medians = [], []
-    for c, block, (mean, variance) in zip(counts, np.split(draws, len(counts), axis=1), exact):
+    for c, block, variance in zip(counts, np.split(draws, len(counts), axis=1), variances):
         rs, spread, l2, coarse = block.T
         gap = rs - l2
         over = int(np.sum(np.abs(gap) > np.abs(spread) + np.abs(l2 - coarse)))
         rows += [CheckRow(f"integral_bound_c{c}", 0.0, float(over), 0.0, over == 0),
-                 _mean_within(f"integral_gap_variance_c{c}", float(variance),
-                              (gap - mean) ** 2)]
+                 _mean_within(f"integral_gap_variance_c{c}", float(variance), gap ** 2)]
         medians.append(np.median(np.abs(gap)))
     with np.errstate(divide="ignore", invalid="ignore"):  # a constant f has no gap
         ratio = float(medians[1] / medians[0])
@@ -259,7 +257,8 @@ def truth_table_battery(interval, instances: int, seed: int,
     (even i) or decreasing piecewise-linear drift and a positive or negative
     (by the parity of i // 2) step integrand, and classify, probing three
     random pairs, must say submartingale when the signs agree and
-    supermartingale when they differ."""
+    supermartingale when they differ.  A row observes the total drift of f
+    against d(lambda) and expects the sign the verdict requires, 1 or -1."""
     iv = Interval.coerce(interval)
 
     def scaled(lo, hi, u):
@@ -277,7 +276,8 @@ def truth_table_battery(interval, instances: int, seed: int,
         f = StepFunction(tuple(cuts), tuple(f_sign * scaled(0.1, 2.0, values)))
         probes = np.sort(scaled(iv.a, iv.b, probes).reshape(3, 2), axis=1)
         passed = classify(f, lam, probes).verdict == want
-        rows.append(CheckRow(f"martingale_table_{i}_{want}", 1.0, float(passed), 0.0, passed))
+        rows.append(CheckRow(f"martingale_table_{i}_{want}", float(lam_dir * f_sign),
+                             stieltjes_integral(f, lam), 0.0, passed))
     return rows
 
 

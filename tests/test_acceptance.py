@@ -60,6 +60,8 @@ def _criterion_2_ensembles():
     ]
     # X(s) - lambda(0) is the Wiener integral of 1_[0, s): process moments at
     # s = 1/4, t = 3/4 are the pair (1_[0, 1/4), 1_[0, 3/4)); lambda(0) = 0 here.
+    # A pair's row checks the paper's covariance identity, the mean product
+    # of the centered draws against inner_rho(f, g); the names are kept.
     process = (ind(0.0, 0.25), ind(0.0, 0.75))
     for name, spec, seed, pairs in ensembles:
         checks = {}

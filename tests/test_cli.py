@@ -694,19 +694,28 @@ def test_killed_part_exits_2(tmp_path, brownian_config, monkeypatch, capsys):
 # series_cov, series_expansion_gap, martingale_mc_centered_drift and
 # counterexample_mc_drift rows), at 1 and 2 BLAS threads; the moments rows,
 # on block 0, the truth-table rows, whose bytes hold only a verdict, and every
-# exact row kept their bytes.
+# exact row kept their bytes.  VERIFY_GOLDEN and CANTOR_VERIFY_GOLDEN were
+# re-taken at 0.14.0, where the kernel draws the centered integrals and
+# returns their mean once, and a truth-table row observes its instance's
+# total drift and expects the sign its verdict requires: with GOLDEN_VERSION
+# pinned, at 1 and 2 BLAS threads, the eight truth-table rows moved in both,
+# and counterexample_mc_drift rows in their last bits (quarter_half in
+# VERIFY_GOLDEN, both in the Cantor-drift digest, where moments_mean_f moved
+# in its last bits too and the moments_second_* rows became covariance rows).  HAAR_MASS_GOLDEN, whose
+# series rows draw under zero drift, and every expand digest kept their
+# bytes.
 
 #: SHA-256 of verify_all.csv for acceptance criterion 9's config, first taken
 #: when the suites moved onto the functional sampler.
 VERIFY_GOLDEN = (
     {"mc": {"paths": 2000, "seed": 12345}, "grid": {"points": 257}, "series": {"N": 64}},
-    "bbc41a101dba507b63f90f06783b0e16f488898ca9f91e19beee80172a279a07",
+    "d5f03823b38d641266742e58b6d13cb7ff9935841e8a6f2415b43412a5b05d6f",
 )
 
 #: SHA-256 of verify_all.csv for configs/cantor.json cut down to 500 paths,
 #: 129 points and N = 32, and of expansion.csv for each shipped config, first
 #: taken before the suites were split into batteries and adapters.
-CANTOR_VERIFY_GOLDEN = "3283c211e5bd7f9ca9e48d1d8a134f6fafe0c9c232c5f9370a872d3880c78003"
+CANTOR_VERIFY_GOLDEN = "4ef52c6c9cc288258dde6ae912d0026b19ee2eab89122dfb5e25cca4a3f9687f"
 EXPAND_GOLDEN = {
     "brownian": "49deaa7c69990c95d3c4baaef81f226d139edebb6bd4b2904841091c7d6da0c7",
     "cantor": "949b32f0d86722da3d9bf75f38b4bb4be9a7dd165fde487a654126be91b9b497",
@@ -964,6 +973,18 @@ class TestVerify:
         cfg = parse_config({"mc": {"paths": 20}, "grid": {"points": 9}}, {})
         assert verify.run_suite("moments", cfg) == original(cfg)
         assert calls == [cfg]
+
+    def test_every_row_passes_when_the_drift_dwarfs_the_variance(self):
+        # the CI's sim-mixed config, lambda(t) = 3e15 t on rho(t) = t: the
+        # drift enters each row once, as the kernel's drawn mean, so it
+        # neither quantizes the KS rows' samples nor swamps the covariance
+        from yehsim import verify
+
+        cfg = parse_config({"lambda": {"kind": "linear", "slope": 3e15},
+                            "rho": {"kind": "identity"}, "mc": {"paths": 2600, "seed": 3},
+                            "grid": {"points": 513}}, {})
+        rows = verify.run_suite("all", cfg)
+        assert [(r.check, r.observed) for r in rows if not r.passed] == []
 
     def test_gaussian_suite_rows(self):
         # no half-indicator rows: drawn alone, each repeated the full row's KS

@@ -46,8 +46,9 @@ def telescoped(partition, pieces, values, grid):
     return np.diff(values[:, idx], axis=1) @ np.atleast_2d(pieces).T
 
 
-def second_moment(f, g, lam, rho):
-    """The E[I(f) I(g)] that moments_battery checks a pair's draws against."""
+def covariance(f, g, lam, rho):
+    """The covariance of I(f) and I(g) that moments_battery checks a pair's
+    centered draws against."""
     (row,) = moments_battery(YehSpec(lam, rho), {"fg": (f, g)}, 0, 2)
     return row.expected
 
@@ -63,19 +64,19 @@ class TestIntegrateStep:
 
     def test_full_indicator_telescopes(self):
         grid = make_grid(UNIT, 1025)
-        got = increment_functionals(BROWNIAN, grid, on_grid([ONE], grid), 1, 4)[:, 0]
+        got = increment_functionals(BROWNIAN, grid, on_grid([ONE], grid), 1, 4)[0][:, 0]
         vals = increment_value_matrix(BROWNIAN, grid, 1, 4)
         assert np.max(np.abs(got - (vals[:, -1] - vals[:, 0]))) <= 1e-13
 
     def test_zero_integrand(self):
         zero = StepFunction((0.0, 1.0), (0.0,))
-        assert np.all(increment_functionals(BROWNIAN, *step_cells([zero]), 2, 4) == 0.0)
+        assert np.all(increment_functionals(BROWNIAN, *step_cells([zero]), 2, 4)[0] == 0.0)
 
     def test_refined_partition_same_value(self):
         grid = make_grid(UNIT, 65)
         f = StepFunction((0.0, 0.25, 1.0), (2.0, -1.0))
         refined = StepFunction((0.0, 0.125, 0.25, 0.5, 1.0), (2.0, 2.0, -1.0, -1.0))
-        got = increment_functionals(BROWNIAN, grid, on_grid([f, refined], grid), 3, 10)
+        got = increment_functionals(BROWNIAN, grid, on_grid([f, refined], grid), 3, 10)[0]
         assert np.max(np.abs(got[:, 0] - got[:, 1])) <= 1e-14
 
     def test_linearity_exact(self):
@@ -88,7 +89,7 @@ class TestIntegrateStep:
             g = StepFunction((0.0, *cuts_g, 1.0), tuple(rng.normal(size=3)))
             alpha, beta = rng.normal(size=2)
             x, y = on_grid([f, g], grid)
-            got = increment_functionals(BROWNIAN, grid, [x, y, alpha * x + beta * y], 4, 5)
+            got = increment_functionals(BROWNIAN, grid, [x, y, alpha * x + beta * y], 4, 5)[0]
             assert np.max(np.abs(got[:, 2] - (alpha * got[:, 0] + beta * got[:, 1]))) <= 1e-12
 
     def test_non_step_integrand_refused(self):
@@ -100,9 +101,9 @@ class TestIntegrateStep:
     def test_batch_matches_single(self):
         f = StepFunction((0.0, 0.25, 0.75, 1.0), (1.0, -2.0, 0.5))
         cells = step_cells([f])
-        batch = increment_functionals(BROWNIAN, *cells, 77, 6)
+        batch = increment_functionals(BROWNIAN, *cells, 77, 6)[0]
         for k in range(6):
-            single = increment_functionals(BROWNIAN, *cells, 77, 1, first_index=k)
+            single = increment_functionals(BROWNIAN, *cells, 77, 1, first_index=k)[0]
             assert np.array_equal(batch[k], single[0])
 
 
@@ -112,10 +113,10 @@ class TestFamilyKernel:
         rng = np.random.default_rng(89)
         partition = grid[::4]
         pieces = np.array([rng.normal(size=256) for _ in range(64)])
-        batch = increment_functionals(BROWNIAN, partition, pieces, 88, 1000)
+        batch = increment_functionals(BROWNIAN, partition, pieces, 88, 1000)[0]
         assert batch.shape == (1000, 64)
         for j, row in enumerate(pieces):
-            single = increment_functionals(BROWNIAN, partition, row[None], 88, 1000)[:, 0]
+            single = increment_functionals(BROWNIAN, partition, row[None], 88, 1000)[0][:, 0]
             assert np.max(np.abs(batch[:, j] - single)) <= 1e-13
 
 
@@ -158,7 +159,7 @@ class TestIntegrateL2:
         f = StepFunction((0.0, 0.25, 0.75, 1.0), (1.0, -2.0, 0.5))
         edges, (proj,) = project_family([f], 64, UNIT)
         got = increment_functionals(BROWNIAN, grid,
-                                    on_grid([f, StepFunction(edges, proj)], grid), 6, 10)
+                                    on_grid([f, StepFunction(edges, proj)], grid), 6, 10)[0]
         assert np.max(np.abs(got[:, 0] - got[:, 1])) <= 1e-14
 
     def test_partial_span_step_equals_exact(self):
@@ -166,7 +167,7 @@ class TestIntegrateL2:
         h = StepFunction((0.25, 0.5), (1.0,))  # 0 outside [0.25, 0.5]
         edges, (proj,) = project_family([h], 64, UNIT)
         got = increment_functionals(BROWNIAN, grid, on_grid([StepFunction(edges, proj)], grid),
-                                    7, 10, first_index=3)
+                                    7, 10, first_index=3)[0]
         vals = increment_value_matrix(BROWNIAN, grid, 7, 10, first_index=3)
         assert np.max(np.abs(got[:, 0] - (vals[:, 128] - vals[:, 64]))) <= 1e-14
 
@@ -176,7 +177,7 @@ class TestIntegrateL2:
         counts = (32, 64, 128, 256, 512)
         family = [StepFunction(edges, proj) for edges, (proj,) in
                   (project_family([lambda t: t], c, UNIT) for c in counts)]
-        draws = increment_functionals(BROWNIAN, *step_cells(family, UNIT), 900, 100)
+        draws = increment_functionals(BROWNIAN, *step_cells(family, UNIT), 900, 100)[0]
         medians = np.median(np.abs(np.diff(draws, axis=1)), axis=0)
         assert medians[0] > medians[1] > medians[2] > medians[3]
 
@@ -184,7 +185,7 @@ class TestIntegrateL2:
         # Var I(t) = integral of t^2 dt = 1/3
         m = 100_000
         edges, pieces = project_family([lambda t: t], 512, UNIT)
-        samples = increment_functionals(BROWNIAN, edges, pieces, 2718, m)[:, 0]
+        samples = increment_functionals(BROWNIAN, edges, pieces, 2718, m)[0][:, 0]
         var = samples.var(ddof=1)
         se = var * np.sqrt(2.0 / m)
         assert abs(var - 1 / 3) <= 4 * se
@@ -203,10 +204,10 @@ class TestIntegrateL2:
         for n in (4, 16):
             cells, (x, y) = step_cells([projection(256), projection(n)], UNIT)
             gap = x - y
-            samples = increment_functionals(spec, cells, gap[None], 31415, m)[:, 0]
+            samples, (mean,) = increment_functionals(spec, cells, gap[None], 31415, m)
             joint = np.diff(spec.rho(cells)) + np.abs(np.diff(lam(cells)))
             bound = (1.0 + 1.0) * float(np.sum(gap * gap * joint))
-            gap_sq = samples**2
+            gap_sq = (samples[:, 0] + mean) ** 2
             se = gap_sq.std(ddof=1) / np.sqrt(m)
             assert gap_sq.mean() <= bound + 4 * se
 
@@ -222,14 +223,15 @@ class TestPathwiseRS:
     def test_constant_integrand_exact(self):
         grid = make_grid(UNIT, 129)
         rs = left_tags(lambda t: 3.0 * np.ones_like(t), 32)
-        got = increment_functionals(BROWNIAN, grid, on_grid([rs], grid), 8, 5)[:, 0]
+        got = increment_functionals(BROWNIAN, grid, on_grid([rs], grid), 8, 5)[0][:, 0]
         vals = increment_value_matrix(BROWNIAN, grid, 8, 5)
         assert np.max(np.abs(got - 3.0 * (vals[:, -1] - vals[:, 0]))) <= 1e-13
 
     def test_aligned_step_telescopes_to_exact(self):
         grid = make_grid(UNIT, 257)
         f = StepFunction((0.0, 0.25, 0.5, 1.0), (1.0, -1.0, 2.0))
-        got = increment_functionals(BROWNIAN, grid, on_grid([f, left_tags(f, 8)], grid), 9, 10)
+        got = increment_functionals(BROWNIAN, grid, on_grid([f, left_tags(f, 8)], grid),
+                                    9, 10)[0]
         assert np.max(np.abs(got[:, 0] - got[:, 1])) <= 1e-14
 
     @pytest.mark.parametrize("cells", [4, 256])
@@ -240,7 +242,7 @@ class TestPathwiseRS:
         grid = make_grid(UNIT, 257)
         h = StepFunction((0.25, 0.5), (1.0,))
         rs = left_tags(h.restrict(0.0, 1.0), cells)
-        got = increment_functionals(BROWNIAN, grid, on_grid([h, rs], grid), 7, 10)
+        got = increment_functionals(BROWNIAN, grid, on_grid([h, rs], grid), 7, 10)[0]
         assert np.max(np.abs(got[:, 0] - got[:, 1])) <= 1e-14
 
     def test_cross_method_agreement_100_paths(self):
@@ -252,8 +254,12 @@ class TestPathwiseRS:
         # -(h/2) X(1)); the exact variance rows are the ones that see draws
         # of the wrong scale
         real = verify.increment_functionals
-        monkeypatch.setattr(verify, "increment_functionals",
-                            lambda *args: 2.0 * real(*args))
+
+        def doubled(*args):
+            samples, means = real(*args)
+            return 2.0 * samples, means
+
+        monkeypatch.setattr(verify, "increment_functionals", doubled)
         rows = {row.check: row.passed
                 for row in integral_battery(BROWNIAN, lambda t: t, 128, 7007, 100)}
         assert rows == {"integral_bound_c128": True, "integral_gap_variance_c128": False,
@@ -278,19 +284,20 @@ class TestAnalyticMoments:
     def test_covariance_centered_indicator(self):
         lam = MeanFunction.zero(UNIT)
         rho = VarianceFunction.identity(UNIT)
-        assert second_moment(ONE, ONE, lam, rho) == 1.0
+        assert covariance(ONE, ONE, lam, rho) == 1.0
 
     def test_disjoint_supports_give_independence(self):
         lam = MeanFunction.zero(UNIT)
         rho = VarianceFunction.power(UNIT, 2.0)
         f = StepFunction.indicator(0.0, 0.5, UNIT)
         g = StepFunction.indicator(0.5, 1.0, UNIT)
-        assert second_moment(f, g, lam, rho) == 0.0
+        assert covariance(f, g, lam, rho) == 0.0
 
     def test_covariance_with_drift(self):
+        # the drift moves the mean, not the covariance
         lam = MeanFunction.linear(UNIT, 1.0)
         rho = VarianceFunction.identity(UNIT)
-        assert second_moment(ONE, ONE, lam, rho) == 2.0
+        assert covariance(ONE, ONE, lam, rho) == 1.0
 
     def test_distribution_plug_in(self):
         # the Gaussian law of I(f): mean integral of f dlambda, variance ||f||_rho^2
@@ -310,21 +317,21 @@ class TestAnalyticMoments:
         rows = gaussian_battery(spec, {"ks": f}, [(7001, 0), (7002, 0), (7003, 0)], 50_000)
         assert len(rows) == 3 and all(row.passed for row in rows), rows
 
-    def test_centered_relation_exact_per_path(self):
-        # the same stream under the centered law removes exactly the drift term
+    def test_kernel_means_are_the_drift_integrals(self):
+        # the kernel's drawn mean pieces @ dlambda is the exact mean of I(f)
         lam = MeanFunction.piecewise((0.0, 0.25, 1.0), (0.0, 1.5, -0.5))
         spec = YehSpec(lam, VarianceFunction.identity(UNIT))
-        f = StepFunction((0.0, 0.25, 0.5, 1.0), (1.0, -2.0, 0.5))
-        cells = step_cells([f], UNIT)
-        raw = increment_functionals(spec, *cells, 606, 5)[:, 0]
-        centered = increment_functionals(YehSpec.centered(spec.rho), *cells, 606, 5)[:, 0]
-        assert np.max(np.abs(raw - centered - stieltjes_integral(f, lam))) <= 1e-13
+        family = [StepFunction((0.0, 0.25, 0.5, 1.0), (1.0, -2.0, 0.5)), COUNTEREXAMPLE,
+                  StepFunction((0.25, 0.5), (3.0,))]
+        _, means = increment_functionals(spec, *step_cells(family, UNIT), 606, 5)
+        want = [stieltjes_integral(f, lam) for f in family]
+        assert np.max(np.abs(means - want)) <= 1e-13
 
     def test_non_finite_sample_fails_its_row(self, monkeypatch):
         def sampler(spec, partition, pieces, seed, count, first_index=0):
             samples = np.ones((count, len(pieces)))
             samples[3] = np.nan
-            return samples
+            return samples, np.zeros(len(pieces))
 
         monkeypatch.setattr(verify, "increment_functionals", sampler)
         rows = moments_battery(BROWNIAN, {"mean": ONE}, 1, 100)

@@ -117,6 +117,11 @@ class TestClassify:
         rows = truth_table_battery(UNIT, 20, seed=83)
         assert len(rows) == 20
         assert all(row.passed for row in rows), [row.check for row in rows if not row.passed]
+        # a row shows its instance: the total drift, of the sign its verdict requires
+        for row in rows:
+            want = 1.0 if row.check.endswith("_submartingale") else -1.0
+            assert row.expected == want and np.sign(row.observed) == want, row
+        assert len({row.observed for row in rows}) == 20
 
 
 def mc_drift(spec, f, s, t, paths, seed):

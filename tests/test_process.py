@@ -2,6 +2,8 @@
 
 import hashlib
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -274,17 +276,21 @@ class TestIncrementSampling:
 
     @pytest.mark.parametrize("draws", [3, CROSSOVER_DRAWS + 1])
     def test_start_sums_each_chunk_into_path_values(self, monkeypatch, draws):
-        # given a start, a chunk is that start, then the start plus the
-        # running sums of the chunk drawn without one, bit for bit
+        # without a start a chunk is the centered increments sigma * z; given
+        # one, it is that start, then the start plus the running sums of dlam
+        # plus those increments, bit for bit
         monkeypatch.setattr(process, "CHUNK_DRAWS", 4 * draws)
         grid = make_grid(UNIT, draws + 1)
         dlam, sigma = process._increment_scales(CANTOR_POWER2, grid)
         plain = list(process._increment_chunks(5, 10, dlam, sigma, 7))
         summed = list(process._increment_chunks(5, 10, dlam, sigma, 7, 0.375))
         assert [k0 for k0, _ in summed] == [k0 for k0, _ in plain] == [0, 4, 8]
-        for (_, increments), (_, values) in zip(plain, summed):
+        for (k0, increments), (_, values) in zip(plain, summed):
+            normals = normal_matrix(5, len(increments), draws, 7 + k0)
+            assert np.array_equal(increments.view(np.uint64),
+                                  (normals * sigma).view(np.uint64))
             want = np.hstack([np.full((len(increments), 1), 0.375),
-                              np.cumsum(increments, axis=1) + 0.375])
+                              np.cumsum(increments + dlam, axis=1) + 0.375])
             assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
 
     def test_grid_must_span_interval(self):
@@ -460,30 +466,63 @@ class TestFunctionalSampler:
         zero = StepFunction(tuple(grid), (0.0,) * (len(grid) - 1))  # the union is the grid
         cells, weights = step_cells(family + [zero], UNIT)
         assert np.array_equal(cells, grid)
-        got = increment_functionals(CANTOR_POWER2, grid, weights[:-1],
-                                    606, 300, first_index=5)
+        samples, means = increment_functionals(CANTOR_POWER2, grid, weights[:-1],
+                                               606, 300, first_index=5)
         vals = increment_value_matrix(CANTOR_POWER2, grid, 606, 300, first_index=5)
         # the defining telescoping sum: the values at the partition points,
-        # differenced once and weighted by the pieces
+        # differenced once and weighted by the pieces; the centered samples
+        # plus the drawn means are the integrals of those paths
         idx = np.searchsorted(grid, family[0].partition)
         want = np.diff(vals[:, idx], axis=1) @ np.array([f.values for f in family]).T
-        assert got.shape == (300, members)
-        assert np.max(np.abs(got - want)) <= 1e-13
+        assert samples.shape == (300, members) and means.shape == (members,)
+        assert np.max(np.abs(samples + means - want)) <= 1e-13
+
+    def test_centered_samples_do_not_see_the_drift(self):
+        # the drift enters the means alone: the samples under the spec are
+        # those of its centered law, bit for bit
+        grid = make_grid(UNIT, 129)
+        weights = np.random.default_rng(7).normal(size=(5, 128))
+        samples, means = increment_functionals(CANTOR_POWER2, grid, weights, 61, 30)
+        centered, zeros = increment_functionals(YehSpec.centered(CANTOR_POWER2.rho), grid,
+                                                weights, 61, 30)
+        assert np.array_equal(samples.view(np.uint64), centered.view(np.uint64))
+        assert np.all(zeros == 0.0) and np.all(means != 0.0)
+
+    def test_means_bit_equal_at_blas_threads(self):
+        # pieces @ dlambda is one row product per member: its bits do not
+        # depend on the BLAS thread count, as a GEMV's reduction may
+        script = ("import numpy as np\n"
+                  "from yehsim import MeanFunction, VarianceFunction, YehSpec, make_grid\n"
+                  "from yehsim.process import increment_functionals\n"
+                  "unit = (0.0, 1.0)\n"
+                  "spec = YehSpec(MeanFunction.cantor(unit), VarianceFunction.identity(unit))\n"
+                  "weights = np.random.default_rng(11).normal(size=(300, 4096))\n"
+                  "_, means = increment_functionals(spec, make_grid(unit, 4097), weights, 1, 1)\n"
+                  "print(means.tobytes().hex())\n")
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(sys.path)}
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout)
+        assert len(digests) == 1
 
     @pytest.mark.parametrize("chunk_draws", [1, 1000, 2**40])
     def test_rows_independent_of_layout(self, monkeypatch, chunk_draws):
         rng = np.random.default_rng(3)
         grid = make_grid(UNIT, 129)
         weights = rng.normal(size=(9, 128))
-        full = increment_functionals(CANTOR_POWER2, grid, weights, 77, 40)
+        full, means = increment_functionals(CANTOR_POWER2, grid, weights, 77, 40)
         monkeypatch.setattr(process, "CHUNK_DRAWS", chunk_draws)
-        assert np.array_equal(
-            increment_functionals(CANTOR_POWER2, grid, weights, 77, 40), full)
+        again, again_means = increment_functionals(CANTOR_POWER2, grid, weights, 77, 40)
+        assert np.array_equal(again, full) and np.array_equal(again_means, means)
         for k in (0, 17, 39):
             one = increment_functionals(CANTOR_POWER2, grid, weights, 77, 1, first_index=k)
-            assert np.array_equal(one[0], full[k])
+            assert np.array_equal(one[0][0], full[k]) and np.array_equal(one[1], means)
         tail = increment_functionals(CANTOR_POWER2, grid, weights, 77, 15, first_index=25)
-        assert np.array_equal(tail, full[25:])
+        assert np.array_equal(tail[0], full[25:]) and np.array_equal(tail[1], means)
 
     @pytest.mark.parametrize("chunk_draws", [1, 1000, 2**40])
     def test_value_matrix_independent_of_chunking(self, monkeypatch, chunk_draws):
@@ -530,7 +569,8 @@ class TestFunctionalSampler:
         real_fork = os.fork
 
         def draw():
-            return [increment_functionals(CANTOR_POWER2, grid, weights, 77, 41, first_index=3),
+            # the centered samples, the means and the series values
+            return [*increment_functionals(CANTOR_POWER2, grid, weights, 77, 41, first_index=3),
                     series_point_values(basis, 32, grid[[16, 64, 128]], 9, 41, first_index=3)]
 
         # below the fork floor the one range runs in this process: a fork raises

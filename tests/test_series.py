@@ -95,7 +95,7 @@ class TestExpandIntegral:
             BASIS.member(3),
         ]
         integrals = increment_functionals(
-            BROWNIAN, *project_family(integrands, cells, UNIT, BASIS, 16), 6001, m)
+            BROWNIAN, *project_family(integrands, cells, UNIT, BASIS, 16), 6001, m)[0]
         member_integrals = integrals[:, len(integrands):]
         for k, f in enumerate(integrands):
             targets = integrals[:, k]
