@@ -153,16 +153,16 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     them: it ends with os._exit and writes only its own files.  Every process
     samples, encodes and writes in the samplers' row chunks of about
     process.CHUNK_DRAWS normals, each one value matrix drawn and summed in
-    place, so no chunk grows with the path count; the process's peak RSS
-    still does, by 2.4 MB from 2,000 to 30,000 paths of 513 points (README).
+    place, so no chunk grows with the path count, and neither does the
+    process's peak RSS: the encoder makes no Python object per value (README).
     Row k is stream k whichever process and chunk hold it, so the bytes
     depend on neither the core count nor the chunk height."""
     spec = YehSpec(cfg.lam, cfg.rho)
     grid = make_grid(cfg.interval, cfg.grid_points, cfg.grid_scale, rho=cfg.rho)
     manifest = cfg.manifest()
     mhash = manifest.hash()
-    # The grid is formatted once, into the pieces of every path's CSV lines.
-    pieces = [b""] + [f",{_fmt(t)},%s\n".encode() for t in grid]
+    # The grid is formatted once, into the ",t," of every path's CSV lines.
+    times = [f",{_fmt(t)},".encode() for t in grid]
     # "paths" sorts last, so its empty list is the last "[]" of the document.
     head, tail = canonical_json({
         "manifest": asdict(manifest),
@@ -186,7 +186,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 
         def run(lo: int, hi: int):
             files = parts.get(lo, outs)
-            write_rows(lo, chunks(hi - lo, lo), pieces, *(out.write for out in files))
+            write_rows(lo, chunks(hi - lo, lo), times, *(out.write for out in files))
             # a part ends with os._exit, so it closes, and so flushes, its own
             for part in parts.get(lo, ()):
                 part.close()

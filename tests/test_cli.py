@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yehsim import cli, process
+from yehsim import cli, encode, process
 from yehsim.cli import main
 from yehsim.config import parse_config
 from yehsim.encode import encode_17g, write_rows
@@ -393,13 +393,27 @@ STREAMED_CASES = [
 ]
 
 
+def assert_golden(tmp_path, name: str):
+    """Run simulate on STREAMED_GOLDEN's config `name`; its outputs must
+    have the golden digests."""
+    config, csv_digest, bundle_digest = STREAMED_GOLDEN[name]
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 0
+    assert hashlib.sha256((out / "paths.csv").read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256((out / "bundle.json").read_bytes()).hexdigest() == bundle_digest
+    assert sorted(os.listdir(out)) == ["bundle.json", "manifest.json", "paths.csv"]
+    assert_no_child_left()
+
+
 class TestStreamedSimulate:
     @pytest.mark.parametrize(
         "name,chunk_draws,parts", STREAMED_CASES,
         ids=[f"{name}-{draws}" + (f"-parts{parts}" if parts > 1 else "")
              for name, draws, parts in STREAMED_CASES])
     def test_bytes_match_golden(self, tmp_path, monkeypatch, name, chunk_draws, parts):
-        config, csv_digest, bundle_digest = STREAMED_GOLDEN[name]
+        config = STREAMED_GOLDEN[name][0]
         monkeypatch.setattr("yehsim.config.TOOL_VERSION", "0.3.0")
         force_parts(monkeypatch, parts)
         points, paths = config["grid"]["points"], config["mc"]["paths"]
@@ -410,14 +424,19 @@ class TestStreamedSimulate:
             assert all(size > 2 * rows and size % rows for size in sizes) or paths < parts
         else:
             monkeypatch.setattr(process, "CHUNK_DRAWS", chunk_draws)
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(config))
-        out = tmp_path / "out"
-        assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out)) == 0
-        assert hashlib.sha256((out / "paths.csv").read_bytes()).hexdigest() == csv_digest
-        assert hashlib.sha256((out / "bundle.json").read_bytes()).hexdigest() == bundle_digest
-        assert sorted(os.listdir(out)) == ["bundle.json", "manifest.json", "paths.csv"]
-        assert_no_child_left()
+        assert_golden(tmp_path, name)
+
+    @pytest.mark.parametrize("name", sorted(STREAMED_GOLDEN))
+    @pytest.mark.parametrize("block", ["path", "odd"])
+    def test_bytes_match_golden_at_any_block(self, tmp_path, monkeypatch, name, block):
+        # blocks of one path, and of 7 paths, which divide neither default
+        # chunk height (128 and 64 paths) nor the ranges of two parts
+        config = STREAMED_GOLDEN[name][0]
+        points = config["grid"]["points"]
+        monkeypatch.setattr("yehsim.config.TOOL_VERSION", "0.3.0")
+        monkeypatch.setattr(encode, "_BLOCK_VALUES", points if block == "path" else 7 * points + 5)
+        force_parts(monkeypatch, 2)
+        assert_golden(tmp_path, name)
 
     def test_drift_evaluated_once_per_run(self, tmp_path, monkeypatch):
         # every part's chunk loop is made before the fork, so the drift is
@@ -492,10 +511,13 @@ MIXED_RANGE = {
 }
 
 
-def simulate_split(tmp_path, monkeypatch, parts: int, config: dict) -> Path:
+def simulate_split(tmp_path, monkeypatch, parts: int, config: dict,
+                   path_blocks: bool = False) -> Path:
     """Run simulate on config, of 17 grid points, in `parts` ranges of
-    3-path chunks."""
+    3-path chunks, encoded in blocks of one path if path_blocks."""
     monkeypatch.setattr(process, "CHUNK_DRAWS", 16 * 3)
+    if path_blocks:
+        monkeypatch.setattr(encode, "_BLOCK_VALUES", 17)
     force_parts(monkeypatch, parts)
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(config))
@@ -505,18 +527,20 @@ def simulate_split(tmp_path, monkeypatch, parts: int, config: dict) -> Path:
     return out
 
 
-#: TestFormatOnce's (config, forced core count) cases; NEGATIVE_ZERO_START's
-#: ids are the bare core counts.
-FORMAT_CASES = [pytest.param(config, parts, id=f"{name}{parts}")
+#: TestFormatOnce's (config, forced core count, blocks of one path) cases;
+#: NEGATIVE_ZERO_START's ids are the bare core counts.
+FORMAT_CASES = [pytest.param(config, parts, path_blocks,
+                             id=f"{name}{parts}" + ("-path_blocks" if path_blocks else ""))
+                for path_blocks in (False, True)
                 for name, config in (("", NEGATIVE_ZERO_START), ("mixed_range-", MIXED_RANGE))
-                for parts in (1, 2, 3)]
+                for parts in ((1, 2, 3) if not path_blocks else (1, 2))]
 
 
 class TestFormatOnce:
-    @pytest.mark.parametrize("config, parts", FORMAT_CASES)
+    @pytest.mark.parametrize("config, parts, path_blocks", FORMAT_CASES)
     def test_bundle_rows_are_the_csv_value_strings(self, tmp_path, monkeypatch,
-                                                   config, parts):
-        out = simulate_split(tmp_path, monkeypatch, parts, config)
+                                                   config, parts, path_blocks):
+        out = simulate_split(tmp_path, monkeypatch, parts, config, path_blocks)
         text = (out / "bundle.json").read_text()
         body = text[text.rindex('"paths":[[') + len('"paths":[['):text.rindex("]]")]
         rows = body.split("],[")
@@ -529,10 +553,10 @@ class TestFormatOnce:
             assert row.split(",") == column[k * points:(k + 1) * points]
             assert row.startswith(cli._fmt(cfg.lam(cfg.interval.a)) + ",")
 
-    @pytest.mark.parametrize("config, parts", FORMAT_CASES)
+    @pytest.mark.parametrize("config, parts, path_blocks", FORMAT_CASES)
     def test_bundle_values_are_the_value_matrix(self, tmp_path, monkeypatch,
-                                                config, parts):
-        out = simulate_split(tmp_path, monkeypatch, parts, config)
+                                                config, parts, path_blocks):
+        out = simulate_split(tmp_path, monkeypatch, parts, config, path_blocks)
         # json reads a whole number as an int; as a float "-0" keeps its sign
         bundle = json.loads((out / "bundle.json").read_text(), parse_int=float)
         cfg = parse_config(config, {})
@@ -552,6 +576,13 @@ def percent_17g(values) -> list[bytes]:
     return [b"%.17g" % v for v in np.asarray(values, dtype=float).ravel().tolist()]
 
 
+def texts_17g(values) -> list[bytes]:
+    """encode_17g's texts of values: its cells without their NULs."""
+    cells = encode_17g(np.asarray(values, dtype=float))
+    assert cells.shape == (np.size(values), encode._CELL) and cells.dtype == np.uint8
+    return [row[row != 0].tobytes() for row in cells]
+
+
 class TestEncode:
     """encode_17g gives Python's %.17g text of every double, bit for bit."""
 
@@ -566,14 +597,14 @@ class TestEncode:
 
     def test_edges(self):
         values = np.array(self.EDGES)
-        assert encode_17g(values) == percent_17g(values)
-        assert encode_17g(np.array([-0.0])) == [b"-0"]
+        assert texts_17g(values) == percent_17g(values)
+        assert texts_17g([-0.0, 0.0]) == [b"-0", b"0"]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
                     max_size=40))
     def test_any_finite_double(self, values):
-        assert encode_17g(np.array(values)) == percent_17g(values)
+        assert texts_17g(values) == percent_17g(values)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(min_value=1e-4, max_value=2.0**51, exclude_max=True),
@@ -581,7 +612,7 @@ class TestEncode:
            st.booleans())
     def test_any_double_in_the_fast_range(self, values, negate):
         values = -np.array(values) if negate else np.array(values)
-        assert encode_17g(values) == percent_17g(values)
+        assert texts_17g(values) == percent_17g(values)
 
     def test_drawn_doubles(self):
         rng = np.random.default_rng(5)
@@ -592,14 +623,15 @@ class TestEncode:
             rng.integers(2**51, 2**53, 20000) / 4.0 * rng.choice([-1.0, 1.0], 20000),
             rng.standard_normal((20, 513)).cumsum(axis=1).ravel(),
             rng.standard_normal(20000) * 10.0 ** rng.integers(-6, 18, 20000)])
-        assert encode_17g(values) == percent_17g(values)
+        assert texts_17g(values) == percent_17g(values)
 
     def test_working_set_bounded_by_the_block(self):
-        # write_rows holds one block's temporaries at a time: about 3.6 MB
-        # over a chunk of the default height, 128 paths of 513 points
-        # (blocks of 2**15 values took 15 MB), and no more over four such
-        # chunks.  The chunks, paths of the benchmark's simulate workload,
-        # are drawn, and the sinks discard, outside the traced peak.
+        # write_rows holds one block's temporaries at a time: 1.12 MB over a
+        # chunk of the default height, 128 paths of 513 points, with numpy
+        # 2.4 (3.6 MB when each text was a Python bytes object; 15 MB in
+        # blocks of 2**15 values), bounded here at 1.3 MB, and no more over
+        # four such chunks.  The chunks, paths of the benchmark's simulate
+        # workload, are drawn, and the sinks discard, outside the traced peak.
         cfg = parse_config({"lambda": {"kind": "cantor", "depth": 64},
                             "rho": {"kind": "power", "exponent": 2.0},
                             "mc": {"paths": 128, "seed": 7},
@@ -607,17 +639,38 @@ class TestEncode:
         grid = make_grid(cfg.interval, cfg.grid_points, cfg.grid_scale, rho=cfg.rho)
         values = process.increment_value_matrix(YehSpec(cfg.lam, cfg.rho), grid,
                                                 cfg.seed, cfg.paths)
-        pieces = [b""] + [f",{cli._fmt(t)},%s\n".encode() for t in grid]
+        times = [f",{cli._fmt(t)},".encode() for t in grid]
         peaks = []
         for chunks in ([(0, values)], [(k0, values) for k0 in range(0, 512, 128)]):
             tracemalloc.start()
             try:
-                write_rows(0, chunks, pieces, len, len)
+                write_rows(0, chunks, times, len, len)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[0] < 4e6, peaks
+        assert peaks[0] < 1.3e6, peaks
         assert abs(peaks[1] - peaks[0]) < 0.02 * peaks[0], peaks
+
+    def test_no_python_object_per_value(self):
+        # the live Python objects while a block's bytes are in hand: a block
+        # of 15 paths of 513 points (2**13 values) holds as many as a block
+        # of one path, give or take a few, not one or more per value.  Each
+        # path starts at an exact zero and reaches both ends of the fast
+        # range.  The sink keeps a running max, so it allocates nothing.
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((15, 513)).cumsum(axis=1) * 10.0 ** rng.integers(-6, 17, 513)
+        values[:, 0] = 0.0
+        times = [b",%d," % j for j in range(513)]
+        peaks = []
+        for paths in (1, 15):
+            peak = [0]
+
+            def sink(data, peak=peak):
+                peak[0] = max(peak[0], sys.getallocatedblocks())
+
+            write_rows(0, [(0, values[:paths])], times, sink, sink)
+            peaks.append(peak[0])
+        assert abs(peaks[1] - peaks[0]) < 100, peaks
 
 
 def test_memory_error_in_a_part_exits_2(tmp_path, brownian_config, monkeypatch, capsys):
